@@ -36,7 +36,6 @@ class Keys:
     FREQBUF_BUFFER_FRACTION = "repro.freqbuf.buffer.fraction"  # share of spill buffer
     FREQBUF_VALUES_PER_KEY = "repro.freqbuf.values.per.key"  # combine trigger
     FREQBUF_SHARE_ACROSS_TASKS = "repro.freqbuf.share.across.tasks"
-    FREQBUF_PREDICTOR = "repro.freqbuf.predictor"  # spacesaving | lru | ideal
 
     # --- spill-matcher (the paper's Section IV) ---
     SPILLMATCHER_ENABLED = "repro.spillmatcher.enabled"
@@ -150,7 +149,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.FREQBUF_BUFFER_FRACTION: 0.3,  # Section V-B2: 30% of spill buffer
     Keys.FREQBUF_VALUES_PER_KEY: 8,
     Keys.FREQBUF_SHARE_ACROSS_TASKS: True,
-    Keys.FREQBUF_PREDICTOR: "spacesaving",
     Keys.EXEC_BACKEND: "serial",
     Keys.EXEC_WORKERS: 0,
     Keys.EXEC_LIVE_PIPELINE: False,

@@ -3,7 +3,7 @@ Zipf-driven auto-tuning, and the frequent-key hash buffer collector."""
 
 from .autotune import AutotuneDecision, PreProfiler
 from .collector import FrequencyBufferingCollector, Stage
-from .hashbuffer import FrequentKeyBuffer, HashBufferStats
+from .hashbuffer import FrequentKeyTable, MonoidKeyTable, frequent_key_table
 from .predictors import (
     BufferStrategy,
     LRUStrategy,
@@ -25,14 +25,15 @@ __all__ = [
     "AutotuneDecision",
     "BufferStrategy",
     "FrequencyBufferingCollector",
-    "FrequentKeyBuffer",
-    "HashBufferStats",
+    "FrequentKeyTable",
     "LRUStrategy",
+    "MonoidKeyTable",
     "PreProfiler",
     "ProfiledTopKStrategy",
     "SpaceSaving",
     "Stage",
     "fit_alpha",
+    "frequent_key_table",
     "fit_alpha_from_counts",
     "generalized_harmonic",
     "ideal_strategy",

@@ -48,6 +48,10 @@ class PreProfiler:
         self._counts[key] = self._counts.get(key, 0) + 1
         self.records_seen += 1
 
+    def counts(self) -> dict[Hashable, int]:
+        """Exact occurrences of every key observed so far."""
+        return self._counts
+
     def decide(self) -> AutotuneDecision:
         """Fit α and choose ``s``.
 

@@ -10,11 +10,19 @@ paper's two-stage dataflow:
    takes the standard path while a Space-Saving summary tracks key
    frequencies;
 3. **optimization** — the summary's top-k become the frozen frequent
-   set; tuples with frequent keys go to the in-memory
-   :class:`~repro.core.freqbuf.hashbuffer.FrequentKeyBuffer` (combined
-   eagerly, bypassing serialize/sort/spill), everything else takes the
-   standard path.  At flush the buffer drains its aggregates into the
-   standard path so the final map output is complete and sorted.
+   set, held as a :class:`~repro.core.freqbuf.hashbuffer.
+   FrequentKeyTable` keyed on serialized key bytes.  Each emit
+   serializes its key once and probes once: a hit is folded into its
+   slot (combined eagerly, bypassing sort/spill), a miss hands the same
+   bytes to the standard path.  At flush the table drains its
+   aggregates into the standard path so the final map output is
+   complete and sorted.
+
+The optimization stage charges nothing per record.  Hits, misses and
+combines accumulate as integers and are *settled* — counters and the
+``HASHBUF``/``COMBINE`` ledger charges, the same totals a per-record
+charge would reach — at flush and before every spill reads the
+map-thread produce work, so the spill-matcher sees the same ``T_p``.
 
 Per Section III-B the discovered frequent-key set is shared across the
 map tasks of one node through *shared_state*: the first task profiles,
@@ -24,6 +32,7 @@ the rest skip straight to the optimization stage.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from typing import Any
 
 from ...config import Keys
@@ -35,7 +44,7 @@ from ...engine.job import JobSpec
 from ...io.spillfile import SpillIndex
 from ...serde.writable import Writable
 from .autotune import PreProfiler
-from .hashbuffer import FrequentKeyBuffer
+from .hashbuffer import FrequentKeyTable, frequent_key_table
 from .spacesaving import SpaceSaving
 
 SHARED_FREQUENT_KEYS = "freqbuf.frequent_keys"
@@ -89,7 +98,8 @@ class FrequencyBufferingCollector(MapOutputCollector):
         self._emitted = 0
         self._summary: SpaceSaving[Writable] = SpaceSaving(max(2 * k, 16))
         self._preprofiler: PreProfiler | None = None
-        self._buffer: FrequentKeyBuffer | None = None
+        self._table: FrequentKeyTable | None = None
+        self._misses = 0
         self.alpha: float | None = None
 
         shared_keys = (
@@ -159,41 +169,20 @@ class FrequencyBufferingCollector(MapOutputCollector):
             self._finish_profile()
 
     def collect(self, key: Writable, value: Writable) -> None:
-        self._emitted += 1
-        model = self.inner.cost_model
-
-        if self.stage is Stage.OPTIMIZE:
-            assert self._buffer is not None
-            self.instruments.charge_map_thread(Op.HASHBUF, model.hash_record)
-            if self._buffer.accepts(key):
-                self.counters.incr(Counter.FREQBUF_HITS)
-                self.counters.incr(Counter.MAP_OUTPUT_RECORDS)
-                self.counters.incr(
-                    Counter.MAP_OUTPUT_BYTES,
-                    key.serialized_size() + value.serialized_size(),
-                )
-                before = self._buffer.stats.eager_combines
-                combine_mark = (
-                    self.combiner_runner.work_done if self.combiner_runner else 0.0
-                )
-                self._buffer.insert(key, value)
-                combines = self._buffer.stats.eager_combines - before
-                if combines:
-                    self.instruments.charge_map_thread(
-                        Op.HASHBUF,
-                        model.hash_combine_record * self.values_per_key_limit * combines,
-                    )
-                if self.combiner_runner is not None:
-                    # The user combine() bodies run eagerly on the map thread.
-                    user_work = self.combiner_runner.work_done - combine_mark
-                    if user_work > 0:
-                        self.instruments.charge_map_thread(Op.COMBINE, user_work)
-                return
-            self.counters.incr(Counter.FREQBUF_MISSES)
-            self.inner.collect(key, value)
+        table = self._table
+        if table is not None:  # Stage.OPTIMIZE
+            key_bytes = key.to_bytes()
+            slot = table.slots.get(key_bytes)
+            if slot is None:
+                self._misses += 1
+                self.inner.collect_serialized(key_bytes, value.to_bytes())
+            else:
+                table.add(slot, value)
             return
 
         # Profiling stages: standard dataflow + frequency observation.
+        self._emitted += 1
+        model = self.inner.cost_model
         if self.stage is Stage.PREPROFILE:
             if self._preprofiler is None:
                 self._init_preprofiler()
@@ -206,22 +195,45 @@ class FrequencyBufferingCollector(MapOutputCollector):
         self.inner.collect(key, value)
 
     def flush(self) -> SpillIndex:
-        if self._buffer is not None:
-            combine_mark = self.combiner_runner.work_done if self.combiner_runner else 0.0
-            drained = self._buffer.drain()
-            if self.combiner_runner is not None:
-                user_work = self.combiner_runner.work_done - combine_mark
-                if user_work > 0:
-                    self.instruments.charge_map_thread(Op.COMBINE, user_work)
+        if self._table is not None:
+            drained = self._table.drain()
+            self._settle()
             # The aggregates re-enter the standard dataflow: they are
-            # serialized (EMIT), buffered, sorted, spilled and merged like
-            # any other record — just far fewer of them.
-            for key, value in drained:
-                self.inner.collect_serialized(
-                    key.to_bytes(), value.to_bytes(), count_output=False
-                )
-            self.counters.incr(Counter.FREQBUF_EVICTIONS, self._buffer.stats.overflow_records)
+            # buffered (EMIT), sorted, spilled and merged like any other
+            # record — just far fewer of them.
+            for key_bytes, value_bytes in drained:
+                self.inner.collect_serialized(key_bytes, value_bytes, count_output=False)
         return self.inner.flush()
+
+    def _settle(self) -> None:
+        """Charge everything the optimization stage did since the last
+        settlement: one probe per tuple, the eager combines' bookkeeping
+        and the user combine() bodies (both run on the map thread), and
+        the hits' map-output accounting (misses are counted as output by
+        the standard path)."""
+        assert self._table is not None
+        tallies = self._table.take_tallies()
+        misses, self._misses = self._misses, 0
+        model = self.inner.cost_model
+        charge = self.instruments.charge_map_thread
+        charge(
+            Op.HASHBUF,
+            model.hash_record * (tallies.hits + misses)
+            + model.hash_combine_record * self.values_per_key_limit * tallies.combines,
+        )
+        if self.combiner_runner is not None:
+            charge(
+                Op.COMBINE,
+                self.combiner_runner.user_costs.combine_record * tallies.combine_in,
+            )
+        incr = self.counters.incr
+        incr(Counter.FREQBUF_HITS, tallies.hits)
+        incr(Counter.FREQBUF_MISSES, misses)
+        incr(Counter.FREQBUF_EVICTIONS, tallies.evictions)
+        incr(Counter.MAP_OUTPUT_RECORDS, tallies.hits)
+        incr(Counter.MAP_OUTPUT_BYTES, tallies.hit_bytes)
+        incr(Counter.COMBINE_INPUT_RECORDS, tallies.combine_in)
+        incr(Counter.COMBINE_OUTPUT_RECORDS, tallies.combine_out)
 
     # ------------------------------------------------------------------
     # stage transitions
@@ -251,7 +263,7 @@ class FrequencyBufferingCollector(MapOutputCollector):
             self.shared_state[SHARED_ALPHA] = decision.alpha
             self.shared_state[SHARED_SAMPLE_FRACTION] = self.sample_fraction
         # Seed the main profiler with what pre-profiling already counted.
-        for key, count in self._preprofiler._counts.items():  # noqa: SLF001
+        for key, count in self._preprofiler.counts().items():
             self._summary.observe(key, count)
         self._preprofiler = None
         self.stage = Stage.PROFILE
@@ -266,16 +278,16 @@ class FrequencyBufferingCollector(MapOutputCollector):
         self._activate(frequent)
 
     def _activate(self, frequent: set[Writable]) -> None:
-        self._buffer = FrequentKeyBuffer(
-            frequent_keys=frequent,
+        runner = self.combiner_runner
+        self._table = frequent_key_table(
+            frequent,
             budget_bytes=self.hash_budget_bytes,
-            combiner_runner=self.combiner_runner,
-            overflow_sink=self._overflow,
+            # Aggregated records evicted for space rejoin the spill path;
+            # they were already counted as map output when they hit.
+            overflow_sink=partial(self.inner.collect_serialized, count_output=False),
+            combiner=runner.combiner if runner is not None else None,
+            value_cls=runner.value_cls if runner is not None else None,
             values_per_key_limit=self.values_per_key_limit,
         )
+        self.inner.settle_front_stage = self._settle
         self.stage = Stage.OPTIMIZE
-
-    def _overflow(self, key: Writable, value: Writable) -> None:
-        """Aggregated records evicted for space rejoin the spill path.
-        They were already counted as map output on insertion."""
-        self.inner.collect_serialized(key.to_bytes(), value.to_bytes(), count_output=False)

@@ -17,6 +17,7 @@ they enter the buffer; spill-matcher plugs in as the
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Callable
 
 from ..errors import SpillBufferError
 from ..io.blockdisk import LocalDisk
@@ -104,6 +105,10 @@ class StandardCollector(MapOutputCollector):
             policy.spill_percent(), None
         )
         self._produce_mark = instruments.map_thread_work
+        #: A front stage that defers its map-thread charges (the
+        #: frequency buffer) settles them here, before each spill reads
+        #: the produce work.
+        self.settle_front_stage: Callable[[], None] | None = None
         self._flushed = False
 
     def _make_buffer(self, capacity_bytes: int):
@@ -175,13 +180,19 @@ class StandardCollector(MapOutputCollector):
         )
 
         # --- pipeline bookkeeping ---
-        produce_work = instruments.map_thread_work - self._produce_mark
-        self._produce_mark = instruments.map_thread_work
+        produce_work = self._take_produce_work()
         self.timeline.record_spill(max(produce_work, 1e-9), max(consume_work, 1e-9), size_bytes)
         self.policy.observe(produce_work, consume_work, size_bytes)
         self._spill_target = self.timeline.expected_next_size(
             self.policy.spill_percent(), self.policy.produce_consume_ratio()
         )
+
+    def _take_produce_work(self) -> float:
+        """Map-thread work since the previous spill: the pipeline's T_p."""
+        if self.settle_front_stage is not None:
+            self.settle_front_stage()
+        mark, self._produce_mark = self._produce_mark, self.instruments.map_thread_work
+        return self._produce_mark - mark
 
     def _consume_spill(
         self,

@@ -5,9 +5,10 @@ writables.  :class:`CombinerRunner` bridges the two — deserialize the
 group, run the user code, re-serialize the results — while charging the
 user-code cost to the ``COMBINE`` ledger op and updating counters.
 
-The same runner serves all three combine sites: per-spill combining,
-the end-of-map merge, and the frequency buffer's eager in-memory
-combining.
+The runner serves the serialized combine sites: per-spill combining,
+the end-of-map merge and the node-combine stage.  The frequency buffer
+holds live writables (or folds raw ints) and calls the combiner itself
+(:mod:`repro.core.freqbuf.hashbuffer`).
 """
 
 from __future__ import annotations
@@ -37,13 +38,11 @@ class CombinerRunner:
         self.value_cls = value_cls
         self.user_costs = user_costs
         self.counters = counters
-        self.work_done = 0.0  # cumulative COMBINE work charged through me
 
     def combine_serialized(self, key_bytes: bytes, value_bytes_list: list[bytes]) -> list[SerdePair]:
         """Run ``combine()`` on one serialized group; returns serialized output.
 
-        The caller charges :attr:`last_work` (also accumulated into
-        :attr:`work_done`) to the ledger's COMBINE op.
+        The caller charges :attr:`last_work` to the ledger's COMBINE op.
         """
         key = self.key_cls.from_bytes(key_bytes)
         values = [self.value_cls.from_bytes(vb) for vb in value_bytes_list]
@@ -61,28 +60,6 @@ class CombinerRunner:
         self.counters.incr(Counter.COMBINE_INPUT_RECORDS, len(values))
         self.counters.incr(Counter.COMBINE_OUTPUT_RECORDS, len(out))
         self.last_work = self.user_costs.combine_record * len(values)
-        self.work_done += self.last_work
-        return out
-
-    def combine_writables(
-        self, key: Writable, values: list[Writable]
-    ) -> list[tuple[Writable, Writable]]:
-        """Run ``combine()`` on live writables (frequency-buffer fast path:
-        no deserialization needed because the buffer stores writables)."""
-        out: list[tuple[Writable, Writable]] = []
-
-        def emit(out_key: Writable, out_value: Writable) -> None:
-            out.append((out_key, out_value))
-
-        try:
-            self.combiner.combine(key, values, emit)
-        except Exception as exc:  # noqa: BLE001 - user code boundary
-            raise UserCodeError("combine", str(exc)) from exc
-
-        self.counters.incr(Counter.COMBINE_INPUT_RECORDS, len(values))
-        self.counters.incr(Counter.COMBINE_OUTPUT_RECORDS, len(out))
-        self.last_work = self.user_costs.combine_record * len(values)
-        self.work_done += self.last_work
         return out
 
     last_work: float = 0.0

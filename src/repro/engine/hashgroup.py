@@ -175,8 +175,7 @@ class HashGroupingCollector(StandardCollector):
         self.counters.incr(Counter.SPILLED_RECORDS, index.total_records)
         self.counters.incr(Counter.SPILLED_BYTES, index.total_bytes)
 
-        produce_work = instruments.map_thread_work - self._produce_mark
-        self._produce_mark = instruments.map_thread_work
+        produce_work = self._take_produce_work()
         self.timeline.record_spill(
             max(produce_work, 1e-9), max(consume_work, 1e-9), size_bytes
         )

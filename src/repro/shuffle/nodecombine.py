@@ -19,6 +19,13 @@ merged per partition with combining
 (:func:`~repro.io.merger.merge_and_combine`), so duplicate keys that
 straddled a flush still fold to one record.
 
+The hash stage shares frequency buffering's two folds: generically a
+slot collects a key's serialized values for ``combine()`` to fold at
+flush; when ``combine()`` is a proven int ``sum``/``min``/``max``
+(:func:`repro.lint.opt.synth.combiner_fold`) a slot is ``[count,
+running total]`` — decoded once in, encoded once out, and the
+``combine()`` that did not run charged exactly as if it had.
+
 Correctness gating mirrors frequency buffering: the stage only folds
 with a combiner the static analyzer verified *fold-like*
 (:func:`repro.lint.engine.gate_job`), because folding across task
@@ -39,6 +46,7 @@ from dataclasses import dataclass, field
 from math import log2
 
 from ..config import Keys
+from ..core.freqbuf.hashbuffer import FOLD_OPS, proven_fold, wrap_folded
 from ..engine.combiner import CombinerRunner
 from ..engine.counters import Counter, Counters
 from ..engine.instrumentation import Ledger, Op
@@ -113,9 +121,23 @@ class NodeCombiner:
             work += runner.last_work + model.combine_record_overhead * len(value_bytes)
             return out
 
+        value_cls = job.map_output_value_cls
+        fold = proven_fold(runner.combiner, value_cls)
+        fold_op = FOLD_OPS[fold] if fold is not None else None
+        combine_record = job.user_costs.combine_record
+
+        def encode_folded(key_bytes: bytes, slot: list) -> SerdePair:
+            """The record combine() would have emitted for a folded slot,
+            charged as that call would have been."""
+            nonlocal work
+            count, total = slot
+            work += combine_record * count + model.combine_record_overhead * count
+            return key_bytes, wrap_folded(value_cls, total).to_bytes()
+
         num_partitions = job.num_reducers
-        # partition -> {key bytes -> [value bytes, ...]} — the bounded stage.
-        tables: list[dict[bytes, list[bytes]]] = [{} for _ in range(num_partitions)]
+        # partition -> {key bytes -> [value bytes, ...]} — the bounded
+        # stage; under the monoid fold a slot is [count, running total].
+        tables: list[dict[bytes, list]] = [{} for _ in range(num_partitions)]
         table_bytes = [0] * num_partitions
         # partition -> parked sorted+combined runs from partial flushes.
         runs: list[list[list[SerdePair]]] = [[] for _ in range(num_partitions)]
@@ -132,9 +154,12 @@ class NodeCombiner:
                 return
             keys = sorted(table)
             work += model.sort_comparison * len(keys) * log2(max(2, len(keys)))
-            run: list[SerdePair] = []
-            for key_bytes in keys:
-                run.extend(combine(key_bytes, table[key_bytes]))
+            if fold_op is None:
+                run: list[SerdePair] = []
+                for key_bytes in keys:
+                    run.extend(combine(key_bytes, table[key_bytes]))
+            else:
+                run = [encode_folded(key_bytes, table[key_bytes]) for key_bytes in keys]
             runs[partition].append(run)
             buffered -= table_bytes[partition]
             tables[partition] = {}
@@ -158,7 +183,17 @@ class NodeCombiner:
                     in_records += 1
                     in_bytes += size
                     work += model.hash_record
-                    tables[partition].setdefault(key_bytes, []).append(value_bytes)
+                    table = tables[partition]
+                    if fold_op is None:
+                        table.setdefault(key_bytes, []).append(value_bytes)
+                    else:
+                        number = value_cls.from_bytes(value_bytes).value
+                        slot = table.get(key_bytes)
+                        if slot is None:
+                            table[key_bytes] = [1, number]
+                        else:
+                            slot[0] += 1
+                            slot[1] = fold_op(slot[1], number)
                     table_bytes[partition] += size
                     buffered += size
                     if buffered > self.buffer_bytes:

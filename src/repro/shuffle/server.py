@@ -124,8 +124,9 @@ class ShuffleServer:
         listener.bind((self.bind_host, self.bind_port))
         listener.listen(64)
         # A blocking accept() does not reliably wake when another thread
-        # closes the socket; poll with a short timeout so stop() returns
-        # promptly.
+        # closes the socket.  stop() wakes it with a connection of its
+        # own; the short timeout is only the fallback for when that
+        # connection cannot be made.
         listener.settimeout(0.1)
         self._listener = listener
         self._port = listener.getsockname()[1]
@@ -147,12 +148,18 @@ class ShuffleServer:
         self._stopping.set()
         if self._listener is not None:
             try:
-                self._listener.close()
+                # Wake the accept loop now rather than at its next poll.
+                socket.create_connection(self.address, timeout=1.0).close()
             except OSError:
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
             self._accept_thread = None
+        if self._listener is not None:
+            try:
+                self._listener.close()
+            except OSError:
+                pass
         for thread in self._handlers:
             thread.join(timeout=5.0)
         self._handlers.clear()
@@ -196,6 +203,9 @@ class ShuffleServer:
                 continue  # poll the stop flag
             except OSError:
                 break  # listener closed by stop()
+            if self._stopping.is_set():
+                conn.close()  # stop()'s wake-up call, or a client too late
+                break
             thread = threading.Thread(
                 target=self._handle, args=(conn,), daemon=True,
                 name=f"shuffle-handler.{self.host_label}",

@@ -11,6 +11,7 @@ from repro.core.freqbuf.collector import (
 from repro.engine.counters import Counter
 from repro.engine.instrumentation import Op
 from repro.engine.runner import LocalJobRunner, build_collector
+from repro.serde.numeric import VIntWritable
 from repro.serde.text import Text
 from tests.conftest import make_wordcount_job
 
@@ -97,6 +98,82 @@ class TestOptimizationBehaviour:
             r.counters.get(Counter.FREQBUF_PROFILED_RECORDS) for r in result.map_results
         ]
         assert all(p > 0 for p in per_task_profiled)
+
+
+class TestSettlement:
+    def _optimizing_collector(self, tiny_text, extra):
+        from repro.engine.counters import Counters
+        from repro.engine.instrumentation import Ledger, TaskInstruments
+        from repro.io.blockdisk import LocalDisk
+
+        job = make_wordcount_job(tiny_text, freq_conf(extra=extra))
+        shared = {SHARED_FREQUENT_KEYS: frozenset({Text("apple"), Text("fig")})}
+        instruments, counters = TaskInstruments(Ledger()), Counters()
+        collector = build_collector(job, "t0", LocalDisk(), instruments, counters, shared)
+        return job, collector, instruments, counters
+
+    def test_nothing_is_charged_per_record_and_everything_at_flush(self, tiny_text):
+        job, collector, instruments, counters = self._optimizing_collector(tiny_text, None)
+        for _ in range(5):
+            collector.collect(Text("apple"), VIntWritable(1))
+        collector.collect(Text("kiwi"), VIntWritable(1))
+        assert counters.get(Counter.FREQBUF_HITS) == 0
+        assert instruments.ledger.get(Op.HASHBUF) == 0
+        collector.flush()
+        assert counters.get(Counter.FREQBUF_HITS) == 5
+        assert counters.get(Counter.FREQBUF_MISSES) == 1
+        assert counters.get(Counter.MAP_OUTPUT_RECORDS) == 6
+        assert instruments.ledger.get(Op.HASHBUF) == 6 * job.cost_model.hash_record
+
+    def test_spill_produce_work_includes_the_front_stage(self, tiny_text):
+        # Settled before the spill reads the map-thread meter: whenever a
+        # spill has just been cut, the spills' T_p add up to every probe
+        # and every emit so far, the triggering record's included.
+        job, collector, instruments, _ = self._optimizing_collector(
+            tiny_text,
+            {Keys.SPILL_BUFFER_BYTES: 256, Keys.FREQBUF_VALUES_PER_KEY: 1000},
+        )
+        model = job.cost_model
+        spills = collector.timeline.result.spills
+        expected = 0.0
+        checked = 0
+        for i in range(40):
+            cold = Text(f"cold{i}")
+            collector.collect(Text("apple"), VIntWritable(1))
+            collector.collect(cold, VIntWritable(1))
+            expected += 2 * model.hash_record + (
+                model.serialize_byte * (cold.serialized_size() + 1) + model.collect_record
+            )
+            if len(spills) > checked:
+                checked = len(spills)
+                assert sum(spill.produce_work for spill in spills) == expected
+        assert checked >= 3
+
+    def test_overflow_cut_spills_do_not_charge_their_combines_twice(self, tiny_text):
+        # A table that overflows on every hit keeps cutting spills from
+        # inside an insert.  COMBINE must still be: the user body once
+        # per value combined anywhere, plus the serialized path's
+        # per-value overhead for the values the spill/merge path combined.
+        job, collector, instruments, counters = self._optimizing_collector(
+            tiny_text,
+            {Keys.SPILL_BUFFER_BYTES: 512, Keys.FREQBUF_BUFFER_FRACTION: 0.002},
+        )
+        table = collector._table
+        settled = []
+        take = table.take_tallies
+        table.take_tallies = lambda: settled.append(take()) or settled[-1]
+        for i in range(300):
+            collector.collect(Text(("apple", "fig", f"cold{i % 7}")[i % 3]), VIntWritable(1))
+        collector.flush()
+        assert counters.get(Counter.FREQBUF_EVICTIONS) > 100
+        assert counters.get(Counter.SPILLS) > 3
+        in_table = sum(tallies.combine_in for tallies in settled)
+        combined = counters.get(Counter.COMBINE_INPUT_RECORDS)
+        assert 0 < in_table < combined
+        assert instruments.ledger.get(Op.COMBINE) == (
+            job.user_costs.combine_record * combined
+            + job.cost_model.combine_record_overhead * (combined - in_table)
+        )
 
 
 class TestStageMachine:

@@ -1,0 +1,229 @@
+"""Differential tests for the frequency-buffering front stage.
+
+The front stage folds hits in one of two ways — the generic fold (live
+writables, the user's ``combine()``) or the monoid fold (a raw int per
+slot, ``combine()`` only accounted) — and the node-combine stage shares
+both.  Neither may be observable: same output as with the optimization
+off, and identical counters and ledger between the two folds, floats
+included.  The generic fold is forced the way ``bench/tracing.py`` ends
+up forcing it: a delegating proxy hides the combiner's source from the
+fold matcher.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import random
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import JobConf, Keys
+from repro.engine.api import Combiner, Mapper, Reducer
+from repro.engine.counters import Counter
+from repro.engine.inputformat import TextInput
+from repro.engine.instrumentation import Op
+from repro.engine.job import JobSpec
+from repro.engine.runner import LocalJobRunner
+from repro.experiments.common import build_app
+from repro.lint.opt.synth import combiner_fold
+from repro.serde.numeric import IntWritable, LongWritable, VIntWritable
+from repro.serde.text import Text
+
+
+def _zipf_corpus(lines: int = 70, words_per_line: int = 6, vocabulary: int = 40) -> bytes:
+    rng = random.Random(18)
+    words = [f"w{rank}" for rank in range(vocabulary)]
+    weights = [1.0 / (rank + 1) for rank in range(vocabulary)]
+    return "".join(
+        " ".join(rng.choices(words, weights, k=words_per_line)) + "\n"
+        for _ in range(lines)
+    ).encode()
+
+
+CORPUS = _zipf_corpus()
+
+
+class SignedNumberMapper(Mapper):
+    """Emit ``(word, W(n))`` with small signed ``n``, so min and max have
+    something to choose between and sums cancel."""
+
+    def __init__(self, value_cls):
+        self.value_cls = value_cls
+
+    def map(self, key, value, emit):
+        for position, word in enumerate(value.value.split()):
+            emit(Text(word), self.value_cls((len(word) * 7 + position * 13) % 23 - 11))
+
+
+class FoldReducer(Reducer):
+    def __init__(self, agg, value_cls):
+        self.agg, self.value_cls = agg, value_cls
+
+    def reduce(self, key, values, emit):
+        emit(key, self.value_cls(self.agg(v.value for v in values)))
+
+
+# One literal template per (aggregate, value class): the matcher reads
+# source, so these cannot be manufactured in a loop.
+class SumVInt(Combiner):
+    def combine(self, key, values, emit):
+        emit(key, VIntWritable(sum(v.value for v in values)))
+
+
+class MinVInt(Combiner):
+    def combine(self, key, values, emit):
+        emit(key, VIntWritable(min(v.value for v in values)))
+
+
+class MaxVInt(Combiner):
+    def combine(self, key, values, emit):
+        emit(key, VIntWritable(max(v.value for v in values)))
+
+
+class SumInt(Combiner):
+    def combine(self, key, values, emit):
+        emit(key, IntWritable(sum(v.value for v in values)))
+
+
+class MinInt(Combiner):
+    def combine(self, key, values, emit):
+        emit(key, IntWritable(min(v.value for v in values)))
+
+
+class MaxInt(Combiner):
+    def combine(self, key, values, emit):
+        emit(key, IntWritable(max(v.value for v in values)))
+
+
+class SumLong(Combiner):
+    def combine(self, key, values, emit):
+        emit(key, LongWritable(sum(v.value for v in values)))
+
+
+class MinLong(Combiner):
+    def combine(self, key, values, emit):
+        emit(key, LongWritable(min(v.value for v in values)))
+
+
+class MaxLong(Combiner):
+    def combine(self, key, values, emit):
+        emit(key, LongWritable(max(v.value for v in values)))
+
+
+COMBINERS = {
+    (agg.__name__, value_cls): combiner
+    for (agg, value_cls), combiner in {
+        (sum, VIntWritable): SumVInt, (min, VIntWritable): MinVInt, (max, VIntWritable): MaxVInt,
+        (sum, IntWritable): SumInt, (min, IntWritable): MinInt, (max, IntWritable): MaxInt,
+        (sum, LongWritable): SumLong, (min, LongWritable): MinLong, (max, LongWritable): MaxLong,
+    }.items()
+}
+AGGS = {"sum": sum, "min": min, "max": max}
+
+
+class HiddenCombiner:
+    """Delegates like ``bench/tracing.py::_TracedCombiner``: same
+    behaviour, but nothing in *this* class's source to prove a fold."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def combine(self, key, values, emit):
+        self._inner.combine(key, values, emit)
+
+
+def make_job(agg: str, value_cls, conf: dict) -> JobSpec:
+    combiner_cls = COMBINERS[agg, value_cls]
+    return JobSpec(
+        name="frontstage",
+        input_format=TextInput(CORPUS, split_size=len(CORPUS) // 2 + 1),
+        mapper_factory=lambda: SignedNumberMapper(value_cls),
+        reducer_factory=lambda: FoldReducer(AGGS[agg], value_cls),
+        combiner_factory=combiner_cls,
+        map_output_key_cls=Text,
+        map_output_value_cls=value_cls,
+        conf=JobConf({Keys.NUM_REDUCERS: 2, **conf}),
+    )
+
+
+#: What the front stage alone decides — unlike spill counts, these do
+#: not depend on the live pipeline's wall-clock spill thresholds.
+FRONT_STAGE_COUNTERS = (
+    Counter.FREQBUF_HITS, Counter.FREQBUF_MISSES, Counter.FREQBUF_EVICTIONS,
+    Counter.MAP_OUTPUT_RECORDS, Counter.MAP_OUTPUT_BYTES,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    agg=st.sampled_from(sorted(AGGS)),
+    value_cls=st.sampled_from([VIntWritable, IntWritable, LongWritable]),
+    values_per_key=st.sampled_from([2, 3, 8]),
+    # Share of a 1 KiB buffer: from "fits everything" down to a
+    # one-byte table that overflows on every insert.
+    hash_fraction=st.sampled_from([0.5, 0.08, 0.02, 0.0005]),
+    k=st.sampled_from([2, 6, 25]),
+    collector=st.sampled_from(["object", "binary"]),
+    live=st.booleans(),
+    node_buffer=st.sampled_from([64, 1 << 20]),  # 64 bytes parks runs
+)
+def test_folds_are_unobservable(
+    agg, value_cls, values_per_key, hash_fraction, k, collector, live, node_buffer
+):
+    conf = {
+        # Small and adaptive, so that evictions cut spills and the
+        # spill-matcher acts on the produce work the settlement reports.
+        Keys.SPILL_BUFFER_BYTES: 1024,
+        Keys.SPILLMATCHER_ENABLED: True,
+        Keys.IO_COLLECTOR: collector,
+        Keys.EXEC_LIVE_PIPELINE: live,
+        Keys.NODE_COMBINE: True,
+        Keys.NODE_COMBINE_BUFFER_BYTES: node_buffer,
+        Keys.FREQBUF_K: k,
+        Keys.FREQBUF_SAMPLE_FRACTION: 0.2,
+        Keys.FREQBUF_BUFFER_FRACTION: hash_fraction,
+        Keys.FREQBUF_VALUES_PER_KEY: values_per_key,
+    }
+    monoid_job = make_job(agg, value_cls, {**conf, Keys.FREQBUF_ENABLED: True})
+    combiner_cls = monoid_job.combiner_factory
+    generic_job = dataclasses.replace(
+        monoid_job, combiner_factory=lambda: HiddenCombiner(combiner_cls())
+    )
+    assert combiner_fold(combiner_cls, value_cls) == agg
+    assert combiner_fold(HiddenCombiner, value_cls) is None
+
+    plain = LocalJobRunner().run(make_job(agg, value_cls, conf))
+    monoid = LocalJobRunner().run(monoid_job)
+    generic = LocalJobRunner().run(generic_job)
+
+    assert monoid.output_digest() == plain.output_digest()
+    assert generic.output_digest() == plain.output_digest()
+    assert monoid.counters.get(Counter.FREQBUF_HITS) > 0
+    if live:
+        # Spill boundaries follow measured seconds: compare what the
+        # front stage and the node fold decide on their own.
+        for counter in FRONT_STAGE_COUNTERS:
+            assert monoid.counters.get(counter) == generic.counters.get(counter)
+        for op in (Op.HASHBUF, Op.PROFILE):
+            assert monoid.ledger.get(op) == generic.ledger.get(op)
+    else:
+        assert monoid.counters.as_dict() == generic.counters.as_dict()
+        assert monoid.ledger.as_dict() == generic.ledger.as_dict()
+
+
+def test_wordcount_combined_matches_the_parent_commit_golden():
+    # Bulk settlement and the bytes-keyed table changed how the front
+    # stage accounts, not what: every counter and every ledger entry of
+    # the paper's Combined configuration (+ node combine) is the value
+    # the per-record, Writable-keyed implementation produced.
+    golden = json.loads(
+        (Path(__file__).parent / "golden_wordcount_combined.json").read_text()
+    )
+    app = build_app("wordcount", "combined", scale=0.02, extra_conf={Keys.NODE_COMBINE: True})
+    result = LocalJobRunner().run(app.job)
+    assert result.output_digest() == golden["digest"]
+    assert result.counters.as_dict() == golden["counters"]
+    assert result.ledger.as_dict() == golden["ledger"]

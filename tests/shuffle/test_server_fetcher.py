@@ -54,6 +54,9 @@ def test_fetch_matches_local_read(server):
         assert result.attempts == 1
         assert result.seconds > 0
 
+    # A handler counts a request after the bytes are out, so the client
+    # can get here first; stop() joins the handlers.
+    server.stop()
     stats = server.snapshot()
     assert stats.requests_served == len(PARTITIONS)
     assert stats.bytes_served == index.total_bytes
@@ -63,6 +66,21 @@ def test_unknown_task_exhausts_retries_cleanly(server):
     entry = FetchPlanEntry(server.address, "job.m9999", 0)
     with pytest.raises(ShuffleError, match="3 attempts"):
         fetch_segment(entry, FAST_RETRIES)
+
+
+def test_stop_of_an_idle_server_does_not_wait_out_the_accept_poll():
+    # stop() wakes the accept loop itself; before, an idle server's stop
+    # sat out the loop's 0.1 s poll (2-7 % of a small net-shuffle job).
+    elapsed = []
+    port = None
+    for _ in range(5):
+        srv = ShuffleServer("idle", port=port or 0).start()
+        port = srv.address[1]  # every restart rebinds the port just released
+        time.sleep(0.02)  # idle: the loop is inside accept(), early in its poll
+        start = time.perf_counter()
+        srv.stop()
+        elapsed.append(time.perf_counter() - start)
+    assert sorted(elapsed)[2] < 0.05
 
 
 def test_dead_port_is_connection_refused_not_hang():

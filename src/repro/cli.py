@@ -86,18 +86,12 @@ def _add_common_app_args(parser: argparse.ArgumentParser) -> None:
         "--compression", choices=("identity", "zlib", "rle+zlib"), default="identity",
         help="spill/shuffle segment codec",
     )
-    parser.add_argument(
-        "--collector", choices=("object", "binary"), default="object",
-        help="map-output buffer representation: per-record objects or the "
-             "packed binary spill buffer (byte-identical outputs)",
-    )
 
 
 def _build(args: argparse.Namespace, extra: dict | None = None):
     conf = {
         Keys.GROUPING: args.grouping,
         Keys.SPILL_COMPRESSION: args.compression,
-        Keys.IO_COLLECTOR: args.collector,
     }
     if args.reducers:
         conf[Keys.NUM_REDUCERS] = args.reducers

@@ -240,6 +240,14 @@ class Master:
         self._stopping.set()
         if self._listener is not None:
             try:
+                # Closing a listener does not wake a thread blocked in
+                # accept(): knock once so the accept loop sees the stop
+                # flag and ends — it holds this master, and through it
+                # every map output of the job, for as long as it lives.
+                socket.create_connection(self._address, timeout=1.0).close()
+            except OSError:
+                pass
+            try:
                 self._listener.close()
             except OSError:
                 pass
@@ -299,6 +307,9 @@ class Master:
             try:
                 sock, _addr = self._listener.accept()
             except OSError:
+                return
+            if self._stopping.is_set():
+                sock.close()  # close()'s wake-up call, or a daemon too late
                 return
             threading.Thread(
                 target=self._handle_conn, args=(sock,), daemon=True

@@ -25,7 +25,6 @@ class Keys:
     SPILL_BUFFER_BYTES = "repro.io.sort.buffer.bytes"
     SPILL_PERCENT = "repro.io.sort.spill.percent"
     SORT_FACTOR = "repro.io.sort.factor"  # max streams merged at once
-    IO_COLLECTOR = "repro.io.collector"  # object (BufferedRecord) | binary (packed kvbuffer)
 
     # --- frequency-buffering (the paper's Section III) ---
     FREQBUF_ENABLED = "repro.freqbuf.enabled"
@@ -138,7 +137,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.SPILL_BUFFER_BYTES: 1 << 20,  # 1 MiB (scaled-down io.sort.mb=100)
     Keys.SPILL_PERCENT: 0.8,  # Hadoop default, as stated in Section V-C
     Keys.SORT_FACTOR: 10,
-    Keys.IO_COLLECTOR: "object",
     Keys.NODE_COMBINE: False,
     Keys.NODE_COMBINE_BUFFER_BYTES: 1 << 20,  # bounded per-node hash budget
     Keys.FREQBUF_ENABLED: False,

@@ -19,7 +19,7 @@ the combiner's source proves, not by a setting:
   the user's ``combine()`` called on them.
 * :class:`MonoidKeyTable` — when ``combine()`` is provably ``emit(key,
   W(sum|min|max(v.value for v in values)))`` over an exact-int ``W``
-  (:func:`repro.lint.opt.synth.combiner_fold`) a slot holds one raw int
+  (:func:`repro.engine.combiner.proven_fold`) a slot holds one raw int
   folded in place.  Every ``combine()`` the generic fold would have run
   is *accounted* — same tallies, occupancy and overflow decisions — and
   ``W(total)`` is built only where the generic fold would have built it.
@@ -30,12 +30,12 @@ Neither fold touches counters or the ledger: the table keeps integer
 
 from __future__ import annotations
 
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from ...engine.api import Combiner
+from ...engine.combiner import FOLD_OPS, proven_fold, wrap_folded
 from ...errors import UserCodeError
 from ...serde.writable import SerdePair, Writable
 
@@ -210,30 +210,6 @@ class FrequentKeyTable:
         """The tallies since the last call, which resets them."""
         taken, self._tallies = self._tallies, Tallies()
         return taken
-
-
-#: The provable folds, one value at a time.
-FOLD_OPS = {"sum": operator.add, "min": min, "max": max}
-
-
-def proven_fold(combiner: Combiner | None, value_cls: type | None) -> str | None:
-    """``"sum"|"min"|"max"`` when *combiner*'s source proves that fold of
-    *value_cls* ints (``repro.lint.opt.synth.combiner_fold``), else
-    ``None``.  Imported on use: a job that folds nothing in place never
-    loads the analyzer."""
-    if combiner is None:
-        return None
-    from ...lint.opt.synth import combiner_fold
-
-    return combiner_fold(type(combiner), value_cls)
-
-
-def wrap_folded(value_cls: type, total: int) -> Writable:
-    """``W(total)``, failing as the combine() that would have built it."""
-    try:
-        return value_cls(total)
-    except Exception as exc:  # noqa: BLE001 - stands in for user combine()
-        raise UserCodeError("combine", str(exc)) from exc
 
 
 class MonoidKeyTable(FrequentKeyTable):

@@ -20,6 +20,7 @@ from .api import (
     Partitioner,
     Reducer,
 )
+from .binarybuffer import RECORD_METADATA_BYTES
 from .collector import MapOutputCollector, StandardCollector
 from .hashgroup import HashGroupingCollector
 from .combiner import CombinerRunner
@@ -42,8 +43,6 @@ from .pipeline import PipelineResult, PipelineTimeline, expected_spill_size
 from .reducetask import ReduceTaskResult, ReduceTaskRunner
 from .runner import JobResult, LocalJobRunner, build_collector, build_spill_policy
 from .shuffle import ShuffleService
-from .sorter import cut_partitions, sort_spill
-from .spillbuffer import RECORD_METADATA_BYTES, BufferedRecord, SpillBuffer
 from .spillpolicy import SpillPolicy, StaticSpillPolicy
 
 __all__ = [
@@ -81,7 +80,6 @@ __all__ = [
     "ReduceTaskRunner",
     "Reducer",
     "ShuffleService",
-    "SpillBuffer",
     "SpillPolicy",
     "StandardCollector",
     "StaticSpillPolicy",
@@ -90,10 +88,7 @@ __all__ = [
     "TextInput",
     "USER_OPS",
     "UserCodeCosts",
-    "BufferedRecord",
     "build_collector",
     "build_spill_policy",
-    "cut_partitions",
     "expected_spill_size",
-    "sort_spill",
 ]

@@ -1,10 +1,11 @@
-"""The packed binary map-output spill buffer.
+"""The map-output spill buffer: packed records, a flat index, an integer sort.
 
-:class:`~repro.engine.spillbuffer.SpillBuffer` models Hadoop's
-``MapOutputBuffer`` with one Python object per record — a
-:class:`~repro.engine.spillbuffer.BufferedRecord` dataclass — which puts
-a per-record interpreter tax on every emit and every sort comparison.
-This module is the packed equivalent of Hadoop's real layout:
+Models Hadoop's ``MapOutputBuffer``: serialized map-output records
+accumulate in a bounded byte budget ``M`` (``repro.io.sort.buffer.bytes``);
+when occupancy crosses the current *spill threshold* ``x·M`` a spill is
+cut — the buffered records are sorted by (partition, key bytes),
+combined, and written to local disk, freeing the space.  The layout is
+Hadoop's too:
 
 * **record payload** accumulates in one contiguous ``bytearray``
   (``kvbuffer``): key bytes then value bytes, back to back;
@@ -19,27 +20,35 @@ This module is the packed equivalent of Hadoop's real layout:
   spill orders itself with a flat integer sort instead of a tuple-key
   object sort.
 
-Occupancy is accounted exactly like the object buffer — serialized
-payload bytes plus :data:`~repro.engine.spillbuffer.
-RECORD_METADATA_BYTES` per record against ``repro.io.sort.buffer.bytes``
-— so both buffers cut spills at identical record boundaries, which is
-the foundation of the binary collector's byte-for-byte equivalence.
+Occupancy is tracked as Hadoop tracks it — serialized payload bytes plus
+:data:`RECORD_METADATA_BYTES` per record (its 16-byte kvindex entry)
+against the capacity.  Circularity is irrelevant to dataflow and cost
+(only to pointer arithmetic); what matters — and is faithfully modelled
+— is the byte budget, the threshold, and the content of each spill.
 
 Sorting: the 8-byte key prefix is zero-right-padded and read big-endian,
 which makes it *monotone* with respect to lexicographic byte order
 (``a < b`` implies ``pad8(a[:8]) <= pad8(b[:8])``), so a flat sort of
 ``(partition, prefix, arrival)`` integers is almost the full ordering.
 Records agreeing on ``(partition, prefix)`` form contiguous runs that a
-fix-up pass re-sorts stably by full key bytes — the existing
-comparator's order, including insertion-order stability for equal keys,
-so the result is positionally identical to
-:func:`~repro.engine.sorter.sort_spill`.
+fix-up pass re-sorts stably by full key bytes, so equal keys keep their
+insertion order — the order a stable sort on ``(partition, key bytes)``
+gives (``tests/engine/test_binarybuffer_properties.py``).
 
-Hot-path contract: :class:`~repro.engine.collector.
-BinaryStandardCollector` fuses the append path into its collect loop by
-writing ``_data``/``_meta``/``_occupancy`` directly — those attribute
-names and their meanings are part of this class's internal API; change
-them together.
+Comparison accounting has two modes, selected by
+``repro.instrument.exact.comparisons``:
+
+* ``model`` (default): charge ``n · log2(n)`` comparisons, the standard
+  comparison-sort cost; the actual sort runs natively (fast).
+* ``exact``: run the sort through a counting comparator and charge the
+  comparisons actually performed (slower; used by calibration tests to
+  validate that the model is a faithful stand-in).
+
+Hot-path contract: :class:`~repro.engine.collector.StandardCollector`
+fuses the append path into its collect loop by writing
+``_data``/``_meta``/``_occupancy`` directly — those attribute names and
+their meanings are part of this class's internal API; change them
+together.
 """
 
 from __future__ import annotations
@@ -54,8 +63,42 @@ from typing import Iterator
 
 from ..errors import SpillBufferError
 from ..serde.raw import memcmp
-from .sorter import SortStats
-from .spillbuffer import RECORD_METADATA_BYTES, oversized_record_message
+from ..serde.writable import SerdePair
+
+RECORD_METADATA_BYTES = 16
+"""Accounting overhead per buffered record (Hadoop's kvindex entry)."""
+
+_KEY_PREVIEW_BYTES = 64
+
+
+def oversized_record_message(
+    partition: int, key: bytes, accounted_bytes: int, capacity_bytes: int
+) -> str:
+    """Error text for a record that can never fit the spill buffer.
+
+    Identifies the offending record (partition and a key preview) so the
+    failure is actionable — "some record was too big" is useless when a
+    job emits millions of them.  Shared by the buffer's own ``append``
+    and the collector's fused hot loop, so both fail identically.
+    """
+    preview = key[:_KEY_PREVIEW_BYTES]
+    ellipsis = "..." if len(key) > _KEY_PREVIEW_BYTES else ""
+    return (
+        f"single record (partition {partition}, key {preview!r}{ellipsis}) of "
+        f"{accounted_bytes} accounted bytes (payload + {RECORD_METADATA_BYTES}-byte "
+        f"kvindex metadata) exceeds the whole buffer capacity of {capacity_bytes} "
+        f"bytes; raise repro.io.sort.buffer.bytes or emit smaller records"
+    )
+
+
+@dataclass
+class SortStats:
+    """What one spill sort did."""
+
+    records: int = 0
+    comparisons: float = 0.0
+    bytes_moved: int = 0
+
 
 KVINDEX_STRUCT = struct.Struct("<IIIII")
 """One kvindex entry: partition, key offset, key len, value offset, value len."""
@@ -152,10 +195,9 @@ class BinarySpill:
         """Order of records by ``(partition, key bytes)``; returns
         ``(arrival sequence numbers in sorted order, stats)``.
 
-        The stats mirror :func:`~repro.engine.sorter.sort_spill` exactly
-        — same modelled comparison count, same bytes-moved total, and in
-        exact mode the same counting comparator over the same arrival
-        order — so the binary collector charges the ledger identically.
+        The stats feed the SORT charge: the modelled ``n · log2(n)``
+        comparisons (or, in exact mode, the count a counting comparator
+        saw) and the payload bytes moved.
         """
         n = self.record_count
         stats = SortStats(records=n)
@@ -175,7 +217,7 @@ class BinarySpill:
 
         # Fix-up: records tying on (partition, prefix) are re-sorted by
         # full key bytes.  list.sort is stable, so equal full keys keep
-        # arrival order — matching the object path's stable sort.
+        # arrival order.
         i = 0
         while i < n:
             group = packed[i] >> 32
@@ -192,9 +234,8 @@ class BinarySpill:
         return order, stats
 
     def _sort_exact(self, stats: SortStats) -> tuple[list[int], SortStats]:
-        """Counting-comparator sort, identical to the object path's: the
-        records enter in the same arrival order and the comparator makes
-        the same decisions, so Timsort performs the same comparisons."""
+        """Counting-comparator sort: records enter in arrival order and
+        every comparison Timsort asks for is counted."""
         entries = [self.entry(seq) + (seq,) for seq in range(self.record_count)]
         count = 0
 
@@ -209,17 +250,56 @@ class BinarySpill:
         stats.comparisons = float(count)
         return [entry[3] for entry in entries], stats
 
+    def partition_runs(self, order: list[int], num_partitions: int) -> list[list[SerdePair]]:
+        """Slice the records, taken in sorted *order*, into one key-sorted
+        ``(key, value)`` run per partition."""
+        partitions: list[list[SerdePair]] = [[] for _ in range(num_partitions)]
+        appends = [run.append for run in partitions]
+        data = self.data
+        meta = self.meta
+        for seq in order:
+            base = 5 * seq
+            key_off = meta[base + 1]
+            val_off = meta[base + 3]
+            appends[meta[base]](
+                (
+                    data[key_off : key_off + meta[base + 2]],
+                    data[val_off : val_off + meta[base + 4]],
+                )
+            )
+        return partitions
+
+    def key_groups(self, order: list[int]) -> list[tuple[int, bytes, list[bytes]]]:
+        """The records, taken in sorted *order*, as equal-``(partition,
+        key)`` runs: ``(partition, key, [value, ...])`` per run — what a
+        combiner consumes, with no per-record pair in between."""
+        groups: list[tuple[int, bytes, list[bytes]]] = []
+        data = self.data
+        meta = self.meta
+        group_partition = -1
+        group_key = None
+        values: list[bytes] = []
+        for seq in order:
+            base = 5 * seq
+            key_off = meta[base + 1]
+            key = data[key_off : key_off + meta[base + 2]]
+            val_off = meta[base + 3]
+            value = data[val_off : val_off + meta[base + 4]]
+            if key == group_key and meta[base] == group_partition:
+                values.append(value)
+            else:
+                group_partition, group_key, values = meta[base], key, [value]
+                groups.append((group_partition, key, values))
+        return groups
+
 
 class BinarySpillBuffer:
     """Bounded packed accumulation buffer for serialized map output.
 
-    Drop-in replacement for :class:`~repro.engine.spillbuffer.
-    SpillBuffer` on the collector's hot path: same capacity semantics,
-    same occupancy accounting, same overflow behaviour — but appends are
-    byte copies into a growing ``bytearray`` plus five ints into a flat
-    ``array``, with no per-record object construction and no per-record
-    sort-key arithmetic (sort keys are computed in one bulk pass when
-    the buffer drains).
+    Appends are byte copies into a growing ``bytearray`` plus five ints
+    into a flat ``array``, with no per-record object construction and no
+    per-record sort-key arithmetic (sort keys are computed in one bulk
+    pass when the buffer drains).
     """
 
     def __init__(self, capacity_bytes: int) -> None:
@@ -256,8 +336,9 @@ class BinarySpillBuffer:
         """Buffer one serialized record.
 
         A single record larger than the whole buffer can never be
-        spilled; the error identifies the record (see
-        :func:`~repro.engine.spillbuffer.oversized_record_message`).
+        spilled and is rejected (Hadoop raises ``MapBufferTooSmall`` and
+        falls back to a direct spill; we surface the error, identifying
+        the record — see :func:`oversized_record_message`).
         """
         accounted = len(key) + len(value) + RECORD_METADATA_BYTES
         if accounted > self.capacity_bytes:

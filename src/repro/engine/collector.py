@@ -25,14 +25,17 @@ from ..io.merger import MergeStats, merge_and_combine
 from ..io.spillfile import SpillIndex, read_segment, write_spill
 from ..serde.writable import SerdePair, Writable
 from .api import HashPartitioner, Partitioner
+from .binarybuffer import (
+    RECORD_METADATA_BYTES,
+    BinarySpill,
+    BinarySpillBuffer,
+    oversized_record_message,
+)
 from .combiner import CombinerRunner
 from .costmodel import CostModel
 from .counters import Counter, Counters
 from .instrumentation import Op, TaskInstruments
 from .pipeline import PipelineTimeline
-from .binarybuffer import BinarySpill, BinarySpillBuffer
-from .sorter import SortStats, cut_partitions, sort_spill
-from .spillbuffer import RECORD_METADATA_BYTES, SpillBuffer, oversized_record_message
 from .spillpolicy import SpillPolicy
 
 
@@ -63,8 +66,26 @@ class MapOutputCollector(ABC):
         collectors have nothing to do."""
 
 
+#: Bound on the collector's key→partition memo.  Text keys are Zipfian
+#: (the paper's premise), so a modest cap catches nearly every lookup
+#: while keeping worst-case memory bounded on high-cardinality key
+#: spaces.
+_PARTITION_MEMO_MAX = 1 << 16
+
+_EMIT_OP = Op.EMIT
+_COMBINE_OP = Op.COMBINE
+_MAP_OUTPUT_RECORDS = Counter.MAP_OUTPUT_RECORDS
+_MAP_OUTPUT_BYTES = Counter.MAP_OUTPUT_BYTES
+
+
 class StandardCollector(MapOutputCollector):
-    """Hadoop's store-sort-combine-spill-merge dataflow, instrumented."""
+    """Hadoop's store-sort-combine-spill-merge dataflow, instrumented.
+
+    Records accumulate in the packed spill buffer
+    (:mod:`repro.engine.binarybuffer`): serialized bytes in one
+    contiguous buffer plus a flat uint32 kvindex, ordered at spill time
+    by the key-prefix integer sort.
+    """
 
     def __init__(
         self,
@@ -98,7 +119,7 @@ class StandardCollector(MapOutputCollector):
         self.sort_factor = max(2, sort_factor)
         self.codec = codec  # optional spill/shuffle compression (§VII extension)
 
-        self.buffer = self._make_buffer(capacity_bytes)
+        self.buffer = BinarySpillBuffer(capacity_bytes)
         self.timeline = PipelineTimeline(capacity_bytes)
         self.spill_indices: list[SpillIndex] = []
         self._spill_target = self.timeline.expected_next_size(
@@ -109,13 +130,14 @@ class StandardCollector(MapOutputCollector):
         #: frequency buffer) settles them here, before each spill reads
         #: the produce work.
         self.settle_front_stage: Callable[[], None] | None = None
+        # The stock partitioner's FNV loop is per key byte — by far the
+        # most expensive per-record step — and a pure function of the
+        # key, so a memo changes nothing.  A custom Partitioner is user
+        # code and owns its own (key, n) -> partition semantics.
+        self._partition_memo: dict[bytes, int] | None = (
+            {} if type(self.partitioner) is HashPartitioner else None
+        )
         self._flushed = False
-
-    def _make_buffer(self, capacity_bytes: int):
-        """The accumulation buffer.  :class:`BinaryStandardCollector`
-        swaps in the packed binary buffer; both share the capacity and
-        occupancy-accounting contract, so spill boundaries agree."""
-        return SpillBuffer(capacity_bytes)
 
     # ------------------------------------------------------------------
     # collection path
@@ -133,36 +155,61 @@ class StandardCollector(MapOutputCollector):
         The frequency buffer uses this to drain combined tuples into the
         standard path with ``count_output=False`` — those tuples were
         already counted as map output when the user emitted them.
+
+        The hot loop is *fused*: the EMIT charge (what
+        ``charge_map_thread`` does), the output counters (what ``incr``
+        does) and the buffer append (what ``BinarySpillBuffer.append``
+        does) are inlined into this one frame, in that order.
         """
         model = self.cost_model
         payload = len(key_bytes) + len(value_bytes)
-        self.instruments.charge_map_thread(
-            Op.EMIT, model.serialize_byte * payload + model.collect_record
-        )
+        amount = model.serialize_byte * payload + model.collect_record
+        instruments = self.instruments
+        if amount:
+            work = instruments.ledger.work
+            work[_EMIT_OP] = work.get(_EMIT_OP, 0.0) + amount
+            instruments.map_thread_work += amount
         if count_output:
-            self.counters.incr(Counter.MAP_OUTPUT_RECORDS)
-            self.counters.incr(Counter.MAP_OUTPUT_BYTES, payload)
+            values = self.counters.values
+            values[_MAP_OUTPUT_RECORDS] = values.get(_MAP_OUTPUT_RECORDS, 0) + 1
+            if payload:
+                values[_MAP_OUTPUT_BYTES] = values.get(_MAP_OUTPUT_BYTES, 0) + payload
 
-        partition = self.partitioner.partition(key_bytes, self.num_partitions)
-        if payload + RECORD_METADATA_BYTES > self.buffer.capacity_bytes:
+        memo = self._partition_memo
+        if memo is None:
+            partition = self.partitioner.partition(key_bytes, self.num_partitions)
+        else:
+            partition = memo.get(key_bytes, -1)
+            if partition < 0:
+                partition = self.partitioner.partition(key_bytes, self.num_partitions)
+                if len(memo) < _PARTITION_MEMO_MAX:
+                    memo[key_bytes] = partition
+
+        buffer = self.buffer
+        accounted = payload + RECORD_METADATA_BYTES
+        capacity = buffer.capacity_bytes
+        if accounted > capacity:
             # A record larger than the whole buffer can never be spilled;
             # fail before uselessly spilling everything already buffered,
             # and identify the record (a record merely larger than the
             # spill *threshold* falls through and cuts a clean
             # single-record spill below).
             raise SpillBufferError(
-                oversized_record_message(
-                    partition,
-                    key_bytes,
-                    payload + RECORD_METADATA_BYTES,
-                    self.buffer.capacity_bytes,
-                )
+                oversized_record_message(partition, key_bytes, accounted, capacity)
             )
-        if self.buffer.would_overflow(len(key_bytes), len(value_bytes)):
+        if buffer._occupancy + accounted > capacity:
             # Hard capacity: spill whatever we have before appending.
             self._spill()
-        self.buffer.append(partition, key_bytes, value_bytes)
-        if self.buffer.occupancy_bytes >= self._spill_target:
+        data = buffer._data
+        key_off = len(data)
+        data += key_bytes
+        val_off = len(data)
+        data += value_bytes
+        buffer._meta.extend(
+            (partition, key_off, len(key_bytes), val_off, len(value_bytes))
+        )
+        occupancy = buffer._occupancy = buffer._occupancy + accounted
+        if occupancy >= self._spill_target:
             self._spill()
 
     # ------------------------------------------------------------------
@@ -173,10 +220,10 @@ class StandardCollector(MapOutputCollector):
             return
         instruments = self.instruments
         size_bytes = self.buffer.occupancy_bytes
-        records = self.buffer.drain()
+        spill = self.buffer.drain()
 
         consume_work = self._consume_spill(
-            records, instruments, self.counters, self.combiner_runner
+            spill, instruments, self.counters, self.combiner_runner
         )
 
         # --- pipeline bookkeeping ---
@@ -196,7 +243,7 @@ class StandardCollector(MapOutputCollector):
 
     def _consume_spill(
         self,
-        records: list,
+        spill: BinarySpill,
         instruments: TaskInstruments,
         counters: Counters,
         combiner_runner: CombinerRunner | None,
@@ -212,7 +259,7 @@ class StandardCollector(MapOutputCollector):
         model = self.cost_model
 
         # --- sort (support thread) ---
-        ordered, sort_stats = self._sort_drained(records)
+        order, sort_stats = spill.sort(self.exact_comparisons)
         consume_work = instruments.charge_support_thread(
             Op.SORT,
             model.sort_comparison * sort_stats.comparisons
@@ -220,33 +267,12 @@ class StandardCollector(MapOutputCollector):
         )
 
         # --- combine (support thread, user code) ---
-        partitions = self._cut_drained(ordered)
-        if combiner_runner is not None:
-            combined: list[list[SerdePair]] = []
-            for run in partitions:
-                out_run: list[SerdePair] = []
-                group_key: bytes | None = None
-                group_values: list[bytes] = []
-                for kb, vb in run:
-                    if kb != group_key:
-                        if group_key is not None:
-                            out, work = self._run_combiner(
-                                group_key, group_values, instruments, combiner_runner
-                            )
-                            out_run.extend(out)
-                            consume_work += work
-                        group_key = kb
-                        group_values = [vb]
-                    else:
-                        group_values.append(vb)
-                if group_key is not None:
-                    out, work = self._run_combiner(
-                        group_key, group_values, instruments, combiner_runner
-                    )
-                    out_run.extend(out)
-                    consume_work += work
-                combined.append(out_run)
-            partitions = combined
+        if combiner_runner is None:
+            partitions = spill.partition_runs(order, self.num_partitions)
+        else:
+            partitions, consume_work = self._combine_sorted(
+                spill.key_groups(order), instruments, counters, combiner_runner, consume_work
+            )
 
         # --- write spill file (support thread) ---
         path = f"{self.task_id}.spill{len(self.spill_indices)}"
@@ -261,35 +287,56 @@ class StandardCollector(MapOutputCollector):
         counters.incr(Counter.SPILLED_BYTES, index.total_bytes)
         return consume_work
 
-    def _sort_drained(self, drained) -> tuple[object, SortStats]:
-        """Order one drained buffer-load by (partition, key bytes).
-
-        Returns an opaque ordered form plus stats for the SORT charge;
-        :meth:`_cut_drained` turns the ordered form into per-partition
-        record runs.  The pair exists so the binary collector can swap
-        in its kvindex sort without touching the shared combine/spill
-        logic above."""
-        return sort_spill(drained, self.exact_comparisons)
-
-    def _cut_drained(self, ordered) -> list[list[SerdePair]]:
-        return cut_partitions(ordered, self.num_partitions)
-
-    def _run_combiner(
+    def _combine_sorted(
         self,
-        key_bytes: bytes,
-        value_bytes: list[bytes],
+        groups: list[tuple[int, bytes, list[bytes]]],
         instruments: TaskInstruments,
+        counters: Counters,
         combiner_runner: CombinerRunner,
-    ) -> tuple[list[SerdePair], float]:
-        """Combine one group on the support thread; returns (records, work)."""
-        model = self.cost_model
-        out = combiner_runner.combine_serialized(key_bytes, value_bytes)
-        work = instruments.charge_support_thread(
-            Op.COMBINE,
-            combiner_runner.last_work
-            + model.combine_record_overhead * len(value_bytes),
-        )
-        return out, work
+        consume_work: float,
+    ) -> tuple[list[list[SerdePair]], float]:
+        """Combine a spill's sorted ``(partition, key, values)`` groups
+        into per-partition runs; returns them with *consume_work* advanced
+        by every group's COMBINE charge, one float addition per group.
+
+        A proven fold (:attr:`CombinerRunner.fold`) never calls the
+        runner: a one-value group's bytes pass through, a larger group
+        is folded on raw ints, and the ``combine()`` calls that did not
+        run are accounted as the generic path accounts them — the same
+        per-group amounts added in the same order, the counters in bulk.
+        """
+        overhead = self.cost_model.combine_record_overhead
+        partitions: list[list[SerdePair]] = [[] for _ in range(self.num_partitions)]
+        if combiner_runner.fold is None:
+            for partition, key_bytes, values in groups:
+                partitions[partition].extend(
+                    combiner_runner.combine_serialized(key_bytes, values)
+                )
+                consume_work += instruments.charge_support_thread(
+                    Op.COMBINE, combiner_runner.last_work + overhead * len(values)
+                )
+            return partitions, consume_work
+
+        appends = [run.append for run in partitions]
+        fold_values = combiner_runner.fold_values
+        combine_record = combiner_runner.user_costs.combine_record
+        work = instruments.ledger.work
+        charged = work.get(_COMBINE_OP, 0.0)
+        in_records = 0
+        for partition, key_bytes, values in groups:
+            count = len(values)
+            in_records += count
+            appends[partition](
+                (key_bytes, values[0] if count == 1 else fold_values(values))
+            )
+            amount = combine_record * count + overhead * count
+            charged += amount
+            consume_work += amount
+        if charged:
+            work[_COMBINE_OP] = charged
+        counters.incr(Counter.COMBINE_INPUT_RECORDS, in_records)
+        counters.incr(Counter.COMBINE_OUTPUT_RECORDS, len(groups))
+        return partitions, consume_work
 
     def _join_support(self) -> None:
         """Hook between the last spill and the final merge.  The live
@@ -312,12 +359,12 @@ class StandardCollector(MapOutputCollector):
 
         if not self.spill_indices:
             # No output at all: write an empty final file.
-            final = write_spill(
+            return write_spill(
                 self.disk,
                 f"{self.task_id}.out",
                 [[] for _ in range(self.num_partitions)],
+                codec=self.codec,
             )
-            return final
 
         if len(self.spill_indices) == 1:
             # Single spill: Hadoop promotes it to the final output without
@@ -380,133 +427,3 @@ class StandardCollector(MapOutputCollector):
         self.instruments.charge(Op.MERGE, merge_work)
         self.counters.incr(Counter.MERGED_RECORDS, total_stats.records_in)
         return final
-
-
-#: Bound on the binary collector's key→partition memo.  Text keys are
-#: Zipfian (the paper's premise), so a modest cap catches nearly every
-#: lookup while keeping worst-case memory bounded on high-cardinality
-#: key spaces.
-_PARTITION_MEMO_MAX = 1 << 16
-
-_EMIT_OP = Op.EMIT
-_MAP_OUTPUT_RECORDS = Counter.MAP_OUTPUT_RECORDS
-_MAP_OUTPUT_BYTES = Counter.MAP_OUTPUT_BYTES
-
-
-class BinaryStandardCollector(StandardCollector):
-    """StandardCollector over the packed binary spill buffer.
-
-    Selected by ``repro.io.collector = binary``.  The collect loop
-    appends serialized bytes into one contiguous buffer plus a flat
-    uint32 kvindex, and spills order themselves with the key-prefix
-    integer sort (:mod:`repro.engine.binarybuffer`).  Everything
-    downstream of the sort — combine batching per key run, spill files,
-    merges, counters, and every ledger charge — is the shared
-    ``StandardCollector`` code over identical record sequences, which is
-    what makes this path byte-for-byte and charge-for-charge identical
-    to the object collector.
-
-    The collect hot loop is *fused*: :meth:`collect_serialized` inlines
-    the EMIT charge, the output counters, and the buffer append into one
-    frame, and memoizes the default partitioner's key hash (the FNV loop
-    is per key byte — by far the most expensive per-record step, and a
-    pure function of the key, so a memo changes nothing).  Every
-    externally observable effect — ledger floats in charge order,
-    counter integers, spill boundaries, error behaviour — is identical
-    to the shared path's, record for record.
-    """
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        # Memoize only the stock partitioner: a custom Partitioner is
-        # user code and owns its own (key, n) -> partition semantics.
-        self._partition_memo: dict[bytes, int] | None = (
-            {} if type(self.partitioner) is HashPartitioner else None
-        )
-
-    def _make_buffer(self, capacity_bytes: int) -> BinarySpillBuffer:
-        return BinarySpillBuffer(capacity_bytes)
-
-    def collect_serialized(
-        self, key_bytes: bytes, value_bytes: bytes, count_output: bool = True
-    ) -> None:
-        # Fused rewrite of StandardCollector.collect_serialized: same
-        # operations in the same order (charge, count, partition,
-        # oversized check, overflow spill, append, threshold spill) with
-        # the per-record method-call fan-out collapsed.  Floats
-        # accumulate in the same sequence, so ledgers match bit for bit.
-        model = self.cost_model
-        payload = len(key_bytes) + len(value_bytes)
-        amount = model.serialize_byte * payload + model.collect_record
-        instruments = self.instruments
-        if amount:
-            work = instruments.ledger.work
-            work[_EMIT_OP] = work.get(_EMIT_OP, 0.0) + amount
-            instruments.map_thread_work += amount
-        if count_output:
-            values = self.counters.values
-            values[_MAP_OUTPUT_RECORDS] = values.get(_MAP_OUTPUT_RECORDS, 0) + 1
-            if payload:
-                values[_MAP_OUTPUT_BYTES] = values.get(_MAP_OUTPUT_BYTES, 0) + payload
-
-        memo = self._partition_memo
-        if memo is None:
-            partition = self.partitioner.partition(key_bytes, self.num_partitions)
-        else:
-            partition = memo.get(key_bytes, -1)
-            if partition < 0:
-                partition = self.partitioner.partition(key_bytes, self.num_partitions)
-                if len(memo) < _PARTITION_MEMO_MAX:
-                    memo[key_bytes] = partition
-
-        buffer = self.buffer
-        accounted = payload + RECORD_METADATA_BYTES
-        capacity = buffer.capacity_bytes
-        if accounted > capacity:
-            # A record larger than the whole buffer can never be spilled;
-            # fail before uselessly spilling everything already buffered,
-            # and identify the record (a record merely larger than the
-            # spill *threshold* falls through and cuts a clean
-            # single-record spill below).
-            raise SpillBufferError(
-                oversized_record_message(partition, key_bytes, accounted, capacity)
-            )
-        if buffer._occupancy + accounted > capacity:
-            # Hard capacity: spill whatever we have before appending.
-            self._spill()
-        # Inlined BinarySpillBuffer.append (see that class's hot-path
-        # contract note): payload bytes into the kvbuffer, five uint32s
-        # into the kvindex, occupancy in accounted bytes.
-        data = buffer._data
-        key_off = len(data)
-        data += key_bytes
-        val_off = len(data)
-        data += value_bytes
-        buffer._meta.extend(
-            (partition, key_off, len(key_bytes), val_off, len(value_bytes))
-        )
-        occupancy = buffer._occupancy = buffer._occupancy + accounted
-        if occupancy >= self._spill_target:
-            self._spill()
-
-    def _sort_drained(self, drained: BinarySpill) -> tuple[object, SortStats]:
-        order, stats = drained.sort(self.exact_comparisons)
-        return (drained, order), stats
-
-    def _cut_drained(self, ordered) -> list[list[SerdePair]]:
-        spill, order = ordered
-        partitions: list[list[SerdePair]] = [[] for _ in range(self.num_partitions)]
-        appends = [run.append for run in partitions]
-        data = spill.data
-        meta = spill.meta
-        for seq in order:
-            base = 5 * seq
-            key_off = meta[base + 1]
-            val_off = meta[base + 3]
-            appends[meta[base]](
-                (
-                    data[key_off : key_off + meta[base + 2]],
-                    data[val_off : val_off + meta[base + 4]],
-                )
-            )
-        return partitions

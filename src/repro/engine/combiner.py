@@ -6,13 +6,24 @@ group, run the user code, re-serialize the results — while charging the
 user-code cost to the ``COMBINE`` ledger op and updating counters.
 
 The runner serves the serialized combine sites: per-spill combining,
-the end-of-map merge and the node-combine stage.  The frequency buffer
-holds live writables (or folds raw ints) and calls the combiner itself
-(:mod:`repro.core.freqbuf.hashbuffer`).
+the end-of-map merge, hash grouping and the node-combine stage.  The
+frequency buffer holds live writables (or folds raw ints) and calls the
+combiner itself (:mod:`repro.core.freqbuf.hashbuffer`).
+
+Where the combiner's source *proves* that ``combine()`` is ``emit(key,
+W(sum|min|max(v.value for v in values)))`` over an exact-int ``W``
+(:func:`proven_fold`), the round trip is skipped: the runner folds raw
+ints — a one-value group's bytes are already what ``combine()`` would
+emit, a larger group is decoded once per value and encoded once — and
+accounts the ``combine()`` call that did not run exactly as if it had.
+Whether a runner folds is never a setting: an unproven combiner (or one
+behind a proxy that hides its source) takes the generic path, which is
+therefore the differential oracle of the fold.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Type
 
 from ..errors import UserCodeError
@@ -20,6 +31,29 @@ from ..serde.writable import SerdePair, Writable
 from .api import Combiner
 from .costmodel import UserCodeCosts
 from .counters import Counter, Counters
+
+#: The provable folds, one value at a time.
+FOLD_OPS = {"sum": operator.add, "min": min, "max": max}
+
+
+def proven_fold(combiner: Combiner | None, value_cls: type | None) -> str | None:
+    """``"sum"|"min"|"max"`` when *combiner*'s source proves that fold of
+    *value_cls* ints (``repro.lint.opt.synth.combiner_fold``), else
+    ``None``.  Imported on use: a job without a combiner never loads the
+    analyzer."""
+    if combiner is None:
+        return None
+    from ..lint.opt.synth import combiner_fold
+
+    return combiner_fold(type(combiner), value_cls)
+
+
+def wrap_folded(value_cls: type, total: int) -> Writable:
+    """``W(total)``, failing as the combine() that would have built it."""
+    try:
+        return value_cls(total)
+    except Exception as exc:  # noqa: BLE001 - stands in for user combine()
+        raise UserCodeError("combine", str(exc)) from exc
 
 
 class CombinerRunner:
@@ -38,12 +72,25 @@ class CombinerRunner:
         self.value_cls = value_cls
         self.user_costs = user_costs
         self.counters = counters
+        #: The fold the combiner's source proves, or ``None`` (generic).
+        self.fold = proven_fold(combiner, value_cls)
 
     def combine_serialized(self, key_bytes: bytes, value_bytes_list: list[bytes]) -> list[SerdePair]:
         """Run ``combine()`` on one serialized group; returns serialized output.
 
         The caller charges :attr:`last_work` to the ledger's COMBINE op.
         """
+        if self.fold is not None:
+            out = [(key_bytes, self.fold_values(value_bytes_list))]
+        else:
+            out = self._call_combine(key_bytes, value_bytes_list)
+        self.counters.incr(Counter.COMBINE_INPUT_RECORDS, len(value_bytes_list))
+        self.counters.incr(Counter.COMBINE_OUTPUT_RECORDS, len(out))
+        self.last_work = self.user_costs.combine_record * len(value_bytes_list)
+        return out
+
+    def _call_combine(self, key_bytes: bytes, value_bytes_list: list[bytes]) -> list[SerdePair]:
+        """The round trip: writables in, user ``combine()``, bytes out."""
         key = self.key_cls.from_bytes(key_bytes)
         values = [self.value_cls.from_bytes(vb) for vb in value_bytes_list]
 
@@ -56,10 +103,19 @@ class CombinerRunner:
             self.combiner.combine(key, values, emit)
         except Exception as exc:  # noqa: BLE001 - user code boundary
             raise UserCodeError("combine", str(exc)) from exc
-
-        self.counters.incr(Counter.COMBINE_INPUT_RECORDS, len(values))
-        self.counters.incr(Counter.COMBINE_OUTPUT_RECORDS, len(out))
-        self.last_work = self.user_costs.combine_record * len(values)
         return out
+
+    def fold_values(self, value_bytes_list: list[bytes]) -> bytes:
+        """The value bytes the proven ``combine()`` would emit for a group."""
+        if len(value_bytes_list) == 1:
+            # W(fold([v])) is W(v): the bytes in hand, already canonical.
+            return value_bytes_list[0]
+        decode = self.value_cls.from_bytes
+        op = FOLD_OPS[self.fold]  # type: ignore[index]
+        numbers = iter(value_bytes_list)
+        total = decode(next(numbers)).value
+        for value_bytes in numbers:
+            total = op(total, decode(value_bytes).value)
+        return wrap_folded(self.value_cls, total).to_bytes()
 
     last_work: float = 0.0

@@ -22,7 +22,7 @@ from ..config import JobConf, Keys
 from ..errors import ConfigError, LintError
 from ..io.blockdisk import LocalDisk
 from ..serde.writable import Writable
-from .collector import BinaryStandardCollector, MapOutputCollector, StandardCollector
+from .collector import MapOutputCollector, StandardCollector
 from .combiner import CombinerRunner
 from .counters import Counters
 from .instrumentation import Ledger, TaskInstruments
@@ -131,15 +131,18 @@ def build_collector(
         fraction = conf.get_fraction(Keys.FREQBUF_BUFFER_FRACTION)
         spill_capacity = max(1, int(capacity * (1.0 - fraction)))
 
-    combiner_runner = None
-    if job.combiner_factory is not None:
-        combiner_runner = CombinerRunner(
+    def combiner_runner_for(sink: Counters) -> CombinerRunner | None:
+        if job.combiner_factory is None:
+            return None
+        return CombinerRunner(
             job.combiner_factory(),
             job.map_output_key_cls,
             job.map_output_value_cls,
             job.user_costs,
-            counters,
+            sink,
         )
+
+    combiner_runner = combiner_runner_for(counters)
 
     codec = None
     codec_name = conf.get_str(Keys.SPILL_COMPRESSION)
@@ -148,49 +151,31 @@ def build_collector(
 
         codec = codec_by_name(codec_name)
 
-    collector_mode = conf.get_str(Keys.IO_COLLECTOR)
-    if collector_mode not in ("object", "binary"):
-        raise ConfigError(
-            f"{Keys.IO_COLLECTOR}={collector_mode!r} is not one of 'object', 'binary'"
-        )
-
     extra_kwargs: dict = {}
+    collector_cls: type[StandardCollector] = StandardCollector
     grouping = conf.get_str(Keys.GROUPING)
+    live = conf.get_bool(Keys.EXEC_LIVE_PIPELINE)
     if grouping == "hash":
+        if live:
+            # Hash grouping has no spill pipeline to make live.
+            raise ConfigError(
+                f"{Keys.EXEC_LIVE_PIPELINE}=true needs {Keys.GROUPING}=sort, "
+                f"got {Keys.GROUPING}=hash"
+            )
         from .hashgroup import HashGroupingCollector
 
         collector_cls = HashGroupingCollector
     elif grouping == "sort":
-        # The binary collector swaps the spill buffer for the packed
-        # byte-array + kvindex representation; everything downstream
-        # (spill boundaries, combine runs, spill files, charges) is
-        # byte-identical, so the choice is purely a hot-path concern.
-        collector_cls = (
-            BinaryStandardCollector if collector_mode == "binary" else StandardCollector
-        )
-        if conf.get_bool(Keys.EXEC_LIVE_PIPELINE):
+        if live:
             # Live mode: a real support thread runs sort/combine/spill
             # concurrently with the map thread, and the spill policy is
-            # fed measured wall-clock rates.  (Hash grouping has no spill
-            # pipeline to make live, so the flag only applies to sort.)
-            from ..exec.livepipeline import LiveBinaryCollector, LiveStandardCollector
+            # fed measured wall-clock rates.
+            from ..exec.livepipeline import LiveStandardCollector
 
-            collector_cls = (
-                LiveBinaryCollector if collector_mode == "binary" else LiveStandardCollector
-            )
-            if job.combiner_factory is not None:
-                # The support thread needs its own combiner charging its
-                # own counters; sharing the map thread's would race.
-                def support_combiner_factory(support_counters: Counters) -> CombinerRunner:
-                    return CombinerRunner(
-                        job.combiner_factory(),
-                        job.map_output_key_cls,
-                        job.map_output_value_cls,
-                        job.user_costs,
-                        support_counters,
-                    )
-
-                extra_kwargs["support_combiner_factory"] = support_combiner_factory
+            collector_cls = LiveStandardCollector
+            # The support thread needs its own combiner charging its own
+            # counters; sharing the map thread's would race.
+            extra_kwargs["support_combiner_factory"] = combiner_runner_for
     else:
         raise ValueError(f"unknown grouping mode {grouping!r}; use 'sort' or 'hash'")
 

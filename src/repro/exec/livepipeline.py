@@ -36,7 +36,7 @@ import threading
 import time
 from typing import Callable
 
-from ..engine.collector import BinaryStandardCollector, StandardCollector
+from ..engine.collector import StandardCollector
 from ..engine.combiner import CombinerRunner
 from ..engine.counters import Counters
 from ..engine.instrumentation import Ledger, TaskInstruments
@@ -91,13 +91,13 @@ class LiveStandardCollector(StandardCollector):
             return
         self._raise_support_error()
         size_bytes = self.buffer.occupancy_bytes
-        records = self.buffer.drain()
+        spill = self.buffer.drain()
         # T_p: wall time the map thread spent producing this buffer-load,
         # measured up to the handoff so time blocked on a busy support
         # thread is excluded (that block is exactly the pipeline stall
         # the spill-matcher is trying to eliminate).
         t_p = time.perf_counter() - self._produce_clock
-        self._handoff.put((records, size_bytes, t_p))
+        self._handoff.put((spill, size_bytes, t_p))
         self._produce_clock = time.perf_counter()
 
     def _join_support(self) -> None:
@@ -138,11 +138,11 @@ class LiveStandardCollector(StandardCollector):
                 return
             if self._aborted or self._support_error is not None:
                 continue  # drain without working; map thread must not block
-            records, size_bytes, t_p = item
+            spill, size_bytes, t_p = item
             try:
                 start = time.perf_counter()
                 self._consume_spill(
-                    records,
+                    spill,
                     self._support_instruments,
                     self._support_counters,
                     self._support_combiner,
@@ -166,19 +166,3 @@ class LiveStandardCollector(StandardCollector):
         ledger.add_sample(SAMPLE_T_P, t_p)
         ledger.add_sample(SAMPLE_T_C, t_c)
         ledger.add_sample(SAMPLE_X, x)
-
-
-class LiveBinaryCollector(LiveStandardCollector, BinaryStandardCollector):
-    """The live two-thread pipeline over the packed binary buffer.
-
-    Cooperative multiple inheritance: the live class contributes the
-    real support thread and the queue handoff (``_spill``,
-    ``_join_support``, ``abort``), the binary class contributes the
-    buffer and the kvindex sort (``_make_buffer``, ``_sort_drained``,
-    ``_cut_drained``), and the shared ``_consume_spill`` body runs the
-    binary sort on the support thread unchanged — drained
-    :class:`~repro.engine.binarybuffer.BinarySpill` objects are
-    self-contained, so the handoff needs no awareness of which buffer
-    produced them.
-    """
-

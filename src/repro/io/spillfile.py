@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ..errors import DiskError, SerdeError
 from ..faults.runtime import corrupt_spill_read, torn_spill_write
@@ -84,12 +84,12 @@ class SpillIndex:
 def write_spill(
     disk: LocalDisk,
     path: str,
-    partitions: Sequence[Iterable[SerdePair]],
+    partitions: Sequence[Sequence[SerdePair]],
     codec: Codec | None = None,
 ) -> SpillIndex:
     """Write one spill: a sorted record run per partition.
 
-    *partitions* is indexed by partition number; each element iterates
+    *partitions* is indexed by partition number; each element holds
     serialized records already sorted by key bytes (the writer trusts,
     and tests verify, that sorting happened upstream).  With a *codec*,
     each partition segment is compressed independently so reducers can
@@ -100,12 +100,7 @@ def write_spill(
     with disk.create(path) as writer:
         for partition, records in enumerate(partitions):
             offset = writer.tell()
-            count = 0
-            payload = bytearray()
-            for key, value in records:
-                payload += encode_records(((key, value),))
-                count += 1
-            raw = bytes(payload)
+            raw = encode_records(records)
             stored = encode_segment(codec, raw) if codec is not None else raw
             writer.write(stored)
             entries.append(
@@ -113,7 +108,7 @@ def write_spill(
                     partition=partition,
                     offset=offset,
                     length=len(stored),
-                    records=count,
+                    records=len(records),
                     raw_length=len(raw),
                     crc=zlib.crc32(stored),
                 )

@@ -35,14 +35,7 @@ from __future__ import annotations
 
 from .engine import analyze_app, analyze_engine, analyze_job, gate_job
 from .findings import Finding, GatingDecision, LintReport, Severity
-from .opt import (
-    OptimizationPlan,
-    PipelineAnalysis,
-    PlanDecision,
-    analyze_pipeline,
-    apply_plan,
-    plan_job,
-)
+from .opt import OptimizationPlan, PlanDecision, apply_plan, plan_job
 
 __all__ = [
     "Finding",
@@ -60,3 +53,12 @@ __all__ = [
     "gate_job",
     "plan_job",
 ]
+
+
+def __getattr__(name: str):
+    # The pipeline analysis pulls in repro.dag; see repro.lint.opt.
+    if name in ("PipelineAnalysis", "analyze_pipeline"):
+        from . import opt
+
+        return getattr(opt, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,11 +9,15 @@ installs them on an equivalent job whose output is byte-identical to
 the unoptimized run.  :func:`analyze_pipeline` extends the analysis
 across :mod:`repro.dag` stage graphs — serde shape flow between
 stages, and nondeterminism feeding the dataflow cache.
+
+The pipeline analysis is the one part that needs :mod:`repro.dag` (and
+with it ``concurrent.futures``, ``tempfile``, ...); its three names load
+on first use, so that importing the fold matcher — which every job with
+a combiner does — stays small.
 """
 
 from .engine import OPT_MODES, apply_plan, plan_job
 from .fields import detect_projection
-from .pipeline import PipelineAnalysis, StageAnalysis, analyze_pipeline
 from .plan import (
     ACTION_ADVISED,
     ACTION_APPLIED,
@@ -52,3 +56,13 @@ __all__ = [
     "detect_selection",
     "plan_job",
 ]
+
+_PIPELINE_NAMES = ("PipelineAnalysis", "StageAnalysis", "analyze_pipeline")
+
+
+def __getattr__(name: str):
+    if name in _PIPELINE_NAMES:
+        from . import pipeline
+
+        return getattr(pipeline, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -128,14 +128,22 @@ class FloatWritable(Writable):
         return f"FloatWritable({self._value})"
 
 
+#: ``encode_vint(v)`` for ``0 <= v < 64``: one byte, the zig-zag ``v << 1``.
+_SMALL_VINTS = tuple(bytes((value << 1,)) for value in range(64))
+
+
 def encode_vint(value: int) -> bytes:
     """Zig-zag + LEB128 variable-length integer encoding.
 
     Small magnitudes encode in one byte — important because text-centric
-    values are overwhelmingly small counters (WordCount emits ``1``\\ s).
+    values are overwhelmingly small counters (WordCount emits ``1``\\ s)
+    and every record frame carries two length prefixes; those come from
+    a table.
     """
     if not isinstance(value, int) or isinstance(value, bool):
         raise SerdeError(f"vint encodes int, got {type(value).__name__}")
+    if 0 <= value < 64:
+        return _SMALL_VINTS[value]
     zigzag = (value << 1) ^ (value >> 63) if value < 0 else value << 1
     zigzag &= (1 << 64) - 1
     out = bytearray()

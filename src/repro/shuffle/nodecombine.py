@@ -22,7 +22,7 @@ straddled a flush still fold to one record.
 The hash stage shares frequency buffering's two folds: generically a
 slot collects a key's serialized values for ``combine()`` to fold at
 flush; when ``combine()`` is a proven int ``sum``/``min``/``max``
-(:func:`repro.lint.opt.synth.combiner_fold`) a slot is ``[count,
+(:func:`repro.engine.combiner.proven_fold`) a slot is ``[count,
 running total]`` — decoded once in, encoded once out, and the
 ``combine()`` that did not run charged exactly as if it had.
 
@@ -46,8 +46,7 @@ from dataclasses import dataclass, field
 from math import log2
 
 from ..config import Keys
-from ..core.freqbuf.hashbuffer import FOLD_OPS, proven_fold, wrap_folded
-from ..engine.combiner import CombinerRunner
+from ..engine.combiner import FOLD_OPS, CombinerRunner, wrap_folded
 from ..engine.counters import Counter, Counters
 from ..engine.instrumentation import Ledger, Op
 from ..engine.job import JobSpec
@@ -122,8 +121,7 @@ class NodeCombiner:
             return out
 
         value_cls = job.map_output_value_cls
-        fold = proven_fold(runner.combiner, value_cls)
-        fold_op = FOLD_OPS[fold] if fold is not None else None
+        fold_op = FOLD_OPS[runner.fold] if runner.fold is not None else None
         combine_record = job.user_costs.combine_record
 
         def encode_folded(key_bytes: bytes, slot: list) -> SerdePair:

@@ -56,13 +56,16 @@ def test_dropped_heartbeats_kill_the_silent_worker(tiny_text) -> None:
     """master.heartbeat_drop silently discards every ping from one
     victim (seed 2 selects w01 and spares its replacement): the victim
     looks dead to the sweep, its work moves elsewhere, bytes hold."""
-    clean = run_cluster(tiny_text * 10)
+    # Long enough that the victim dies within the job's life (eight
+    # missed 10 ms heartbeats) with every module already imported, which
+    # is how the forked daemons start when earlier tests ran jobs.
+    text = tiny_text * 60
+    clean = run_cluster(text)
     faulty = run_cluster(
-        tiny_text * 10,
+        text,
         extra={
             Keys.FAULTS_SPEC: "master.heartbeat_drop:0.4:999",
             Keys.FAULTS_SEED: 2,
-            # Tight enough that the victim dies within the job's life.
             Keys.CLUSTER_HEARTBEAT_INTERVAL: 0.01,
         },
     )

@@ -4,6 +4,8 @@ shuffle, with real worker daemons and a staged DFS underneath."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.config import Keys
@@ -120,3 +122,15 @@ def test_cluster_workers_conf_overrides_exec_workers() -> None:
     assert result.output_pairs()
     # One shuffle-server snapshot per daemon proves two daemons ran.
     assert len(result.shuffle_hosts) == 2
+
+
+@pytest.mark.cluster
+def test_the_master_leaves_no_accept_thread_behind() -> None:
+    """A thread blocked in accept() outlives the closed listener, and it
+    holds its master — the job's map outputs, staged DFS and all — so a
+    process that runs job after job would grow by a job's data each time."""
+    run_backend("wordcount", "cluster")
+    for thread in threading.enumerate():
+        if thread.name == "cluster-master-accept":
+            thread.join(timeout=2.0)
+            assert not thread.is_alive()

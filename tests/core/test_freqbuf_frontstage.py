@@ -166,19 +166,17 @@ FRONT_STAGE_COUNTERS = (
     # one-byte table that overflows on every insert.
     hash_fraction=st.sampled_from([0.5, 0.08, 0.02, 0.0005]),
     k=st.sampled_from([2, 6, 25]),
-    collector=st.sampled_from(["object", "binary"]),
     live=st.booleans(),
     node_buffer=st.sampled_from([64, 1 << 20]),  # 64 bytes parks runs
 )
 def test_folds_are_unobservable(
-    agg, value_cls, values_per_key, hash_fraction, k, collector, live, node_buffer
+    agg, value_cls, values_per_key, hash_fraction, k, live, node_buffer
 ):
     conf = {
         # Small and adaptive, so that evictions cut spills and the
         # spill-matcher acts on the produce work the settlement reports.
         Keys.SPILL_BUFFER_BYTES: 1024,
         Keys.SPILLMATCHER_ENABLED: True,
-        Keys.IO_COLLECTOR: collector,
         Keys.EXEC_LIVE_PIPELINE: live,
         Keys.NODE_COMBINE: True,
         Keys.NODE_COMBINE_BUFFER_BYTES: node_buffer,

@@ -1,50 +1,66 @@
-"""Equivalence suite for the packed binary map-output collector.
+"""The map-side spill path — packed buffer, kvindex sort, combine,
+spill files, merges — against references that do not share its code.
 
-``repro.io.collector = binary`` swaps the per-record ``BufferedRecord``
-buffer for one contiguous kvbuffer plus a struct-packed kvindex, but the
-contract is strict: identical spill boundaries, identical spill files,
-identical counters, and identical modelled work charges — the collector
-is a hot-path representation change, never a semantic one.
+Until ``f931133`` the repo carried two interchangeable spill buffers
+(one Python object per record vs. the packed kvbuffer) and
+this file proved them equal cell by cell.  The object buffer is gone;
+two references replace it:
 
-Ledger equality is asserted only where the work model is deterministic:
-the ``net`` shuffle mode charges measured wall-clock seconds for each
-fetch (see ``NetShuffleService``), so two *object*-collector runs
-already differ there; net-mode tests pin digests and counters instead.
+* ``golden_spillpath.json``, captured on ``f931133`` *through the object
+  buffer*: for five apps × two configurations (plus a compressed
+  frequency-buffering run and an exact-comparison-counting run) at tiny
+  scale, with a spill buffer small enough that every task cuts many
+  spills and merges them, the output digest, every counter, every ledger
+  float and every final map-output segment (length, records, CRC).
+  invertedindex's and wordpostag's combiners are folds the matcher
+  cannot prove (generic combine path); wordcount's is a proven int sum
+  (folded on raw ints); accesslogjoin and distributedsort have none.
+* at collector level, plain Python: ``sorted()`` and a dict for the
+  segments, a ten-line occupancy model for the spill boundaries.
+
+Regenerate the golden (only ever on a commit known to be right)::
+
+    PYTHONPATH=src python tests/engine/test_binary_collector.py
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.config import Keys
 from repro.engine.api import HashPartitioner
-from repro.engine.collector import BinaryStandardCollector, StandardCollector
+from repro.engine.binarybuffer import RECORD_METADATA_BYTES
+from repro.engine.collector import StandardCollector
 from repro.engine.combiner import CombinerRunner
 from repro.engine.costmodel import DEFAULT_COST_MODEL, UserCodeCosts
 from repro.engine.counters import Counter, Counters
 from repro.engine.instrumentation import Ledger, TaskInstruments
-from repro.engine.runner import JobResult, LocalJobRunner
+from repro.engine.runner import LocalJobRunner
 from repro.engine.spillpolicy import StaticSpillPolicy
-from repro.errors import ConfigError, SpillBufferError
+from repro.errors import SpillBufferError
+from repro.exec.livepipeline import LiveStandardCollector
 from repro.experiments.common import build_app
 from repro.io.blockdisk import LocalDisk
 from repro.io.spillfile import read_segment
 from repro.serde.numeric import VIntWritable
 from repro.serde.text import Text
-from tests.conftest import SumCombiner, make_wordcount_job
+from tests.conftest import SumCombiner
 
-PAPER_APPS = ("wordcount", "invertedindex", "wordpostag")
-
-COLLECTORS = {"object": StandardCollector, "binary": BinaryStandardCollector}
+# ----------------------------------------------------------------------
+# collector level
+# ----------------------------------------------------------------------
 
 
 def make_collector(
-    mode: str,
     capacity: int = 512,
     partitions: int = 2,
     combiner: bool = True,
     spill_percent: float = 0.8,
     exact: bool = False,
+    live: bool = False,
 ):
     counters = Counters()
     instruments = TaskInstruments(Ledger())
@@ -53,7 +69,7 @@ def make_collector(
         runner = CombinerRunner(
             SumCombiner(), Text, VIntWritable, UserCodeCosts(), counters
         )
-    collector = COLLECTORS[mode](
+    collector = (LiveStandardCollector if live else StandardCollector)(
         task_id="t0",
         disk=LocalDisk(),
         num_partitions=partitions,
@@ -69,8 +85,8 @@ def make_collector(
     return collector, counters, instruments
 
 
-def drive(mode: str, words, **kwargs):
-    collector, counters, instruments = make_collector(mode, **kwargs)
+def drive(words, **kwargs):
+    collector, counters, _ = make_collector(**kwargs)
     for word in words:
         collector.collect(Text(word), VIntWritable(1))
     index = collector.flush()
@@ -78,7 +94,30 @@ def drive(mode: str, words, **kwargs):
         list(read_segment(collector.disk, index, p))
         for p in range(collector.num_partitions)
     ]
-    return segments, counters, instruments.ledger
+    return segments, counters
+
+
+def expected_segments(words, partitions: int = 2, combiner: bool = True):
+    """What the final map output must hold: per partition, the records
+    in key order (arrival order among equal keys), summed per key when
+    there is a combiner."""
+    partitioner = HashPartitioner()
+    one = VIntWritable(1).to_bytes()
+    runs: list[list] = [[] for _ in range(partitions)]
+    for word in words:
+        key = Text(word).to_bytes()
+        runs[partitioner.partition(key, partitions)].append((key, one))
+    for run in runs:
+        run.sort(key=lambda record: record[0])
+    if not combiner:
+        return runs
+    summed = []
+    for run in runs:
+        counts: dict[bytes, int] = {}
+        for key, _ in run:
+            counts[key] = counts.get(key, 0) + 1
+        summed.append([(key, VIntWritable(n).to_bytes()) for key, n in counts.items()])
+    return summed
 
 
 WORDS = (["pear", "apple", "fig", "apple", "kiwi", "épée", ""] * 40) + [
@@ -87,45 +126,65 @@ WORDS = (["pear", "apple", "fig", "apple", "kiwi", "épée", ""] * 40) + [
 
 
 class TestCollectorEquivalence:
-    """Unit-level: both collectors over the same emit stream."""
+    """Unit-level: the collector over an emit stream vs. plain Python."""
 
     @pytest.mark.parametrize("combiner", (False, True), ids=("plain", "combine"))
     @pytest.mark.parametrize("exact", (False, True), ids=("model", "exact"))
     def test_segments_counters_ledger_identical(self, combiner, exact):
-        kwargs = dict(capacity=400, combiner=combiner, exact=exact)
-        obj_segments, obj_counters, obj_ledger = drive("object", WORDS, **kwargs)
-        bin_segments, bin_counters, bin_ledger = drive("binary", WORDS, **kwargs)
-        assert obj_counters.get(Counter.SPILLS) > 1, "want a multi-spill run"
-        assert bin_segments == obj_segments
-        assert bin_counters.values == obj_counters.values
-        assert bin_ledger.work == obj_ledger.work
+        segments, counters = drive(WORDS, capacity=400, combiner=combiner, exact=exact)
+        assert counters.get(Counter.SPILLS) > 10, "want a multi-pass merge"
+        assert segments == expected_segments(WORDS, combiner=combiner)
+        assert counters.get(Counter.MAP_OUTPUT_RECORDS) == len(WORDS)
+        assert counters.get(Counter.MERGED_RECORDS) >= counters.get(Counter.SPILLED_RECORDS)
+        if combiner:
+            # Every record that entered a combine came out of it or was
+            # folded away; nothing else removes records.
+            folded = counters.get(Counter.COMBINE_INPUT_RECORDS) - counters.get(
+                Counter.COMBINE_OUTPUT_RECORDS
+            )
+            assert len(WORDS) - folded == sum(len(segment) for segment in segments)
+        else:
+            assert counters.get(Counter.SPILLED_RECORDS) == len(WORDS)
 
     def test_spill_boundaries_identical(self):
-        """Occupancy accounting (payload + per-record metadata) matches,
-        so both buffers cut spills after the same record."""
-        _, obj_counters, _ = drive("object", WORDS, capacity=300)
-        _, bin_counters, _ = drive("binary", WORDS, capacity=300)
-        assert bin_counters.get(Counter.SPILLS) == obj_counters.get(Counter.SPILLS)
+        """Occupancy is payload + per-record metadata.  At x = 1 a spill
+        is cut exactly when the buffer is full — or, the hard-capacity
+        case, just before a record that would not fit."""
+        capacity = 300
+        spills = occupancy = 0
+        for word in WORDS:
+            accounted = len(Text(word).to_bytes()) + 1 + RECORD_METADATA_BYTES
+            if occupancy + accounted > capacity:  # hard capacity
+                spills, occupancy = spills + 1, 0
+            occupancy += accounted
+            if occupancy >= capacity:  # threshold
+                spills, occupancy = spills + 1, 0
+        spills += occupancy > 0  # flush
+        _, counters = drive(WORDS, capacity=capacity, combiner=False, spill_percent=1.0)
+        assert counters.get(Counter.SPILLS) == spills
 
     def test_prefix_ties_settled_by_full_key(self):
         """Keys sharing an 8-byte prefix (and short keys whose padding
         collides with explicit trailing NULs) sort by full key bytes."""
-        tricky = ["prefix00aaa", "prefix00", "prefix00zzz", "a", "ab", "b"] * 20
-        obj_segments, _, _ = drive("object", tricky, capacity=256, combiner=False)
-        bin_segments, _, _ = drive("binary", tricky, capacity=256, combiner=False)
-        assert bin_segments == obj_segments
+        tricky = ["prefix00aaa", "prefix00", "prefix00zzz", "a", "a\0", "ab", "b"] * 20
+        segments, _ = drive(tricky, capacity=256, combiner=False)
+        assert segments == expected_segments(tricky, combiner=False)
 
 
 class TestOversizedRecord:
     """A single record that can never fit fails fast and identifies
-    itself, on both buffer implementations, before any useless spill."""
+    itself before any useless spill — with spills run inline and with
+    the live support thread."""
 
-    @pytest.mark.parametrize("mode", ("object", "binary"))
-    def test_oversized_record_identified(self, mode):
-        collector, counters, _ = make_collector(mode, capacity=256, combiner=False)
-        collector.collect(Text("small"), VIntWritable(1))
-        with pytest.raises(SpillBufferError) as excinfo:
-            collector.collect(Text("K" * 300), VIntWritable(1))
+    @pytest.mark.parametrize("live", (False, True), ids=("binary", "binary-live"))
+    def test_oversized_record_identified(self, live):
+        collector, counters, _ = make_collector(capacity=256, combiner=False, live=live)
+        try:
+            collector.collect(Text("small"), VIntWritable(1))
+            with pytest.raises(SpillBufferError) as excinfo:
+                collector.collect(Text("K" * 300), VIntWritable(1))
+        finally:
+            collector.abort()
         message = str(excinfo.value)
         assert "single record" in message
         assert "KKKK" in message, "message must preview the offending key"
@@ -134,12 +193,12 @@ class TestOversizedRecord:
         # Failed before spilling the records already buffered.
         assert counters.get(Counter.SPILLS) == 0
 
-    @pytest.mark.parametrize("mode", ("object", "binary"))
-    def test_record_over_threshold_spills_cleanly(self, mode):
+    @pytest.mark.parametrize("live", (False, True), ids=("binary", "binary-live"))
+    def test_record_over_threshold_spills_cleanly(self, live):
         """Larger than the spill threshold but within capacity: the
         record lands in its own clean single-record spill, no error."""
         collector, counters, _ = make_collector(
-            mode, capacity=512, combiner=False, spill_percent=0.5
+            capacity=512, combiner=False, spill_percent=0.5, live=live
         )
         big = "B" * 400  # > 0.5 * 512 threshold, < 512 capacity
         collector.collect(Text(big), VIntWritable(1))
@@ -154,65 +213,91 @@ class TestOversizedRecord:
         assert Text.from_bytes(records[0][0]).value == big
 
 
-def run_app(app_name: str, collector: str, backend: str = "serial", **conf) -> JobResult:
-    extra = {
-        Keys.IO_COLLECTOR: collector,
-        Keys.EXEC_BACKEND: backend,
-        Keys.EXEC_WORKERS: 3,
-        Keys.SPILL_BUFFER_BYTES: 16 * 1024,  # force real multi-spill merges
+# ----------------------------------------------------------------------
+# job level: the golden
+# ----------------------------------------------------------------------
+
+GOLDEN = Path(__file__).with_name("golden_spillpath.json")
+
+GOLDEN_APPS = ("wordcount", "invertedindex", "wordpostag", "accesslogjoin", "distributedsort")
+CONFIGS = ("baseline", "combined")
+#: 8–16 KiB: dozens of spills per job, so every task merges.
+BUFFER_BYTES = {"baseline": 8 * 1024, "combined": 16 * 1024}
+#: distributedsort's records are few and wide: 4 000 of them, not 400.
+SCALE = {"distributedsort": 0.2}
+
+#: name -> (app, config, extra conf)
+CASES = {f"{app}/{config}": (app, config, {}) for app in GOLDEN_APPS for config in CONFIGS}
+CASES["wordcount/zlib+freqbuf"] = (
+    "wordcount", "baseline", {Keys.SPILL_COMPRESSION: "zlib", Keys.FREQBUF_ENABLED: True}
+)
+CASES["wordcount/exact"] = ("wordcount", "baseline", {Keys.EXACT_COMPARISON_COUNTING: True})
+
+
+def snapshot(case: str, **conf) -> dict:
+    app, config, extra = CASES[case]
+    job = build_app(
+        app,
+        config,
+        scale=SCALE.get(app, 0.02),
+        extra_conf={Keys.SPILL_BUFFER_BYTES: BUFFER_BYTES[config], **extra, **conf},
+    ).job
+    result = LocalJobRunner().run(job)
+    return {
+        "digest": result.output_digest(),
+        "counters": result.counters.as_dict(),
+        "ledger": result.ledger.as_dict(),  # floats: JSON round-trips them exactly
+        "segments": [
+            [[entry.length, entry.records, entry.crc] for entry in task.output_index.entries]
+            for task in result.map_results
+        ],
     }
-    extra.update(conf)
-    app = build_app(app_name, "baseline", scale=0.02, num_splits=3, extra_conf=extra)
-    return LocalJobRunner().run(app.job)
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
 
 
 class TestJobLevelByteIdentity:
-    """Whole-job: digests, counters, and (mem-mode) ledgers match the
-    object collector on the paper applications."""
+    """Whole-job: digest, counters, ledger and final map-output
+    segments are what the object buffer produced."""
 
-    @pytest.mark.parametrize("app_name", PAPER_APPS)
-    def test_apps_identical_serial_mem(self, app_name):
-        obj = run_app(app_name, "object")
-        packed = run_app(app_name, "binary")
-        assert packed.output_digest() == obj.output_digest()
-        assert packed.counters.values == obj.counters.values
-        assert packed.ledger.work == obj.ledger.work
+    @pytest.mark.parametrize("app_name", GOLDEN_APPS)
+    def test_apps_identical_serial_mem(self, golden, app_name):
+        for config in CONFIGS:
+            case = f"{app_name}/{config}"
+            assert golden[case]["counters"]["spills"] > 2 * len(golden[case]["segments"]), case
+            assert snapshot(case) == golden[case], case
 
-    def test_identical_with_compression_and_freqbuf(self):
-        conf = {Keys.SPILL_COMPRESSION: "zlib", Keys.FREQBUF_ENABLED: True}
-        obj = run_app("wordcount", "object", **conf)
-        packed = run_app("wordcount", "binary", **conf)
-        assert packed.output_digest() == obj.output_digest()
-        assert packed.counters.values == obj.counters.values
-        assert packed.ledger.work == obj.ledger.work
+    def test_identical_with_compression_and_freqbuf(self, golden):
+        assert snapshot("wordcount/zlib+freqbuf") == golden["wordcount/zlib+freqbuf"]
 
-    def test_identical_process_backend(self):
-        obj = run_app("wordcount", "object", backend="process")
-        packed = run_app("wordcount", "binary", backend="process")
-        assert packed.output_digest() == obj.output_digest()
-        assert packed.counters.values == obj.counters.values
-        assert packed.ledger.work == obj.ledger.work
+    def test_exact_comparison_counting_identical(self, golden):
+        assert snapshot("wordcount/exact") == golden["wordcount/exact"]
+
+    def test_identical_process_backend(self, golden):
+        forked = snapshot(
+            "wordcount/baseline", **{Keys.EXEC_BACKEND: "process", Keys.EXEC_WORKERS: 3}
+        )
+        assert forked == golden["wordcount/baseline"]
 
     @pytest.mark.network
-    def test_identical_net_shuffle(self):
-        conf = {Keys.SHUFFLE_MODE: "net"}
-        obj = run_app("wordcount", "object", **conf)
-        packed = run_app("wordcount", "binary", **conf)
-        assert packed.output_digest() == obj.output_digest()
-        # Net-mode SHUFFLE charges include measured seconds; compare
-        # counters (deterministic) but not the ledger.
-        assert packed.counters.values == obj.counters.values
-
-    def test_exact_comparison_counting_identical(self, tiny_text):
-        conf = {Keys.IO_COLLECTOR: "binary", Keys.EXACT_COMPARISON_COUNTING: True}
-        packed = LocalJobRunner().run(make_wordcount_job(tiny_text, conf))
-        conf[Keys.IO_COLLECTOR] = "object"
-        obj = LocalJobRunner().run(make_wordcount_job(tiny_text, conf))
-        assert packed.output_digest() == obj.output_digest()
-        assert packed.ledger.work == obj.ledger.work
+    def test_identical_net_shuffle(self, golden):
+        # Net mode charges measured seconds to SHUFFLE and counts its
+        # fetches; the map side must not notice.
+        served = snapshot("wordcount/baseline", **{Keys.SHUFFLE_MODE: "net"})
+        reference = golden["wordcount/baseline"]
+        assert served["digest"] == reference["digest"]
+        assert served["segments"] == reference["segments"]
+        for counter, amount in reference["counters"].items():
+            assert served["counters"][counter] == amount, counter
+        for op, amount in reference["ledger"].items():
+            if op != "shuffle":
+                assert served["ledger"][op] == amount, op
 
 
-def test_unknown_collector_rejected(tiny_text):
-    job = make_wordcount_job(tiny_text, {Keys.IO_COLLECTOR: "vectorized"})
-    with pytest.raises(ConfigError, match="repro.io.collector"):
-        LocalJobRunner().run(job)
+if __name__ == "__main__":
+    GOLDEN.write_text(
+        json.dumps({case: snapshot(case) for case in CASES}, indent=1, sort_keys=True) + "\n"
+    )

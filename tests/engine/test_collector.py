@@ -11,6 +11,7 @@ from repro.engine.instrumentation import Ledger, Op, TaskInstruments
 from repro.engine.spillpolicy import StaticSpillPolicy
 from repro.errors import SpillBufferError
 from repro.io.blockdisk import LocalDisk
+from repro.io.compression import ZlibCodec
 from repro.io.spillfile import read_segment
 from repro.serde.numeric import VIntWritable
 from repro.serde.text import Text
@@ -112,6 +113,16 @@ class TestSpillingAndMerge:
         index = collector.flush()
         assert index.total_records == 0
         assert index.num_partitions == 2
+
+    def test_empty_task_in_a_compressed_job_names_its_codec(self):
+        # The index is what readers go by: an empty final output of a
+        # compressed job must say so like every other map output does.
+        collector, _, _ = make_collector()
+        collector.codec = ZlibCodec()
+        index = collector.flush()
+        assert index.total_records == 0
+        assert index.codec == "zlib"
+        assert read_all(collector, index) == []
 
     def test_partitioning_is_consistent(self):
         collector, _, _ = make_collector(capacity=256, partitions=3)

@@ -6,6 +6,7 @@ from repro.config import Keys
 from repro.engine.counters import Counter
 from repro.engine.instrumentation import Op
 from repro.engine.runner import LocalJobRunner
+from repro.errors import ConfigError
 from tests.conftest import make_wordcount_job
 
 
@@ -80,6 +81,14 @@ class TestConfig:
     def test_unknown_grouping_rejected(self, tiny_text):
         job = make_wordcount_job(tiny_text, {Keys.GROUPING: "quantum"})
         with pytest.raises(ValueError):
+            LocalJobRunner().run(job)
+
+    def test_live_pipeline_rejected_not_ignored(self, tiny_text):
+        # Hash grouping has no spill pipeline to make live.
+        job = make_wordcount_job(
+            tiny_text, {Keys.GROUPING: "hash", Keys.EXEC_LIVE_PIPELINE: True}
+        )
+        with pytest.raises(ConfigError, match="repro.exec.live.pipeline=true needs repro.engine.grouping=sort"):
             LocalJobRunner().run(job)
 
     def test_group_limit_validation(self):

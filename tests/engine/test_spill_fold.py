@@ -1,0 +1,208 @@
+"""Differential tests for the proven fold on the serialized combine sites.
+
+Where a combiner's source proves ``emit(key, W(sum|min|max(...)))`` the
+``CombinerRunner`` folds raw ints instead of round-tripping writables
+through ``combine()`` — inside ``combine_serialized`` (end-of-map merge,
+hash grouping) and, without calling the runner at all, in the per-spill
+walk over the sorted kvindex.  Neither may be observable: the same
+combiner behind a delegating proxy (which hides the source, as
+``bench/tracing.py::_TracedCombiner`` does) takes the generic path and
+must produce the same output, counters and ledger, floats included.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import JobConf, Keys
+from repro.engine.api import Combiner, FnCombiner, Mapper
+from repro.engine.combiner import CombinerRunner
+from repro.engine.costmodel import UserCodeCosts
+from repro.engine.counters import Counter, Counters
+from repro.engine.inputformat import TextInput
+from repro.engine.job import JobSpec
+from repro.engine.runner import LocalJobRunner
+from repro.errors import JobFailedError, UserCodeError
+from repro.serde.numeric import IntWritable, LongWritable, VIntWritable
+from repro.serde.text import Text
+from tests.core.test_freqbuf_frontstage import (
+    AGGS,
+    COMBINERS,
+    CORPUS,
+    FoldReducer,
+    HiddenCombiner,
+)
+
+
+class ScaledNumberMapper(Mapper):
+    """Emit ``(word, W(n · scale))`` with ``n`` in −11..11: negative
+    values, multi-byte vints, and — at 2**27 — ints that fit an
+    ``IntWritable`` one at a time but not summed."""
+
+    def __init__(self, value_cls, scale):
+        self.value_cls, self.scale = value_cls, scale
+
+    def map(self, key, value, emit):
+        for position, word in enumerate(value.value.split()):
+            number = (len(word) * 7 + position * 13) % 23 - 11
+            emit(Text(word), self.value_cls(number * self.scale))
+
+
+def make_job(agg: str, value_cls, scale: int, conf: dict) -> JobSpec:
+    return JobSpec(
+        name="spillfold",
+        input_format=TextInput(CORPUS, split_size=len(CORPUS) // 2 + 1),
+        mapper_factory=lambda: ScaledNumberMapper(value_cls, scale),
+        reducer_factory=lambda: FoldReducer(AGGS[agg], value_cls),
+        combiner_factory=COMBINERS[agg, value_cls],
+        map_output_key_cls=Text,
+        map_output_value_cls=value_cls,
+        conf=JobConf({Keys.NUM_REDUCERS: 2, Keys.TASK_MAX_ATTEMPTS: 1, **conf}),
+    )
+
+
+def run_or_error(job: JobSpec):
+    try:
+        return LocalJobRunner().run(job)
+    except JobFailedError as failure:
+        return failure.__cause__
+
+
+#: What does not depend on where the live pipeline's measured seconds
+#: happened to cut the spills.
+BOUNDARY_FREE_COUNTERS = (
+    Counter.MAP_OUTPUT_RECORDS, Counter.MAP_OUTPUT_BYTES,
+    Counter.MAP_FINAL_OUTPUT_RECORDS, Counter.MAP_FINAL_OUTPUT_BYTES,
+    Counter.REDUCE_INPUT_GROUPS, Counter.REDUCE_OUTPUT_RECORDS,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    agg=st.sampled_from(sorted(AGGS)),
+    value_cls=st.sampled_from([VIntWritable, IntWritable, LongWritable]),
+    scale=st.sampled_from([1, 1 << 20, 1 << 27]),
+    buffer_bytes=st.sampled_from([512, 2048, 1 << 16]),  # ~14 spills a task .. one
+    sort_factor=st.sampled_from([2, 10]),  # 2: multi-pass merges
+    codec=st.sampled_from(["identity", "zlib"]),
+    path=st.sampled_from(["sort", "sort-live", "hash"]),
+    spill_matcher=st.booleans(),
+)
+def test_proven_fold_is_unobservable(
+    agg, value_cls, scale, buffer_bytes, sort_factor, codec, path, spill_matcher
+):
+    live = path == "sort-live"
+    proven_job = make_job(agg, value_cls, scale, {
+        Keys.SPILL_BUFFER_BYTES: buffer_bytes,
+        Keys.SORT_FACTOR: sort_factor,
+        Keys.SPILL_COMPRESSION: codec,
+        Keys.GROUPING: "hash" if path == "hash" else "sort",
+        Keys.EXEC_LIVE_PIPELINE: live,
+        Keys.SPILLMATCHER_ENABLED: spill_matcher,
+    })
+    combiner_cls = proven_job.combiner_factory
+    generic_job = dataclasses.replace(
+        proven_job, combiner_factory=lambda: HiddenCombiner(combiner_cls())
+    )
+
+    proven = run_or_error(proven_job)
+    generic = run_or_error(generic_job)
+
+    if agg == "sum" and value_cls is IntWritable and scale == 1 << 27:
+        # The sum leaves 32 bits inside a combine: W(total) fails as the
+        # combine() that would have built it, in the same words.
+        for error in (proven, generic):
+            assert isinstance(error, UserCodeError) and error.stage == "combine"
+        assert proven.message == generic.message
+        return
+
+    assert proven.output_digest() == generic.output_digest()
+    assert proven.counters.get(Counter.COMBINE_INPUT_RECORDS) > 0
+    if live:
+        for counter in BOUNDARY_FREE_COUNTERS:
+            assert proven.counters.get(counter) == generic.counters.get(counter), counter
+        for result in (proven, generic):
+            # Only combining removes records, wherever the spills fell.
+            counters = result.counters
+            assert counters.get(Counter.COMBINE_INPUT_RECORDS) - counters.get(
+                Counter.COMBINE_OUTPUT_RECORDS
+            ) == counters.get(Counter.MAP_OUTPUT_RECORDS) - counters.get(
+                Counter.MAP_FINAL_OUTPUT_RECORDS
+            )
+    else:
+        assert proven.counters.as_dict() == generic.counters.as_dict()
+        assert proven.ledger.as_dict() == generic.ledger.as_dict()
+
+
+# ----------------------------------------------------------------------
+# what is *not* proven
+# ----------------------------------------------------------------------
+
+
+class RekeyingCombiner(Combiner):
+    """A sum, but emitted under another key."""
+
+    def combine(self, key, values, emit):
+        emit(Text(key.value.lower()), VIntWritable(sum(v.value for v in values)))
+
+
+def logged(method):
+    @functools.wraps(method)
+    def wrapper(*args):
+        return method(*args)
+
+    return wrapper
+
+
+class DecoratedCombiner(Combiner):
+    @logged
+    def combine(self, key, values, emit):
+        emit(key, VIntWritable(sum(v.value for v in values)))
+
+
+def fn_sum(key, values):
+    yield key, VIntWritable(sum(v.value for v in values))
+
+
+def runner_for(combiner, value_cls=VIntWritable) -> CombinerRunner:
+    return CombinerRunner(combiner, Text, value_cls, UserCodeCosts(), Counters())
+
+
+@pytest.mark.parametrize(
+    "combiner",
+    [
+        RekeyingCombiner(),
+        DecoratedCombiner(),
+        FnCombiner(fn_sum),
+        HiddenCombiner(COMBINERS["sum", VIntWritable]()),
+    ],
+    ids=["rekeying", "decorated", "fn-adapter", "proxy"],
+)
+def test_unproven_combiners_take_the_generic_path(combiner):
+    runner = runner_for(combiner)
+    assert runner.fold is None
+    # ... and still combine.
+    three = [VIntWritable(n).to_bytes() for n in (1, 2, 3)]
+    out = runner.combine_serialized(Text("K").to_bytes(), three)
+    assert [VIntWritable.from_bytes(value).value for _, value in out] == [6]
+
+
+def test_the_proof_is_for_the_declared_value_class():
+    assert runner_for(COMBINERS["max", IntWritable](), IntWritable).fold == "max"
+    # W in the source must be the class the job declares.
+    assert runner_for(COMBINERS["max", IntWritable](), LongWritable).fold is None
+
+
+def test_a_folded_singleton_passes_its_bytes_through():
+    runner = runner_for(COMBINERS["sum", VIntWritable]())
+    value = VIntWritable(-5).to_bytes()
+    [(key, out)] = runner.combine_serialized(b"\x01k", [value])
+    assert out is value
+    assert runner.counters.as_dict() == {
+        "combine_input_records": 1, "combine_output_records": 1,
+    }

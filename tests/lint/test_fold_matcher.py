@@ -9,6 +9,10 @@ Fixture classes live at module level so ``inspect`` finds their source.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.apps.wordcount import WordCountCombiner
@@ -130,3 +134,31 @@ def test_source_is_parsed_once_per_class():
         combiner_fold(WordCountCombiner, VIntWritable)
     info = combiner_fold.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+def test_the_matcher_and_a_default_run_leave_the_pipeline_analysis_unloaded():
+    # Every job with a combiner imports the matcher (CombinerRunner takes
+    # the proof at construction), in every forked worker too.  It must
+    # not drag in the pipeline analysis and, through it, repro.dag.
+    script = "\n".join([
+        "import sys",
+        "from repro.lint.opt.synth import combiner_fold",
+        "assert 'repro.dag' not in sys.modules, 'matcher loads repro.dag'",
+        "assert 'concurrent.futures' not in sys.modules, 'matcher loads concurrent.futures'",
+        "from repro.engine.runner import LocalJobRunner",
+        "from repro.experiments.common import build_app",
+        "result = LocalJobRunner().run(build_app('wordcount', 'baseline', scale=0.02).job)",
+        "assert result.counters.as_dict()['combine_input_records'] > 0",
+        "loaded = [m for m in sys.modules if m.startswith(('repro.dag', 'repro.lint.opt.pipeline'))]",
+        "assert not loaded, loaded",
+        # The lazy names are still the public ones.
+        "from repro.lint import PipelineAnalysis, analyze_pipeline",
+        "from repro.lint.opt import StageAnalysis",
+        "assert 'repro.dag' in sys.modules",
+    ])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

@@ -1,11 +1,12 @@
-"""The cluster master: task graph, scheduling loop, and the executor.
+"""The cluster master: scheduling loop, and the ``cluster`` transport.
 
-The master owns the job's task graph and runs it over worker daemons
-(:mod:`repro.cluster.runtime.workerd`) it forks itself.  One thread —
-the executor's calling thread — runs the scheduling loop; connection
-handler threads only feed it through a queue (plus the thread-safe
-:class:`~repro.cluster.runtime.membership.Membership`), so every
-counter, assignment, and outcome mutation is single-threaded.
+The job plan is :meth:`repro.exec.base.Executor.run`'s; the master runs
+one *phase* of it at a time (:meth:`Master.run_phase`) over worker
+daemons (:mod:`repro.cluster.runtime.workerd`) it forks itself.  One
+thread — the executor's calling thread — runs the scheduling loop;
+connection handler threads only feed it through a queue (plus the
+thread-safe :class:`~repro.cluster.runtime.membership.Membership`), so
+every counter, assignment, and outcome mutation is single-threaded.
 
 Each ~20 ms tick the loop:
 
@@ -13,10 +14,11 @@ Each ~20 ms tick the loop:
 2. sweeps membership — workers silent past the suspect threshold stop
    receiving work, past the dead threshold they are declared dead:
    their in-flight attempts are rescheduled on survivors under the
-   shared ``repro.task.max.attempts`` budget with
-   :mod:`repro.exec.pool`'s exact crash/quarantine semantics, and (net
-   shuffle) map outputs whose shuffle server died with the worker are
-   re-executed so pending reducers can still fetch every partition;
+   shared ``repro.task.max.attempts`` budget by the pool's own rule
+   (:func:`repro.exec.base.lose_attempt`), and (net shuffle) map
+   outputs whose shuffle server died with the worker are re-executed —
+   a repaired output replaces its entry of the phase's *fetch_results*
+   in place — so pending reducers can still fetch every partition;
 3. reaps assignments past ``repro.task.timeout.seconds`` by killing the
    worker (the death then flows through the path above);
 4. dispatches pending tasks to idle ALIVE workers, preferring data-local
@@ -33,7 +35,7 @@ so locality hints and DFS local reads stay valid for the replacement.
 
 from __future__ import annotations
 
-import multiprocessing
+import dataclasses
 import queue
 import shutil
 import socket
@@ -46,19 +48,10 @@ from typing import Any
 from ...config import JobConf, Keys
 from ...engine.counters import Counter, Counters
 from ...engine.job import JobSpec
-from ...engine.runner import JobResult
-from ...errors import ExecBackendError, JobFailedError, ReproError, ShuffleError
+from ...errors import ExecBackendError, ShuffleError
 from ...exec import workers
-from ...exec.base import (
-    Executor,
-    assemble_job_result,
-    fault_plan_for,
-    job_splits,
-    map_task_id,
-    materialize_map_result,
-    reduce_task_id,
-)
-from ...faults.runtime import drop_heartbeat, installed
+from ...exec.base import Executor, Task, lose_attempt, note_attempts
+from ...faults.runtime import drop_heartbeat
 from ..policy import SpeculationPolicy
 from .membership import Membership, WorkerRecord, WorkerState
 from .placement import LocalityMap, choose_task, stage_locality
@@ -82,23 +75,10 @@ _TICK_SECONDS = 0.02
 
 
 @dataclass
-class ClusterTask:
-    """One schedulable task with its crash history (the runtime's
-    :class:`~repro.exec.pool.PoolTask` analogue, plus placement hints)."""
-
-    key: str  # task id, for attribution
-    kind: str  # "map" | "reduce"
-    payload: Any  # map: split index; reduce: partition number
-    attempt_offset: int = 0  # attempts already consumed (crashed ones)
-    crashes: int = 0  # workers this task has killed so far
-    preferred_hosts: tuple[str, ...] = ()
-
-
-@dataclass
 class Assignment:
     """One dispatched task attempt on one worker."""
 
-    task: ClusterTask
+    task: Task
     worker_id: str
     tag: int
     started_at: float
@@ -150,24 +130,27 @@ class Master:
         #: losers): their deaths are expected, not failures.
         self._sacrificed: set[str] = set()
         self._shuffle_stats: list = []
-        # Map bookkeeping that outlives the map phase: final results by
-        # key, and (net mode) which worker's shuffle server hosts each.
-        self._map_keys: list[str] = []
-        self._map_outcomes: dict[str, Any] = {}
+        # The running phase (scheduler thread only): tasks not yet
+        # dispatched, outcomes by task key, the keys the phase waits
+        # for, and what its reducers fetch from (None in the map phase).
+        self._pending: list[Task] = []
+        self._outcomes: dict[str, tuple] = {}
+        self._phase_keys: set[str] = set()
+        self._fetch_results: list | None = None
+        self._phase_durations: list[float] = []
+        self._phase_backups = 0
+        self._phase_speculated: set[str] = set()
+        # Map bookkeeping that outlives the map phase: every map task
+        # this master ran, and (net mode) which worker's shuffle server
+        # hosts each finished output.
+        self._map_tasks: dict[str, Task] = {}
         self._map_server_worker: dict[str, str] = {}
-        # In-node combining (repro.shuffle.node.combine): set between the
-        # phases when the stage ran.  Reducers then fetch the synthetic
-        # per-node outputs (served by the master's own shuffle server in
-        # net mode) instead of the per-task originals.
-        self._node_combined = False
-        self._fetch_results: list[Any] = []
-        self._nc_server: Any = None
-        self.node_combine_outcome: Any = None
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "Master":
+        """Listen, fork the fleet, and wait for the first registration."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind(("127.0.0.1", 0))
@@ -179,6 +162,14 @@ class Master:
         ).start()
         for index, host in enumerate(self.hosts):
             self._spawn(f"w{index:02d}", host)
+        deadline = time.monotonic() + self._register_timeout
+        while not self.membership.alive():
+            if time.monotonic() > deadline:
+                raise ExecBackendError(
+                    f"no cluster worker registered within {self._register_timeout}s "
+                    f"(spawned {len(self._processes)})"
+                )
+            self._drain_events()
         return self
 
     def close(self) -> list:
@@ -186,10 +177,6 @@ class Master:
         stats, then join (politely, then firmly).  Returns the collected
         :class:`~repro.shuffle.server.ShuffleHostStats` snapshots."""
         self._closing = True
-        if self._nc_server is not None:
-            self._nc_server.stop()
-            self._shuffle_stats.append(self._nc_server.snapshot())
-            self._nc_server = None
         # A worker still grinding a cancelled attempt would only answer
         # BYE after the attempt ends; its result is already discarded, so
         # kill it now rather than stalling the shutdown drain.
@@ -397,150 +384,49 @@ class Master:
                 return
 
     # ------------------------------------------------------------------
-    # the job
+    # one phase of the job plan
     # ------------------------------------------------------------------
-    def run_job(self, num_splits: int) -> tuple[list, list]:
-        """Map phase, then reduce phase; returns (map_results,
-        reduce_results) in task order, failing in task order like every
-        other backend."""
-        self._await_registration()
-        map_tasks = [
-            ClusterTask(
-                key=map_task_id(self.job, index),
-                kind="map",
-                payload=index,
-                preferred_hosts=self.locality.preferred_hosts(index),
-            )
-            for index in range(num_splits)
-        ]
-        self._map_keys = [task.key for task in map_tasks]
-        outcomes = self._run_phase(map_tasks, reduce_mode=False)
-        self._collect(map_tasks, outcomes)
-
-        reduce_results: list = []
-        if not self.job.conf.get_bool(Keys.EXEC_MAP_ONLY):
-            self._apply_node_combine()
-            reduce_tasks = [
-                ClusterTask(
-                    key=reduce_task_id(self.job, partition),
-                    kind="reduce",
-                    payload=partition,
-                )
-                for partition in range(self.job.num_reducers)
-            ]
-            outcomes = self._run_phase(reduce_tasks, reduce_mode=True)
-            reduce_results = self._collect(reduce_tasks, outcomes)
-        map_results = [self._map_outcomes[key] for key in self._map_keys]
-        return map_results, reduce_results
-
-    def _apply_node_combine(self) -> None:
-        """Fold the finished map outputs per node before the reduce
-        phase (``repro.shuffle.node.combine``).
-
-        The stage runs in the master process: worker daemons spill to a
-        shared temp tree, so the master reads every output directly in
-        both shuffle modes.  In net mode the synthetic per-node outputs
-        are served by a shuffle server the *master* owns — the originals
-        on daemon servers stop mattering to reducers, so a daemon death
-        after this point no longer forces map re-execution."""
-        job = self.job
-        if not job.conf.get_bool(Keys.NODE_COMBINE) or job.combiner_factory is None:
-            return
-        from ...exec.base import apply_node_combine, start_shuffle_server
-
-        originals = [self._map_outcomes[key] for key in self._map_keys]
-        if not originals:
-            return
-        server = start_shuffle_server(job, "master") if self._net_shuffle else None
-        fetch_results, outcome = apply_node_combine(
-            job, originals, self.hosts[0] if self.hosts else "node00", server=server
-        )
-        if outcome is None:
-            if server is not None:
-                server.stop()
-            return
-        self._nc_server = server
-        self._fetch_results = fetch_results
-        self.node_combine_outcome = outcome
-        self._node_combined = True
-
-    def _await_registration(self) -> None:
-        deadline = time.monotonic() + self._register_timeout
-        pending: list[ClusterTask] = []
-        while not self.membership.alive():
-            if time.monotonic() > deadline:
-                raise ExecBackendError(
-                    f"no cluster worker registered within {self._register_timeout}s "
-                    f"(spawned {len(self._processes)})"
-                )
-            self._drain_events(pending, {}, set(), reduce_mode=False)
-
-    def _run_phase(
-        self, tasks: list[ClusterTask], reduce_mode: bool
-    ) -> dict[str, tuple]:
-        pending: list[ClusterTask] = list(tasks)
-        phase_keys = {task.key for task in tasks}
-        outcomes: dict[str, tuple] = {}
-        self._phase_durations: list[float] = []
-        self._phase_backups = 0
-        self._phase_speculated: set[str] = set()
-        while not all(key in outcomes for key in phase_keys):
-            self._drain_events(pending, outcomes, phase_keys, reduce_mode)
-            self._sweep(pending, outcomes, phase_keys, reduce_mode)
-            self._reap_hung()
-            self._dispatch(pending, outcomes, reduce_mode)
-            self._speculate(outcomes, phase_keys)
-        return outcomes
-
-    def _collect(self, tasks: list[ClusterTask], outcomes: dict[str, tuple]) -> list:
-        """Record attempt counts, then fail on the first failed task in
-        task order — the process backend's contract verbatim."""
-        results = []
+    def run_phase(self, tasks: list[Task], fetch_results: list | None) -> list[tuple]:
+        """Run *tasks* to outcomes, returned in task order (the driver
+        fails the job on the first failed one).  *fetch_results* is what
+        this phase's reducers fetch from; an entry whose daemon dies is
+        re-executed and replaced in place, so the caller's list always
+        names live outputs."""
         for task in tasks:
-            task_id, attempts, result, error = outcomes[task.key]
-            if attempts:
-                self.attempts_seen[task_id] = max(
-                    self.attempts_seen.get(task_id, 0), attempts
-                )
-            if error is not None:
-                if isinstance(error, ReproError):
-                    raise error
-                raise JobFailedError(
-                    f"task {task_id} failed in a worker process after "
-                    f"{max(attempts, 1)} attempt(s): {error!r}"
-                ) from error
-            results.append(result)
-        return results
+            if task.kind == "map":
+                task.preferred_hosts = self.locality.preferred_hosts(task.payload)
+                self._map_tasks[task.key] = task
+        self._pending = list(tasks)
+        self._outcomes = {}
+        self._phase_keys = {task.key for task in tasks}
+        self._fetch_results = fetch_results
+        self._phase_durations = []
+        self._phase_backups = 0
+        self._phase_speculated = set()
+        while not all(key in self._outcomes for key in self._phase_keys):
+            self._drain_events()
+            self._sweep()
+            self._reap_hung()
+            self._dispatch()
+            self._speculate()
+        return [self._outcomes[task.key] for task in tasks]
 
     # ------------------------------------------------------------------
     # event handling (scheduler thread)
     # ------------------------------------------------------------------
-    def _drain_events(
-        self,
-        pending: list[ClusterTask],
-        outcomes: dict[str, tuple],
-        phase_keys: set[str],
-        reduce_mode: bool,
-    ) -> None:
+    def _drain_events(self) -> None:
         try:
             event = self._queue.get(timeout=_TICK_SECONDS)
         except queue.Empty:
             return
         while True:
-            self._handle_event(event, pending, outcomes, phase_keys, reduce_mode)
+            self._handle_event(event)
             try:
                 event = self._queue.get_nowait()
             except queue.Empty:
                 return
 
-    def _handle_event(
-        self,
-        event: tuple,
-        pending: list[ClusterTask],
-        outcomes: dict[str, tuple],
-        phase_keys: set[str],
-        reduce_mode: bool,
-    ) -> None:
+    def _handle_event(self, event: tuple) -> None:
         kind = event[0]
         if kind == "hello":
             _, worker_id, message = event
@@ -549,27 +435,18 @@ class Master:
             )
             self._idle.add(worker_id)
         elif kind == "result":
-            self._handle_result(event[1], event[2], pending, outcomes, phase_keys)
+            self._handle_result(event[1], event[2])
         elif kind == "eof":
             if not self._closing:
                 record = self.membership.mark_dead(event[1])
                 if record is not None:
-                    self._on_worker_dead(
-                        record, pending, outcomes, phase_keys, reduce_mode
-                    )
+                    self._on_worker_dead(record)
         elif kind == "stats":
             self._shuffle_stats.append(event[2])
         # "bye" during a phase: the worker is shutting down on its own
         # terms; the EOF that follows does the bookkeeping.
 
-    def _handle_result(
-        self,
-        worker_id: str,
-        message: dict,
-        pending: list[ClusterTask],
-        outcomes: dict[str, tuple],
-        phase_keys: set[str],
-    ) -> None:
+    def _handle_result(self, worker_id: str, message: dict) -> None:
         assignment = self._assignments.pop(message["tag"], None)
         if self._by_worker.get(worker_id) is assignment:
             del self._by_worker[worker_id]
@@ -579,15 +456,13 @@ class Master:
         task = assignment.task
         outcome = message["outcome"]
         task_id, attempts, result, error = outcome
-        already_done = task.key in outcomes or (
-            task.key not in phase_keys and task.key in self._map_server_worker
+        in_phase = task.key in self._phase_keys
+        already_done = task.key in self._outcomes or (
+            not in_phase and task.key in self._map_server_worker
         )
         if assignment.cancelled or already_done:
             return  # the losing attempt of a speculated task
-        if attempts:
-            self.attempts_seen[task_id] = max(
-                self.attempts_seen.get(task_id, 0), attempts
-            )
+        note_attempts(self.attempts_seen, task_id, attempts)
         if (
             error is not None
             and isinstance(error, ShuffleError)
@@ -597,28 +472,16 @@ class Master:
             # a fresh reduce attempt against the re-hosted map output can
             # succeed, so burn one attempt and requeue instead of failing.
             consumed = task.attempt_offset + 1
-            self.attempts_seen[task.key] = max(
-                self.attempts_seen.get(task.key, 0), consumed
-            )
+            note_attempts(self.attempts_seen, task.key, consumed)
             if consumed < self._max_attempts:
-                pending.insert(
-                    0,
-                    ClusterTask(
-                        key=task.key,
-                        kind=task.kind,
-                        payload=task.payload,
-                        attempt_offset=consumed,
-                        crashes=task.crashes,
-                        preferred_hosts=task.preferred_hosts,
-                    ),
+                self._pending.insert(
+                    0, dataclasses.replace(task, attempt_offset=consumed)
                 )
                 return
-        if error is None and task.kind == "map":
-            self._map_outcomes[task.key] = result
-            if self._net_shuffle:
-                self._map_server_worker[task.key] = worker_id
-        if task.key in phase_keys:
-            outcomes[task.key] = outcome
+        if error is None and task.kind == "map" and self._net_shuffle:
+            self._map_server_worker[task.key] = worker_id
+        if in_phase:
+            self._outcomes[task.key] = outcome
             if error is None:
                 self._phase_durations.append(message.get("seconds", 0.0))
                 if assignment.speculative:
@@ -628,11 +491,25 @@ class Master:
             # failed for good: the pending reducers can never fetch this
             # partition, so the job fails here with the causal error.
             raise error
+        elif (slot := self._fetch_slot(task.key)) is not None:
+            # The repair landed: reducers dispatched from now on fetch
+            # the re-hosted output, and the driver's list reports it.
+            assert self._fetch_results is not None
+            self._fetch_results[slot] = result
         # First finisher wins: cancel any sibling attempts still running.
         for sibling in list(self._assignments.values()):
             if sibling.task.key == task.key:
                 sibling.cancelled = True
                 self._cancel_worker(sibling.worker_id)
+
+    def _fetch_slot(self, key: str) -> int | None:
+        """Where the output of map task *key* sits in this phase's
+        *fetch_results*; ``None`` when reducers do not fetch it (the map
+        phase itself; per-node synthetics fetched in its place)."""
+        for slot, result in enumerate(self._fetch_results or ()):
+            if result.task_id == key:
+                return slot
+        return None
 
     def _cancel_worker(self, worker_id: str) -> None:
         """Abort a beaten attempt by killing its daemon — the daemon is
@@ -650,18 +527,10 @@ class Master:
     # ------------------------------------------------------------------
     # failure detection (scheduler thread)
     # ------------------------------------------------------------------
-    def _sweep(
-        self,
-        pending: list[ClusterTask],
-        outcomes: dict[str, tuple],
-        phase_keys: set[str],
-        reduce_mode: bool,
-    ) -> None:
+    def _sweep(self) -> None:
         for transition in self.membership.sweep(time.monotonic()):
             if transition.new is WorkerState.DEAD:
-                self._on_worker_dead(
-                    transition.record, pending, outcomes, phase_keys, reduce_mode
-                )
+                self._on_worker_dead(transition.record)
 
     def _reap_hung(self) -> None:
         """Kill workers whose current attempt exceeded the task timeout;
@@ -682,14 +551,7 @@ class Master:
                 if process is not None and process.is_alive():
                     process.kill()
 
-    def _on_worker_dead(
-        self,
-        record: WorkerRecord,
-        pending: list[ClusterTask],
-        outcomes: dict[str, tuple],
-        phase_keys: set[str],
-        reduce_mode: bool,
-    ) -> None:
+    def _on_worker_dead(self, record: WorkerRecord) -> None:
         """Pool-equivalent recovery, at daemon granularity: account the
         lost in-flight attempt (reschedule or quarantine), re-execute
         completed map outputs whose shuffle server died with the worker,
@@ -716,57 +578,27 @@ class Master:
         if assignment is not None:
             self._assignments.pop(assignment.tag, None)
             task = assignment.task
-            still_needed = not assignment.cancelled and task.key not in outcomes
-            if still_needed:
+            if not assignment.cancelled and task.key not in self._outcomes:
                 self.events.incr(Counter.WORKER_CRASHES)
-                task.crashes += 1
-                consumed = task.attempt_offset + 1
-                self.attempts_seen[task.key] = max(
-                    self.attempts_seen.get(task.key, 0), consumed
-                )
+                note_attempts(self.attempts_seen, task.key, task.attempt_offset + 1)
                 has_sibling = any(
                     a.task.key == task.key and not a.cancelled
                     for a in self._assignments.values()
                 )
-                if has_sibling:
-                    pass  # the surviving attempt carries the task
-                elif consumed >= self._max_attempts:
-                    self.events.incr(Counter.TASKS_QUARANTINED)
-                    outcomes[task.key] = (
-                        task.key,
-                        consumed,
-                        None,
-                        JobFailedError(
-                            f"task {task.key} quarantined after {task.crashes} "
-                            f"worker crash(es), {consumed} attempt(s) consumed: "
-                            "every worker that ran it died, so it is presumed poison"
-                        ),
-                    )
-                else:
-                    pending.insert(
-                        0,
-                        ClusterTask(
-                            key=task.key,
-                            kind=task.kind,
-                            payload=task.payload,
-                            attempt_offset=consumed,
-                            crashes=task.crashes,
-                            preferred_hosts=task.preferred_hosts,
-                        ),
-                    )
+                if not has_sibling:  # else the surviving attempt carries the task
+                    lost = lose_attempt(task, self._max_attempts)
+                    if isinstance(lost, Task):
+                        self._pending.insert(0, lost)
+                    else:
+                        self.events.incr(Counter.TASKS_QUARANTINED)
+                        self._outcomes[task.key] = lost
 
         if self._net_shuffle:
-            self._reexecute_lost_maps(worker_id, pending, outcomes, phase_keys)
+            self._reexecute_lost_maps(worker_id)
         if not self._closing:
             self._spawn_replacement(record)
 
-    def _reexecute_lost_maps(
-        self,
-        worker_id: str,
-        pending: list[ClusterTask],
-        outcomes: dict[str, tuple],
-        phase_keys: set[str],
-    ) -> None:
+    def _reexecute_lost_maps(self, worker_id: str) -> None:
         """Completed-but-unfetched map attempts died with their shuffle
         server: requeue them (Hadoop re-runs completed maps of a lost
         tasktracker for the same reason).  The re-execution rides the
@@ -776,86 +608,58 @@ class Master:
             for key, server_worker in self._map_server_worker.items()
             if server_worker == worker_id
         ]
-        if self._node_combined:
-            # Reducers fetch the master-served per-node outputs, not the
-            # daemons' originals — nothing to re-execute, and the final
-            # results must stay in _map_outcomes for the job result.
-            for key in lost:
-                del self._map_server_worker[key]
-            return
         for key in lost:
             del self._map_server_worker[key]
-            self._map_outcomes.pop(key, None)
-            # During the map phase the outcome (if any) is withdrawn so
-            # the phase completion count stays honest.
-            outcomes.pop(key, None)
-            if any(task.key == key for task in pending):
+            if key in self._phase_keys:
+                # During the map phase the outcome (if any) is withdrawn
+                # so the phase completion count stays honest.
+                self._outcomes.pop(key, None)
+            elif self._fetch_slot(key) is None:
+                # Reducers fetch the driver-served per-node outputs, not
+                # this daemon's original — nothing to re-execute.
                 continue
-            index = self._map_keys.index(key)
+            if any(task.key == key for task in self._pending):
+                continue
             # Not a failure: re-hosting consumes no fresh failure budget,
             # but runs as a later attempt so per-attempt fault rules
             # (worker.kill attempts=1) see it as the retry it is.
-            offset = min(
-                self.attempts_seen.get(key, 1), self._max_attempts - 1
-            )
-            pending.insert(
+            offset = min(self.attempts_seen.get(key, 1), self._max_attempts - 1)
+            self._pending.insert(
                 0,
-                ClusterTask(
-                    key=key,
-                    kind="map",
-                    payload=index,
-                    attempt_offset=offset,
-                    preferred_hosts=self.locality.preferred_hosts(index),
-                ),
+                dataclasses.replace(self._map_tasks[key], attempt_offset=offset),
             )
 
     # ------------------------------------------------------------------
     # dispatch + speculation (scheduler thread)
     # ------------------------------------------------------------------
-    def _ready(self, task: ClusterTask) -> bool:
-        """Reduce tasks wait until every map partition has a live server
-        to fetch from (net mode); a repair map is always ready."""
+    def _ready(self, task: Task) -> bool:
+        """Reduce tasks wait until every output they fetch from a daemon
+        has a live server (net mode); outputs the driver serves — reused
+        splits, per-node synthetics — are always ready, and so is a
+        repair map."""
         if task.kind != "reduce" or not self._net_shuffle:
-            return True
-        if self._node_combined:
-            # The master's own server hosts everything reducers fetch.
             return True
         alive = {record.worker_id for record in self.membership.alive()}
         return all(
-            self._map_server_worker.get(key) in alive for key in self._map_keys
+            self._map_server_worker.get(result.task_id) in alive
+            for result in self._fetch_results or ()
+            if result.task_id in self._map_tasks
         )
 
-    def _reduce_payload(self, partition: int) -> tuple:
-        """Built at dispatch time, so a reducer always sees the *current*
-        map results — including any re-hosted outputs."""
-        if self._node_combined:
-            return (partition, list(self._fetch_results))
-        return (partition, [self._map_outcomes[key] for key in self._map_keys])
-
     def _send_task(
-        self, worker_id: str, task: ClusterTask, speculative: bool = False
+        self, worker_id: str, task: Task, speculative: bool = False
     ) -> bool:
         with self._channel_lock:
             sock = self._channels.get(worker_id)
         if sock is None:
             return False
-        payload = (
-            self._reduce_payload(task.payload)
-            if task.kind == "reduce"
-            else task.payload
-        )
+        # Built at dispatch time, so a reducer always sees the *current*
+        # fetch results — including any re-hosted outputs.
+        fetch_results = list(self._fetch_results or ()) if task.kind == "reduce" else None
         tag = next(self._tags)
         try:
             send_msg(
-                sock,
-                OP_TASK,
-                {
-                    "key": task.key,
-                    "kind": task.kind,
-                    "payload": payload,
-                    "attempt_offset": task.attempt_offset,
-                    "tag": tag,
-                },
+                sock, OP_TASK, {"task": task, "fetch_results": fetch_results, "tag": tag}
             )
         except (OSError, ProtocolError):
             return False  # the EOF event will account for this worker
@@ -871,15 +675,11 @@ class Master:
         self._idle.discard(worker_id)
         return True
 
-    def _dispatch(
-        self,
-        pending: list[ClusterTask],
-        outcomes: dict[str, tuple],
-        reduce_mode: bool,
-    ) -> None:
+    def _dispatch(self) -> None:
         # A requeued attempt whose task meanwhile completed (a sibling
         # won) is dead weight; drop it before placing work.
-        pending[:] = [task for task in pending if task.key not in outcomes]
+        pending = self._pending
+        pending[:] = [task for task in pending if task.key not in self._outcomes]
         for worker_id in sorted(self._idle):
             if not pending:
                 return
@@ -900,10 +700,11 @@ class Master:
             ):
                 self.events.incr(Counter.DATA_LOCAL_MAPS)
 
-    def _speculate(self, outcomes: dict[str, tuple], phase_keys: set[str]) -> None:
+    def _speculate(self) -> None:
         """The shared policy against real wall clocks: once a quorum of
         the phase completed, back up any running attempt lagging past
         the slowdown threshold onto a free worker."""
+        outcomes, phase_keys = self._outcomes, self._phase_keys
         if not self.policy.enabled or not phase_keys:
             return
         done = sum(1 for key in phase_keys if key in outcomes)
@@ -933,21 +734,14 @@ class Master:
             worker_id = self._pick_backup_worker(task, exclude=assignment.worker_id)
             if worker_id is None:
                 return  # no free slot this tick; try again next tick
-            backup = ClusterTask(
-                key=task.key,
-                kind=task.kind,
-                payload=task.payload,
-                attempt_offset=task.attempt_offset + 1,
-                crashes=task.crashes,
-                preferred_hosts=task.preferred_hosts,
-            )
+            backup = dataclasses.replace(task, attempt_offset=task.attempt_offset + 1)
             if self._send_task(worker_id, backup, speculative=True):
                 self._phase_backups += 1
                 self._phase_speculated.add(task.key)
                 self.events.incr(Counter.SPECULATIVE_LAUNCHES)
 
     def _pick_backup_worker(
-        self, task: ClusterTask, exclude: str
+        self, task: Task, exclude: str
     ) -> str | None:
         candidates = [
             worker_id
@@ -966,72 +760,62 @@ class Master:
 
 
 class ClusterExecutor(Executor):
-    """The ``cluster`` backend: a master daemon scheduling over worker
+    """The ``cluster`` transport: a master daemon scheduling over worker
     daemons it forks, with heartbeat failure detection, locality-aware
     placement against a staged DFS, and speculative re-execution.
 
     ``repro.cluster.workers`` sets the daemon count (0 falls back to
     ``repro.exec.workers``); each daemon gets a distinct host label, its
     preferred DFS replicas, and (net mode) its own shuffle server.
-    Byte-identical to the serial backend on fault-free runs: the engine
-    code, split boundaries, and accounting contract are all shared.
+    Byte-identical to the serial backend on fault-free runs: the plan,
+    engine code, split boundaries, and accounting contract are all shared.
     """
 
     name = "cluster"
+    _master: Master | None = None
+    _tmp_root: str | None = None
+    _ctx_id: int | None = None
 
-    def run(self, job: JobSpec) -> JobResult:
-        try:
-            mp_ctx = multiprocessing.get_context("fork")
-        except ValueError as exc:
-            raise ExecBackendError(
-                "the cluster backend requires the 'fork' start method, "
-                "which this platform does not provide"
-            ) from exc
-
+    def open(self, job: JobSpec) -> None:
+        mp_ctx = workers.fork_context(self.name)
         cluster_workers = job.conf.get_int(Keys.CLUSTER_WORKERS) or self.workers
         if cluster_workers < 1:
             raise ExecBackendError(
                 f"the cluster backend needs at least one worker, got {cluster_workers}"
             )
         hosts = [f"node{index:02d}" for index in range(cluster_workers)]
-        splits = job_splits(job)
-        tmp_root = tempfile.mkdtemp(prefix=f"repro-cluster-{job.name}-")
+        self._tmp_root = tempfile.mkdtemp(prefix=f"repro-cluster-{job.name}-")
         locality = stage_locality(job, hosts)
-        events = Counters()
-        ctx_id = workers.push_context(
-            job, tmp_root, self.host, shuffle_address=None, dfs=locality.dfs
+        self._ctx_id = workers.push_context(
+            job, self._tmp_root, self.host, shuffle_address=None, dfs=locality.dfs
         )
-        master = Master(
+        # The job plan installed the fault plan before this fork, so the
+        # daemons inherit the armed injector with the job context — and
+        # the master's own process consults it for heartbeat_drop rules.
+        self._master = Master(
             job=job,
-            ctx_id=ctx_id,
+            ctx_id=self._ctx_id,
             hosts=hosts,
             mp_ctx=mp_ctx,
-            events=events,
+            events=self.events,
             attempts_seen=self.task_attempts,
             locality=locality,
         )
-        try:
-            # Installed before the daemons fork, so they inherit the
-            # armed injector with the job context — and the master's own
-            # process consults it for heartbeat_drop rules.
-            with installed(fault_plan_for(job)):
-                master.start()
-                try:
-                    map_results, reduce_results = master.run_job(len(splits))
-                finally:
-                    shuffle_hosts = master.close()
-            for result in map_results:
-                materialize_map_result(result)
-        finally:
-            workers.pop_context(ctx_id)
-            shutil.rmtree(tmp_root, ignore_errors=True)
+        self._master.start()
 
-        return assemble_job_result(
-            job,
-            map_results,
-            reduce_results,
-            shuffle_hosts=shuffle_hosts,
-            task_attempts=self.task_attempts,
-            events=events,
-            node_combine=master.node_combine_outcome,
-        )
+    def run_tasks(self, tasks, fetch_results):
+        assert self._master is not None
+        return self._master.run_phase(tasks, fetch_results)
+
+    def close(self) -> list:
+        shuffle_hosts: list = []
+        if self._master is not None:
+            shuffle_hosts = self._master.close()
+            self._master = None
+        if self._ctx_id is not None:
+            workers.pop_context(self._ctx_id)
+            self._ctx_id = None
+        if self._tmp_root is not None:
+            shutil.rmtree(self._tmp_root, ignore_errors=True)
+            self._tmp_root = None
+        return shuffle_hosts

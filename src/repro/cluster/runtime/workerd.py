@@ -13,7 +13,7 @@ configured worker (plus replacements).  Startup order matters:
    bytes, never the master's memory;
 3. start this node's :class:`~repro.shuffle.server.ShuffleServer` (net
    mode) and point the inherited worker context at it, so the shared
-   :func:`~repro.exec.workers.map_entry` registers map output with
+   :func:`~repro.exec.workers.task_entry` registers map output with
    *this worker's* server and reducers anywhere fetch it over TCP;
 4. HELLO on the long-lived task channel, then serve TASK frames until
    BYE/EOF, with a daemon ping thread heartbeating the master from the
@@ -21,19 +21,20 @@ configured worker (plus replacements).  Startup order matters:
    so only the task timeout (not the membership sweep) judges slow
    tasks.
 
-Task execution is exactly the process backend's: the same entry points,
-the same attempt budget, the same outcome tuples — just shipped over a
-socket instead of a pipe.
+Task execution is exactly the process backend's: the same
+:func:`~repro.exec.workers.run_entry` / :func:`~repro.exec.workers.
+send_outcome` pair around the same handler, the same attempt budget,
+the same outcome tuples — just shipped over a socket instead of a pipe.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
 
 from ...engine.inputformat import TextInput
-from ...errors import ExecBackendError, ReproError
 from ...exec import workers
 from ...exec.base import start_shuffle_server
 from .protocol import (
@@ -97,25 +98,6 @@ def _heartbeat_loop(
             os._exit(0)
 
 
-def _run_task(message: dict, ctx_id: int) -> tuple:
-    """One task attempt through the shared entry points; mirrors
-    :func:`repro.exec.workers.worker_main`'s error discipline — every
-    failure becomes an outcome, never a dead daemon."""
-    key = message["key"]
-    try:
-        if message["kind"] == "map":
-            return workers.map_entry(
-                message["payload"], message["attempt_offset"], ctx_id=ctx_id
-            )
-        return workers.reduce_entry(
-            message["payload"], message["attempt_offset"], ctx_id=ctx_id
-        )
-    except ReproError as exc:
-        return (key, 0, None, exc)
-    except BaseException as exc:  # noqa: BLE001 - daemon must not die on user junk
-        return (key, 0, None, ExecBackendError(f"worker failed running {key}: {exc!r}"))
-
-
 def workerd_main(
     worker_id: str,
     host: str,
@@ -135,6 +117,7 @@ def workerd_main(
     ctx.host = host
     ctx.shuffle_address = server.address if server is not None else None
 
+    handler = functools.partial(workers.task_entry, ctx_id=ctx_id)
     conn = connect(master_address)
     # The task channel is idle between dispatches; the connect timeout
     # must not outlive the dial or a quiet minute reads as EOF.
@@ -172,31 +155,14 @@ def workerd_main(
             if opcode != OP_TASK:
                 continue
             started = time.monotonic()
-            outcome = _run_task(message, ctx_id)
-            reply = {
-                "tag": message["tag"],
-                "outcome": outcome,
-                "seconds": time.monotonic() - started,
-            }
-            try:
-                send_msg(conn, OP_RESULT, reply)
-            except Exception as exc:  # noqa: BLE001 - pickling can fail arbitrarily
-                send_msg(
-                    conn,
-                    OP_RESULT,
-                    {
-                        "tag": message["tag"],
-                        "outcome": (
-                            outcome[0],
-                            outcome[1],
-                            None,
-                            ExecBackendError(
-                                f"result of {outcome[0]} is unpicklable: {exc!r}"
-                            ),
-                        ),
-                        "seconds": time.monotonic() - started,
-                    },
-                )
+            outcome = workers.run_entry(
+                handler, message["task"], message["fetch_results"]
+            )
+            reply = {"tag": message["tag"], "seconds": time.monotonic() - started}
+            workers.send_outcome(
+                lambda outcome: send_msg(conn, OP_RESULT, {**reply, "outcome": outcome}),
+                outcome,
+            )
     finally:
         stop.set()
         if server is not None:

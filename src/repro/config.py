@@ -42,7 +42,7 @@ class Keys:
     SPILLMATCHER_MAX_PERCENT = "repro.spillmatcher.max.percent"
 
     # --- execution backend (repro.exec) ---
-    EXEC_BACKEND = "repro.exec.backend"  # serial | thread | process
+    EXEC_BACKEND = "repro.exec.backend"  # serial | thread | process | cluster
     EXEC_WORKERS = "repro.exec.workers"  # worker count (0 = one per CPU)
     EXEC_LIVE_PIPELINE = "repro.exec.live.pipeline"  # real support thread per map task
 
@@ -53,11 +53,6 @@ class Keys:
     SHUFFLE_BACKOFF_BASE = "repro.shuffle.backoff.base.seconds"
     SHUFFLE_BACKOFF_MAX = "repro.shuffle.backoff.max.seconds"
     SHUFFLE_TIMEOUT = "repro.shuffle.timeout.seconds"  # connect/read timeout
-    SHUFFLE_FAULT_KIND = "repro.shuffle.fault.kind"  # none|refuse|drop|truncate|delay
-    SHUFFLE_FAULT_FRACTION = "repro.shuffle.fault.fraction"  # fraction of fetches hit
-    SHUFFLE_FAULT_ATTEMPTS = "repro.shuffle.fault.attempts"  # faulty attempts per fetch
-    SHUFFLE_FAULT_DELAY = "repro.shuffle.fault.delay.seconds"  # for kind=delay
-    SHUFFLE_FAULT_SEED = "repro.shuffle.fault.seed"
     # --- in-node combining before shuffle (arXiv 1511.04861) ---
     NODE_COMBINE = "repro.shuffle.node.combine"  # fold map outputs per node pre-fetch
     NODE_COMBINE_BUFFER_BYTES = "repro.shuffle.node.combine.buffer.bytes"  # hash cap
@@ -85,7 +80,6 @@ class Keys:
 
     # --- engine ---
     NUM_REDUCERS = "repro.job.reduces"
-    EXEC_MAP_ONLY = "repro.exec.map.only"  # run map phase only (delta recompute)
     COMBINER_MIN_SPILL_RECORDS = "repro.combine.min.spill.records"
     EXACT_COMPARISON_COUNTING = "repro.instrument.exact.comparisons"
     SPILL_COMPRESSION = "repro.io.spill.compression"  # identity|zlib|rle+zlib
@@ -156,11 +150,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.SHUFFLE_BACKOFF_BASE: 0.02,
     Keys.SHUFFLE_BACKOFF_MAX: 0.25,
     Keys.SHUFFLE_TIMEOUT: 10.0,
-    Keys.SHUFFLE_FAULT_KIND: "none",
-    Keys.SHUFFLE_FAULT_FRACTION: 0.0,
-    Keys.SHUFFLE_FAULT_ATTEMPTS: 1,
-    Keys.SHUFFLE_FAULT_DELAY: 0.05,
-    Keys.SHUFFLE_FAULT_SEED: 1234,
     Keys.FAULTS_SPEC: "",
     Keys.FAULTS_SEED: 1234,
     Keys.FAULTS_DELAY: 0.05,
@@ -198,7 +187,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.SERVE_CACHE_DIR: "",
     Keys.SERVE_TENANT_MAX_INFLIGHT: 64,
     Keys.SERVE_TENANT_ATTEMPT_BUDGET: 0,
-    Keys.EXEC_MAP_ONLY: False,
     Keys.STREAM_STATE_DIR: "",
     Keys.STREAM_POLL_INTERVAL: 0.2,
     Keys.STREAM_MIN_BATCH_BYTES: 1,

@@ -73,36 +73,6 @@ class TextInput(InputFormat):
         return len(self.data)
 
 
-class SplitSubsetInput(InputFormat):
-    """A view of another input restricted to a subset of its splits.
-
-    Delta recompute runs map tasks only for new/changed splits; each
-    retained split keeps its ORIGINAL offset and length so the record
-    reader's straddling-line semantics (and therefore the map output)
-    are byte-identical to a full run over the same split.
-    """
-
-    def __init__(self, base: InputFormat, indices: list[int]) -> None:
-        base_splits = base.splits()
-        for index in indices:
-            if not 0 <= index < len(base_splits):
-                raise ValueError(f"split index {index} out of range 0..{len(base_splits) - 1}")
-        if not indices:
-            raise ValueError("need at least one split index")
-        self.base = base
-        self.indices = list(indices)
-        self._splits = [base_splits[i] for i in self.indices]
-
-    def splits(self) -> list[FileSplit]:
-        return list(self._splits)
-
-    def record_reader(self, split: FileSplit) -> Iterator[InputRecord]:
-        return self.base.record_reader(split)
-
-    def total_bytes(self) -> int:
-        return sum(split.length for split in self._splits)
-
-
 class RecordListInput(InputFormat):
     """In-memory typed records, pre-split — convenient for unit tests and
     for feeding generated structured data without a text round-trip."""

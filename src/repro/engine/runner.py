@@ -32,7 +32,8 @@ from .pipeline import PipelineResult
 from .reducetask import ReduceTaskResult
 from .spillpolicy import SpillPolicy, StaticSpillPolicy
 
-if TYPE_CHECKING:  # pragma: no cover - lint layers on engine; typing only
+if TYPE_CHECKING:  # pragma: no cover - lint and exec layer on engine; typing only
+    from ..exec.base import Executor
     from ..lint import LintReport
 
 
@@ -238,20 +239,26 @@ class LocalJobRunner:
         self.task_attempts: dict[str, int] = {}
 
     def run(self, job: JobSpec) -> JobResult:
-        from ..exec import create_executor
-
         job, lint_report = lint_at_submit(job)
-        executor = create_executor(
-            job.conf.get_str(Keys.EXEC_BACKEND),
-            workers=job.conf.get_int(Keys.EXEC_WORKERS),
-            host=self.host,
-        )
+        executor = executor_for(job, self.host)
         # Share the dict so attempt counts are visible even when the run
         # raises (tests and tools inspect them after a JobFailedError).
         executor.task_attempts = self.task_attempts
         result = executor.run(job)
         result.lint_report = lint_report
         return result
+
+
+def executor_for(job: JobSpec, host: str = "localhost") -> "Executor":
+    """The executor *job*'s own configuration asks for
+    (``repro.exec.backend`` / ``repro.exec.workers``)."""
+    from ..exec import create_executor
+
+    return create_executor(
+        job.conf.get_str(Keys.EXEC_BACKEND),
+        workers=job.conf.get_int(Keys.EXEC_WORKERS),
+        host=host,
+    )
 
 
 def lint_at_submit(job: JobSpec) -> "tuple[JobSpec, LintReport | None]":

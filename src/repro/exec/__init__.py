@@ -13,9 +13,12 @@ The engine's task machinery is execution-agnostic; this package decides
 ``cluster``
     A master daemon scheduling over worker daemons that register and
     heartbeat over localhost TCP, with locality-aware placement and
-    speculative re-execution (:mod:`repro.cluster.runtime`).  Loaded
-    lazily: the runtime imports this package, so it registers here by
-    dotted name instead of by class.
+    speculative re-execution (:mod:`repro.cluster.runtime`).
+
+Every backend is a task transport under the one job plan in
+:meth:`repro.exec.base.Executor.run`, and is registered by dotted name:
+a run imports only the backend it uses (a serial job never loads
+``multiprocessing`` or ``concurrent.futures``).
 
 Select with the ``repro.exec.backend`` / ``repro.exec.workers`` conf
 keys or the CLI's ``--backend`` / ``--workers`` flags.  Independently,
@@ -27,44 +30,38 @@ spill-matcher measured wall-clock rates.
 
 from __future__ import annotations
 
+import importlib
+
 from ..errors import ExecBackendError
 from .base import Executor
-from .process import ProcessExecutor
-from .serial import SerialExecutor
-from .threaded import ThreadExecutor
 
-BACKENDS: dict[str, type[Executor]] = {
-    SerialExecutor.name: SerialExecutor,
-    ThreadExecutor.name: ThreadExecutor,
-    ProcessExecutor.name: ProcessExecutor,
-}
-
-#: Backends that would import cycles into this package if registered by
-#: class: resolved on first use and cached into :data:`BACKENDS`.
+#: ``name -> module:class`` for every backend; resolved on first use.
 _LAZY_BACKENDS: dict[str, str] = {
+    "serial": "repro.exec.serial:SerialExecutor",
+    "thread": "repro.exec.threaded:ThreadExecutor",
+    "process": "repro.exec.process:ProcessExecutor",
     "cluster": "repro.cluster.runtime.master:ClusterExecutor",
 }
 
+#: The backends resolved so far (a cache over :data:`_LAZY_BACKENDS`).
+BACKENDS: dict[str, type[Executor]] = {}
+
 
 def backend_names() -> list[str]:
-    """Every selectable backend name, eager and lazy, sorted."""
-    return sorted(set(BACKENDS) | set(_LAZY_BACKENDS))
+    """Every selectable backend name, sorted."""
+    return sorted(_LAZY_BACKENDS)
 
 
 def _resolve(backend: str) -> type[Executor]:
-    if backend in BACKENDS:
-        return BACKENDS[backend]
-    if backend in _LAZY_BACKENDS:
-        import importlib
-
+    if backend not in BACKENDS:
+        if backend not in _LAZY_BACKENDS:
+            raise ExecBackendError(
+                f"unknown execution backend {backend!r}; "
+                f"choose one of {', '.join(backend_names())}"
+            )
         module_name, _, class_name = _LAZY_BACKENDS[backend].partition(":")
-        cls = getattr(importlib.import_module(module_name), class_name)
-        BACKENDS[backend] = cls
-        return cls
-    raise ExecBackendError(
-        f"unknown execution backend {backend!r}; "
-        f"choose one of {', '.join(backend_names())}"
-    )
+        BACKENDS[backend] = getattr(importlib.import_module(module_name), class_name)
+    return BACKENDS[backend]
 
 
 def create_executor(
@@ -75,12 +72,4 @@ def create_executor(
     return _resolve(backend)(workers=workers, host=host)
 
 
-__all__ = [
-    "BACKENDS",
-    "Executor",
-    "ProcessExecutor",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "backend_names",
-    "create_executor",
-]
+__all__ = ["BACKENDS", "Executor", "backend_names", "create_executor"]

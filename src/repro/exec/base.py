@@ -1,25 +1,33 @@
-"""Executor interface and the task-attempt machinery all backends share.
+"""The job plan, and the task-attempt machinery every backend shares.
 
-An :class:`Executor` runs a whole :class:`~repro.engine.job.JobSpec` and
-returns a :class:`~repro.engine.runner.JobResult`.  The three backends
-differ only in *where* task attempts run — the calling thread
+:meth:`Executor.run` is the one map → node-combine → reduce driver: it
+installs the fault plan, computes splits, opens the transport, runs the
+map phase, publishes outputs (net shuffle), folds per node, runs the
+reduce phase, materializes temp-disk outputs, closes the transport and
+assembles the :class:`~repro.engine.runner.JobResult`.  A backend is a
+*task transport* — three methods (:meth:`~Executor.open`,
+:meth:`~Executor.run_tasks`, :meth:`~Executor.close`) that decide only
+*where* task attempts run: the calling thread
 (:mod:`repro.exec.serial`), a thread pool (:mod:`repro.exec.threaded`),
-or real OS processes (:mod:`repro.exec.process`) — so the attempt loop
-itself (Hadoop's retry-on-user-failure semantics) lives here as plain
-functions every backend calls, in-process or inside a worker.
+forked worker processes (:mod:`repro.exec.process`), or worker daemons
+under a master (:mod:`repro.cluster.runtime.master`).  The attempt loop
+(Hadoop's retry-on-user-failure semantics) and the lost-attempt rule
+live here as plain functions every transport calls, in-process or
+inside a worker.
 
-All backends preserve the engine's accounting contract: per-task ledgers
-and counters merge into the job totals in task order, so a job's summed
-:class:`~repro.engine.instrumentation.Ledger` is identical no matter
-which backend executed it (modulo the live pipeline, which measures wall
-clock instead of modelled work).
+Per-task ledgers and counters merge into the job totals in task order,
+so a job's summed :class:`~repro.engine.instrumentation.Ledger` is
+identical no matter which backend executed it (modulo the live
+pipeline, which measures wall clock instead of modelled work).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from abc import ABC, abstractmethod
-from typing import Callable
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from ..config import Keys
 from ..engine.counters import Counter, Counters
@@ -28,9 +36,16 @@ from ..engine.job import JobSpec
 from ..engine.maptask import MapTaskResult, MapTaskRunner
 from ..engine.reducetask import ReduceTaskResult, ReduceTaskRunner
 from ..engine.runner import JobResult, build_collector
-from ..errors import DiskError, ExecBackendError, JobFailedError, SerdeError, UserCodeError
+from ..errors import (
+    DiskError,
+    ExecBackendError,
+    JobFailedError,
+    ReproError,
+    SerdeError,
+    UserCodeError,
+)
 from ..faults.plan import FaultPlan
-from ..faults.runtime import task_scope, worker_fault
+from ..faults.runtime import installed, task_scope, worker_fault
 from ..io.blockdisk import LocalDisk
 from ..io.linereader import FileSplit
 
@@ -61,49 +76,73 @@ def reduce_task_id(job: JobSpec, partition: int) -> str:
     return f"{job.name}.r{partition:04d}"
 
 
-def run_map_with_retries(
+@dataclass
+class Task:
+    """One schedulable task with its crash history — the one record the
+    driver builds and every scheduler (pool, cluster master) carries."""
+
+    key: str  # task id, for attribution
+    kind: str  # "map" | "reduce" (the serve lease ships "job")
+    payload: Any  # map: split index; reduce: partition number
+    attempt_offset: int = 0  # attempts already consumed (crashed ones)
+    crashes: int = 0  # workers this task has killed so far
+    preferred_hosts: tuple[str, ...] = ()  # placement hint (cluster only)
+
+
+def run_with_retries(
     job: JobSpec,
-    index: int,
-    split: FileSplit,
+    task: Task,
+    splits: list[FileSplit],
+    fetch_results: list[MapTaskResult] | None,
     host: str,
     shared_state: dict | None = None,
     disk_factory: Callable[[str], LocalDisk] | None = None,
     attempts_out: dict[str, int] | None = None,
-    attempt_offset: int = 0,
-) -> tuple[MapTaskResult, int]:
-    """Run one map task with Hadoop's task-attempt semantics.
+) -> tuple:
+    """Run one map or reduce task with Hadoop's task-attempt semantics.
 
-    Each attempt gets a fresh mapper, disk, collector, ledger, and
-    counter set; a :data:`TRANSIENT_TASK_ERRORS` exception burns the
+    Each attempt gets a fresh mapper/reducer, disk, collector, ledger,
+    and counter set; a :data:`TRANSIENT_TASK_ERRORS` exception burns the
     attempt and retries, any other exception propagates immediately.
-    Returns the result and the cumulative number of attempts consumed.
-    *attempts_out*, when given, is kept current attempt-by-attempt so
-    callers observe the count even when the task ultimately fails the
-    job.  *attempt_offset* is the number of attempts already consumed
-    elsewhere (a crashed worker's lost attempts, counted by the pool),
-    so a rescheduled task keeps one cumulative attempt budget.
+    A map task reads ``splits[task.payload]``; a reduce task fetches
+    partition ``task.payload`` from *fetch_results*.  Returns the
+    ``(task_id, attempts, result, None)`` outcome, *attempts* being the
+    cumulative number consumed.  *attempts_out*, when given, is kept
+    current attempt-by-attempt so callers observe the count even when
+    the task ultimately fails the job.  ``task.attempt_offset`` is the
+    number of attempts already consumed elsewhere (a crashed worker's
+    lost attempts, counted by the scheduler), so a rescheduled task
+    keeps one cumulative attempt budget.
     """
-    task_id = map_task_id(job, index)
+    task_id = task.key
     max_attempts = job.conf.get_positive_int(Keys.TASK_MAX_ATTEMPTS)
     last_error: Exception | None = None
-    for attempt in range(attempt_offset, max_attempts):
+    for attempt in range(task.attempt_offset, max_attempts):
         if attempts_out is not None:
             attempts_out[task_id] = attempt + 1
-        if disk_factory is not None:
-            disk = disk_factory(task_id)
+        instruments = TaskInstruments(Ledger())
+        counters = Counters()
+        runner: MapTaskRunner | ReduceTaskRunner
+        if task.kind == "map":
+            if disk_factory is not None:
+                disk = disk_factory(task_id)
+            else:
+                disk = LocalDisk(f"{task_id}.disk")
+            state = shared_state if shared_state is not None else {}
+            collector = build_collector(job, task_id, disk, instruments, counters, state)
+            runner = MapTaskRunner(
+                job, splits[task.payload], task_id, disk, collector,
+                instruments, counters, host,
+            )
         else:
-            disk = LocalDisk(f"{task_id}.disk")
-        instruments = TaskInstruments(Ledger())
-        counters = Counters()
-        state = shared_state if shared_state is not None else {}
-        collector = build_collector(job, task_id, disk, instruments, counters, state)
-        runner = MapTaskRunner(
-            job, split, task_id, disk, collector, instruments, counters, host
-        )
+            runner = ReduceTaskRunner(
+                job, task.payload, fetch_results or [], task_id,
+                instruments, counters, host,
+            )
         try:
             with task_scope(task_id, attempt + 1):
                 worker_fault(task_id, attempt + 1)
-                return runner.run(), attempt + 1
+                return task_id, attempt + 1, runner.run(), None
         except TRANSIENT_TASK_ERRORS as exc:
             last_error = exc
     raise JobFailedError(
@@ -111,35 +150,29 @@ def run_map_with_retries(
     ) from last_error
 
 
-def run_reduce_with_retries(
-    job: JobSpec,
-    partition: int,
-    map_results: list[MapTaskResult],
-    host: str,
-    attempts_out: dict[str, int] | None = None,
-    attempt_offset: int = 0,
-) -> tuple[ReduceTaskResult, int]:
-    """Run one reduce task with the same attempt semantics as maps."""
-    task_id = reduce_task_id(job, partition)
-    max_attempts = job.conf.get_positive_int(Keys.TASK_MAX_ATTEMPTS)
-    last_error: Exception | None = None
-    for attempt in range(attempt_offset, max_attempts):
-        if attempts_out is not None:
-            attempts_out[task_id] = attempt + 1
-        instruments = TaskInstruments(Ledger())
-        counters = Counters()
-        runner = ReduceTaskRunner(
-            job, partition, map_results, task_id, instruments, counters, host
-        )
-        try:
-            with task_scope(task_id, attempt + 1):
-                worker_fault(task_id, attempt + 1)
-                return runner.run(), attempt + 1
-        except TRANSIENT_TASK_ERRORS as exc:
-            last_error = exc
-    raise JobFailedError(
-        f"task {task_id} failed {max_attempts} attempts; last error: {last_error}"
-    ) from last_error
+def note_attempts(attempts_seen: dict[str, int], task_id: str, attempts: int) -> None:
+    """Raise *task_id*'s cumulative attempt count to *attempts* (counts
+    arrive out of order: a crashed attempt's from the scheduler, the
+    task's own from its worker)."""
+    if attempts > attempts_seen.get(task_id, 0):
+        attempts_seen[task_id] = attempts
+
+
+def lose_attempt(task: Task, max_attempts: int) -> Task | tuple:
+    """The attempt of *task* that was running died with its worker:
+    the task to requeue with the lost attempt counted, or — once the
+    shared ``repro.task.max.attempts`` budget is gone — the quarantine
+    outcome that pulls a poison task from scheduling."""
+    crashes = task.crashes + 1
+    consumed = task.attempt_offset + 1  # the attempt that died
+    if consumed < max_attempts:
+        return dataclasses.replace(task, attempt_offset=consumed, crashes=crashes)
+    error = JobFailedError(
+        f"task {task.key} quarantined after {crashes} worker "
+        f"crash(es), {consumed} attempt(s) consumed: every worker "
+        "that ran it died, so it is presumed poison"
+    )
+    return task.key, consumed, None, error
 
 
 def recovery_counters(job: JobSpec, task_attempts: dict[str, int]) -> Counters:
@@ -158,10 +191,7 @@ def recovery_counters(job: JobSpec, task_attempts: dict[str, int]) -> Counters:
 
 
 def apply_node_combine(
-    job: JobSpec,
-    map_results: list[MapTaskResult],
-    host: str,
-    server=None,
+    job: JobSpec, map_results: list[MapTaskResult], host: str
 ):
     """Run the in-node combine stage, when configured and applicable.
 
@@ -170,44 +200,28 @@ def apply_node_combine(
     each group into one synthetic per-node output
     (:mod:`repro.shuffle.nodecombine`).  Returns ``(fetch_results,
     outcome)``: the results reducers should fetch from, and the stage's
-    accounting (``None`` when the stage did not run).  The originals are
-    left untouched — they stay in the job result and its ledger sums.
+    accounting (``None`` when the stage did not run, in which case
+    *fetch_results* is *map_results* itself).  The originals are left
+    untouched — they stay in the job result and its ledger sums.
 
-    The stage is skipped when it cannot apply: no combiner declared, a
-    map-only run (delta recompute caches the *per-split* map outputs, so
-    collapsing them per node would break split-level reuse), or nothing
-    to fold.  ``repro.shuffle.node.combine`` itself is gated at submit
-    by the static analyzer (fold-like combiners only).
-
-    With a *server* (network shuffle) each synthetic output is
-    registered so reducers can fetch it over TCP like any map output.
+    The stage is skipped when it cannot apply: no combiner declared, or
+    nothing to fold.  ``repro.shuffle.node.combine`` itself is gated at
+    submit by the static analyzer (fold-like combiners only).
     """
-    conf = job.conf
-    if not conf.get_bool(Keys.NODE_COMBINE):
+    if not job.conf.get_bool(Keys.NODE_COMBINE):
         return map_results, None
     if job.combiner_factory is None or not map_results:
-        return map_results, None
-    if conf.get_bool(Keys.EXEC_MAP_ONLY):
         return map_results, None
     from ..shuffle.nodecombine import NodeCombiner
 
     combiner = NodeCombiner(job)
-    order: list[str] = []
     groups: dict[str, list[MapTaskResult]] = {}
     for result in map_results:
-        result_host = result.host or host
-        if result_host not in groups:
-            order.append(result_host)
-            groups[result_host] = []
-        groups[result_host].append(result)
-
-    fetch_results: list[MapTaskResult] = []
-    for result_host in order:
-        synthetic = combiner.combine_host(result_host, groups[result_host])
-        if server is not None:
-            server.register(synthetic.task_id, synthetic.output_index, synthetic.disk)
-            synthetic.serve_address = server.address
-        fetch_results.append(synthetic)
+        groups.setdefault(result.host or host, []).append(result)
+    fetch_results = [
+        combiner.combine_host(result_host, group)
+        for result_host, group in groups.items()
+    ]
     return fetch_results, combiner.outcome(fetch_results)
 
 
@@ -260,9 +274,11 @@ def assemble_job_result(
 def materialize_map_result(result: MapTaskResult) -> None:
     """Copy a map task's temp-dir files into an in-memory disk so the
     job result outlives the temp tree, keeping the worker's I/O stats
-    (the copy itself is not task work).  Shared by every backend whose
-    workers spill to real disk (process pool, cluster daemons)."""
+    (the copy itself is not task work).  Outputs already in memory —
+    in-process tasks, reused splits — are left as they are."""
     file_disk = result.disk
+    if isinstance(file_disk, LocalDisk):
+        return
     stats = file_disk.stats.snapshot()
     local = LocalDisk(f"{result.task_id}.disk")
     for path in file_disk.list_files():
@@ -284,7 +300,8 @@ def start_shuffle_server(job: JobSpec, host: str):
     """Start this node's shuffle server when the job asks for the real
     network shuffle (``repro.shuffle.mode = net``); returns ``None`` in
     the default ``mem`` mode.  The caller owns the server's lifetime and
-    must ``stop()`` it (the executors do so in a ``finally``)."""
+    must ``stop()`` it (the job plan and the worker daemon do so in a
+    ``finally``)."""
     mode = job.conf.get_str(Keys.SHUFFLE_MODE)
     if mode == "mem":
         return None
@@ -297,21 +314,9 @@ def start_shuffle_server(job: JobSpec, host: str):
     from ..faults.shuffle import FaultPlan as ShuffleFaultPlan
     from ..shuffle.server import ShuffleServer
 
-    # A `shuffle` rule in the unified fault plan takes precedence over
-    # the legacy repro.shuffle.fault.* keys, so one --fault spec drives
-    # every site's injection with one seed.
-    unified = fault_plan_for(job)
-    rule = unified.rule("shuffle")
-    if rule is not None:
-        plan = ShuffleFaultPlan(
-            kind=rule.kind,
-            fraction=rule.fraction,
-            attempts=rule.attempts,
-            delay_seconds=unified.delay_seconds,
-            seed=unified.seed,
-        )
-    else:
-        plan = ShuffleFaultPlan.from_conf(job.conf)
+    # One --fault spec drives every site's injection with one seed: the
+    # server's plan is the unified plan's `shuffle.*` rule, if any.
+    plan = ShuffleFaultPlan.from_unified(fault_plan_for(job))
     return ShuffleServer(host, fault_plan=plan).start()
 
 
@@ -323,7 +328,10 @@ def job_splits(job: JobSpec) -> list[FileSplit]:
 
 
 class Executor(ABC):
-    """Runs every task of a job on some substrate and merges accounting.
+    """The job plan over an abstract task transport.
+
+    :meth:`run` is concrete and final in spirit: every backend executes
+    the same plan and differs only in the three transport methods.
 
     Attributes
     ----------
@@ -333,6 +341,11 @@ class Executor(ABC):
     task_attempts:
         ``task_id -> attempts consumed``, mirrored by
         :class:`~repro.engine.runner.LocalJobRunner` for compatibility.
+    job, splits, events:
+        The running job, its input splits, and the executor-level fault
+        counters no single task owns (worker crashes, timeouts,
+        quarantines) — set by :meth:`run` before :meth:`open`, for the
+        transport to read.
     """
 
     name: str = "?"
@@ -341,10 +354,147 @@ class Executor(ABC):
         self.workers = resolve_workers(workers)
         self.host = host
         self.task_attempts: dict[str, int] = {}
+        self.job: JobSpec
+        self.splits: list[FileSplit] = []
+        self.events = Counters()
+        self._server: Any = None
+
+    # ------------------------------------------------------------------
+    # the transport: where task attempts run
+    # ------------------------------------------------------------------
+    def open(self, job: JobSpec) -> None:
+        """Bring up whatever runs this job's tasks (pool, daemons)."""
 
     @abstractmethod
-    def run(self, job: JobSpec) -> JobResult:
-        """Execute *job* to completion and return its merged result."""
+    def run_tasks(
+        self, tasks: list[Task], fetch_results: list[MapTaskResult] | None
+    ) -> list[tuple]:
+        """Run every task of one phase to an outcome and return the
+        ``(task_id, attempts, result, error)`` outcomes in the order of
+        *tasks*.  *fetch_results* is what reduce tasks fetch from
+        (``None`` in the map phase); a transport may replace an entry
+        in place when it re-executes a map whose host died.  A transport
+        whose attempts run in this process may instead let the first
+        failing task's (in task order) exception propagate as it is."""
+
+    def close(self) -> list:
+        """Tear the transport down — also after a failure, also after a
+        half-finished :meth:`open` — and return the shuffle-server
+        snapshots of the hosts it ran (net shuffle; else empty)."""
+        return []
+
+    # ------------------------------------------------------------------
+    # the plan
+    # ------------------------------------------------------------------
+    def run(
+        self, job: JobSpec, reuse: dict[int, MapTaskResult] | None = None
+    ) -> JobResult:
+        """Execute *job* to completion and return its merged result.
+
+        *reuse* maps split indices to map results the caller already
+        holds (delta recompute): their map tasks are skipped and the
+        given results take their place, in split order, everywhere a
+        fresh result would go — shuffle, node-combine, job result.
+        """
+        reuse = reuse or {}
+        self.job = job
+        self.events = Counters()
+        shuffle_hosts: list = []
+        node_combine = None
+        with installed(fault_plan_for(job)):
+            self.splits = job_splits(job)
+            try:
+                self.open(job)
+                map_tasks = [
+                    Task(key=map_task_id(job, index), kind="map", payload=index)
+                    for index in range(len(self.splits))
+                    if index not in reuse
+                ]
+                fresh = iter(self._collect(self.run_tasks(map_tasks, None)))
+                # Split order decides merge tie-breaking: reused and fresh
+                # outputs interleave exactly as a full run's would.
+                map_results = [
+                    reuse[index] if index in reuse else next(fresh)
+                    for index in range(len(self.splits))
+                ]
+                self._publish(map_results)
+                fetch_results, node_combine = apply_node_combine(
+                    job, map_results, self.host
+                )
+                if node_combine is not None:
+                    self._publish(fetch_results)
+                # Barrier: every reduce needs every map's output.  When
+                # the fold did not run *fetch_results* is *map_results*,
+                # so an entry the transport repairs in place is the one
+                # the job result reports.
+                reduce_tasks = [
+                    Task(key=reduce_task_id(job, partition), kind="reduce", payload=partition)
+                    for partition in range(job.num_reducers)
+                ]
+                reduce_results = self._collect(
+                    self.run_tasks(reduce_tasks, fetch_results)
+                )
+                for result in map_results:
+                    materialize_map_result(result)
+            finally:
+                if self._server is not None:
+                    # Stop serving before the transport's temp tree (and
+                    # the spill files in it) vanishes.
+                    self._server.stop()
+                    shuffle_hosts.append(self._server.snapshot())
+                    self._server = None
+                shuffle_hosts.extend(self.close())
+        return assemble_job_result(
+            job,
+            map_results,
+            reduce_results,
+            shuffle_hosts=shuffle_hosts,
+            task_attempts=self.task_attempts,
+            events=self.events,
+            node_combine=node_combine,
+        )
+
+    def shuffle_server(self):
+        """The driver's own shuffle server, started on first use
+        (``None`` in ``mem`` mode).  It serves every output the driver's
+        process holds — in-process map results, reused splits, per-node
+        synthetics — and the process backend's workers register theirs
+        with it; a cluster job whose daemons serve everything never
+        starts it."""
+        if self._server is None:
+            self._server = start_shuffle_server(self.job, self.host)
+        return self._server
+
+    def _publish(self, results: list[MapTaskResult]) -> None:
+        """Net shuffle: register the outputs no worker has published
+        with the driver's server, so reducers can fetch them over TCP."""
+        held = [result for result in results if result.serve_address is None]
+        server = self.shuffle_server() if held else None
+        if server is not None:
+            for result in held:
+                server.register(result.task_id, result.output_index, result.disk)
+                result.serve_address = server.address
+
+    def _collect(self, outcomes: list[tuple]) -> list:
+        """Record every attempt count, then fail on the first failed task
+        (in task order) — the same failure order on every backend.  Whatever
+        a transport reports is a task-attributed error: framework errors
+        re-raise with their causal type, anything opaque becomes a
+        :class:`~repro.errors.JobFailedError` naming the task and its
+        attempt count."""
+        for task_id, attempts, _result, _error in outcomes:
+            note_attempts(self.task_attempts, task_id, attempts)
+        results = []
+        for task_id, attempts, result, error in outcomes:
+            if error is not None:
+                if isinstance(error, ReproError):
+                    raise error
+                raise JobFailedError(
+                    f"task {task_id} failed in a worker process after "
+                    f"{max(attempts, 1)} attempt(s): {error!r}"
+                ) from error
+            results.append(result)
+        return results
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(workers={self.workers}, host={self.host!r})"

@@ -39,28 +39,17 @@ from multiprocessing.connection import wait
 from typing import Any, Callable
 
 from ..engine.counters import Counter, Counters
-from ..errors import JobFailedError
+from .base import Task, lose_attempt, note_attempts
 
 #: How long one scheduler wait blocks before re-checking task timeouts.
 _WAIT_SECONDS = 0.05
 
 
 @dataclass
-class PoolTask:
-    """One task to run in some worker, with its crash history."""
-
-    key: str  # task id, for attribution
-    kind: str  # "map" | "reduce"
-    payload: Any  # map: split index; reduce: (partition, map_results)
-    attempt_offset: int = 0  # attempts already consumed (crashed ones)
-    crashes: int = 0  # workers this task has killed so far
-
-
-@dataclass
 class _Worker:
     process: Any
     conn: Any
-    current: PoolTask | None = None
+    current: Task | None = None
     started_at: float = 0.0
     reaped: bool = False  # already killed by the task timeout
 
@@ -71,13 +60,13 @@ class _Worker:
 
 @dataclass
 class CrashTolerantPool:
-    """Runs batches of :class:`PoolTask` s across forked workers,
+    """Runs batches of :class:`~repro.exec.base.Task` s across forked workers,
     surviving worker death.  ``events`` accumulates the executor-level
     fault counters (crashes, timeouts, quarantines)."""
 
     ctx: Any  # a fork multiprocessing context
     workers: int
-    worker_target: Callable[[Any], None]  # worker_main(conn)
+    worker_target: Callable[[Any], None]  # worker_main(conn), handler bound
     max_attempts: int
     task_timeout: float = 0.0  # seconds; 0 disables reaping
     events: Counters = field(default_factory=Counters)
@@ -103,14 +92,16 @@ class CrashTolerantPool:
         return _Worker(process=process, conn=parent_conn)
 
     # ------------------------------------------------------------------
-    def run(self, tasks: list[PoolTask]) -> list[tuple]:
+    def run(self, tasks: list[Task], fetch_results: list | None = None) -> list[tuple]:
         """Run every task to an outcome; returns outcomes in the order
         of *tasks* (task order), each a ``(task_id, attempts, result,
-        error)`` tuple as produced by the worker entry points."""
-        pending: list[PoolTask] = list(tasks)
+        error)`` tuple as produced by the worker's handler.
+        *fetch_results* ships with every task (what reduces fetch from;
+        ``None`` otherwise)."""
+        pending: list[Task] = list(tasks)
         outcomes: dict[str, tuple] = {}
         while pending or any(w.busy for w in self._pool):
-            self._dispatch(pending)
+            self._dispatch(pending, fetch_results)
             self._reap_hung()
             ready = wait(
                 [w.conn for w in self._pool if w.busy]
@@ -126,7 +117,7 @@ class CrashTolerantPool:
                     self._lost(worker, worker.current, pending, outcomes)
         return [outcomes[task.key] for task in tasks]
 
-    def run_one(self, task: PoolTask) -> tuple:
+    def run_one(self, task: Task) -> tuple:
         """Run a single task to an outcome — the warm-pool lease path,
         where one leased single-worker pool runs one job at a time."""
         return self.run([task])[0]
@@ -155,7 +146,7 @@ class CrashTolerantPool:
         self.close()
 
     # ------------------------------------------------------------------
-    def _dispatch(self, pending: list[PoolTask]) -> None:
+    def _dispatch(self, pending: list[Task], fetch_results: list | None) -> None:
         # Snapshot: _replace mutates the pool; replacements spawned this
         # round get work on the next scheduling iteration.
         for worker in list(self._pool):
@@ -165,9 +156,7 @@ class CrashTolerantPool:
                 continue
             task = pending.pop(0)
             try:
-                worker.conn.send(
-                    (task.key, task.kind, task.payload, task.attempt_offset)
-                )
+                worker.conn.send((task, fetch_results))
             except (OSError, ValueError, BrokenPipeError):
                 # The worker died while idle; replace it and put the
                 # task back — nothing was lost, so no attempt is burned.
@@ -178,7 +167,7 @@ class CrashTolerantPool:
             worker.started_at = time.monotonic()
 
     def _finish(
-        self, worker: _Worker, pending: list[PoolTask], outcomes: dict[str, tuple]
+        self, worker: _Worker, pending: list[Task], outcomes: dict[str, tuple]
     ) -> None:
         task = worker.current
         assert task is not None
@@ -190,47 +179,28 @@ class CrashTolerantPool:
             self._lost(worker, task, pending, outcomes)
             return
         worker.current = None
-        task_id, attempts, _result, _error = outcome
-        if attempts:
-            self.attempts_seen[task_id] = attempts
+        note_attempts(self.attempts_seen, outcome[0], outcome[1])
         outcomes[task.key] = outcome
 
     def _lost(
         self,
         worker: _Worker,
-        task: PoolTask | None,
-        pending: list[PoolTask],
+        task: Task | None,
+        pending: list[Task],
         outcomes: dict[str, tuple],
     ) -> None:
         """A worker died while running *task*: account the lost attempt,
         reschedule on survivors or quarantine, replace the worker."""
         assert task is not None
         self.events.incr(Counter.WORKER_CRASHES)
-        task.crashes += 1
-        consumed = task.attempt_offset + 1  # the attempt that died
-        self.attempts_seen[task.key] = max(
-            self.attempts_seen.get(task.key, 0), consumed
-        )
+        note_attempts(self.attempts_seen, task.key, task.attempt_offset + 1)
         self._replace(worker)
-        if consumed >= self.max_attempts:
-            self.events.incr(Counter.TASKS_QUARANTINED)
-            error = JobFailedError(
-                f"task {task.key} quarantined after {task.crashes} worker "
-                f"crash(es), {consumed} attempt(s) consumed: every worker "
-                "that ran it died, so it is presumed poison"
-            )
-            outcomes[task.key] = (task.key, consumed, None, error)
+        lost = lose_attempt(task, self.max_attempts)
+        if isinstance(lost, Task):
+            pending.insert(0, lost)
         else:
-            pending.insert(
-                0,
-                PoolTask(
-                    key=task.key,
-                    kind=task.kind,
-                    payload=task.payload,
-                    attempt_offset=consumed,
-                    crashes=task.crashes,
-                ),
-            )
+            self.events.incr(Counter.TASKS_QUARANTINED)
+            outcomes[task.key] = lost
 
     def _replace(self, worker: _Worker) -> None:
         worker.current = None

@@ -19,154 +19,77 @@ are built from closures and lambdas that cannot pickle, so the job is
 staged in :mod:`repro.exec.workers`' context registry and inherited by
 the forked children instead of being sent to them (each worker is
 pinned to its executor's context id, so concurrent executors in one
-parent never cross wires).  The job's fault plan
-(if any) is installed in the parent *before* the fork for the same
-reason — workers inherit the armed injector.
+parent never cross wires).  The job's fault plan (if any) is installed
+by the job plan *before* :meth:`ProcessExecutor.open` forks, for the
+same reason — workers inherit the armed injector.
 
-After the reduces finish, every map output is *materialized* — copied
-from its temp directory into an in-memory
+The shuffle server (net mode) is the driver's own, in the parent: map
+workers register their :class:`~repro.exec.diskio.FileDisk` outputs
+with it over TCP, reduce workers fetch segments from it over TCP.  The
+node-combine stage also runs in the parent, reading the workers'
+temp-disk outputs.  After the reduces finish the plan *materializes*
+every map output — copied from its temp directory into an in-memory
 :class:`~repro.io.blockdisk.LocalDisk` (preserving the worker's disk
-stats) — and the temp tree is removed, so the returned
-:class:`~repro.engine.runner.JobResult` is as self-contained as a
-serial run's.
+stats) — and :meth:`~ProcessExecutor.close` removes the temp tree, so
+the returned :class:`~repro.engine.runner.JobResult` is as
+self-contained as a serial run's.
 """
 
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import shutil
 import tempfile
 
 from ..config import Keys
-from ..engine.counters import Counters
 from ..engine.job import JobSpec
-from ..engine.runner import JobResult
-from ..errors import ExecBackendError, JobFailedError, ReproError
-from ..faults.runtime import installed
 from . import workers
-from .base import (
-    Executor,
-    apply_node_combine,
-    assemble_job_result,
-    fault_plan_for,
-    job_splits,
-    map_task_id,
-    materialize_map_result,
-    reduce_task_id,
-    start_shuffle_server,
-)
-from .pool import CrashTolerantPool, PoolTask
+from .base import Executor
+from .pool import CrashTolerantPool
 
 
 class ProcessExecutor(Executor):
     """Runs task attempts in forked worker processes."""
 
     name = "process"
+    _pool: CrashTolerantPool | None = None
+    _tmp_root: str | None = None
+    _ctx_id: int | None = None
 
-    def run(self, job: JobSpec) -> JobResult:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError as exc:
-            raise ExecBackendError(
-                "the process backend requires the 'fork' start method, "
-                "which this platform does not provide"
-            ) from exc
-
-        splits = job_splits(job)
-        tmp_root = tempfile.mkdtemp(prefix=f"repro-exec-{job.name}-")
-        # The shuffle server (net mode) lives in the parent: map workers
-        # register their FileDisk outputs with it over TCP, reduce
-        # workers fetch segments from it over TCP.
-        server = start_shuffle_server(job, self.host)
-        shuffle_hosts = []
-        events = Counters()
-        ctx_id = workers.push_context(
-            job, tmp_root, self.host,
+    def open(self, job: JobSpec) -> None:
+        ctx = workers.fork_context(self.name)
+        server = self.shuffle_server()
+        self._tmp_root = tempfile.mkdtemp(prefix=f"repro-exec-{job.name}-")
+        self._ctx_id = workers.push_context(
+            job, self._tmp_root, self.host,
             shuffle_address=server.address if server is not None else None,
         )
-        try:
-            # Installed before the pool forks so workers inherit the
-            # armed injector along with the job context.  Workers are
-            # pinned to this executor's ctx_id: replacements forked
-            # while a concurrent executor is live in the same parent
-            # still resolve *this* job's context from the registry.
-            with installed(fault_plan_for(job)):
-                with CrashTolerantPool(
-                    ctx=ctx,
-                    workers=self.workers,
-                    worker_target=functools.partial(workers.worker_main, ctx_id=ctx_id),
-                    max_attempts=job.conf.get_positive_int(Keys.TASK_MAX_ATTEMPTS),
-                    task_timeout=job.conf.get_float(Keys.TASK_TIMEOUT),
-                    events=events,
-                ) as pool:
-                    pool.attempts_seen = self.task_attempts
-                    map_results = self._collect(
-                        pool.run(
-                            [
-                                PoolTask(key=map_task_id(job, i), kind="map", payload=i)
-                                for i in range(len(splits))
-                            ]
-                        )
-                    )
-                    # The node-combine stage runs in the parent: it reads
-                    # the workers' temp-disk outputs and (net mode)
-                    # registers its synthetic outputs with the parent's
-                    # shuffle server directly.
-                    fetch_results, node_combine = apply_node_combine(
-                        job, map_results, self.host, server=server
-                    )
-                    reduce_results = []
-                    if not job.conf.get_bool(Keys.EXEC_MAP_ONLY):
-                        reduce_results = self._collect(
-                            pool.run(
-                                [
-                                    PoolTask(
-                                        key=reduce_task_id(job, p),
-                                        kind="reduce",
-                                        payload=(p, fetch_results),
-                                    )
-                                    for p in range(job.num_reducers)
-                                ]
-                            )
-                        )
-            for result in map_results:
-                materialize_map_result(result)
-        finally:
-            workers.pop_context(ctx_id)
-            if server is not None:
-                # Stop serving before the spill files vanish with tmp_root.
-                server.stop()
-                shuffle_hosts.append(server.snapshot())
-            shutil.rmtree(tmp_root, ignore_errors=True)
-
-        return assemble_job_result(
-            job,
-            map_results,
-            reduce_results,
-            shuffle_hosts=shuffle_hosts,
-            task_attempts=self.task_attempts,
-            events=events,
-            node_combine=node_combine,
+        # Workers are pinned to this executor's ctx_id: replacements
+        # forked while a concurrent executor is live in the same parent
+        # still resolve *this* job's context from the registry.
+        handler = functools.partial(workers.task_entry, ctx_id=self._ctx_id)
+        self._pool = CrashTolerantPool(
+            ctx=ctx,
+            workers=self.workers,
+            worker_target=functools.partial(workers.worker_main, handler=handler),
+            max_attempts=job.conf.get_positive_int(Keys.TASK_MAX_ATTEMPTS),
+            task_timeout=job.conf.get_float(Keys.TASK_TIMEOUT),
+            events=self.events,
+            attempts_seen=self.task_attempts,
         )
 
-    def _collect(self, outcomes) -> list:
-        """Record attempt counts, then fail on the first failed task (in
-        task order) — matching the serial backend's failure order.
-        Whatever reached the parent is always a task-attributed error:
-        framework errors re-raise with their causal type, anything
-        opaque becomes a :class:`~repro.errors.JobFailedError` naming
-        the task and its attempt count."""
-        results = []
-        for task_id, attempts, result, error in outcomes:
-            if attempts:
-                self.task_attempts[task_id] = attempts
-            if error is not None:
-                if isinstance(error, ReproError):
-                    raise error
-                raise JobFailedError(
-                    f"task {task_id} failed in a worker process after "
-                    f"{max(attempts, 1)} attempt(s): {error!r}"
-                ) from error
-            results.append(result)
-        return results
+    def run_tasks(self, tasks, fetch_results):
+        assert self._pool is not None
+        return self._pool.run(tasks, fetch_results)
+
+    def close(self) -> list:
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
+        if self._ctx_id is not None:
+            workers.pop_context(self._ctx_id)
+            self._ctx_id = None
+        if self._tmp_root is not None:
+            shutil.rmtree(self._tmp_root, ignore_errors=True)
+            self._tmp_root = None
+        return []

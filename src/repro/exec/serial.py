@@ -1,32 +1,18 @@
 """The serial backend: every task on the calling thread, in order.
 
-This is the engine's original execution loop, extracted behind the
-:class:`~repro.exec.base.Executor` interface.  It is the reference the
-parallel backends are tested against — results must be bit-for-bit
-identical to what :class:`~repro.engine.runner.LocalJobRunner` produced
-before backends existed, including the per-node *shared_state* dict the
-frequency-buffering collector uses to share its frequent-key set across
-the tasks of one node.
+This is the engine's original execution loop behind the
+:class:`~repro.exec.base.Executor` transport interface.  It is the
+reference the parallel backends are tested against — results must be
+bit-for-bit identical to what :class:`~repro.engine.runner.LocalJobRunner`
+produced before backends existed, including the per-node *shared_state*
+dict the frequency-buffering collector uses to share its frequent-key
+set across the tasks of one node.
 """
 
 from __future__ import annotations
 
-from ..config import Keys
 from ..engine.job import JobSpec
-from ..engine.maptask import MapTaskResult
-from ..engine.reducetask import ReduceTaskResult
-from ..engine.runner import JobResult
-from ..faults.runtime import installed
-from .base import (
-    Executor,
-    apply_node_combine,
-    assemble_job_result,
-    fault_plan_for,
-    job_splits,
-    run_map_with_retries,
-    run_reduce_with_retries,
-    start_shuffle_server,
-)
+from .base import Executor, run_with_retries
 
 
 class SerialExecutor(Executor):
@@ -34,53 +20,19 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def run(self, job: JobSpec) -> JobResult:
-        with installed(fault_plan_for(job)):
-            return self._run(job)
+    def open(self, job: JobSpec) -> None:
+        self._shared_state: dict = {}
 
-    def _run(self, job: JobSpec) -> JobResult:
-        splits = job_splits(job)
-
-        server = start_shuffle_server(job, self.host)
-        shuffle_hosts = []
-        try:
-            shared_state: dict = {}
-            map_results: list[MapTaskResult] = []
-            for index, split in enumerate(splits):
-                result, _ = run_map_with_retries(
-                    job,
-                    index,
-                    split,
-                    self.host,
-                    shared_state=shared_state,
-                    attempts_out=self.task_attempts,
-                )
-                if server is not None:
-                    server.register(result.task_id, result.output_index, result.disk)
-                    result.serve_address = server.address
-                map_results.append(result)
-
-            fetch_results, node_combine = apply_node_combine(
-                job, map_results, self.host, server=server
+    def run_tasks(self, tasks, fetch_results):
+        return [
+            run_with_retries(
+                self.job,
+                task,
+                self.splits,
+                fetch_results,
+                self.host,
+                shared_state=self._shared_state,
+                attempts_out=self.task_attempts,
             )
-            reduce_results: list[ReduceTaskResult] = []
-            if not job.conf.get_bool(Keys.EXEC_MAP_ONLY):
-                for partition in range(job.num_reducers):
-                    result, _ = run_reduce_with_retries(
-                        job, partition, fetch_results, self.host,
-                        attempts_out=self.task_attempts,
-                    )
-                    reduce_results.append(result)
-        finally:
-            if server is not None:
-                server.stop()
-                shuffle_hosts.append(server.snapshot())
-
-        return assemble_job_result(
-            job,
-            map_results,
-            reduce_results,
-            shuffle_hosts=shuffle_hosts,
-            task_attempts=self.task_attempts,
-            node_combine=node_combine,
-        )
+            for task in tasks
+        ]

@@ -13,95 +13,41 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
-from ..config import Keys
 from ..engine.job import JobSpec
-from ..engine.maptask import MapTaskResult
-from ..engine.reducetask import ReduceTaskResult
-from ..engine.runner import JobResult
-from ..faults.runtime import installed
-from .base import (
-    Executor,
-    apply_node_combine,
-    assemble_job_result,
-    fault_plan_for,
-    job_splits,
-    run_map_with_retries,
-    run_reduce_with_retries,
-    start_shuffle_server,
-)
+from .base import Executor, run_with_retries
 
 
 class ThreadExecutor(Executor):
     """Runs task attempts on a ``ThreadPoolExecutor``."""
 
     name = "thread"
+    _pool: ThreadPoolExecutor | None = None
 
-    def run(self, job: JobSpec) -> JobResult:
-        with installed(fault_plan_for(job)):
-            return self._run(job)
-
-    def _run(self, job: JobSpec) -> JobResult:
-        splits = job_splits(job)
-
-        server = start_shuffle_server(job, self.host)
-        shuffle_hosts = []
-        try:
-            with ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix=f"{job.name}.exec"
-            ) as pool:
-                map_futures = [
-                    pool.submit(
-                        run_map_with_retries,
-                        job,
-                        index,
-                        split,
-                        self.host,
-                        attempts_out=self.task_attempts,
-                    )
-                    for index, split in enumerate(splits)
-                ]
-                # Collect in task order; the first failing task (in task
-                # order) fails the job, matching the serial backend.
-                map_results: list[MapTaskResult] = [
-                    future.result()[0] for future in map_futures
-                ]
-                if server is not None:
-                    # The map barrier above means every output is final
-                    # before any reducer fetches.
-                    for result in map_results:
-                        server.register(
-                            result.task_id, result.output_index, result.disk
-                        )
-                        result.serve_address = server.address
-
-                fetch_results, node_combine = apply_node_combine(
-                    job, map_results, self.host, server=server
-                )
-                # Barrier: every reduce needs every map's output.
-                reduce_results: list[ReduceTaskResult] = []
-                if not job.conf.get_bool(Keys.EXEC_MAP_ONLY):
-                    reduce_futures = [
-                        pool.submit(
-                            run_reduce_with_retries,
-                            job,
-                            partition,
-                            fetch_results,
-                            self.host,
-                            attempts_out=self.task_attempts,
-                        )
-                        for partition in range(job.num_reducers)
-                    ]
-                    reduce_results = [future.result()[0] for future in reduce_futures]
-        finally:
-            if server is not None:
-                server.stop()
-                shuffle_hosts.append(server.snapshot())
-
-        return assemble_job_result(
-            job,
-            map_results,
-            reduce_results,
-            shuffle_hosts=shuffle_hosts,
-            task_attempts=self.task_attempts,
-            node_combine=node_combine,
+    def open(self, job: JobSpec) -> None:
+        self._pool = ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix=f"{job.name}.exec"
         )
+
+    def run_tasks(self, tasks, fetch_results):
+        assert self._pool is not None
+        futures = [
+            self._pool.submit(
+                run_with_retries,
+                self.job,
+                task,
+                self.splits,
+                fetch_results,
+                self.host,
+                attempts_out=self.task_attempts,
+            )
+            for task in tasks
+        ]
+        # Collect in task order; the first failing task (in task order)
+        # fails the job, matching the serial backend.
+        return [future.result() for future in futures]
+
+    def close(self) -> list:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+        return []

@@ -1,4 +1,4 @@
-"""Worker-process entry points for the process backend.
+"""Worker-process entry points shared by every out-of-process transport.
 
 The job is handed to workers through a context registry populated
 *before* the pool is created under the ``fork`` start method: forked
@@ -9,24 +9,40 @@ ledgers, counters, spill indexes, and a :class:`~repro.exec.diskio.
 FileDisk` handle pointing at the spill files the worker left on real
 disk for the parent and the reduce workers to read.
 
-Entry points return ``(task_id, attempts, result, error)`` rather than
+Handlers return ``(task_id, attempts, result, error)`` rather than
 raising, so the parent can record attempt counts before propagating the
-failure in task order.
+failure in task order.  One discipline serves the pool's worker loop
+(:func:`worker_main`), the cluster's worker daemon and the serve lease:
+:func:`run_entry` turns every error into an outcome, and
+:func:`send_outcome` degrades an outcome that will not pickle.
 """
 
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 from ..engine.job import JobSpec
-from ..engine.maptask import MapTaskResult
 from ..errors import ExecBackendError, JobFailedError, ReproError
 from ..faults.runtime import mark_worker_process
-from .base import map_task_id, reduce_task_id, run_map_with_retries, run_reduce_with_retries
+from .base import Task, run_with_retries
 from .diskio import FileDisk
+
+
+def fork_context(backend: str):
+    """The ``fork`` multiprocessing context *backend* needs: jobs reach
+    workers by inheritance (see :class:`WorkerContext`), never by pickle."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError as exc:
+        raise ExecBackendError(
+            f"the {backend} backend requires the 'fork' start method, "
+            "which this platform does not provide"
+        ) from exc
 
 
 @dataclass
@@ -93,18 +109,14 @@ def worker_context(ctx_id: int) -> WorkerContext:
     return _context(ctx_id)
 
 
-def map_entry(index: int, attempt_offset: int = 0, ctx_id: int = 0):
-    """Run map task *index* in this worker process.  *attempt_offset*
-    is the number of attempts this task already consumed in workers
-    that died running it (threaded through by the crash-tolerant pool
-    so the cumulative budget survives reschedules)."""
+def task_entry(task: Task, fetch_results: list | None, ctx_id: int = 0) -> tuple:
+    """Run one map or reduce task of the context's job in this worker
+    process.  ``task.attempt_offset`` is the number of attempts the task
+    already consumed in workers that died running it (threaded through
+    by the scheduler so the cumulative budget survives reschedules)."""
     ctx = _context(ctx_id)
     job = ctx.job
-    task_id = map_task_id(job, index)
-    # Splits are recomputed in the child (deterministic from the job's
-    # input format) so only the index crosses the process boundary.
-    split = job.input_format.splits()[index]
-    attempt_seq = itertools.count(attempt_offset)
+    attempt_seq = itertools.count(task.attempt_offset)
 
     def disk_factory(tid: str) -> FileDisk:
         # A fresh directory per attempt mirrors LocalDisk's
@@ -112,72 +124,91 @@ def map_entry(index: int, attempt_offset: int = 0, ctx_id: int = 0):
         root = os.path.join(ctx.tmp_root, f"{tid}.attempt{next(attempt_seq)}")
         return FileDisk(root, f"{tid}.disk")
 
+    # Splits are recomputed in the child (deterministic from the job's
+    # input format) so only the index crosses the process boundary.
+    splits = job.input_format.splits() if task.kind == "map" else []
     attempts_seen: dict[str, int] = {}
     try:
-        result, attempts = run_map_with_retries(
+        outcome = run_with_retries(
             job,
-            index,
-            split,
+            task,
+            splits,
+            fetch_results,
             ctx.host,
             disk_factory=disk_factory,
             attempts_out=attempts_seen,
-            attempt_offset=attempt_offset,
         )
-        if ctx.shuffle_address is not None:
-            # Announce the finished output to this node's shuffle server
-            # over the wire; the server reads the worker's spill files
-            # itself when reducers ask for segments.
-            from ..shuffle.fetcher import register_output
-
-            register_output(
-                ctx.shuffle_address,
-                task_id,
-                result.disk.root,
-                result.disk.name,
-                result.output_index,
-            )
-            result.serve_address = ctx.shuffle_address
-        return task_id, attempts, result, None
     except JobFailedError as exc:
-        return task_id, attempts_seen.get(task_id, 0), None, exc
+        return task.key, attempts_seen.get(task.key, 0), None, exc
+    if task.kind == "map" and ctx.shuffle_address is not None:
+        # Announce the finished output to this node's shuffle server
+        # over the wire; the server reads the worker's spill files
+        # itself when reducers ask for segments.
+        from ..shuffle.fetcher import register_output
+
+        result = outcome[2]
+        register_output(
+            ctx.shuffle_address,
+            task.key,
+            result.disk.root,
+            result.disk.name,
+            result.output_index,
+        )
+        result.serve_address = ctx.shuffle_address
+    return outcome
 
 
-def reduce_entry(
-    work: tuple[int, list[MapTaskResult]], attempt_offset: int = 0, ctx_id: int = 0
-):
-    """Run one reduce partition against pickled map results."""
-    ctx = _context(ctx_id)
-    job = ctx.job
-    partition, map_results = work
-    task_id = reduce_task_id(job, partition)
-    attempts_seen: dict[str, int] = {}
+def run_entry(
+    handler: Callable[[Task, "list | None"], tuple],
+    task: Task,
+    fetch_results: list | None,
+) -> tuple:
+    """Run *task* through *handler*; every error becomes an outcome —
+    a worker's only exits are orderly shutdown and abrupt death."""
     try:
-        result, attempts = run_reduce_with_retries(
-            job,
-            partition,
-            map_results,
-            ctx.host,
-            attempts_out=attempts_seen,
-            attempt_offset=attempt_offset,
+        return handler(task, fetch_results)
+    except ReproError as exc:
+        # Framework errors the handler does not convert (shuffle
+        # registration failures, config problems): ship them whole so
+        # the parent re-raises the causal type.
+        return (task.key, 0, None, exc)
+    except BaseException as exc:  # noqa: BLE001 - worker must not die on user junk
+        return (
+            task.key,
+            0,
+            None,
+            ExecBackendError(f"worker failed running {task.key}: {exc!r}"),
         )
-        return task_id, attempts, result, None
-    except JobFailedError as exc:
-        return task_id, attempts_seen.get(task_id, 0), None, exc
 
 
-def worker_main(conn, ctx_id: int = 0) -> None:
+def send_outcome(send: Callable[[tuple], None], outcome: tuple) -> None:
+    """Ship *outcome* through *send*; one that will not pickle degrades
+    to an error outcome (attempt counts are still useful to the parent)."""
+    try:
+        send(outcome)
+    except Exception as exc:  # noqa: BLE001 - pickling can fail arbitrarily
+        send(
+            (
+                outcome[0],
+                outcome[1],
+                None,
+                ExecBackendError(f"result of {outcome[0]} is unpicklable: {exc!r}"),
+            )
+        )
+
+
+def worker_main(conn, handler: Callable[[Task, "list | None"], tuple]) -> None:
     """The long-lived worker loop the crash-tolerant pool forks.
 
-    *ctx_id* pins the worker to its executor's registered context, so
-    replacement workers forked while other executors are live in the
-    same parent never run against a different job's context.
-
-    Receives ``(key, kind, payload, attempt_offset)`` messages over the
-    pipe, runs the matching entry point, and sends back its
-    ``(task_id, attempts, result, error)`` outcome.  A ``None`` message
-    (or pipe EOF) shuts the worker down.  Every error becomes an
-    outcome — the only exits are orderly shutdown and abrupt death,
-    which the parent observes via the process sentinel.
+    Receives ``(task, fetch_results)`` messages over the pipe, runs
+    *handler* on each and sends back its ``(task_id, attempts, result,
+    error)`` outcome.  A ``None`` message (or pipe EOF) shuts the worker
+    down; abrupt death the parent observes via the process sentinel.
+    The process backend binds :func:`task_entry` to its executor's
+    context id, so replacement workers forked while other executors are
+    live in the same parent never run against a different job's
+    context; the serve lease binds a handler that rebuilds the
+    submission in-child.
     """
     mark_worker_process()
     while True:
@@ -187,35 +218,5 @@ def worker_main(conn, ctx_id: int = 0) -> None:
             break
         if message is None:
             break
-        key, kind, payload, attempt_offset = message
-        try:
-            if kind == "map":
-                outcome = map_entry(payload, attempt_offset, ctx_id=ctx_id)
-            else:
-                outcome = reduce_entry(payload, attempt_offset, ctx_id=ctx_id)
-        except ReproError as exc:
-            # Framework errors the entries do not convert (shuffle
-            # registration failures, config problems): ship them whole
-            # so the parent re-raises the causal type.
-            outcome = (key, 0, None, exc)
-        except BaseException as exc:  # noqa: BLE001 - worker must not die on user junk
-            outcome = (
-                key,
-                0,
-                None,
-                ExecBackendError(f"worker failed running {key}: {exc!r}"),
-            )
-        try:
-            conn.send(outcome)
-        except Exception as exc:  # noqa: BLE001 - pickling can fail arbitrarily
-            # The outcome itself would not pickle; degrade to an error
-            # outcome (attempt counts are still useful to the parent).
-            conn.send(
-                (
-                    outcome[0],
-                    outcome[1],
-                    None,
-                    ExecBackendError(f"result of {key} is unpicklable: {exc!r}"),
-                )
-            )
+        send_outcome(conn.send, run_entry(handler, *message))
     conn.close()

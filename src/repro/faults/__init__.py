@@ -15,9 +15,9 @@ and chaos tests never flake.
 Select a plan with the ``repro.faults.spec`` conf key, the ``--fault``
 CLI flag on ``repro run`` / ``repro pipeline``, or the ``REPRO_FAULT``
 environment variable; see :mod:`repro.faults.plan` for the spec
-grammar.  The shuffle-specific plan the shuffle server consumes lives
-on in :mod:`repro.faults.shuffle` (``repro.shuffle.faults`` remains as
-a compatibility shim).
+grammar.  The shuffle-specific plan the shuffle server consumes is
+derived from the unified plan's ``shuffle.*`` rule in
+:mod:`repro.faults.shuffle`.
 """
 
 from __future__ import annotations

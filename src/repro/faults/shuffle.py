@@ -21,25 +21,21 @@ Kinds
               a client timeout below the delay this is a slow-peer
               retry; above it, just measured slowness).
 
-Configure with the ``repro.shuffle.fault.*`` conf keys or the
-``REPRO_SHUFFLE_FAULT`` environment variable
-(``kind:fraction[:attempts]``, e.g. ``truncate:0.25:2``), which
-overrides the conf keys — handy for injecting faults under an
-unmodified CLI invocation.
+Configure with a ``shuffle.<kind>:fraction[:attempts]`` rule in the
+unified fault spec (``repro.faults.spec`` / ``--fault`` / ``REPRO_FAULT``,
+see :mod:`repro.faults.plan`); :meth:`FaultPlan.from_unified` is the
+only bridge, so one spec and one seed drive every site.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
 from dataclasses import dataclass
 
-from ..config import JobConf, Keys
 from ..errors import ConfigError
+from .plan import FaultPlan as UnifiedFaultPlan
 
 FAULT_KINDS = ("none", "refuse", "drop", "truncate", "delay")
-
-ENV_OVERRIDE = "REPRO_SHUFFLE_FAULT"
 
 
 @dataclass(frozen=True)
@@ -75,31 +71,17 @@ class FaultPlan:
         return (digest % 1_000_000) < self.fraction * 1_000_000
 
     @classmethod
-    def from_conf(cls, conf: JobConf) -> "FaultPlan":
-        """Build a plan from conf keys, with the environment override
-        ``REPRO_SHUFFLE_FAULT=kind:fraction[:attempts]`` taking
-        precedence when set."""
-        kind = conf.get_str(Keys.SHUFFLE_FAULT_KIND)
-        fraction = conf.get_fraction(Keys.SHUFFLE_FAULT_FRACTION)
-        attempts = conf.get_positive_int(Keys.SHUFFLE_FAULT_ATTEMPTS)
-        spec = os.environ.get(ENV_OVERRIDE, "").strip()
-        if spec:
-            parts = spec.split(":")
-            if len(parts) not in (2, 3):
-                raise ConfigError(
-                    f"{ENV_OVERRIDE}={spec!r} must look like kind:fraction[:attempts]"
-                )
-            kind = parts[0]
-            try:
-                fraction = float(parts[1])
-                if len(parts) == 3:
-                    attempts = int(parts[2])
-            except ValueError as exc:
-                raise ConfigError(f"{ENV_OVERRIDE}={spec!r} is malformed: {exc}") from exc
+    def from_unified(cls, unified: UnifiedFaultPlan) -> "FaultPlan":
+        """The shuffle server's plan under a unified fault plan: its
+        first ``shuffle.*`` rule with the plan's seed and delay, or the
+        disabled plan when it has none."""
+        rule = unified.rule("shuffle")
+        if rule is None:
+            return cls()
         return cls(
-            kind=kind,
-            fraction=fraction,
-            attempts=attempts,
-            delay_seconds=conf.get_float(Keys.SHUFFLE_FAULT_DELAY),
-            seed=conf.get_int(Keys.SHUFFLE_FAULT_SEED),
+            kind=rule.kind,
+            fraction=rule.fraction,
+            attempts=rule.attempts,
+            delay_seconds=unified.delay_seconds,
+            seed=unified.seed,
         )

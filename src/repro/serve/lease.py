@@ -5,7 +5,7 @@ every run; a job service paying it per *submission* would hand the
 savings straight back.  The :class:`WarmPoolManager` keeps a fixed set
 of single-worker :class:`~repro.exec.pool.CrashTolerantPool` instances
 alive across jobs: a submission *leases* a slot, runs its whole job
-inside that worker (see :func:`serve_worker_main`), and returns the
+inside that worker (see :func:`job_entry`), and returns the
 slot — the fork happened once, at service start.
 
 Fault tolerance rides on the pool's existing machinery: a worker that
@@ -25,57 +25,32 @@ submission).
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import threading
 from dataclasses import dataclass, field
 
-from ..errors import ExecBackendError, ReproError, ServeError
-from ..exec.pool import CrashTolerantPool, PoolTask
-from ..faults.runtime import mark_worker_process
+from ..errors import ExecBackendError, ServeError
+from ..exec.base import Task
+from ..exec.pool import CrashTolerantPool
+from ..exec.workers import worker_main
 from .request import JobOutcome, JobRequest, execute_request
 
 
-def serve_worker_main(conn) -> None:
-    """The long-lived serve worker loop (forked by the pool).
+def job_entry(task: Task, _fetch_results: None = None) -> tuple:
+    """The ``"job"`` handler of a serve worker.
 
-    Unlike the process backend's :func:`~repro.exec.workers.worker_main`
+    Unlike the process backend's :func:`~repro.exec.workers.task_entry`
     — whose tasks resolve a fork-inherited job context — serve workers
     are forked *before* the submissions they will run exist, so each
-    ``job`` message carries a self-contained :class:`~repro.serve.
+    task's payload carries a self-contained :class:`~repro.serve.
     request.JobRequest` dict and the job is rebuilt in-child from the
-    app/pipeline registries.  Messages and outcomes follow the pool's
-    ``(key, kind, payload, attempt_offset)`` →
-    ``(task_id, attempts, result, error)`` protocol.
+    app/pipeline registries.  Errors become outcomes in the shared
+    :func:`~repro.exec.workers.run_entry`.
     """
-    mark_worker_process()
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message is None:
-            break
-        key, _kind, payload, attempt_offset = message
-        request_dict, cache_dir = payload
-        try:
-            outcome = execute_request(JobRequest.from_dict(request_dict), cache_dir)
-            reply = (key, attempt_offset + 1, outcome, None)
-        except ReproError as exc:
-            reply = (key, attempt_offset + 1, None, exc)
-        except BaseException as exc:  # noqa: BLE001 - worker must not die on user junk
-            reply = (
-                key,
-                attempt_offset + 1,
-                None,
-                ServeError(f"submission {key} failed in worker: {exc!r}"),
-            )
-        try:
-            conn.send(reply)
-        except Exception as exc:  # noqa: BLE001 - pickling can fail arbitrarily
-            conn.send(
-                (key, reply[1], None, ServeError(f"result of {key} unpicklable: {exc!r}"))
-            )
-    conn.close()
+    request_dict, cache_dir = task.payload
+    outcome = execute_request(JobRequest.from_dict(request_dict), cache_dir)
+    return task.key, task.attempt_offset + 1, outcome, None
 
 
 @dataclass
@@ -123,7 +98,7 @@ class WarmPoolManager:
             pool=CrashTolerantPool(
                 ctx=self._ctx,
                 workers=1,
-                worker_target=serve_worker_main,
+                worker_target=functools.partial(worker_main, handler=job_entry),
                 max_attempts=self.max_attempts,
             )
         )
@@ -138,7 +113,7 @@ class WarmPoolManager:
         """
         slot = self._acquire(timeout)
         try:
-            task = PoolTask(
+            task = Task(
                 key=key, kind="job", payload=(request.as_dict(), self.cache_dir)
             )
             _task_id, _attempts, outcome, error = slot.pool.run_one(task)

@@ -18,10 +18,10 @@ replaces the transport with real localhost TCP:
     :class:`~repro.shuffle.service.NetShuffleService` feeds the fetched
     segments into the engine's MergeManager-style budgeted merge and
     charges ``Op.SHUFFLE`` from measured socket bytes and wall time.
-``faults``
-    A deterministic fault-injection plan (refuse / drop / truncate /
-    delay a configurable fraction of fetches) so the retry paths are
-    exercised on demand.
+
+The server's deterministic fault-injection plan (refuse / drop /
+truncate / delay a configurable fraction of fetches, so the retry paths
+are exercised on demand) lives in :mod:`repro.faults.shuffle`.
 
 Select with ``repro.shuffle.mode = net`` (CLI: ``--shuffle net
 --shuffle-fetchers N``); the default ``mem`` keeps the modelled path.
@@ -30,14 +30,11 @@ Select with ``repro.shuffle.mode = net`` (CLI: ``--shuffle net
 from __future__ import annotations
 
 from ..errors import ShuffleError, ShuffleTransportError
-from .faults import FAULT_KINDS, FaultPlan
 from .fetcher import FetcherPool, FetchPlanEntry, FetchResult, RetryPolicy, register_output
 from .server import ShuffleHostStats, ShuffleServer
 from .service import NetShuffleService
 
 __all__ = [
-    "FAULT_KINDS",
-    "FaultPlan",
     "FetchPlanEntry",
     "FetchResult",
     "FetcherPool",

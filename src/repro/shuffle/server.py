@@ -15,7 +15,7 @@ outputs reach it two ways:
 
 Every ``GET`` response carries the spill index entry's CRC so the
 fetcher can validate the bytes it actually received.  A configured
-:class:`~repro.shuffle.faults.FaultPlan` is applied between lookup and
+:class:`~repro.faults.shuffle.FaultPlan` is applied between lookup and
 response, deterministically refusing / dropping / truncating / delaying
 the selected fraction of fetches.
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from ..errors import DiskError, SerdeError, ShuffleError
 from ..io.blockdisk import LocalDisk
 from ..io.spillfile import SegmentIndexEntry, SpillIndex, segment_bytes
-from .faults import FaultPlan
+from ..faults.shuffle import FaultPlan
 from . import wire
 
 

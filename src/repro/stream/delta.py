@@ -3,15 +3,14 @@
 A job whose input grew by appending shares most of its splits with the
 previous run: every split whose effective byte range is unchanged would
 produce an identical map output, so re-running its map task is pure
-waste.  :func:`delta_run_job` runs the map phase only for new/changed
-splits (via :class:`~repro.engine.inputformat.SplitSubsetInput` and the
-``repro.exec.map.only`` switch, on whichever backend the job is
-configured for), rebuilds the unchanged splits' outputs from the
-:class:`~repro.stream.manifest.SplitManifest`, and feeds the combined,
-split-ordered map results through the normal reduce phase — the
-budgeted merge in :mod:`repro.io.merger` via the in-memory
-:class:`~repro.engine.shuffle.ShuffleService`.  The result is
-byte-identical to a cold full run because:
+waste.  :func:`delta_run_job` is not a job driver: it computes split
+content keys, rebuilds the unchanged splits' outputs from the
+:class:`~repro.stream.manifest.SplitManifest`, and hands them to the
+one job plan as ``executor.run(job, reuse={index: result})`` — map
+tasks then run only for the new/changed splits, under the job's real
+task ids, and node-combine and the reduce phase run on the job's own
+backend and shuffle mode like any job's.  The result is byte-identical
+to a cold full run because:
 
 * a split's map output is a deterministic function of its effective
   bytes, the user code, and the semantic configuration — all digested
@@ -32,25 +31,19 @@ non-text input) falls back to a full recompute.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import zlib
 from dataclasses import dataclass, field
 
 from ..config import Keys
 from ..engine.counters import Counter, Counters
-from ..engine.inputformat import SplitSubsetInput, TextInput
+from ..engine.inputformat import TextInput
 from ..engine.instrumentation import Ledger
 from ..engine.job import JobSpec, semantic_conf_items, source_fingerprint
 from ..engine.maptask import MapTaskResult
 from ..engine.pipeline import PipelineResult
-from ..engine.runner import JobResult, lint_at_submit
-from ..exec.base import (
-    apply_node_combine,
-    assemble_job_result,
-    map_task_id,
-    run_reduce_with_retries,
-)
+from ..engine.runner import JobResult, executor_for, lint_at_submit
+from ..exec.base import map_task_id
 from ..io.blockdisk import LocalDisk
 from ..io.linereader import FileSplit
 from ..io.spillfile import SegmentIndexEntry, SpillIndex, segment_payload
@@ -193,19 +186,6 @@ def _rebuild_map_result(
     )
 
 
-def _run_executor(job: JobSpec, host: str, task_attempts: dict[str, int]) -> JobResult:
-    """Run *job* on its configured backend, lint already applied."""
-    from ..exec import create_executor
-
-    executor = create_executor(
-        job.conf.get_str(Keys.EXEC_BACKEND),
-        workers=job.conf.get_int(Keys.EXEC_WORKERS),
-        host=host,
-    )
-    executor.task_attempts = task_attempts
-    return executor.run(job)
-
-
 def delta_run_job(
     job: JobSpec, manifest: SplitManifest, host: str = "localhost"
 ) -> DeltaOutcome:
@@ -217,10 +197,10 @@ def delta_run_job(
     exactly the job a full run would.
     """
     job, lint_report = lint_at_submit(job)
-    task_attempts: dict[str, int] = {}
+    executor = executor_for(job, host)
     eligible, reason = delta_eligibility(job, lint_report)
     if not eligible:
-        result = _run_executor(job, host, task_attempts)
+        result = executor.run(job)
         result.lint_report = lint_report
         result.counters.incr(Counter.STREAM_SPLITS_RECOMPUTED, len(result.map_results))
         return DeltaOutcome(
@@ -236,84 +216,39 @@ def delta_run_job(
     prefix = _job_key_prefix(job)
     keys = [split_content_key(job, base.data, split, prefix) for split in splits]
 
-    reused: dict[int, CachedSegments] = {}
-    changed: list[int] = []
+    # Rebuilt results carry no accounting (no work happened) and, in the
+    # manifest, stay per split: the plan folds them per node only on the
+    # way to the reducers.
+    reuse: dict[int, MapTaskResult] = {}
     for index, key in enumerate(keys):
         cached = manifest.get(key)
         if cached is not None and cached.num_partitions == job.num_reducers:
-            reused[index] = cached
-        else:
-            changed.append(index)
+            reuse[index] = _rebuild_map_result(job, index, splits[index], cached)
 
-    fresh: dict[int, MapTaskResult] = {}
-    if changed:
-        sub_conf = job.conf.copy()
-        sub_conf.set(Keys.EXEC_MAP_ONLY, True)
-        sub_job = dataclasses.replace(
-            job,
-            name=f"{job.name}.delta",
-            input_format=SplitSubsetInput(base, changed),
-            conf=sub_conf,
-        )
-        sub_result = _run_executor(sub_job, host, task_attempts)
-        for position, index in enumerate(changed):
-            fresh[index] = sub_result.map_results[position]
-
-    # Split order decides merge tie-breaking: cached and fresh segments
-    # must interleave exactly as a full run's map outputs would.
-    map_results = [
-        fresh[index] if index in fresh else _rebuild_map_result(job, index, splits[index], reused[index])
-        for index in range(len(splits))
-    ]
-
-    # The reduce phase always reads segments directly (the in-memory
-    # ShuffleService over the budgeted merger) — rebuilt disks have no
-    # shuffle server behind them, and mem/net reduces are byte-identical.
-    reduce_conf = job.conf.copy()
-    reduce_conf.set(Keys.SHUFFLE_MODE, "mem")
-    reduce_job = dataclasses.replace(job, conf=reduce_conf)
-    # In-node combining applies to the rebuilt (cached + fresh) outputs
-    # exactly as a full run would apply it to a node's map outputs; the
-    # per-split segments in the manifest stay untouched.
-    fetch_results, node_combine = apply_node_combine(reduce_job, map_results, host)
-    reduce_results = []
-    for partition in range(job.num_reducers):
-        reduce_result, _ = run_reduce_with_retries(
-            reduce_job, partition, fetch_results, host, attempts_out=task_attempts
-        )
-        reduce_results.append(reduce_result)
+    result = executor.run(job, reuse=reuse)
+    result.lint_report = lint_report
 
     # Only after a fully successful run do fresh segments enter the
     # manifest — a failed batch must leave it exactly as it was.
+    changed = [index for index in range(len(splits)) if index not in reuse]
     for index in changed:
-        result = fresh[index]
+        fresh = result.map_results[index]
         payloads = [
-            segment_payload(result.disk, result.output_index, partition)
+            segment_payload(fresh.disk, fresh.output_index, partition)
             for partition in range(job.num_reducers)
         ]
         records = [
-            result.output_index.entry(partition).records
+            fresh.output_index.entry(partition).records
             for partition in range(job.num_reducers)
         ]
         manifest.put(keys[index], payloads, records)
 
-    events = Counters()
-    events.incr(Counter.STREAM_SPLITS_REUSED, len(reused))
-    events.incr(Counter.STREAM_SPLITS_RECOMPUTED, len(changed))
-    job_result = assemble_job_result(
-        job,
-        map_results,
-        reduce_results,
-        shuffle_hosts=[],
-        task_attempts=task_attempts,
-        events=events,
-        node_combine=node_combine,
-    )
-    job_result.lint_report = lint_report
+    result.counters.incr(Counter.STREAM_SPLITS_REUSED, len(reuse))
+    result.counters.incr(Counter.STREAM_SPLITS_RECOMPUTED, len(changed))
     return DeltaOutcome(
-        result=job_result,
+        result=result,
         eligible=True,
-        reused=len(reused),
+        reused=len(reuse),
         recomputed=len(changed),
         split_keys=keys,
     )

@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import fnmatch
+import glob
+import multiprocessing
+import os
+import tempfile
+import threading
+
 import pytest
 
 from repro.config import JobConf, Keys
@@ -10,6 +17,48 @@ from repro.engine.inputformat import TextInput
 from repro.engine.job import JobSpec
 from repro.serde.numeric import VIntWritable
 from repro.serde.text import Text
+
+
+#: Suites whose tests start executors, daemons, pools or shuffle servers.
+LEAK_CHECKED = tuple(
+    f"tests/{suite}/" for suite in ("exec", "cluster", "stream", "serve", "faults")
+)
+#: Threads a finished job must not leave running: thread-backend workers
+#: (``<job>.exec_N``), the master's accept loop, daemon heartbeats, and
+#: shuffle-server accept loops.
+LEAKY_THREADS = ("*.exec*", "cluster-master-accept", "heartbeat-*", "shuffle-server*")
+#: Temp trees the process and cluster backends spill into.
+LEAKY_TREES = ("repro-exec-*", "repro-cluster-*")
+
+
+def _temp_trees() -> set[str]:
+    root = tempfile.gettempdir()
+    return {path for pattern in LEAKY_TREES for path in glob.glob(os.path.join(root, pattern))}
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_execution_resources(request):
+    """After every test of the executing suites — clean and
+    fault-injected alike — no job thread, child process or temp tree
+    outlives the test that started it."""
+    if not request.node.nodeid.startswith(LEAK_CHECKED):
+        yield
+        return
+    threads_before = set(threading.enumerate())
+    trees_before = _temp_trees()
+    yield
+    leaked = []
+    for thread in set(threading.enumerate()) - threads_before:
+        if any(fnmatch.fnmatch(thread.name, pattern) for pattern in LEAKY_THREADS):
+            thread.join(timeout=2.0)  # shutdown was requested; let it land
+            if thread.is_alive():
+                leaked.append(f"thread {thread.name}")
+    for child in multiprocessing.active_children():  # reaps the finished ones
+        child.join(timeout=2.0)
+        if child.is_alive():
+            leaked.append(f"child process {child.name} (pid {child.pid})")
+    leaked.extend(f"temp tree {path}" for path in sorted(_temp_trees() - trees_before))
+    assert not leaked, f"leaked by {request.node.nodeid}: {leaked}"
 
 
 class TokenMapper(Mapper):

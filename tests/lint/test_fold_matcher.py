@@ -151,6 +151,10 @@ def test_the_matcher_and_a_default_run_leave_the_pipeline_analysis_unloaded():
         "assert result.counters.as_dict()['combine_input_records'] > 0",
         "loaded = [m for m in sys.modules if m.startswith(('repro.dag', 'repro.lint.opt.pipeline'))]",
         "assert not loaded, loaded",
+        # Backends register by dotted name: a serial run loads neither
+        # the thread pool's nor the process pool's machinery.
+        "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]",
+        "assert not loaded, loaded",
         # The lazy names are still the public ones.
         "from repro.lint import PipelineAnalysis, analyze_pipeline",
         "from repro.lint.opt import StageAnalysis",

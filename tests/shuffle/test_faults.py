@@ -19,9 +19,11 @@ from repro.engine.counters import Counter
 from repro.engine.runner import LocalJobRunner
 from repro.errors import ConfigError, ShuffleError
 from repro.experiments.common import build_app
+from repro.faults.plan import ENV_OVERRIDE
+from repro.faults.plan import FaultPlan as UnifiedFaultPlan
+from repro.faults.shuffle import FaultPlan
 from repro.io.blockdisk import LocalDisk
 from repro.io.spillfile import write_spill
-from repro.shuffle.faults import ENV_OVERRIDE, FaultPlan
 from repro.shuffle.fetcher import FetchPlanEntry, RetryPolicy, fetch_segment
 from repro.shuffle.server import ShuffleServer
 
@@ -45,20 +47,30 @@ class TestFaultPlan:
         with pytest.raises(ConfigError, match=">= 1"):
             FaultPlan(kind="drop", fraction=0.5, attempts=0)
 
+    def test_the_unified_spec_is_the_only_source(self):
+        conf = JobConf({Keys.FAULTS_SPEC: "disk.corrupt:0.5;shuffle.delay:0.1:3",
+                        Keys.FAULTS_SEED: 7, Keys.FAULTS_DELAY: 0.2})
+        plan = FaultPlan.from_unified(UnifiedFaultPlan.from_conf(conf))
+        assert plan == FaultPlan(
+            kind="delay", fraction=0.1, attempts=3, delay_seconds=0.2, seed=7
+        )
+        # No shuffle rule, no shuffle faults — whatever else is armed.
+        quiet = JobConf({Keys.FAULTS_SPEC: "disk.corrupt:0.5"})
+        assert not FaultPlan.from_unified(UnifiedFaultPlan.from_conf(quiet)).enabled
+
     def test_env_override_beats_conf(self, monkeypatch):
-        conf = JobConf({Keys.SHUFFLE_FAULT_KIND: "refuse",
-                        Keys.SHUFFLE_FAULT_FRACTION: 0.1})
-        monkeypatch.setenv(ENV_OVERRIDE, "truncate:0.25:2")
-        plan = FaultPlan.from_conf(conf)
+        conf = JobConf({Keys.FAULTS_SPEC: "shuffle.refuse:0.1"})
+        monkeypatch.setenv(ENV_OVERRIDE, "shuffle.truncate:0.25:2")
+        plan = FaultPlan.from_unified(UnifiedFaultPlan.from_conf(conf))
         assert (plan.kind, plan.fraction, plan.attempts) == ("truncate", 0.25, 2)
 
     def test_env_override_malformed(self, monkeypatch):
-        monkeypatch.setenv(ENV_OVERRIDE, "truncate")
-        with pytest.raises(ConfigError, match="kind:fraction"):
-            FaultPlan.from_conf(JobConf())
-        monkeypatch.setenv(ENV_OVERRIDE, "truncate:lots")
+        monkeypatch.setenv(ENV_OVERRIDE, "shuffle.truncate")
+        with pytest.raises(ConfigError, match="site.kind:fraction"):
+            UnifiedFaultPlan.from_conf(JobConf())
+        monkeypatch.setenv(ENV_OVERRIDE, "shuffle.truncate:lots")
         with pytest.raises(ConfigError, match="malformed"):
-            FaultPlan.from_conf(JobConf())
+            UnifiedFaultPlan.from_conf(JobConf())
 
 
 # ----------------------------------------------------------------------
@@ -127,13 +139,14 @@ def test_exhausted_retries_raise_clean_shuffle_error():
 # whole jobs under injected faults
 # ----------------------------------------------------------------------
 
-def run_faulted(kind: str, fraction: float, backend: str = "process", **conf):
+def run_faulted(
+    kind: str, fraction: float, backend: str = "process", attempts: int = 1, **conf
+):
     extra = {
         Keys.EXEC_BACKEND: backend,
         Keys.EXEC_WORKERS: 4,
         Keys.SHUFFLE_MODE: "net",
-        Keys.SHUFFLE_FAULT_KIND: kind,
-        Keys.SHUFFLE_FAULT_FRACTION: fraction,
+        Keys.FAULTS_SPEC: "" if kind == "none" else f"shuffle.{kind}:{fraction}:{attempts}",
         Keys.SHUFFLE_BACKOFF_BASE: 0.005,
         Keys.SHUFFLE_BACKOFF_MAX: 0.02,
         **conf,
@@ -148,7 +161,7 @@ def test_job_survives_ten_percent_fetch_failures():
     """The ISSUE's acceptance run: WordCount on the process backend
     completes with 10% of fetches injected to fail, retries visible."""
     clean = run_faulted("none", 0.0)
-    faulted = run_faulted("drop", 0.10, **{Keys.SHUFFLE_FAULT_SEED: 99})
+    faulted = run_faulted("drop", 0.10, **{Keys.FAULTS_SEED: 99})
 
     pairs = lambda r: [(k.to_bytes(), v.to_bytes()) for k, v in r.output_pairs()]
     assert pairs(faulted) == pairs(clean)
@@ -179,10 +192,4 @@ def test_unrecoverable_faults_fail_the_job_cleanly():
     it, the :class:`ShuffleError` propagates — crucially without a hang,
     naming the segment and the last transport error."""
     with pytest.raises(ShuffleError, match="failed after 2 attempts"):
-        run_faulted(
-            "drop", 1.0,
-            **{
-                Keys.SHUFFLE_FAULT_ATTEMPTS: 99,
-                Keys.SHUFFLE_FETCH_ATTEMPTS: 2,
-            },
-        )
+        run_faulted("drop", 1.0, attempts=99, **{Keys.SHUFFLE_FETCH_ATTEMPTS: 2})

@@ -45,8 +45,7 @@ def test_idle_report_folds_in_fetch_waits():
     result = run_wordcount(
         "net",
         **{
-            Keys.SHUFFLE_FAULT_KIND: "refuse",
-            Keys.SHUFFLE_FAULT_FRACTION: 1.0,
+            Keys.FAULTS_SPEC: "shuffle.refuse:1.0",
             Keys.SHUFFLE_BACKOFF_BASE: 0.005,
             Keys.SHUFFLE_BACKOFF_MAX: 0.02,
         },

@@ -16,7 +16,7 @@ import pytest
 
 from repro.config import Keys
 from repro.engine.api import Combiner
-from repro.engine.inputformat import SplitSubsetInput, TextInput
+from repro.engine.inputformat import RecordListInput, TextInput
 from repro.engine.job import JobSpec
 from repro.engine.runner import LocalJobRunner
 from repro.engine.counters import Counter
@@ -156,11 +156,11 @@ def test_unverified_fold_falls_back_to_full_recompute(
 
 
 def test_non_text_input_is_ineligible(corpus_lines) -> None:
-    job = make_job(corpus_lines)
-    subset = dataclasses.replace(
-        job, input_format=SplitSubsetInput(job.input_format, [0])
+    records = dataclasses.replace(
+        make_job(corpus_lines),
+        input_format=RecordListInput([[(Text("k"), VIntWritable(1))]]),
     )
-    eligible, reason = delta_eligibility(subset)
+    eligible, reason = delta_eligibility(records)
     assert not eligible and "text" in reason
 
 
@@ -190,13 +190,3 @@ def test_split_key_tracks_user_code_and_conf(corpus_lines) -> None:
     assert split_content_key(job, corpus_lines, split) != split_content_key(
         other, corpus_lines, split
     )
-
-
-def test_split_subset_input_preserves_original_splits(corpus_lines) -> None:
-    base = TextInput(corpus_lines, split_size=SPLIT_SIZE, path="corpus.txt")
-    subset = SplitSubsetInput(base, [0, 2])
-    splits = subset.splits()
-    assert [s.offset for s in splits] == [0, 2 * SPLIT_SIZE]
-    assert subset.total_bytes() == sum(s.length for s in splits)
-    with pytest.raises(ValueError):
-        SplitSubsetInput(base, [99])

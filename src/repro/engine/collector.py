@@ -405,9 +405,9 @@ class StandardCollector(MapOutputCollector):
         partitions: list[list[SerdePair]] = []
         total_stats = MergeStats()
         for partition in range(self.num_partitions):
-            runs = [list(read_segment(self.disk, index, partition)) for index in indices]
+            runs = [read_segment(self.disk, index, partition) for index in indices]
             stats = MergeStats()
-            merged = list(merge_and_combine(runs, combine, stats))
+            merged = merge_and_combine(runs, combine, stats)
             total_stats.records_in += stats.records_in
             total_stats.bytes_in += stats.bytes_in
             total_stats.comparisons += stats.comparisons

@@ -138,21 +138,48 @@ class ReduceTaskRunner:
         else:
             groups = group_sorted(merged)
 
+        # SHUFFLE/REDUCE work and the input counters are accumulated in
+        # locals and settled once after the loop: the same additions in
+        # the same order as a charge per group (nothing else charges
+        # these ops while the loop runs).  No ``finally``: a failed
+        # attempt's ledger and counters are discarded by
+        # ``run_with_retries``.
+        serialize_byte = model.serialize_byte
+        reduce_record = costs.reduce_record
+        key_from_bytes = key_cls.from_bytes
+        value_from_bytes = value_cls.from_bytes
+        reduce = reducer.reduce
+        work = instruments.ledger.work
+        shuffle_work = work.get(Op.SHUFFLE, 0.0)
+        reduce_work = work.get(Op.REDUCE, 0.0)
+        input_groups = input_records = 0
         for key_bytes, value_bytes_list in groups:
             # Deserialization of the group is framework (shuffle) work.
-            group_payload = len(key_bytes) + sum(len(vb) for vb in value_bytes_list)
-            instruments.charge(Op.SHUFFLE, model.serialize_byte * group_payload)
-            key = key_cls.from_bytes(key_bytes)
-            values = [value_cls.from_bytes(vb) for vb in value_bytes_list]
-            counters.incr(Counter.REDUCE_INPUT_GROUPS)
-            counters.incr(Counter.REDUCE_INPUT_RECORDS, len(values))
+            count = len(value_bytes_list)
+            if count == 1:
+                value_bytes = value_bytes_list[0]
+                group_payload = len(key_bytes) + len(value_bytes)
+                values = [value_from_bytes(value_bytes)]
+            else:
+                group_payload = len(key_bytes) + sum(map(len, value_bytes_list))
+                values = [value_from_bytes(vb) for vb in value_bytes_list]
+            shuffle_work += serialize_byte * group_payload
+            key = key_from_bytes(key_bytes)
+            input_groups += 1
+            input_records += count
             try:
-                reducer.reduce(key, iter(values), emit)
+                reduce(key, iter(values), emit)
             except UserCodeError:
                 raise
             except Exception as exc:  # noqa: BLE001 - user code boundary
                 raise UserCodeError("reduce", str(exc)) from exc
-            instruments.charge(Op.REDUCE, costs.reduce_record * len(values))
+            reduce_work += reduce_record * count
+        if shuffle_work:
+            work[Op.SHUFFLE] = shuffle_work
+        if reduce_work:
+            work[Op.REDUCE] = reduce_work
+        counters.incr(Counter.REDUCE_INPUT_GROUPS, input_groups)
+        counters.incr(Counter.REDUCE_INPUT_RECORDS, input_records)
 
         try:
             reducer.cleanup(emit)

@@ -118,7 +118,7 @@ class ShuffleService:
                 self.fetch_retries += segment.retries
                 self.fetch_wait_seconds += segment.wait_seconds
                 self._charge_fetch(result, segment)
-                runs.append(list(decode_records(segment.payload)))
+                runs.append(decode_records(segment.payload))
                 in_memory_bytes += len(segment.payload)
 
                 if (
@@ -140,10 +140,10 @@ class ShuffleService:
         for index in staged:
             payload = segment_payload(self.staging_disk, index, 0)  # type: ignore[arg-type]
             self.instruments.charge(Op.SHUFFLE, model.spill_read_byte * len(payload))
-            final_runs.append(list(decode_records(payload)))
+            final_runs.append(decode_records(payload))
 
         stats = MergeStats()
-        merged = list(merge_runs(final_runs, stats))
+        merged = merge_runs(final_runs, stats)
         self.instruments.charge(
             Op.SHUFFLE,
             model.shuffle_merge_byte * stats.bytes_in
@@ -195,7 +195,7 @@ class ShuffleService:
         assert self.staging_disk is not None
         model = self.cost_model
         stats = MergeStats()
-        merged = list(merge_runs([run for run in runs if run], stats))
+        merged = merge_runs([run for run in runs if run], stats)
         index = write_spill(
             self.staging_disk,
             f"reduce.p{partition}.stage{pass_index}",

@@ -51,40 +51,40 @@ wordcount, scale 0.25 (10 000 lines / 1.04 MB, 120 000 map-output records),
 warm-up each), parent and change alternating.  "modelled %" repeats the
 table above (its own scale and cluster model) for comparison.
 env: nproc 2 (shared), python 3.11.7, Linux-6.18.44-fc-v50-x86_64-with-glibc2.36,
-     2026-10-03; parent = f931133 (object spill buffer by default, combine()
-     round trip at every serialized combine site), this PR = packed buffer
-     only, proven int fold per spill and in the merge, one framing pass per
-     segment.  (The box ran ~20 % slower than on 2026-10-02, when the parent's
-     baseline measured 1.106 s; compare within this table.)
-------------------------------------------------------------------------------
+     2026-10-03; parent = 093b60f (heap merge in Python, generator segment
+     decoder, per-group charges in the reduce loop), this PR = merge as one
+     stable sort over the concatenated runs, one-pass list decoder, reduce
+     loop settled in bulk.
+-------------------------------------------------------------------------------
                config   modelled %   parent job_s   % of base   PR job_s   % of base
-------------------------------------------------------------------------------
-             baseline        100.0          1.329       100.0      0.802       100.0
-              freqopt         92.0          1.137        85.5      0.718        89.5
-             spillopt         81.7          1.354       101.8      0.774        96.6
-             combined         79.3          1.158        87.1      0.713        89.0
-combined+node-combine            -          1.184        89.0      0.736        91.8
-------------------------------------------------------------------------------
+-------------------------------------------------------------------------------
+             baseline        100.0          0.788       100.0      0.685       100.0
+              freqopt         92.0          0.718        91.0      0.611        89.3
+             spillopt         81.7          0.820       104.0      0.693       101.3
+             combined         79.3          0.752        95.4      0.622        90.8
+combined+node-combine            -          0.743        94.2      0.650        94.9
+-------------------------------------------------------------------------------
 bench/run.py --trace 0, ten alternating pairs (seeds 1-10), median of each
 run's best repetition (parent quartiles in brackets), change better in 10/10
-pairs on every row:
-  wc-baseline   1.345 s [1.338-1.353] -> 0.797 s  (-40.7 %)
-  wc-optimized  1.190 s [1.171-1.194] -> 0.736 s  (-38.1 %)
-  sort-net      0.948 s [0.935-0.966] -> 0.795 s  (-16.1 %)
-  wc-cluster1   1.550 s [1.526-1.566] -> 1.018 s  (-34.3 %)
-shuffle_bytes identical per seed on all four.  wc-optimized / wc-baseline:
-parent 0.885, this PR 0.924 — both jobs lose ~0.45-0.55 s, the cheaper spill
-path leaves a 0.41 hit rate less to save.
-bench/run.py --trace 1, seed 0, wc-baseline: collector.collect_s 0.810 ->
-0.562, collector.flush_s 0.252 -> 0.235; every count, ledger.*_units and the
-digest identical.  The traced run hides the combiner's source, so it takes
-the generic combine path on both commits (apps.combine_s 0.125 -> 0.098 is
-the cheaper vint encode inside emit, ~0.3 us x 86 k, not the fold) and
-trace.overhead_share rises 0.07 -> 0.35: the untraced run it is compared
-with got faster by more.
-The fold itself, untraced perf_counter brackets on the same job: per-spill
-combine stage 0.278 -> 0.112 s, spill writes 0.067 -> 0.018 s, merge-site
-combine_serialized 0.129 -> 0.066 s, merge writes 0.041 -> 0.009 s.
+pairs on every row but wc-optimized (9/10; seed 1's change run hit a slow
+phase, setup_s +23 % in the same run):
+  sort-net      0.802 s [0.780-0.819] -> 0.579 s  (-27.8 %)
+  wc-baseline   0.823 s [0.815-0.840] -> 0.701 s  (-14.9 %)
+  wc-optimized  0.761 s [0.751-0.778] -> 0.646 s  (-15.1 %)
+  wc-cluster1   1.010 s [0.999-1.020] -> 0.891 s  (-11.8 %)
+shuffle_bytes identical per seed on all four; peak_rss_mb 111.5 -> 109.5 on
+sort-net, within 0.5 MB elsewhere.  wc-optimized / wc-baseline: parent 0.924,
+this PR 0.922 — both jobs share every merge, both lose ~0.12 s, the ratio
+does not move.
+bench/run.py --trace 1, seed 0 (two pairs per workload; the first sort-net
+pair ran in a slow phase, both sides ~2x, and is reported in CHANGES.md):
+  sort-net     collector.flush_s 0.218 -> 0.174, reducetask.framework_s
+               0.361 -> 0.203, reducetask.wall_s 0.393 -> 0.225; apps.map_s
+               0.053 -> 0.059 (flat), apps.reduce_s 0.031 -> 0.023 (the span
+               includes emit's serialized_size(), which no longer re-encodes)
+  wc-baseline  collector.flush_s 0.238 -> 0.179, reducetask.framework_s
+               0.094 -> 0.063; collect_s 0.572 -> 0.559, map_s, combine_s flat
+every count, ledger.*_units and the digest identical.
 ```
 """
 
@@ -152,18 +152,20 @@ def run_all(fast: bool = False) -> tuple[str, list[Claim], int]:
         "  directions survive ±50% perturbations of each constant.\n"
         "* **Measured seconds trail the modelled saving, and SpillOpt saves\n"
         "  none.** Table III's measured rows: frequency buffering wins on the\n"
-        "  clock (Combined 0.89x Baseline best-of-21; the gated benchmark's\n"
-        "  `wc-optimized`/`wc-baseline` is 0.92) but by less than before this\n"
-        "  spill path (0.87-0.89) and far less than the paper's 0.61.  The ratio\n"
-        "  *rose* while both jobs got ~0.45-0.55 s faster: the packed buffer,\n"
-        "  the proven int fold at the per-spill and merge combine sites and\n"
-        "  one framing pass per segment took 40 % off Baseline, and a record\n"
-        "  the frequency buffer absorbs (hit rate 0.41) now skips a spill path\n"
-        "  that costs that much less.  The paper's claim — framework work\n"
-        "  between map() and reduce() dominates — still holds on the clock:\n"
-        "  the collector seam is 0.71 of the traced Baseline run's task time,\n"
-        "  user map() 0.09.  What remains shared is the reduce-side and merge-side\n"
-        "  record-at-a-time decode (ROADMAP item 1(c), second half).\n"
+        "  clock (Combined 0.91x Baseline best-of-21; the gated benchmark's\n"
+        "  `wc-optimized`/`wc-baseline` is 0.92) but by far less than the\n"
+        "  paper's 0.61.  The packed spill path (PR 21) raised the ratio from\n"
+        "  0.87-0.89 while taking 40 % off Baseline: a record the frequency\n"
+        "  buffer absorbs (hit rate 0.41) skips a spill path that costs that\n"
+        "  much less.  Moving every merge into one C-level stable sort, the\n"
+        "  segment decode into one pass and the reduce loop's accounting into\n"
+        "  one settlement (ROADMAP item 1(c), second half) took another\n"
+        "  ~0.12 s off *both* jobs — they share every merge — so the benchmark\n"
+        "  ratio did not move (0.924 -> 0.922) while `sort-net`, which is all\n"
+        "  merge and shuffle, got 28 % faster.  The paper's claim — framework\n"
+        "  work between map() and reduce() dominates — still holds on the\n"
+        "  clock: the collector seam is 0.73 of the traced Baseline run's task\n"
+        "  time, user map() 0.09.\n"
         "  Spill-matcher's measured row is flat by construction: on the\n"
         "  serial backend sort/combine/spill run inline, so there is no\n"
         "  second thread whose wait it could remove — its gain exists only in\n"

@@ -7,25 +7,41 @@ Both merge sites of the MapReduce pipeline use this module:
 * the **reduce-side merge**, which merges fetched map-output segments
   and feeds equal-key groups to ``reduce()``.
 
-The merge is a standard heap-based k-way merge over raw key bytes.  The
-returned :class:`MergeStats` reports exactly how much work the merge
-did — comparisons, records and bytes moved — so the instrumentation
-ledger can charge it.
+The merge is one *stable* ``list.sort`` on the key bytes over the runs
+concatenated in stream order.  A heap-based k-way merge orders records
+by ``(key, stream id, position in stream)``; in the concatenation every
+record of stream *i* precedes every record of stream *i+1* and each
+stream keeps its own order, so a stable sort by key alone breaks key
+ties the same way and yields the identical sequence.  CPython's Timsort
+detects the k presorted runs and merges them (galloping) in C, so no
+record passes through a Python-level loop.
+
+The returned :class:`MergeStats` is what the cost model charges a k-ary
+heap merge — comparisons, records and bytes moved — computed in closed
+form from the run count and the record count, not from the comparisons
+the sort happened to make.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from math import log2
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from ..serde.writable import SerdePair
 
+_KEY = itemgetter(0)
+
 
 @dataclass
 class MergeStats:
-    """Work accounting for one merge pass."""
+    """Work accounting for one merge pass.
+
+    ``streams`` counts every run handed to the merge, empty ones
+    included; the ``comparisons`` charge counts only the non-empty ones
+    (an empty stream never enters a heap).
+    """
 
     records_in: int = 0
     records_out: int = 0
@@ -35,56 +51,44 @@ class MergeStats:
     streams: int = 0
 
 
+def _payload_bytes(records: list[SerdePair]) -> int:
+    return sum(len(key) + len(value) for key, value in records)
+
+
 def merge_runs(
     runs: list[Iterable[SerdePair]],
     stats: MergeStats | None = None,
-) -> Iterator[SerdePair]:
-    """Merge sorted runs of serialized records into one sorted stream.
+) -> list[SerdePair]:
+    """Merge sorted runs of serialized records into one sorted list.
 
-    Heap comparisons are counted as ``2·log2(k)`` per record popped (the
-    standard sift cost for a k-ary heap of streams), matching how the
-    cost model charges merges.  With a single run the records pass
-    through untouched and no comparisons are charged.
+    Equal keys keep stream order, then position within their stream (see
+    the module docstring).  *stats* is filled in closed form: every
+    record is charged ``int(max(1.0, 2·log2(max(2, k))))`` comparisons,
+    the sift cost of a heap of the ``k`` non-empty runs, matching how
+    the cost model charges merges.  A single run is copied through and
+    charged no comparisons.
     """
     if stats is None:
         stats = MergeStats()
-    live = [iter(run) for run in runs]
-    stats.streams = len(live)
+    merged: list[SerdePair] = []
+    non_empty = 0
+    for run in runs:
+        before = len(merged)
+        merged.extend(run)
+        non_empty += len(merged) > before
+    if non_empty > 1:
+        merged.sort(key=_KEY)
 
-    if len(live) == 1:
-        for key, value in live[0]:
-            stats.records_in += 1
-            stats.records_out += 1
-            size = len(key) + len(value)
-            stats.bytes_in += size
-            stats.bytes_out += size
-            yield key, value
-        return
-
-    heap: list[tuple[bytes, int, bytes, Iterator[SerdePair]]] = []
-    for stream_id, stream in enumerate(live):
-        try:
-            key, value = next(stream)
-        except StopIteration:
-            continue
-        heap.append((key, stream_id, value, stream))
-    heapq.heapify(heap)
-    cost_per_pop = max(1.0, 2.0 * log2(max(2, len(heap))))
-
-    while heap:
-        key, stream_id, value, stream = heapq.heappop(heap)
-        stats.records_in += 1
-        stats.records_out += 1
-        size = len(key) + len(value)
-        stats.bytes_in += size
-        stats.bytes_out += size
-        stats.comparisons += int(cost_per_pop)
-        yield key, value
-        try:
-            next_key, next_value = next(stream)
-        except StopIteration:
-            continue
-        heapq.heappush(heap, (next_key, stream_id, next_value, stream))
+    count = len(merged)
+    size = _payload_bytes(merged)
+    stats.streams = len(runs)
+    stats.records_in += count
+    stats.records_out += count
+    stats.bytes_in += size
+    stats.bytes_out += size
+    if len(runs) != 1:
+        stats.comparisons += count * int(max(1.0, 2.0 * log2(max(2, non_empty))))
+    return merged
 
 
 GroupFn = Callable[[bytes, list[bytes]], list[SerdePair]]
@@ -95,48 +99,27 @@ def merge_and_combine(
     runs: list[Iterable[SerdePair]],
     combine: GroupFn | None,
     stats: MergeStats | None = None,
-) -> Iterator[SerdePair]:
+) -> list[SerdePair]:
     """Merge sorted runs, applying *combine* to each equal-key group.
 
-    With ``combine=None`` this degrades to :func:`merge_runs` (but still
-    groups, so the stats reflect the grouping comparisons).  The output
-    remains sorted because combining preserves each group's key.
+    With ``combine=None`` this is exactly :func:`merge_runs`: nothing is
+    grouped and the stats are the merge's own.  Otherwise the input side
+    of *stats* is the merge's and the output side counts what *combine*
+    returned.  The output remains sorted because combining preserves
+    each group's key.
     """
     if stats is None:
         stats = MergeStats()
     merged = merge_runs(runs, stats)
     if combine is None:
-        yield from merged
-        return
+        return merged
 
-    # Re-count output side: merge_runs already counted records_out for the
-    # pass-through; reset and recount after combining.
-    current_key: bytes | None = None
-    current_values: list[bytes] = []
-    records_out = 0
-    bytes_out = 0
-
-    def flush() -> Iterator[SerdePair]:
-        nonlocal records_out, bytes_out
-        assert current_key is not None
-        for out_key, out_value in combine(current_key, current_values):
-            records_out += 1
-            bytes_out += len(out_key) + len(out_value)
-            yield out_key, out_value
-
-    for key, value in merged:
-        if key != current_key:
-            if current_key is not None:
-                yield from flush()
-            current_key = key
-            current_values = [value]
-        else:
-            current_values.append(value)
-    if current_key is not None:
-        yield from flush()
-
-    stats.records_out = records_out
-    stats.bytes_out = bytes_out
+    combined: list[SerdePair] = []
+    for key, values in group_sorted(merged):
+        combined.extend(combine(key, values))
+    stats.records_out = len(combined)
+    stats.bytes_out = _payload_bytes(combined)
+    return combined
 
 
 def group_sorted(records: Iterable[SerdePair]) -> Iterator[tuple[bytes, list[bytes]]]:

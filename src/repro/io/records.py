@@ -11,10 +11,10 @@ segments, so one reader/writer pair serves the whole pipeline.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..errors import SerdeError
-from ..serde.numeric import decode_vint, encode_vint, vint_size
+from ..serde.numeric import SMALL_VINTS, decode_vint, encode_vint, vint_size
 from ..serde.writable import SerdePair
 
 
@@ -31,36 +31,58 @@ def encode_record(key: bytes, value: bytes) -> bytes:
 def encode_records(records: Iterable[SerdePair]) -> bytes:
     """Frame a record sequence into one byte string."""
     out = bytearray()
+    small = SMALL_VINTS
     for key, value in records:
-        out += encode_vint(len(key))
+        length = len(key)
+        out += small[length] if length < 64 else encode_vint(length)
         out += key
-        out += encode_vint(len(value))
+        length = len(value)
+        out += small[length] if length < 64 else encode_vint(length)
         out += value
     return bytes(out)
 
 
-def decode_records(data: bytes, offset: int = 0, end: int | None = None) -> Iterator[SerdePair]:
-    """Iterate framed records in ``data[offset:end]``.
+def decode_records(data: bytes, offset: int = 0, end: int | None = None) -> list[SerdePair]:
+    """The framed records in ``data[offset:end]``, decoded in one pass.
 
     Raises :class:`~repro.errors.SerdeError` on truncation or negative
-    lengths; a well-formed stream always ends exactly at *end*.
+    lengths; a well-formed stream always ends exactly at *end*.  A
+    one-byte length prefix (lengths below 64: no continuation bit, even
+    zig-zag) is read inline; anything else goes through
+    :func:`~repro.serde.numeric.decode_vint`.
     """
     pos = offset
     stop = len(data) if end is None else end
+    if stop > len(data):
+        raise SerdeError(f"truncated record stream: range ends at {stop} of {len(data)} bytes")
+    records: list[SerdePair] = []
+    append = records.append
     while pos < stop:
-        key_len, pos = decode_vint(data, pos)
-        if key_len < 0 or pos + key_len > stop:
+        key_len = data[pos]
+        if key_len & 0x81:
+            key_len, pos = decode_vint(data, pos)
+        else:
+            key_len >>= 1
+            pos += 1
+        key_end = pos + key_len
+        if key_len < 0 or key_end >= stop:  # the value's prefix needs a byte too
             raise SerdeError(f"corrupt record frame at offset {pos}: key length {key_len}")
-        key = data[pos : pos + key_len]
-        pos += key_len
-        value_len, pos = decode_vint(data, pos)
-        if value_len < 0 or pos + value_len > stop:
-            raise SerdeError(f"corrupt record frame at offset {pos}: value length {value_len}")
-        value = data[pos : pos + value_len]
-        pos += value_len
-        yield key, value
+        value_len = data[key_end]
+        if value_len & 0x81:
+            value_len, value_pos = decode_vint(data, key_end)
+        else:
+            value_len >>= 1
+            value_pos = key_end + 1
+        value_end = value_pos + value_len
+        if value_len < 0 or value_end > stop:
+            raise SerdeError(
+                f"corrupt record frame at offset {value_pos}: value length {value_len}"
+            )
+        append((data[pos:key_end], data[value_pos:value_end]))
+        pos = value_end
+    return records
 
 
 def count_records(data: bytes, offset: int = 0, end: int | None = None) -> int:
     """Number of framed records in a byte range (validates framing)."""
-    return sum(1 for _ in decode_records(data, offset, end))
+    return len(decode_records(data, offset, end))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ..errors import DiskError, SerdeError
 from ..faults.runtime import corrupt_spill_read, torn_spill_write
@@ -134,12 +134,10 @@ def _read_validated(disk: LocalDisk, index: SpillIndex, partition: int) -> bytes
     return stored
 
 
-def read_segment(disk: LocalDisk, index: SpillIndex, partition: int) -> Iterator[SerdePair]:
-    """Iterate the serialized records of one partition segment
-    (CRC-validated, transparently decompressed)."""
-    stored = _read_validated(disk, index, partition)
-    payload = decode_segment(stored) if index.codec is not None else stored
-    yield from decode_records(payload)
+def read_segment(disk: LocalDisk, index: SpillIndex, partition: int) -> list[SerdePair]:
+    """The serialized records of one partition segment (CRC-validated,
+    transparently decompressed)."""
+    return decode_records(segment_payload(disk, index, partition))
 
 
 def segment_bytes(disk: LocalDisk, index: SpillIndex, partition: int) -> bytes:

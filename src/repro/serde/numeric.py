@@ -129,7 +129,7 @@ class FloatWritable(Writable):
 
 
 #: ``encode_vint(v)`` for ``0 <= v < 64``: one byte, the zig-zag ``v << 1``.
-_SMALL_VINTS = tuple(bytes((value << 1,)) for value in range(64))
+SMALL_VINTS = tuple(bytes((value << 1,)) for value in range(64))
 
 
 def encode_vint(value: int) -> bytes:
@@ -143,7 +143,7 @@ def encode_vint(value: int) -> bytes:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SerdeError(f"vint encodes int, got {type(value).__name__}")
     if 0 <= value < 64:
-        return _SMALL_VINTS[value]
+        return SMALL_VINTS[value]
     zigzag = (value << 1) ^ (value >> 63) if value < 0 else value << 1
     zigzag &= (1 << 64) - 1
     out = bytearray()

@@ -40,9 +40,13 @@ class Text(Writable):
     @classmethod
     def from_bytes(cls, data: bytes) -> "Text":
         try:
-            return cls(data.decode("utf-8"))
+            text = cls(data.decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise SerdeError(f"invalid UTF-8 in Text payload: {data[:32]!r}...") from exc
+        # Strict UTF-8 round-trips exactly, so the validated payload *is*
+        # the encoding: sizing or re-serializing never encodes again.
+        text._encoded = data if type(data) is bytes else bytes(data)
+        return text
 
     def serialized_size(self) -> int:
         return len(self.to_bytes())

@@ -206,7 +206,7 @@ class NodeCombiner:
                 partitions.append(parked[0] if parked else [])
                 continue
             stats = MergeStats()
-            merged = list(merge_and_combine(parked, combine, stats))
+            merged = merge_and_combine(parked, combine, stats)
             work += model.merge_comparison * stats.comparisons
             partitions.append(merged)
 

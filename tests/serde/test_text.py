@@ -21,6 +21,18 @@ class TestTextRoundTrip:
         value = "  leading and trailing  \t"
         assert Text.from_bytes(Text(value).to_bytes()).value == value
 
+    def test_from_bytes_keeps_the_payload(self):
+        # Decoding validated it; serializing again must not re-encode.
+        payload = "héllo 漢字".encode("utf-8")
+        text = Text.from_bytes(payload)
+        assert text.to_bytes() is payload
+        assert text.serialized_size() == len(payload)
+        assert text == Text("héllo 漢字")
+
+    def test_from_bytes_of_a_bytearray_serializes_as_bytes(self):
+        text = Text.from_bytes(bytearray(b"abc"))
+        assert type(text.to_bytes()) is bytes and text.to_bytes() == b"abc"
+
 
 class TestTextSemantics:
     def test_serialized_size_matches(self):
@@ -57,3 +69,15 @@ class TestTextErrors:
     def test_rejects_invalid_utf8(self):
         with pytest.raises(SerdeError):
             Text.from_bytes(b"\xff\xfe\x00bad")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"\xc0\xaf",  # overlong '/': would not round-trip
+            b"\xed\xa0\x80",  # a lone surrogate
+            b"caf\xc3",  # truncated sequence
+        ],
+    )
+    def test_rejects_utf8_that_would_not_round_trip(self, payload):
+        with pytest.raises(SerdeError):
+            Text.from_bytes(payload)

@@ -22,7 +22,6 @@ from .api import (
 )
 from .binarybuffer import RECORD_METADATA_BYTES
 from .collector import MapOutputCollector, StandardCollector
-from .hashgroup import HashGroupingCollector
 from .combiner import CombinerRunner
 from .costmodel import DEFAULT_COST_MODEL, CostModel, UserCodeCosts
 from .counters import Counter, Counters
@@ -56,7 +55,6 @@ __all__ = [
     "FnCombiner",
     "FnMapper",
     "FnReducer",
-    "HashGroupingCollector",
     "HashPartitioner",
     "InputFormat",
     "JobResult",

@@ -8,16 +8,20 @@ map-output file.  :class:`StandardCollector` reproduces Hadoop's
     serialize -> partition -> buffer -> [threshold] -> sort -> combine
     -> spill to disk -> ... -> final merge of all spills
 
-The frequency-buffering optimization wraps this class (see
-:mod:`repro.core.freqbuf.collector`), diverting frequent keys before
-they enter the buffer; spill-matcher plugs in as the
-:class:`~repro.engine.spillpolicy.SpillPolicy`.
+Two small strategies make up the rest, and every spill runs through
+the one cycle *drain -> consume -> observe* here: *grouping*
+(:mod:`repro.engine.grouping`: packed sort or hash) and *spill
+execution* (:class:`InlineSpills`, modelled, or the live
+:class:`repro.exec.livepipeline.SupportThread`, measured).  Frequency
+buffering wraps this class (:mod:`repro.core.freqbuf.collector`);
+spill-matcher plugs in as the :class:`~repro.engine.spillpolicy.SpillPolicy`.
 """
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
-from typing import Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import SpillBufferError
 from ..io.blockdisk import LocalDisk
@@ -25,18 +29,17 @@ from ..io.merger import MergeStats, merge_and_combine
 from ..io.spillfile import SpillIndex, read_segment, write_spill
 from ..serde.writable import SerdePair, Writable
 from .api import HashPartitioner, Partitioner
-from .binarybuffer import (
-    RECORD_METADATA_BYTES,
-    BinarySpill,
-    BinarySpillBuffer,
-    oversized_record_message,
-)
+from .binarybuffer import RECORD_METADATA_BYTES, BinarySpillBuffer, oversized_record_message
 from .combiner import CombinerRunner
 from .costmodel import CostModel
 from .counters import Counter, Counters
+from .grouping import HashGrouping, SortGrouping
 from .instrumentation import Op, TaskInstruments
 from .pipeline import PipelineTimeline
 from .spillpolicy import SpillPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; exec layers on engine
+    from ..exec.livepipeline import SupportThread
 
 
 class MapOutputCollector(ABC):
@@ -73,7 +76,6 @@ class MapOutputCollector(ABC):
 _PARTITION_MEMO_MAX = 1 << 16
 
 _EMIT_OP = Op.EMIT
-_COMBINE_OP = Op.COMBINE
 _MAP_OUTPUT_RECORDS = Counter.MAP_OUTPUT_RECORDS
 _MAP_OUTPUT_BYTES = Counter.MAP_OUTPUT_BYTES
 
@@ -81,10 +83,12 @@ _MAP_OUTPUT_BYTES = Counter.MAP_OUTPUT_BYTES
 class StandardCollector(MapOutputCollector):
     """Hadoop's store-sort-combine-spill-merge dataflow, instrumented.
 
-    Records accumulate in the packed spill buffer
+    With the default :class:`~repro.engine.grouping.SortGrouping`,
+    records accumulate in the packed spill buffer
     (:mod:`repro.engine.binarybuffer`): serialized bytes in one
     contiguous buffer plus a flat uint32 kvindex, ordered at spill time
-    by the key-prefix integer sort.
+    by the key-prefix integer sort.  *grouping* and *spills* build the
+    other strategies, each bound once and dispatched to once per spill.
     """
 
     def __init__(
@@ -103,6 +107,8 @@ class StandardCollector(MapOutputCollector):
         exact_comparisons: bool = False,
         sort_factor: int = 10,
         codec=None,
+        grouping: Callable[["StandardCollector"], SortGrouping | HashGrouping] = SortGrouping,
+        spills: Callable[["StandardCollector"], Any] | None = None,
     ) -> None:
         if num_partitions <= 0:
             raise ValueError(f"num_partitions must be positive, got {num_partitions}")
@@ -122,10 +128,7 @@ class StandardCollector(MapOutputCollector):
         self.buffer = BinarySpillBuffer(capacity_bytes)
         self.timeline = PipelineTimeline(capacity_bytes)
         self.spill_indices: list[SpillIndex] = []
-        self._spill_target = self.timeline.expected_next_size(
-            policy.spill_percent(), None
-        )
-        self._produce_mark = instruments.map_thread_work
+        self._spill_target = self.timeline.expected_next_size(policy.spill_percent(), None)
         #: A front stage that defers its map-thread charges (the
         #: frequency buffer) settles them here, before each spill reads
         #: the produce work.
@@ -138,14 +141,12 @@ class StandardCollector(MapOutputCollector):
             {} if type(self.partitioner) is HashPartitioner else None
         )
         self._flushed = False
+        # Weak back-references: no cycle keeps a finished collector alive.
+        self.grouping = grouping(weakref.proxy(self))
+        self.spills = (spills or InlineSpills)(weakref.proxy(self))
 
-    # ------------------------------------------------------------------
-    # collection path
-    # ------------------------------------------------------------------
     def collect(self, key: Writable, value: Writable) -> None:
-        key_bytes = key.to_bytes()
-        value_bytes = value.to_bytes()
-        self.collect_serialized(key_bytes, value_bytes)
+        self.collect_serialized(key.to_bytes(), value.to_bytes())
 
     def collect_serialized(
         self, key_bytes: bytes, value_bytes: bytes, count_output: bool = True
@@ -212,69 +213,20 @@ class StandardCollector(MapOutputCollector):
         if occupancy >= self._spill_target:
             self._spill()
 
-    # ------------------------------------------------------------------
-    # spilling
-    # ------------------------------------------------------------------
     def _spill(self) -> None:
-        if self.buffer.is_empty:
-            return
-        instruments = self.instruments
-        size_bytes = self.buffer.occupancy_bytes
-        spill = self.buffer.drain()
+        """One spill cycle: the grouping drains, the spill execution
+        consumes (:meth:`_consume`) and observes (:meth:`_observe`)."""
+        drained = self.grouping.drain()
+        if drained is not None:
+            self.spills.submit(*drained)
 
-        consume_work = self._consume_spill(
-            spill, instruments, self.counters, self.combiner_runner
-        )
-
-        # --- pipeline bookkeeping ---
-        produce_work = self._take_produce_work()
-        self.timeline.record_spill(max(produce_work, 1e-9), max(consume_work, 1e-9), size_bytes)
-        self.policy.observe(produce_work, consume_work, size_bytes)
-        self._spill_target = self.timeline.expected_next_size(
-            self.policy.spill_percent(), self.policy.produce_consume_ratio()
-        )
-
-    def _take_produce_work(self) -> float:
-        """Map-thread work since the previous spill: the pipeline's T_p."""
-        if self.settle_front_stage is not None:
-            self.settle_front_stage()
-        mark, self._produce_mark = self._produce_mark, self.instruments.map_thread_work
-        return self._produce_mark - mark
-
-    def _consume_spill(
-        self,
-        spill: BinarySpill,
-        instruments: TaskInstruments,
-        counters: Counters,
-        combiner_runner: CombinerRunner | None,
-    ) -> float:
-        """Sort + combine + write one drained spill: the support thread's
-        job for one cycle.  Returns the modelled consume work ``T_c``.
-
-        The accounting sinks are parameters (instead of ``self.…``) so
-        the live pipeline can run this on a real support thread against
-        thread-private instruments/counters/combiner and merge them back
-        at join time, without sharing mutable state across threads.
-        """
-        model = self.cost_model
-
-        # --- sort (support thread) ---
-        order, sort_stats = spill.sort(self.exact_comparisons)
-        consume_work = instruments.charge_support_thread(
-            Op.SORT,
-            model.sort_comparison * sort_stats.comparisons
-            + model.sort_byte_move * sort_stats.bytes_moved,
-        )
-
-        # --- combine (support thread, user code) ---
-        if combiner_runner is None:
-            partitions = spill.partition_runs(order, self.num_partitions)
-        else:
-            partitions, consume_work = self._combine_sorted(
-                spill.key_groups(order), instruments, counters, combiner_runner, consume_work
-            )
-
-        # --- write spill file (support thread) ---
+    def _consume(self, spill: Any, sinks: "InlineSpills | SupportThread") -> float:
+        """Group + write one drained spill: the support thread's job for
+        one cycle; returns the modelled consume work ``T_c``.  Charges the
+        *sinks* of the spill execution (``instruments``, ``counters``,
+        ``combiner_runner``): the live support thread's own, if live."""
+        partitions, consume_work = self.grouping.runs(spill, sinks)
+        model, instruments, counters = self.cost_model, sinks.instruments, sinks.counters
         path = f"{self.task_id}.spill{len(self.spill_indices)}"
         index = write_spill(self.disk, path, partitions, codec=self.codec)
         spill_io_work = model.spill_write_byte * index.total_bytes
@@ -287,85 +239,31 @@ class StandardCollector(MapOutputCollector):
         counters.incr(Counter.SPILLED_BYTES, index.total_bytes)
         return consume_work
 
-    def _combine_sorted(
-        self,
-        groups: list[tuple[int, bytes, list[bytes]]],
-        instruments: TaskInstruments,
-        counters: Counters,
-        combiner_runner: CombinerRunner,
-        consume_work: float,
-    ) -> tuple[list[list[SerdePair]], float]:
-        """Combine a spill's sorted ``(partition, key, values)`` groups
-        into per-partition runs; returns them with *consume_work* advanced
-        by every group's COMBINE charge, one float addition per group.
+    def _observe(self, produce_work: float, consume_work: float, size_bytes: int) -> float:
+        """Feed one spill's ``T_p``/``T_c``/size to the timeline and the
+        policy, and aim the next spill; returns the chosen threshold."""
+        policy = self.policy
+        self.timeline.record_spill(max(produce_work, 1e-9), max(consume_work, 1e-9), size_bytes)
+        policy.observe(produce_work, consume_work, size_bytes)
+        x = policy.spill_percent()
+        self._spill_target = self.timeline.expected_next_size(x, policy.produce_consume_ratio())
+        return x
 
-        A proven fold (:attr:`CombinerRunner.fold`) never calls the
-        runner: a one-value group's bytes pass through, a larger group
-        is folded on raw ints, and the ``combine()`` calls that did not
-        run are accounted as the generic path accounts them — the same
-        per-group amounts added in the same order, the counters in bulk.
-        """
-        overhead = self.cost_model.combine_record_overhead
-        partitions: list[list[SerdePair]] = [[] for _ in range(self.num_partitions)]
-        if combiner_runner.fold is None:
-            for partition, key_bytes, values in groups:
-                partitions[partition].extend(
-                    combiner_runner.combine_serialized(key_bytes, values)
-                )
-                consume_work += instruments.charge_support_thread(
-                    Op.COMBINE, combiner_runner.last_work + overhead * len(values)
-                )
-            return partitions, consume_work
+    def abort(self) -> None:
+        self.spills.abort()
 
-        appends = [run.append for run in partitions]
-        fold_values = combiner_runner.fold_values
-        combine_record = combiner_runner.user_costs.combine_record
-        work = instruments.ledger.work
-        charged = work.get(_COMBINE_OP, 0.0)
-        in_records = 0
-        for partition, key_bytes, values in groups:
-            count = len(values)
-            in_records += count
-            appends[partition](
-                (key_bytes, values[0] if count == 1 else fold_values(values))
-            )
-            amount = combine_record * count + overhead * count
-            charged += amount
-            consume_work += amount
-        if charged:
-            work[_COMBINE_OP] = charged
-        counters.incr(Counter.COMBINE_INPUT_RECORDS, in_records)
-        counters.incr(Counter.COMBINE_OUTPUT_RECORDS, len(groups))
-        return partitions, consume_work
-
-    def _join_support(self) -> None:
-        """Hook between the last spill and the final merge.  The live
-        pipeline (:mod:`repro.exec.livepipeline`) overrides this to wait
-        for its real support thread to finish every queued spill before
-        the merge reads the spill files; the modelled collector runs
-        spills inline, so there is nothing to wait for."""
-
-    # ------------------------------------------------------------------
-    # final merge
-    # ------------------------------------------------------------------
     def flush(self) -> SpillIndex:
         if self._flushed:
             raise SpillBufferError("collector already flushed")
         self._flushed = True
-        if not self.buffer.is_empty:
-            self._spill()
-        self._join_support()
+        self._spill()
+        self.spills.join()
         self.timeline.finish()
 
         if not self.spill_indices:
             # No output at all: write an empty final file.
-            return write_spill(
-                self.disk,
-                f"{self.task_id}.out",
-                [[] for _ in range(self.num_partitions)],
-                codec=self.codec,
-            )
-
+            empty = [[] for _ in range(self.num_partitions)]
+            return write_spill(self.disk, f"{self.task_id}.out", empty, codec=self.codec)
         if len(self.spill_indices) == 1:
             # Single spill: Hadoop promotes it to the final output without
             # another pass — no merge work to charge.
@@ -402,22 +300,22 @@ class StandardCollector(MapOutputCollector):
                 )
                 return out
 
-        partitions: list[list[SerdePair]] = []
-        total_stats = MergeStats()
-        for partition in range(self.num_partitions):
-            runs = [read_segment(self.disk, index, partition) for index in indices]
-            stats = MergeStats()
-            merged = merge_and_combine(runs, combine, stats)
-            total_stats.records_in += stats.records_in
-            total_stats.bytes_in += stats.bytes_in
-            total_stats.comparisons += stats.comparisons
-            partitions.append(merged)
+        # merge_and_combine adds each partition's input side to *stats*.
+        stats = MergeStats()
+        partitions = [
+            merge_and_combine(
+                [read_segment(self.disk, index, partition) for index in indices],
+                combine,
+                stats,
+            )
+            for partition in range(self.num_partitions)
+        ]
 
         final = write_spill(self.disk, out_path, partitions, codec=self.codec)
         merge_work = (
             model.spill_read_byte * sum(i.total_bytes for i in indices)
-            + model.merge_comparison * total_stats.comparisons
-            + model.merge_byte * (total_stats.bytes_in + final.total_raw_bytes)
+            + model.merge_comparison * stats.comparisons
+            + model.merge_byte * (stats.bytes_in + final.total_raw_bytes)
             + model.spill_write_byte * final.total_bytes
         )
         if self.codec is not None:
@@ -425,5 +323,34 @@ class StandardCollector(MapOutputCollector):
                 i.total_raw_bytes for i in indices
             ) + model.compress_byte * final.total_raw_bytes
         self.instruments.charge(Op.MERGE, merge_work)
-        self.counters.incr(Counter.MERGED_RECORDS, total_stats.records_in)
+        self.counters.incr(Counter.MERGED_RECORDS, stats.records_in)
         return final
+
+
+class InlineSpills:
+    """Spill execution on the map thread: each spill is consumed as it
+    is cut, the policy fed modelled work units.  Same surface as the
+    live :class:`repro.exec.livepipeline.SupportThread`."""
+
+    def __init__(self, collector: StandardCollector) -> None:
+        self.collector = collector
+        # The accounting sinks a spill charges: the task's own.
+        self.instruments, self.counters = collector.instruments, collector.counters
+        self.combiner_runner = collector.combiner_runner
+        self._produce_mark = self.instruments.map_thread_work
+
+    def submit(self, spill: Any, size_bytes: int) -> None:
+        collector = self.collector
+        consume_work = collector._consume(spill, self)
+        # T_p: map-thread work since the previous spill, once a front
+        # stage that defers its charges (the frequency buffer) settled.
+        if collector.settle_front_stage is not None:
+            collector.settle_front_stage()
+        mark, self._produce_mark = self._produce_mark, self.instruments.map_thread_work
+        collector._observe(self._produce_mark - mark, consume_work, size_bytes)
+
+    def join(self) -> None:
+        """Nothing is in flight: every spill was consumed as it was cut."""
+
+    def abort(self) -> None:
+        """Nothing to stop."""

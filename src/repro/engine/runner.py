@@ -15,8 +15,8 @@ core builds on the engine.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..config import JobConf, Keys
 from ..errors import ConfigError, LintError
@@ -25,6 +25,7 @@ from ..serde.writable import Writable
 from .collector import MapOutputCollector, StandardCollector
 from .combiner import CombinerRunner
 from .counters import Counters
+from .grouping import HashGrouping, SortGrouping
 from .instrumentation import Ledger, TaskInstruments
 from .job import JobSpec
 from .maptask import MapTaskResult
@@ -152,35 +153,26 @@ def build_collector(
 
         codec = codec_by_name(codec_name)
 
-    extra_kwargs: dict = {}
-    collector_cls: type[StandardCollector] = StandardCollector
     grouping = conf.get_str(Keys.GROUPING)
-    live = conf.get_bool(Keys.EXEC_LIVE_PIPELINE)
-    if grouping == "hash":
-        if live:
+    if grouping not in ("sort", "hash"):
+        raise ValueError(f"unknown grouping mode {grouping!r}; use 'sort' or 'hash'")
+    spills: Callable[[StandardCollector], Any] | None = None
+    if conf.get_bool(Keys.EXEC_LIVE_PIPELINE):
+        if grouping == "hash":
             # Hash grouping has no spill pipeline to make live.
             raise ConfigError(
                 f"{Keys.EXEC_LIVE_PIPELINE}=true needs {Keys.GROUPING}=sort, "
                 f"got {Keys.GROUPING}=hash"
             )
-        from .hashgroup import HashGroupingCollector
+        # Live mode: a real support thread runs sort/combine/spill
+        # concurrently with the map thread, and the spill policy is fed
+        # measured wall-clock rates.  It needs its own combiner charging
+        # its own counters; sharing the map thread's would race.
+        from ..exec.livepipeline import SupportThread
 
-        collector_cls = HashGroupingCollector
-    elif grouping == "sort":
-        if live:
-            # Live mode: a real support thread runs sort/combine/spill
-            # concurrently with the map thread, and the spill policy is
-            # fed measured wall-clock rates.
-            from ..exec.livepipeline import LiveStandardCollector
+        spills = partial(SupportThread, combiner_factory=combiner_runner_for)
 
-            collector_cls = LiveStandardCollector
-            # The support thread needs its own combiner charging its own
-            # counters; sharing the map thread's would race.
-            extra_kwargs["support_combiner_factory"] = combiner_runner_for
-    else:
-        raise ValueError(f"unknown grouping mode {grouping!r}; use 'sort' or 'hash'")
-
-    standard = collector_cls(
+    standard = StandardCollector(
         task_id=task_id,
         disk=disk,
         num_partitions=job.num_reducers,
@@ -194,7 +186,8 @@ def build_collector(
         exact_comparisons=conf.get_bool(Keys.EXACT_COMPARISON_COUNTING),
         sort_factor=conf.get_positive_int(Keys.SORT_FACTOR),
         codec=codec,
-        **extra_kwargs,
+        grouping=HashGrouping if grouping == "hash" else SortGrouping,
+        spills=spills,
     )
     if not freqbuf_enabled:
         return standard

@@ -23,8 +23,8 @@ a run imports only the backend it uses (a serial job never loads
 Select with the ``repro.exec.backend`` / ``repro.exec.workers`` conf
 keys or the CLI's ``--backend`` / ``--workers`` flags.  Independently,
 ``repro.exec.live.pipeline`` swaps each map task's modelled spill
-pipeline for a real two-thread one
-(:class:`~repro.exec.livepipeline.LiveStandardCollector`), feeding the
+pipeline for a real two-thread one: the collector consumes its spills
+on a :class:`~repro.exec.livepipeline.SupportThread`, feeding the
 spill-matcher measured wall-clock rates.
 """
 

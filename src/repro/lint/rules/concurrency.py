@@ -1,7 +1,7 @@
 """Self-lint: thread discipline of the engine's own shared classes.
 
-The live pipeline (:mod:`repro.exec.livepipeline`) runs parts of the
-collector stack on a real support thread while the map thread keeps
+The live pipeline (:mod:`repro.exec.livepipeline`) consumes the
+collector's spills on a real support thread while the map thread keeps
 collecting.  Its safety argument is a *written* protocol: the support
 thread works against thread-private accounting objects and may publish
 only through a small documented set of shared attributes; the map
@@ -14,11 +14,13 @@ Contract model (:class:`ThreadContract`), per class:
 
 * ``support_methods`` run on (or are invoked from) the support thread.
   They may assign or mutate **only** ``shared_writes`` (the documented
-  cross-thread attributes, e.g. the parked ``_support_error``) and
+  cross-thread attributes, e.g. the parked ``_error``) and
   ``support_private`` (the support thread's own accounting).
 * Every other method is map-side and may not read **or** write
   ``support_private`` — except the ``join_methods``, where the two
-  sides legitimately meet (``__init__``, ``_join_support``, ``abort``).
+  sides legitimately meet (``__init__``, ``join``, ``abort``).
+* A contract naming a support or join method the class does not define
+  is itself an error: the check it stood for silently stopped running.
 
 Mutation means attribute assignment or an in-place container-mutator
 call (``append``, ``update``, ...) on a ``self`` attribute.  Deeper
@@ -68,31 +70,38 @@ def _default_contracts() -> tuple[ThreadContract, ...]:
     from ...cluster.runtime.membership import Membership
     from ...dag.cache import SingleFlight
     from ...engine.collector import StandardCollector
-    from ...exec.livepipeline import LiveStandardCollector
+    from ...engine.grouping import SortGrouping
+    from ...exec.livepipeline import SupportThread
     from ...serve.queue import FairQueue
 
     return (
-        # The modelled collector's consume path doubles as the live
-        # support thread's work loop: accounting sinks are parameters,
-        # and the only self-mutation allowed is publishing the finished
-        # spill index (map side reads it after join, in flush()).
+        # The collector's consume + observe half of a spill cycle runs
+        # on the live support thread: accounting sinks are parameters,
+        # and the only self-mutations allowed are publishing the finished
+        # spill index (map side reads it after join, in flush()) and the
+        # next spill target.  The spill buffer is map-private — it is
+        # drained *before* the handoff, so any support-side touch of
+        # `buffer` is a bug this contract catches.
         ThreadContract(
             cls=StandardCollector,
-            support_methods=("_consume_spill", "_run_combiner"),
-            shared_writes=("spill_indices",),
+            support_methods=("_consume", "_observe"),
+            shared_writes=("spill_indices", "_spill_target"),
         ),
-        # The live pipeline: support loop may park an error and publish
-        # the next spill target; its accounting stays in _support_*
-        # privates that map-side code must not touch until join.  The
-        # spill buffer itself is map-private — it is drained *before*
-        # the handoff, so any support-side touch of `buffer` is a bug
-        # this contract catches.
+        # The packed sort's half of _consume: charges only the sinks it
+        # is handed and writes nothing on self.
         ThreadContract(
-            cls=LiveStandardCollector,
-            support_methods=("_support_loop", "_observe"),
-            shared_writes=("_support_error", "_spill_target", "spill_indices"),
-            support_private=("_support_instruments", "_support_counters", "_support_combiner"),
-            join_methods=("__init__", "_join_support", "abort"),
+            cls=SortGrouping,
+            support_methods=("runs", "_combine_sorted"),
+        ),
+        # The live spill execution: its loop may park an error; its
+        # accounting stays in privates that map-side code must not touch
+        # until join.
+        ThreadContract(
+            cls=SupportThread,
+            support_methods=("_loop",),
+            shared_writes=("_error",),
+            support_private=("instruments", "counters", "combiner_runner"),
+            join_methods=("__init__", "join", "abort"),
         ),
         # The dataflow cache's single-flight table: every method may run
         # on any pipeline scheduler thread; under the lock the only
@@ -116,7 +125,8 @@ def _default_contracts() -> tuple[ThreadContract, ...]:
         # The cluster master's membership table: ping-handler threads
         # and the scheduling loop share it; only the worker-record dict
         # is ever (re)bound on self — state transitions mutate the
-        # records it holds, under the same lock.
+        # records it holds, under the same lock.  A dataclass: its
+        # generated __init__ has no source to exempt.
         ThreadContract(
             cls=Membership,
             support_methods=(
@@ -124,6 +134,7 @@ def _default_contracts() -> tuple[ThreadContract, ...]:
                 "get", "records", "alive", "schedulable",
             ),
             shared_writes=("_workers",),
+            join_methods=(),
         ),
     )
 
@@ -148,6 +159,14 @@ class EngineConcurrencyRule:
             yield Finding(RULE_ID, Severity.ERROR, file, 0,
                           f"cannot resolve source for contracted class {contract.describe()}")
             return
+        defined = {func.name for func in source.methods()}
+        for name in (*contract.support_methods, *contract.join_methods):
+            if name not in defined:
+                yield finding(
+                    RULE_ID, Severity.ERROR, source.file, source.node,
+                    f"stale contract {contract.describe()}: the class defines "
+                    f"no method {name}()",
+                )
         allowed_support = set(contract.shared_writes) | set(contract.support_private)
         for func in source.methods():
             if func.name in contract.join_methods:

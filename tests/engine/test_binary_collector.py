@@ -15,6 +15,9 @@ two references replace it:
   invertedindex's and wordpostag's combiners are folds the matcher
   cannot prove (generic combine path); wordcount's is a proven int sum
   (folded on raw ints); accesslogjoin and distributedsort have none.
+  Four hash-grouping cases (captured on ``4a12723``, before hash
+  grouping and the live support thread became strategies of the one
+  collector) pin the same quantities for ``repro.engine.grouping=hash``.
 * at collector level, plain Python: ``sorted()`` and a dict for the
   segments, a ten-line occupancy model for the spill boundaries.
 
@@ -41,7 +44,7 @@ from repro.engine.instrumentation import Ledger, TaskInstruments
 from repro.engine.runner import LocalJobRunner
 from repro.engine.spillpolicy import StaticSpillPolicy
 from repro.errors import SpillBufferError
-from repro.exec.livepipeline import LiveStandardCollector
+from repro.exec.livepipeline import SupportThread
 from repro.experiments.common import build_app
 from repro.io.blockdisk import LocalDisk
 from repro.io.spillfile import read_segment
@@ -69,7 +72,7 @@ def make_collector(
         runner = CombinerRunner(
             SumCombiner(), Text, VIntWritable, UserCodeCosts(), counters
         )
-    collector = (LiveStandardCollector if live else StandardCollector)(
+    collector = StandardCollector(
         task_id="t0",
         disk=LocalDisk(),
         num_partitions=partitions,
@@ -81,6 +84,7 @@ def make_collector(
         counters=counters,
         combiner_runner=runner,
         exact_comparisons=exact,
+        spills=SupportThread if live else None,
     )
     return collector, counters, instruments
 
@@ -232,6 +236,12 @@ CASES["wordcount/zlib+freqbuf"] = (
     "wordcount", "baseline", {Keys.SPILL_COMPRESSION: "zlib", Keys.FREQBUF_ENABLED: True}
 )
 CASES["wordcount/exact"] = ("wordcount", "baseline", {Keys.EXACT_COMPARISON_COUNTING: True})
+HASH_APPS = ("wordcount", "invertedindex", "accesslogjoin")
+for app in HASH_APPS:
+    CASES[f"{app}/hash"] = (app, "baseline", {Keys.GROUPING: "hash"})
+CASES["wordcount/hash+freqbuf"] = (
+    "wordcount", "baseline", {Keys.GROUPING: "hash", Keys.FREQBUF_ENABLED: True}
+)
 
 
 def snapshot(case: str, **conf) -> dict:
@@ -275,6 +285,13 @@ class TestJobLevelByteIdentity:
 
     def test_exact_comparison_counting_identical(self, golden):
         assert snapshot("wordcount/exact") == golden["wordcount/exact"]
+
+    @pytest.mark.parametrize(
+        "case", [f"{app}/hash" for app in HASH_APPS] + ["wordcount/hash+freqbuf"]
+    )
+    def test_hash_grouping_identical(self, golden, case):
+        assert golden[case]["counters"]["spills"] > 1, case
+        assert snapshot(case) == golden[case], case
 
     def test_identical_process_backend(self, golden):
         forked = snapshot(

@@ -3,10 +3,13 @@
 import pytest
 
 from repro.config import Keys
+from repro.engine.api import Combiner
 from repro.engine.counters import Counter
 from repro.engine.instrumentation import Op
 from repro.engine.runner import LocalJobRunner
 from repro.errors import ConfigError
+from repro.serde.numeric import VIntWritable
+from repro.serde.text import Text
 from tests.conftest import make_wordcount_job
 
 
@@ -50,6 +53,33 @@ class TestCorrectness:
         out = {k.value: v.value for k, v in result.output_pairs()}
         assert out == wordcount_truth(tiny_text)
 
+    @pytest.mark.parametrize("buffer_bytes", (713, 902))
+    def test_rekeying_combiner_counted_once(self, buffer_bytes):
+        """A combiner output under another key is re-collected; when that
+        re-collect fills the table and spills it, the group it came from
+        must already hold its combined values, or the spill writes the
+        raw values and the combined ones are counted again (w0 came out
+        132 at 713 bytes and 162 at 902)."""
+
+        class RekeyingSumCombiner(Combiner):
+            def combine(self, key, values, emit):
+                emit(key, VIntWritable(sum(v.value for v in values)))
+                emit(Text(key.value + "#"), VIntWritable(0))
+
+        tokens = [f"w{i % 40}" for i in range(4000)]
+        lines = (" ".join(tokens[i:i + 10]) for i in range(0, len(tokens), 10))
+        data = ("\n".join(lines) + "\n").encode()
+        job = make_wordcount_job(
+            data, {Keys.GROUPING: "hash", Keys.SPILL_BUFFER_BYTES: buffer_bytes}
+        )
+        job.combiner_factory = RekeyingSumCombiner
+        result = LocalJobRunner().run(job)
+        assert result.counters.get(Counter.SPILLS) > 1
+        out = {k.value: v.value for k, v in result.output_pairs()}
+        assert {k: v for k, v in out.items() if "#" not in k} == {
+            f"w{i}": 100 for i in range(40)
+        }
+
     def test_tiny_budget_forces_spills(self, tiny_text, wordcount_truth):
         result = run(tiny_text, extra={Keys.SPILL_BUFFER_BYTES: 512})
         assert result.counters.get(Counter.SPILLS) > 1
@@ -90,21 +120,3 @@ class TestConfig:
         )
         with pytest.raises(ConfigError, match="repro.exec.live.pipeline=true needs repro.engine.grouping=sort"):
             LocalJobRunner().run(job)
-
-    def test_group_limit_validation(self):
-        from repro.engine.hashgroup import HashGroupingCollector
-        from repro.engine.api import HashPartitioner
-        from repro.engine.costmodel import DEFAULT_COST_MODEL
-        from repro.engine.counters import Counters
-        from repro.engine.instrumentation import Ledger, TaskInstruments
-        from repro.engine.spillpolicy import StaticSpillPolicy
-        from repro.io.blockdisk import LocalDisk
-
-        with pytest.raises(ValueError):
-            HashGroupingCollector(
-                task_id="t", disk=LocalDisk(), num_partitions=1,
-                partitioner=HashPartitioner(), policy=StaticSpillPolicy(),
-                capacity_bytes=1024, cost_model=DEFAULT_COST_MODEL,
-                instruments=TaskInstruments(Ledger()), counters=Counters(),
-                values_per_group_limit=1,
-            )

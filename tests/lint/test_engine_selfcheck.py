@@ -15,7 +15,8 @@ def test_shipped_engine_contracts_hold():
     # The contracts under check are surfaced, so a silently-empty
     # self-lint is distinguishable from a passing one.
     assert any("StandardCollector" in note for note in report.notes)
-    assert any("LiveStandardCollector" in note for note in report.notes)
+    assert any("SortGrouping" in note for note in report.notes)
+    assert any("SupportThread" in note for note in report.notes)
     # The lock-guarded shared structures of the dag/serve/cluster layers
     # are contracted too.
     assert any("SingleFlight" in note for note in report.notes)
@@ -71,3 +72,20 @@ def test_join_methods_are_exempt():
     flagged_methods = {f.message.split("(")[0] for f in rule.check_engine()}
     assert "LeakyWorker._join" not in flagged_methods
     assert "LeakyWorker.__init__" not in flagged_methods
+
+
+def test_contract_naming_a_missing_method_is_an_error():
+    """A contract that outlived a rename stops checking anything; the
+    rule must say so instead of passing vacuously."""
+    stale = ThreadContract(
+        cls=LeakyWorker,
+        support_methods=("_support_loop", "_renamed_away"),
+        shared_writes=("_done", "results"),
+        support_private=("_support_buf",),
+        join_methods=("__init__", "_join", "collect", "_gone_join"),
+    )
+    findings = list(EngineConcurrencyRule(contracts=(stale,)).check_engine())
+    assert [f.severity.name for f in findings] == ["ERROR", "ERROR"]
+    messages = " ".join(f.message for f in findings)
+    assert "_renamed_away()" in messages and "_gone_join()" in messages
+    assert all(f.file.endswith("test_engine_selfcheck.py") and f.line > 0 for f in findings)

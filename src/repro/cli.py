@@ -131,7 +131,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     extra = {
         Keys.EXEC_BACKEND: args.backend,
         Keys.EXEC_WORKERS: args.workers,
-        Keys.EXEC_LIVE_PIPELINE: args.live_pipeline,
         Keys.SHUFFLE_MODE: args.shuffle,
         Keys.LINT_MODE: args.lint,
         Keys.LINT_OPT_MODE: args.opt,
@@ -607,11 +606,6 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument(
         "--workers", type=int, default=0,
         help="worker count for parallel backends (0 = one per CPU)",
-    )
-    run_parser.add_argument(
-        "--live-pipeline", action="store_true",
-        help="run each map task's spill pipeline on a real support thread, "
-             "feeding the spill policy measured wall-clock rates",
     )
     run_parser.add_argument(
         "--shuffle", choices=("mem", "net"), default="mem",

@@ -34,6 +34,7 @@ from ..engine.job import JobSpec
 from ..engine.maptask import MapTaskResult, MapTaskRunner
 from ..engine.reducetask import ReduceTaskResult, ReduceTaskRunner
 from ..engine.runner import build_collector
+from ..exec.base import check_choices
 from ..io.blockdisk import LocalDisk
 from ..io.linereader import FileSplit
 from .scheduler import Placement, TaskRequest, schedule_wave
@@ -81,6 +82,7 @@ class ClusterJobRunner:
 
     def run(self, app: AppJob) -> ClusterJobResult:
         job = app.job
+        check_choices(job)
         input_format = job.input_format
         if not isinstance(input_format, TextInput):
             raise TypeError(

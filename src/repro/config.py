@@ -44,7 +44,6 @@ class Keys:
     # --- execution backend (repro.exec) ---
     EXEC_BACKEND = "repro.exec.backend"  # serial | thread | process | cluster
     EXEC_WORKERS = "repro.exec.workers"  # worker count (0 = one per CPU)
-    EXEC_LIVE_PIPELINE = "repro.exec.live.pipeline"  # real support thread per map task
 
     # --- network shuffle (repro.shuffle) ---
     SHUFFLE_MODE = "repro.shuffle.mode"  # mem (direct reads) | net (real sockets)
@@ -143,7 +142,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.FREQBUF_SHARE_ACROSS_TASKS: True,
     Keys.EXEC_BACKEND: "serial",
     Keys.EXEC_WORKERS: 0,
-    Keys.EXEC_LIVE_PIPELINE: False,
     Keys.SHUFFLE_MODE: "mem",
     Keys.SHUFFLE_FETCHERS: 4,
     Keys.SHUFFLE_FETCH_ATTEMPTS: 4,

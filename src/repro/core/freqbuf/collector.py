@@ -31,6 +31,7 @@ the rest skip straight to the optimization stage.
 
 from __future__ import annotations
 
+import weakref
 from enum import Enum
 from functools import partial
 from typing import Any
@@ -157,9 +158,6 @@ class FrequencyBufferingCollector(MapOutputCollector):
     @property
     def spill_indices(self) -> list[SpillIndex]:
         return self.inner.spill_indices
-
-    def abort(self) -> None:
-        self.inner.abort()
 
     def note_input_progress(self, fraction: float) -> None:
         self._input_fraction = fraction
@@ -289,5 +287,7 @@ class FrequencyBufferingCollector(MapOutputCollector):
             value_cls=runner.value_cls if runner is not None else None,
             values_per_key_limit=self.values_per_key_limit,
         )
-        self.inner.settle_front_stage = self._settle
+        # Non-owning: a bound method here would close an outer <-> inner
+        # cycle that only the cyclic GC could free.
+        self.inner.settle_front_stage = weakref.WeakMethod(self._settle)
         self.stage = Stage.OPTIMIZE

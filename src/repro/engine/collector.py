@@ -8,11 +8,12 @@ map-output file.  :class:`StandardCollector` reproduces Hadoop's
     serialize -> partition -> buffer -> [threshold] -> sort -> combine
     -> spill to disk -> ... -> final merge of all spills
 
-Two small strategies make up the rest, and every spill runs through
-the one cycle *drain -> consume -> observe* here: *grouping*
-(:mod:`repro.engine.grouping`: packed sort or hash) and *spill
-execution* (:class:`InlineSpills`, modelled, or the live
-:class:`repro.exec.livepipeline.SupportThread`, measured).  Frequency
+A *grouping* strategy (:mod:`repro.engine.grouping`: packed sort or
+hash) decides what is buffered and how a drained spill becomes sorted
+runs; every spill then runs through the one inline cycle *drain ->
+consume -> settle -> observe* here, with the two threads of Hadoop's
+spill pipeline modelled in work units
+(:class:`~repro.engine.pipeline.PipelineTimeline`).  Frequency
 buffering wraps this class (:mod:`repro.core.freqbuf.collector`);
 spill-matcher plugs in as the :class:`~repro.engine.spillpolicy.SpillPolicy`.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import weakref
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from ..errors import SpillBufferError
 from ..io.blockdisk import LocalDisk
@@ -37,9 +38,6 @@ from .grouping import HashGrouping, SortGrouping
 from .instrumentation import Op, TaskInstruments
 from .pipeline import PipelineTimeline
 from .spillpolicy import SpillPolicy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; exec layers on engine
-    from ..exec.livepipeline import SupportThread
 
 
 class MapOutputCollector(ABC):
@@ -61,13 +59,6 @@ class MapOutputCollector(ABC):
         a percentage of the map task's input records); the standard
         collector ignores it."""
 
-    def abort(self) -> None:
-        """The task attempt failed before :meth:`flush`: release any
-        resources the collector holds.  Collectors that own a real
-        support thread (:mod:`repro.exec.livepipeline`) must stop it here
-        so a retried attempt never races a stale thread; the synchronous
-        collectors have nothing to do."""
-
 
 #: Bound on the collector's key→partition memo.  Text keys are Zipfian
 #: (the paper's premise), so a modest cap catches nearly every lookup
@@ -87,8 +78,8 @@ class StandardCollector(MapOutputCollector):
     records accumulate in the packed spill buffer
     (:mod:`repro.engine.binarybuffer`): serialized bytes in one
     contiguous buffer plus a flat uint32 kvindex, ordered at spill time
-    by the key-prefix integer sort.  *grouping* and *spills* build the
-    other strategies, each bound once and dispatched to once per spill.
+    by the key-prefix integer sort.  *grouping* builds the other
+    strategy, bound once and dispatched to once per spill.
     """
 
     def __init__(
@@ -108,7 +99,6 @@ class StandardCollector(MapOutputCollector):
         sort_factor: int = 10,
         codec=None,
         grouping: Callable[["StandardCollector"], SortGrouping | HashGrouping] = SortGrouping,
-        spills: Callable[["StandardCollector"], Any] | None = None,
     ) -> None:
         if num_partitions <= 0:
             raise ValueError(f"num_partitions must be positive, got {num_partitions}")
@@ -131,8 +121,11 @@ class StandardCollector(MapOutputCollector):
         self._spill_target = self.timeline.expected_next_size(policy.spill_percent(), None)
         #: A front stage that defers its map-thread charges (the
         #: frequency buffer) settles them here, before each spill reads
-        #: the produce work.
-        self.settle_front_stage: Callable[[], None] | None = None
+        #: the produce work.  Non-owning, so the front stage that wraps
+        #: this collector is not kept alive by it.
+        self.settle_front_stage: weakref.WeakMethod | None = None
+        #: Map-thread work at the previous spill: ``T_p`` is the difference.
+        self._produce_mark = instruments.map_thread_work
         # The stock partitioner's FNV loop is per key byte — by far the
         # most expensive per-record step — and a pure function of the
         # key, so a memo changes nothing.  A custom Partitioner is user
@@ -141,9 +134,8 @@ class StandardCollector(MapOutputCollector):
             {} if type(self.partitioner) is HashPartitioner else None
         )
         self._flushed = False
-        # Weak back-references: no cycle keeps a finished collector alive.
+        # A weak back-reference: no cycle keeps a finished collector alive.
         self.grouping = grouping(weakref.proxy(self))
-        self.spills = (spills or InlineSpills)(weakref.proxy(self))
 
     def collect(self, key: Writable, value: Writable) -> None:
         self.collect_serialized(key.to_bytes(), value.to_bytes())
@@ -214,19 +206,26 @@ class StandardCollector(MapOutputCollector):
             self._spill()
 
     def _spill(self) -> None:
-        """One spill cycle: the grouping drains, the spill execution
-        consumes (:meth:`_consume`) and observes (:meth:`_observe`)."""
+        """One spill cycle, inline: the grouping drains, :meth:`_consume`
+        writes the spill, a deferring front stage settles, and
+        :meth:`_observe` feeds the policy."""
         drained = self.grouping.drain()
-        if drained is not None:
-            self.spills.submit(*drained)
+        if drained is None:
+            return
+        spill, size_bytes = drained
+        consume_work = self._consume(spill)
+        # T_p: map-thread work since the previous spill, once a front
+        # stage that defers its charges (the frequency buffer) settled.
+        if self.settle_front_stage is not None:
+            self.settle_front_stage()()
+        mark, self._produce_mark = self._produce_mark, self.instruments.map_thread_work
+        self._observe(self._produce_mark - mark, consume_work, size_bytes)
 
-    def _consume(self, spill: Any, sinks: "InlineSpills | SupportThread") -> float:
-        """Group + write one drained spill: the support thread's job for
-        one cycle; returns the modelled consume work ``T_c``.  Charges the
-        *sinks* of the spill execution (``instruments``, ``counters``,
-        ``combiner_runner``): the live support thread's own, if live."""
-        partitions, consume_work = self.grouping.runs(spill, sinks)
-        model, instruments, counters = self.cost_model, sinks.instruments, sinks.counters
+    def _consume(self, spill: Any) -> float:
+        """Group + write one drained spill: the modelled support thread's
+        job for one cycle; returns its consume work ``T_c``."""
+        partitions, consume_work = self.grouping.runs(spill)
+        model, instruments, counters = self.cost_model, self.instruments, self.counters
         path = f"{self.task_id}.spill{len(self.spill_indices)}"
         index = write_spill(self.disk, path, partitions, codec=self.codec)
         spill_io_work = model.spill_write_byte * index.total_bytes
@@ -239,25 +238,21 @@ class StandardCollector(MapOutputCollector):
         counters.incr(Counter.SPILLED_BYTES, index.total_bytes)
         return consume_work
 
-    def _observe(self, produce_work: float, consume_work: float, size_bytes: int) -> float:
+    def _observe(self, produce_work: float, consume_work: float, size_bytes: int) -> None:
         """Feed one spill's ``T_p``/``T_c``/size to the timeline and the
-        policy, and aim the next spill; returns the chosen threshold."""
+        policy, and aim the next spill."""
         policy = self.policy
         self.timeline.record_spill(max(produce_work, 1e-9), max(consume_work, 1e-9), size_bytes)
         policy.observe(produce_work, consume_work, size_bytes)
-        x = policy.spill_percent()
-        self._spill_target = self.timeline.expected_next_size(x, policy.produce_consume_ratio())
-        return x
-
-    def abort(self) -> None:
-        self.spills.abort()
+        self._spill_target = self.timeline.expected_next_size(
+            policy.spill_percent(), policy.produce_consume_ratio()
+        )
 
     def flush(self) -> SpillIndex:
         if self._flushed:
             raise SpillBufferError("collector already flushed")
         self._flushed = True
         self._spill()
-        self.spills.join()
         self.timeline.finish()
 
         if not self.spill_indices:
@@ -326,31 +321,3 @@ class StandardCollector(MapOutputCollector):
         self.counters.incr(Counter.MERGED_RECORDS, stats.records_in)
         return final
 
-
-class InlineSpills:
-    """Spill execution on the map thread: each spill is consumed as it
-    is cut, the policy fed modelled work units.  Same surface as the
-    live :class:`repro.exec.livepipeline.SupportThread`."""
-
-    def __init__(self, collector: StandardCollector) -> None:
-        self.collector = collector
-        # The accounting sinks a spill charges: the task's own.
-        self.instruments, self.counters = collector.instruments, collector.counters
-        self.combiner_runner = collector.combiner_runner
-        self._produce_mark = self.instruments.map_thread_work
-
-    def submit(self, spill: Any, size_bytes: int) -> None:
-        collector = self.collector
-        consume_work = collector._consume(spill, self)
-        # T_p: map-thread work since the previous spill, once a front
-        # stage that defers its charges (the frequency buffer) settled.
-        if collector.settle_front_stage is not None:
-            collector.settle_front_stage()
-        mark, self._produce_mark = self._produce_mark, self.instruments.map_thread_work
-        collector._observe(self._produce_mark - mark, consume_work, size_bytes)
-
-    def join(self) -> None:
-        """Nothing is in flight: every spill was consumed as it was cut."""
-
-    def abort(self) -> None:
-        """Nothing to stop."""

@@ -22,13 +22,11 @@ from typing import TYPE_CHECKING
 
 from ..serde.writable import SerdePair
 from .binarybuffer import BinarySpill
-from .combiner import CombinerRunner
-from .counters import Counter, Counters
-from .instrumentation import Op, TaskInstruments
+from .counters import Counter
+from .instrumentation import Op
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; the collector imports us
-    from ..exec.livepipeline import SupportThread
-    from .collector import InlineSpills, StandardCollector
+    from .collector import StandardCollector
 
 #: A hash group's values are combined eagerly once this many accumulate.
 VALUES_PER_GROUP_LIMIT = 16
@@ -53,32 +51,23 @@ class SortGrouping:
         size_bytes = buffer.occupancy_bytes  # before the drain resets it
         return buffer.drain(), size_bytes
 
-    def runs(self, spill: BinarySpill, sinks: "InlineSpills | SupportThread") -> tuple[Runs, float]:
+    def runs(self, spill: BinarySpill) -> tuple[Runs, float]:
         """Sort (and combine) one drained spill into per-partition runs;
-        returns them with the SORT + COMBINE consume work charged only to
-        the spill execution's *sinks* (on the live support thread too)."""
+        returns them with the SORT + COMBINE consume work."""
         collector = self.collector
         model = collector.cost_model
         order, sort_stats = spill.sort(collector.exact_comparisons)
-        consume_work = sinks.instruments.charge_support_thread(
+        consume_work = collector.instruments.charge_support_thread(
             Op.SORT,
             model.sort_comparison * sort_stats.comparisons
             + model.sort_byte_move * sort_stats.bytes_moved,
         )
-        runner = sinks.combiner_runner
-        if runner is None:
+        if collector.combiner_runner is None:
             return spill.partition_runs(order, collector.num_partitions), consume_work
-        return self._combine_sorted(
-            spill.key_groups(order), sinks.instruments, sinks.counters, runner, consume_work
-        )
+        return self._combine_sorted(spill.key_groups(order), consume_work)
 
     def _combine_sorted(
-        self,
-        groups: list[tuple[int, bytes, list[bytes]]],
-        instruments: TaskInstruments,
-        counters: Counters,
-        combiner_runner: CombinerRunner,
-        consume_work: float,
+        self, groups: list[tuple[int, bytes, list[bytes]]], consume_work: float
     ) -> tuple[Runs, float]:
         """Combine sorted ``(partition, key, values)`` groups into runs,
         advancing *consume_work* by each group's COMBINE charge.  A proven
@@ -86,6 +75,7 @@ class SortGrouping:
         fold on raw ints, charged the generic path's per-group amounts in
         the same order, the counters in bulk."""
         collector = self.collector
+        instruments, combiner_runner = collector.instruments, collector.combiner_runner
         overhead = collector.cost_model.combine_record_overhead
         partitions: Runs = [[] for _ in range(collector.num_partitions)]
         if combiner_runner.fold is None:
@@ -115,8 +105,8 @@ class SortGrouping:
             consume_work += amount
         if charged:
             work[_COMBINE_OP] = charged
-        counters.incr(Counter.COMBINE_INPUT_RECORDS, in_records)
-        counters.incr(Counter.COMBINE_OUTPUT_RECORDS, len(groups))
+        collector.counters.incr(Counter.COMBINE_INPUT_RECORDS, in_records)
+        collector.counters.incr(Counter.COMBINE_OUTPUT_RECORDS, len(groups))
         return partitions, consume_work
 
 
@@ -181,14 +171,12 @@ class HashGrouping:
         self._groups, self._occupancy, self._pending_work = {}, 0, 0.0
         return drained
 
-    def runs(
-        self, spill: tuple[dict, float], sinks: "InlineSpills | SupportThread"
-    ) -> tuple[Runs, float]:
+    def runs(self, spill: tuple[dict, float]) -> tuple[Runs, float]:
         """Combine every group, then sort the aggregates once; returns the
         runs with the eager + final COMBINE and the SORT work charged."""
         groups, consume_work = spill
-        instruments, combiner_runner = sinks.instruments, sinks.combiner_runner
         collector = self.collector
+        instruments, combiner_runner = collector.instruments, collector.combiner_runner
         model = collector.cost_model
         partitioner, num_partitions = collector.partitioner, collector.num_partitions
         partitions: Runs = [[] for _ in range(num_partitions)]

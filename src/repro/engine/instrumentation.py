@@ -86,11 +86,11 @@ class Ledger:
     additive: task ledgers merge into job ledgers.
 
     Besides the per-op work totals, a ledger carries named *sample
-    series* — raw measurement lists such as the live pipeline's
-    wall-clock ``T_p``/``T_c`` per spill (:mod:`repro.exec.livepipeline`).
-    Samples merge by concatenation, so a job ledger holds every task's
-    measurements in task order.  Both parts pickle cleanly; worker
-    processes ship their task ledgers back to the parent for merging.
+    series* — raw measurement lists such as the network shuffle's
+    per-fetch seconds (``shuffle.fetch_seconds``).  Samples merge by
+    concatenation, so a job ledger holds every task's measurements in
+    task order.  Both parts pickle cleanly; worker processes ship their
+    task ledgers back to the parent for merging.
     """
 
     work: dict[Op, float] = field(default_factory=dict)

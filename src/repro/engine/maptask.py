@@ -96,14 +96,7 @@ class MapTaskRunner:
 
     def run(self) -> MapTaskResult:
         start = time.perf_counter()
-        try:
-            result = self._run_task()
-        except BaseException:  # noqa: BLE001 - cleanup, then always re-raised
-            # A failed attempt must release collector resources — in live
-            # pipeline mode the collector owns a real support thread that
-            # would otherwise leak into the retry attempt.
-            self.collector.abort()
-            raise
+        result = self._run_task()
         result.wall_seconds = time.perf_counter() - start
         return result
 

@@ -78,11 +78,9 @@ class ReduceTaskRunner:
         counters = self.counters
 
         from ..config import Keys
-        from ..errors import ConfigError
         from ..io.blockdisk import LocalDisk
 
-        mode = job.conf.get_str(Keys.SHUFFLE_MODE)
-        if mode == "net":
+        if job.conf.get_str(Keys.SHUFFLE_MODE) == "net":
             # Real sockets: fetch from the per-node shuffle servers and
             # charge Op.SHUFFLE from measured bytes and wall time.
             from ..shuffle.service import NetShuffleService
@@ -96,7 +94,7 @@ class ReduceTaskRunner:
                 memory_budget_bytes=job.conf.get_positive_int(Keys.REDUCE_MEMORY_BYTES),
                 staging_disk=LocalDisk(f"{self.task_id}.disk"),
             )
-        elif mode == "mem":
+        else:
             shuffle = ShuffleService(
                 model,
                 instruments,
@@ -104,10 +102,6 @@ class ReduceTaskRunner:
                 self.host,
                 memory_budget_bytes=job.conf.get_positive_int(Keys.REDUCE_MEMORY_BYTES),
                 staging_disk=LocalDisk(f"{self.task_id}.disk"),
-            )
-        else:
-            raise ConfigError(
-                f"{Keys.SHUFFLE_MODE}={mode!r} is not a shuffle mode; use 'mem' or 'net'"
             )
         merged = shuffle.fetch_and_merge(self.map_results, self.partition)
 

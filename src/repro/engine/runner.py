@@ -15,8 +15,7 @@ core builds on the engine.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
 from ..config import JobConf, Keys
 from ..errors import ConfigError, LintError
@@ -133,18 +132,15 @@ def build_collector(
         fraction = conf.get_fraction(Keys.FREQBUF_BUFFER_FRACTION)
         spill_capacity = max(1, int(capacity * (1.0 - fraction)))
 
-    def combiner_runner_for(sink: Counters) -> CombinerRunner | None:
-        if job.combiner_factory is None:
-            return None
-        return CombinerRunner(
+    combiner_runner = None
+    if job.combiner_factory is not None:
+        combiner_runner = CombinerRunner(
             job.combiner_factory(),
             job.map_output_key_cls,
             job.map_output_value_cls,
             job.user_costs,
-            sink,
+            counters,
         )
-
-    combiner_runner = combiner_runner_for(counters)
 
     codec = None
     codec_name = conf.get_str(Keys.SPILL_COMPRESSION)
@@ -152,25 +148,6 @@ def build_collector(
         from ..io.compression import codec_by_name
 
         codec = codec_by_name(codec_name)
-
-    grouping = conf.get_str(Keys.GROUPING)
-    if grouping not in ("sort", "hash"):
-        raise ValueError(f"unknown grouping mode {grouping!r}; use 'sort' or 'hash'")
-    spills: Callable[[StandardCollector], Any] | None = None
-    if conf.get_bool(Keys.EXEC_LIVE_PIPELINE):
-        if grouping == "hash":
-            # Hash grouping has no spill pipeline to make live.
-            raise ConfigError(
-                f"{Keys.EXEC_LIVE_PIPELINE}=true needs {Keys.GROUPING}=sort, "
-                f"got {Keys.GROUPING}=hash"
-            )
-        # Live mode: a real support thread runs sort/combine/spill
-        # concurrently with the map thread, and the spill policy is fed
-        # measured wall-clock rates.  It needs its own combiner charging
-        # its own counters; sharing the map thread's would race.
-        from ..exec.livepipeline import SupportThread
-
-        spills = partial(SupportThread, combiner_factory=combiner_runner_for)
 
     standard = StandardCollector(
         task_id=task_id,
@@ -186,8 +163,7 @@ def build_collector(
         exact_comparisons=conf.get_bool(Keys.EXACT_COMPARISON_COUNTING),
         sort_factor=conf.get_positive_int(Keys.SORT_FACTOR),
         codec=codec,
-        grouping=HashGrouping if grouping == "hash" else SortGrouping,
-        spills=spills,
+        grouping=HashGrouping if conf.get_str(Keys.GROUPING) == "hash" else SortGrouping,
     )
     if not freqbuf_enabled:
         return standard

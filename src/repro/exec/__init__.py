@@ -21,11 +21,9 @@ a run imports only the backend it uses (a serial job never loads
 ``multiprocessing`` or ``concurrent.futures``).
 
 Select with the ``repro.exec.backend`` / ``repro.exec.workers`` conf
-keys or the CLI's ``--backend`` / ``--workers`` flags.  Independently,
-``repro.exec.live.pipeline`` swaps each map task's modelled spill
-pipeline for a real two-thread one: the collector consumes its spills
-on a :class:`~repro.exec.livepipeline.SupportThread`, feeding the
-spill-matcher measured wall-clock rates.
+keys or the CLI's ``--backend`` / ``--workers`` flags.  Within a task
+the spill pipeline's two threads are modelled, not run: every spill is
+consumed inline (:mod:`repro.engine.collector`).
 """
 
 from __future__ import annotations

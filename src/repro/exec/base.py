@@ -17,8 +17,7 @@ inside a worker.
 
 Per-task ledgers and counters merge into the job totals in task order,
 so a job's summed :class:`~repro.engine.instrumentation.Ledger` is
-identical no matter which backend executed it (modulo the live
-pipeline, which measures wall clock instead of modelled work).
+identical no matter which backend executed it.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from ..engine.maptask import MapTaskResult, MapTaskRunner
 from ..engine.reducetask import ReduceTaskResult, ReduceTaskRunner
 from ..engine.runner import JobResult, build_collector
 from ..errors import (
+    ConfigError,
     DiskError,
     ExecBackendError,
     JobFailedError,
@@ -56,6 +56,24 @@ from ..io.linereader import FileSplit
 #: and a fetch that exhausts it is a cluster problem a fresh reduce
 #: attempt against the same servers would only repeat.
 TRANSIENT_TASK_ERRORS = (UserCodeError, SerdeError, DiskError)
+
+
+def check_choices(job: JobSpec) -> None:
+    """Refuse an enumerated conf value outside its choices with a
+    :class:`~repro.errors.ConfigError` naming the key — once, at
+    submit, so a bad value fails the same way on every backend and
+    before any task runs."""
+    from ..io.compression import codec_names
+
+    choices = {
+        Keys.GROUPING: ("sort", "hash"),
+        Keys.SHUFFLE_MODE: ("mem", "net"),
+        Keys.SPILL_COMPRESSION: codec_names(),
+    }
+    for key, allowed in choices.items():
+        value = job.conf.get_str(key)
+        if value not in allowed:
+            raise ConfigError(f"{key}={value!r} is not one of {', '.join(allowed)}")
 
 
 def resolve_workers(requested: int) -> int:
@@ -302,15 +320,8 @@ def start_shuffle_server(job: JobSpec, host: str):
     the default ``mem`` mode.  The caller owns the server's lifetime and
     must ``stop()`` it (the job plan and the worker daemon do so in a
     ``finally``)."""
-    mode = job.conf.get_str(Keys.SHUFFLE_MODE)
-    if mode == "mem":
+    if job.conf.get_str(Keys.SHUFFLE_MODE) != "net":
         return None
-    if mode != "net":
-        from ..errors import ConfigError
-
-        raise ConfigError(
-            f"{Keys.SHUFFLE_MODE}={mode!r} is not a shuffle mode; use 'mem' or 'net'"
-        )
     from ..faults.shuffle import FaultPlan as ShuffleFaultPlan
     from ..shuffle.server import ShuffleServer
 
@@ -396,6 +407,7 @@ class Executor(ABC):
         given results take their place, in split order, everywhere a
         fresh result would go — shuffle, node-combine, job result.
         """
+        check_choices(job)
         reuse = reuse or {}
         self.job = job
         self.events = Counters()

@@ -145,6 +145,11 @@ register_codec(ZlibCodec())
 register_codec(RlePlusZlibCodec())
 
 
+def codec_names() -> list[str]:
+    """The names :func:`codec_by_name` resolves, sorted."""
+    return sorted(_CODECS_BY_NAME)
+
+
 def codec_by_name(name: str) -> Codec:
     try:
         return _CODECS_BY_NAME[name]

@@ -1,24 +1,23 @@
-"""Self-lint: thread discipline of the engine's own shared classes.
+"""Self-lint: thread discipline of the shared, lock-guarded classes.
 
-The live pipeline (:mod:`repro.exec.livepipeline`) consumes the
-collector's spills on a real support thread while the map thread keeps
-collecting.  Its safety argument is a *written* protocol: the support
-thread works against thread-private accounting objects and may publish
-only through a small documented set of shared attributes; the map
-thread must never touch the support thread's private state outside the
-join points.  This rule turns that prose into a check, so a refactor
-that quietly adds a cross-thread write fails ``repro lint --engine``
-(and CI) instead of corrupting accounting one run in a thousand.
+Three classes are touched from several threads at once: the dataflow
+cache's :class:`~repro.dag.cache.SingleFlight` (pipeline scheduler
+threads), the job service's :class:`~repro.serve.queue.FairQueue`
+(submission handlers and scheduler threads) and the cluster master's
+:class:`~repro.cluster.runtime.membership.Membership` (ping handlers
+and the scheduling loop).  Each one's safety argument is a *written*
+protocol: under its lock, only a small documented set of attributes is
+ever rebound or mutated on ``self``.  This rule turns that prose into a
+check, so a refactor that quietly adds a cross-thread write fails
+``repro lint --engine`` (and CI) instead of corrupting state one run in
+a thousand.
 
 Contract model (:class:`ThreadContract`), per class:
 
-* ``support_methods`` run on (or are invoked from) the support thread.
-  They may assign or mutate **only** ``shared_writes`` (the documented
-  cross-thread attributes, e.g. the parked ``_error``) and
-  ``support_private`` (the support thread's own accounting).
-* Every other method is map-side and may not read **or** write
-  ``support_private`` — except the ``join_methods``, where the two
-  sides legitimately meet (``__init__``, ``join``, ``abort``).
+* ``support_methods`` may run on any thread.  They may assign or mutate
+  **only** ``shared_writes`` (the documented lock-guarded attributes).
+* ``join_methods`` (``__init__`` by default) run before the object is
+  shared and are exempt.
 * A contract naming a support or join method the class does not define
   is itself an error: the check it stood for silently stopped running.
 
@@ -28,7 +27,7 @@ aliasing is out of scope — the point is to freeze the documented
 protocol, not to prove the program.
 
 ``engine-thread-safety`` (error) findings anchor to the offending
-statement in the engine source.
+statement in the source.
 """
 
 from __future__ import annotations
@@ -50,11 +49,9 @@ class ThreadContract:
 
     cls: type
     support_methods: tuple[str, ...]
-    #: Attributes either side may write (the documented handoff surface).
+    #: Attributes any thread may write (the documented shared surface).
     shared_writes: tuple[str, ...] = ()
-    #: The support thread's private state; map-side code must not touch.
-    support_private: tuple[str, ...] = ()
-    #: Methods where both sides legitimately meet; exempt from checks.
+    #: Methods that run before the object is shared; exempt from checks.
     join_methods: tuple[str, ...] = ("__init__",)
 
     def describe(self) -> str:
@@ -69,40 +66,9 @@ def _default_contracts() -> tuple[ThreadContract, ...]:
     # in at import time (core already layers on engine).
     from ...cluster.runtime.membership import Membership
     from ...dag.cache import SingleFlight
-    from ...engine.collector import StandardCollector
-    from ...engine.grouping import SortGrouping
-    from ...exec.livepipeline import SupportThread
     from ...serve.queue import FairQueue
 
     return (
-        # The collector's consume + observe half of a spill cycle runs
-        # on the live support thread: accounting sinks are parameters,
-        # and the only self-mutations allowed are publishing the finished
-        # spill index (map side reads it after join, in flush()) and the
-        # next spill target.  The spill buffer is map-private — it is
-        # drained *before* the handoff, so any support-side touch of
-        # `buffer` is a bug this contract catches.
-        ThreadContract(
-            cls=StandardCollector,
-            support_methods=("_consume", "_observe"),
-            shared_writes=("spill_indices", "_spill_target"),
-        ),
-        # The packed sort's half of _consume: charges only the sinks it
-        # is handed and writes nothing on self.
-        ThreadContract(
-            cls=SortGrouping,
-            support_methods=("runs", "_combine_sorted"),
-        ),
-        # The live spill execution: its loop may park an error; its
-        # accounting stays in privates that map-side code must not touch
-        # until join.
-        ThreadContract(
-            cls=SupportThread,
-            support_methods=("_loop",),
-            shared_writes=("_error",),
-            support_private=("instruments", "counters", "combiner_runner"),
-            join_methods=("__init__", "join", "abort"),
-        ),
         # The dataflow cache's single-flight table: every method may run
         # on any pipeline scheduler thread; under the lock the only
         # mutable state is the flights dict itself.
@@ -167,14 +133,10 @@ class EngineConcurrencyRule:
                     f"stale contract {contract.describe()}: the class defines "
                     f"no method {name}()",
                 )
-        allowed_support = set(contract.shared_writes) | set(contract.support_private)
+        allowed = set(contract.shared_writes)
         for func in source.methods():
-            if func.name in contract.join_methods:
-                continue
             if func.name in contract.support_methods:
-                yield from self._check_support_side(contract, source.file, func, allowed_support)
-            else:
-                yield from self._check_map_side(contract, source.file, func)
+                yield from self._check_support_side(contract, source.file, func, allowed)
 
     def _check_support_side(
         self, contract: ThreadContract, file: str, func: ast.FunctionDef, allowed: set[str]
@@ -187,27 +149,6 @@ class EngineConcurrencyRule:
                     f"{cls_name}.{func.name}() runs on the support thread but "
                     f"writes self.{attr}, which is not in the documented "
                     f"shared set {sorted(allowed)}",
-                )
-
-    def _check_map_side(
-        self, contract: ThreadContract, file: str, func: ast.FunctionDef
-    ) -> Iterator[Finding]:
-        if not contract.support_private:
-            return
-        cls_name = contract.cls.__name__
-        private = set(contract.support_private)
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-                and node.attr in private
-            ):
-                yield finding(
-                    RULE_ID, Severity.ERROR, file, node,
-                    f"{cls_name}.{func.name}() is map-side but touches the "
-                    f"support thread's private self.{node.attr} outside the "
-                    f"join methods {sorted(contract.join_methods)}",
                 )
 
 

@@ -1,5 +1,8 @@
 """Tests for the two-stage frequency-buffering collector."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import Keys
@@ -11,6 +14,8 @@ from repro.core.freqbuf.collector import (
 from repro.engine.counters import Counter
 from repro.engine.instrumentation import Op
 from repro.engine.runner import LocalJobRunner, build_collector
+from repro.exec import base
+from repro.experiments.common import build_app
 from repro.serde.numeric import VIntWritable
 from repro.serde.text import Text
 from tests.conftest import make_wordcount_job
@@ -213,3 +218,27 @@ class TestStageMachine:
             job, "t0", LocalDisk(), TaskInstruments(Ledger()), Counters(), {}
         )
         assert collector.stage is Stage.PREPROFILE
+
+
+class TestLifetime:
+    def test_collectors_die_without_the_cycle_collector(self, monkeypatch):
+        """The front stage's settle hook on the inner collector is
+        non-owning: with gc off, reference counting alone frees both
+        collectors of every map task once the job is done."""
+        probes = []
+
+        def probed(*args):
+            collector = build_collector(*args)
+            probes.extend((weakref.ref(collector), weakref.ref(collector.inner)))
+            return collector
+
+        monkeypatch.setattr(base, "build_collector", probed)
+        job = build_app("wordcount", "freq", scale=0.02, num_splits=2).job
+        gc.disable()
+        try:
+            LocalJobRunner().run(job)
+            alive = sum(probe() is not None for probe in probes)
+        finally:
+            gc.enable()
+        assert len(probes) == 4
+        assert alive == 0

@@ -40,11 +40,11 @@ from repro.engine.collector import StandardCollector
 from repro.engine.combiner import CombinerRunner
 from repro.engine.costmodel import DEFAULT_COST_MODEL, UserCodeCosts
 from repro.engine.counters import Counter, Counters
+from repro.engine.grouping import SortGrouping
 from repro.engine.instrumentation import Ledger, TaskInstruments
 from repro.engine.runner import LocalJobRunner
 from repro.engine.spillpolicy import StaticSpillPolicy
 from repro.errors import SpillBufferError
-from repro.exec.livepipeline import SupportThread
 from repro.experiments.common import build_app
 from repro.io.blockdisk import LocalDisk
 from repro.io.spillfile import read_segment
@@ -63,7 +63,7 @@ def make_collector(
     combiner: bool = True,
     spill_percent: float = 0.8,
     exact: bool = False,
-    live: bool = False,
+    grouping=SortGrouping,
 ):
     counters = Counters()
     instruments = TaskInstruments(Ledger())
@@ -84,7 +84,7 @@ def make_collector(
         counters=counters,
         combiner_runner=runner,
         exact_comparisons=exact,
-        spills=SupportThread if live else None,
+        grouping=grouping,
     )
     return collector, counters, instruments
 
@@ -176,19 +176,15 @@ class TestCollectorEquivalence:
 
 
 class TestOversizedRecord:
-    """A single record that can never fit fails fast and identifies
-    itself before any useless spill — with spills run inline and with
-    the live support thread."""
+    """A single record that can never fit the packed ("binary") buffer
+    fails fast and identifies itself before any useless spill."""
 
-    @pytest.mark.parametrize("live", (False, True), ids=("binary", "binary-live"))
-    def test_oversized_record_identified(self, live):
-        collector, counters, _ = make_collector(capacity=256, combiner=False, live=live)
-        try:
-            collector.collect(Text("small"), VIntWritable(1))
-            with pytest.raises(SpillBufferError) as excinfo:
-                collector.collect(Text("K" * 300), VIntWritable(1))
-        finally:
-            collector.abort()
+    @pytest.mark.parametrize("grouping", (SortGrouping,), ids=("binary",))
+    def test_oversized_record_identified(self, grouping):
+        collector, counters, _ = make_collector(capacity=256, combiner=False, grouping=grouping)
+        collector.collect(Text("small"), VIntWritable(1))
+        with pytest.raises(SpillBufferError) as excinfo:
+            collector.collect(Text("K" * 300), VIntWritable(1))
         message = str(excinfo.value)
         assert "single record" in message
         assert "KKKK" in message, "message must preview the offending key"
@@ -197,12 +193,12 @@ class TestOversizedRecord:
         # Failed before spilling the records already buffered.
         assert counters.get(Counter.SPILLS) == 0
 
-    @pytest.mark.parametrize("live", (False, True), ids=("binary", "binary-live"))
-    def test_record_over_threshold_spills_cleanly(self, live):
+    @pytest.mark.parametrize("grouping", (SortGrouping,), ids=("binary",))
+    def test_record_over_threshold_spills_cleanly(self, grouping):
         """Larger than the spill threshold but within capacity: the
         record lands in its own clean single-record spill, no error."""
         collector, counters, _ = make_collector(
-            capacity=512, combiner=False, spill_percent=0.5, live=live
+            capacity=512, combiner=False, spill_percent=0.5, grouping=grouping
         )
         big = "B" * 400  # > 0.5 * 512 threshold, < 512 capacity
         collector.collect(Text(big), VIntWritable(1))

@@ -110,13 +110,5 @@ class TestEfficiency:
 class TestConfig:
     def test_unknown_grouping_rejected(self, tiny_text):
         job = make_wordcount_job(tiny_text, {Keys.GROUPING: "quantum"})
-        with pytest.raises(ValueError):
-            LocalJobRunner().run(job)
-
-    def test_live_pipeline_rejected_not_ignored(self, tiny_text):
-        # Hash grouping has no spill pipeline to make live.
-        job = make_wordcount_job(
-            tiny_text, {Keys.GROUPING: "hash", Keys.EXEC_LIVE_PIPELINE: True}
-        )
-        with pytest.raises(ConfigError, match="repro.exec.live.pipeline=true needs repro.engine.grouping=sort"):
+        with pytest.raises(ConfigError, match="repro.engine.grouping='quantum'"):
             LocalJobRunner().run(job)

@@ -18,7 +18,7 @@ from repro.engine.api import Mapper
 from repro.engine.counters import Counter, Counters
 from repro.engine.instrumentation import Ledger
 from repro.engine.runner import LocalJobRunner
-from repro.errors import JobFailedError, ReproError, ShuffleError
+from repro.errors import ConfigError, JobFailedError, ReproError, ShuffleError
 from repro.exec import base
 from repro.exec.base import Executor, run_with_retries
 from repro.io.blockdisk import LocalDisk
@@ -176,6 +176,18 @@ def test_opaque_errors_become_task_attributed_failures(plan_log, tiny_text) -> N
     with pytest.raises(JobFailedError, match=r"m0000 failed .* 3 attempt.*pipe burst"):
         Opaque(plan_log).run(job)
     assert plan_log[-1] == "close"
+
+
+@pytest.mark.parametrize("backend", ("serial", "process"))
+@pytest.mark.parametrize("key", (Keys.GROUPING, Keys.SHUFFLE_MODE, Keys.SPILL_COMPRESSION))
+def test_unknown_choice_is_refused_at_submit(key: str, backend: str, tiny_text) -> None:
+    """One check at the top of the plan: the same ConfigError, naming the
+    key, on every backend, and no task attempted."""
+    job = make_wordcount_job(tiny_text, {Keys.EXEC_BACKEND: backend, key: "bogus"}, num_splits=4)
+    runner = LocalJobRunner()
+    with pytest.raises(ConfigError, match=f"{key}='bogus' is not one of"):
+        runner.run(job)
+    assert runner.task_attempts == {}
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)

@@ -166,13 +166,6 @@ class TestEndToEndIdentity:
         on = run_wordcount(tiny_text, node_combine=True, **conf)
         assert on.output_digest() == off.output_digest()
 
-    def test_composes_with_binary_collector(self, tiny_text):
-        # The packed buffer drained by the live support thread.
-        conf = {Keys.EXEC_LIVE_PIPELINE: True}
-        off = run_wordcount(tiny_text, node_combine=False)
-        on = run_wordcount(tiny_text, node_combine=True, **conf)
-        assert on.output_digest() == off.output_digest()
-
 
 class LossyCombiner(Combiner):
     """Emits twice — statically unverifiable (combiner-multi-emit)."""

@@ -38,12 +38,12 @@ FOLD_OPS = {"sum": operator.add, "min": min, "max": max}
 
 def proven_fold(combiner: Combiner | None, value_cls: type | None) -> str | None:
     """``"sum"|"min"|"max"`` when *combiner*'s source proves that fold of
-    *value_cls* ints (``repro.lint.opt.synth.combiner_fold``), else
+    *value_cls* ints (``repro.lint.proofs.combiner_fold``), else
     ``None``.  Imported on use: a job without a combiner never loads the
     analyzer."""
     if combiner is None:
         return None
-    from ..lint.opt.synth import combiner_fold
+    from ..lint.proofs import combiner_fold
 
     return combiner_fold(type(combiner), value_cls)
 

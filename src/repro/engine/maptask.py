@@ -9,6 +9,15 @@ yields the task's map-output file.
 All work is charged to the task's ledger as it happens; the collector's
 :class:`~repro.engine.pipeline.PipelineTimeline` captures the map/support
 thread interleaving for Table II / Figure 9.
+
+The per-record read loop is *fused*: the READ and MAP charges (what
+``TaskInstruments.charge_map_thread`` does) and the input counters
+(what ``Counters.incr`` does) are made in the loop's own frame, per
+record and in the order the method calls made them.  None may be
+deferred: a spill inside ``map()`` reads the map-thread meter for its
+produce work ``T_p``, so the READ charge lands before ``map()`` and the
+MAP charge right after it.  The progress hint goes only to a collector
+that overrides the base no-op (the frequency buffer).
 """
 
 from __future__ import annotations
@@ -25,6 +34,10 @@ from .counters import Counter, Counters
 from .instrumentation import Ledger, Op, TaskInstruments
 from .job import JobSpec
 from .pipeline import PipelineResult
+
+_READ, _MAP = Op.READ, Op.MAP
+_INPUT_RECORDS, _INPUT_BYTES = Counter.MAP_INPUT_RECORDS, Counter.MAP_INPUT_BYTES
+_SKIPPED = Counter.OPT_SELECT_SKIPPED
 
 
 @dataclass
@@ -117,6 +130,22 @@ class MapTaskRunner:
         except Exception as exc:  # noqa: BLE001 - user code boundary
             raise UserCodeError("map", f"setup failed: {exc}") from exc
 
+        # Fused charges (module docstring): per record, in order, and a
+        # zero amount skipped as charge_map_thread and incr skip it.
+        read_byte = model.read_byte
+        deserialize_record = model.deserialize_record
+        map_record, map_byte = costs.map_record, costs.map_byte
+        work = instruments.ledger.work
+        counts = counters.values
+        mapper_map = mapper.map
+        # Only a collector that overrides the no-op hint (the frequency
+        # buffer times its profiling stage by it) is told the progress.
+        progress = (
+            self.collector.note_input_progress
+            if type(self.collector).note_input_progress
+            is not MapOutputCollector.note_input_progress
+            else None
+        )
         split_length = max(1, self.split.length)
         consumed_total = 0
         for key, value, consumed in job.input_format.record_reader(self.split):
@@ -125,30 +154,37 @@ class MapTaskRunner:
                 # reader: the bytes were scanned but no writables were
                 # built and the mapper never runs — charge the read,
                 # keep progress honest, and count the skip.
-                instruments.charge_map_thread(Op.READ, model.read_byte * consumed)
-                counters.incr(Counter.MAP_INPUT_BYTES, consumed)
-                counters.incr(Counter.OPT_SELECT_SKIPPED)
+                amount = read_byte * consumed
+                if amount:
+                    work[_READ] = work.get(_READ, 0.0) + amount
+                    instruments.map_thread_work += amount
+                if consumed:
+                    counts[_INPUT_BYTES] = counts.get(_INPUT_BYTES, 0) + consumed
+                counts[_SKIPPED] = counts.get(_SKIPPED, 0) + 1
                 consumed_total += consumed
-                self.collector.note_input_progress(
-                    min(1.0, consumed_total / split_length)
-                )
+                if progress is not None:
+                    progress(min(1.0, consumed_total / split_length))
                 continue
-            instruments.charge_map_thread(
-                Op.READ, model.read_byte * consumed + model.deserialize_record
-            )
-            counters.incr(Counter.MAP_INPUT_RECORDS)
-            counters.incr(Counter.MAP_INPUT_BYTES, consumed)
+            amount = read_byte * consumed + deserialize_record
+            if amount:
+                work[_READ] = work.get(_READ, 0.0) + amount
+                instruments.map_thread_work += amount
+            counts[_INPUT_RECORDS] = counts.get(_INPUT_RECORDS, 0) + 1
+            if consumed:
+                counts[_INPUT_BYTES] = counts.get(_INPUT_BYTES, 0) + consumed
             consumed_total += consumed
-            self.collector.note_input_progress(min(1.0, consumed_total / split_length))
+            if progress is not None:
+                progress(min(1.0, consumed_total / split_length))
             try:
-                mapper.map(key, value, emit)
+                mapper_map(key, value, emit)
             except UserCodeError:
                 raise
             except Exception as exc:  # noqa: BLE001 - user code boundary
                 raise UserCodeError("map", str(exc)) from exc
-            instruments.charge_map_thread(
-                Op.MAP, costs.map_record + costs.map_byte * consumed
-            )
+            amount = map_record + map_byte * consumed
+            if amount:
+                work[_MAP] = work.get(_MAP, 0.0) + amount
+                instruments.map_thread_work += amount
 
         try:
             mapper.cleanup(emit)

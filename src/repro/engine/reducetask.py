@@ -1,4 +1,30 @@
-"""Reduce task execution: shuffle-fetch, merge, group, reduce, output."""
+"""Reduce task execution: shuffle-fetch, merge, group, reduce, output.
+
+A :class:`ReduceTaskRunner` fetches and merges one partition of every
+map output, groups the merged run by key (or by ``group_key_fn``'s
+prefix, for secondary sort), runs the user's ``reduce()`` per group and
+collects the final output pairs.
+
+Where the reducer's source *proves* what ``reduce()`` computes
+(:func:`proven_reduce`, built on :mod:`repro.lint.proofs`), the group
+loop skips the call and the writable round trip:
+
+* an identity ``for v in values: emit(key, v)`` becomes a pass-through
+  that builds each output pair straight from the merged bytes, counted
+  as ``len(key) + len(value)`` output bytes per the Writable contract;
+* ``emit(key, W(sum|min|max(v.value for v in values)))`` over an
+  exact-int value class decodes each value once, applies the same
+  builtin aggregate and builds ``W`` once per group — a ``W`` that
+  refuses the total fails as ``UserCodeError("reduce")``, as the
+  ``reduce()`` that would have built it.
+
+Both charge ``Op.SHUFFLE`` and ``Op.REDUCE`` per group in the generic
+loop's float order, so counters and ledger are ``==`` whichever loop
+ran.  A reducer that defines ``setup``/``cleanup``, a decorated or
+inherited ``reduce()``, ``FnReducer`` and any proxy that hides the
+source (``bench/``'s timing proxy) take the generic loop, which is
+therefore the differential oracle of both proven ones.
+"""
 
 from __future__ import annotations
 
@@ -124,7 +150,8 @@ class ReduceTaskRunner:
 
         if job.group_key_fn is not None:
             # Secondary sort: batch reduce() calls by the grouping prefix,
-            # keeping values in full-key order within the group.
+            # keeping values in full-key order within the group (and
+            # handing reduce() the group's first full key).
             groups = (
                 (first_key, [vb for _, vb in pairs])
                 for first_key, pairs in group_sorted_by(merged, job.group_key_fn)
@@ -132,46 +159,19 @@ class ReduceTaskRunner:
         else:
             groups = group_sorted(merged)
 
-        # SHUFFLE/REDUCE work and the input counters are accumulated in
-        # locals and settled once after the loop: the same additions in
-        # the same order as a charge per group (nothing else charges
-        # these ops while the loop runs).  No ``finally``: a failed
-        # attempt's ledger and counters are discarded by
-        # ``run_with_retries``.
-        serialize_byte = model.serialize_byte
-        reduce_record = costs.reduce_record
-        key_from_bytes = key_cls.from_bytes
-        value_from_bytes = value_cls.from_bytes
-        reduce = reducer.reduce
-        work = instruments.ledger.work
-        shuffle_work = work.get(Op.SHUFFLE, 0.0)
-        reduce_work = work.get(Op.REDUCE, 0.0)
-        input_groups = input_records = 0
-        for key_bytes, value_bytes_list in groups:
-            # Deserialization of the group is framework (shuffle) work.
-            count = len(value_bytes_list)
-            if count == 1:
-                value_bytes = value_bytes_list[0]
-                group_payload = len(key_bytes) + len(value_bytes)
-                values = [value_from_bytes(value_bytes)]
-            else:
-                group_payload = len(key_bytes) + sum(map(len, value_bytes_list))
-                values = [value_from_bytes(vb) for vb in value_bytes_list]
-            shuffle_work += serialize_byte * group_payload
-            key = key_from_bytes(key_bytes)
-            input_groups += 1
-            input_records += count
-            try:
-                reduce(key, iter(values), emit)
-            except UserCodeError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - user code boundary
-                raise UserCodeError("reduce", str(exc)) from exc
-            reduce_work += reduce_record * count
-        if shuffle_work:
-            work[Op.SHUFFLE] = shuffle_work
-        if reduce_work:
-            work[Op.REDUCE] = reduce_work
+        proof = proven_reduce(reducer, value_cls)
+        if proof is None:
+            input_groups, input_records = self._call_reduce(
+                groups, reducer.reduce, emit, key_cls.from_bytes, value_cls.from_bytes
+            )
+        elif proof.identity:
+            input_groups, input_records, output_bytes = self._pass_through(
+                groups, output, key_cls.from_bytes, value_cls.from_bytes
+            )
+        else:
+            input_groups, input_records, output_bytes = self._fold(
+                groups, output, proof, key_cls.from_bytes, value_cls.from_bytes
+            )
         counters.incr(Counter.REDUCE_INPUT_GROUPS, input_groups)
         counters.incr(Counter.REDUCE_INPUT_RECORDS, input_records)
 
@@ -198,3 +198,133 @@ class ReduceTaskRunner:
             fetch_retries=shuffle.fetch_retries,
             fetch_wait_seconds=shuffle.fetch_wait_seconds,
         )
+
+    # The three group loops charge SHUFFLE (a group's deserialization is
+    # framework work) and REDUCE per group into locals, settled once
+    # after the loop: the same additions in the same order as a charge
+    # per group (nothing else charges these ops while a loop runs).  No
+    # ``finally``: a failed attempt's ledger and counters are discarded
+    # by ``run_with_retries``.  Each returns the input group and record
+    # counts; the proven loops also return their output bytes.
+
+    def _call_reduce(self, groups, reduce, emit, key_from_bytes, value_from_bytes):
+        """The generic loop: writables in, user ``reduce()``, ``emit``."""
+        serialize_byte = self.job.cost_model.serialize_byte
+        reduce_record = self.job.user_costs.reduce_record
+        work = self.instruments.ledger.work
+        shuffle_work = work.get(Op.SHUFFLE, 0.0)
+        reduce_work = work.get(Op.REDUCE, 0.0)
+        input_groups = input_records = 0
+        for key_bytes, value_bytes_list in groups:
+            count = len(value_bytes_list)
+            if count == 1:
+                value_bytes = value_bytes_list[0]
+                group_payload = len(key_bytes) + len(value_bytes)
+                values = [value_from_bytes(value_bytes)]
+            else:
+                group_payload = len(key_bytes) + sum(map(len, value_bytes_list))
+                values = [value_from_bytes(vb) for vb in value_bytes_list]
+            shuffle_work += serialize_byte * group_payload
+            key = key_from_bytes(key_bytes)
+            input_groups += 1
+            input_records += count
+            try:
+                reduce(key, iter(values), emit)
+            except UserCodeError:
+                raise
+            except Exception as exc:  # noqa: BLE001 - user code boundary
+                raise UserCodeError("reduce", str(exc)) from exc
+            reduce_work += reduce_record * count
+        _settle(work, shuffle_work, reduce_work)
+        return input_groups, input_records
+
+    def _pass_through(self, groups, output, key_from_bytes, value_from_bytes):
+        """A proven identity ``reduce()``: each group's ``(key, value)``
+        pairs are built straight from the merged bytes.  Per the Writable
+        contract a pair serializes to its key and value bytes, so that is
+        what the pairs count as output."""
+        serialize_byte = self.job.cost_model.serialize_byte
+        reduce_record = self.job.user_costs.reduce_record
+        work = self.instruments.ledger.work
+        shuffle_work = work.get(Op.SHUFFLE, 0.0)
+        reduce_work = work.get(Op.REDUCE, 0.0)
+        append = output.append
+        input_groups = input_records = output_bytes = 0
+        for key_bytes, value_bytes_list in groups:
+            count = len(value_bytes_list)
+            if count == 1:
+                value_bytes = value_bytes_list[0]
+                group_payload = len(key_bytes) + len(value_bytes)
+                value = value_from_bytes(value_bytes)
+                shuffle_work += serialize_byte * group_payload
+                append((key_from_bytes(key_bytes), value))
+                output_bytes += group_payload
+            else:
+                group_payload = len(key_bytes) + sum(map(len, value_bytes_list))
+                values = [value_from_bytes(vb) for vb in value_bytes_list]
+                shuffle_work += serialize_byte * group_payload
+                key = key_from_bytes(key_bytes)
+                output.extend([(key, value) for value in values])
+                output_bytes += group_payload + (count - 1) * len(key_bytes)
+            input_groups += 1
+            input_records += count
+            reduce_work += reduce_record * count
+        _settle(work, shuffle_work, reduce_work)
+        return input_groups, input_records, output_bytes
+
+    def _fold(self, groups, output, proof, key_from_bytes, value_from_bytes):
+        """A proven ``emit(key, W(agg(v.value for v in values)))``: the
+        same builtin aggregate over the same decoded ints, and ``W``
+        built once per group, failing as the ``reduce()`` that would
+        have built it."""
+        serialize_byte = self.job.cost_model.serialize_byte
+        reduce_record = self.job.user_costs.reduce_record
+        work = self.instruments.ledger.work
+        shuffle_work = work.get(Op.SHUFFLE, 0.0)
+        reduce_work = work.get(Op.REDUCE, 0.0)
+        agg, wrapper = proof.aggregate, proof.wrapper
+        append = output.append
+        input_groups = input_records = output_bytes = 0
+        for key_bytes, value_bytes_list in groups:
+            count = len(value_bytes_list)
+            if count == 1:
+                group_payload = len(key_bytes) + len(value_bytes_list[0])
+            else:
+                group_payload = len(key_bytes) + sum(map(len, value_bytes_list))
+            numbers = [value_from_bytes(vb).value for vb in value_bytes_list]
+            shuffle_work += serialize_byte * group_payload
+            key = key_from_bytes(key_bytes)
+            input_groups += 1
+            input_records += count
+            try:
+                value = wrapper(agg(numbers))
+            except Exception as exc:  # noqa: BLE001 - stands in for user reduce()
+                raise UserCodeError("reduce", str(exc)) from exc
+            append((key, value))
+            output_bytes += len(key_bytes) + value.serialized_size()
+            reduce_work += reduce_record * count
+        _settle(work, shuffle_work, reduce_work)
+        return input_groups, input_records, output_bytes
+
+
+_REDUCER_HOOKS = frozenset({"reduce", "setup", "cleanup"})
+
+
+def _settle(work: dict, shuffle_work: float, reduce_work: float) -> None:
+    """Write a group loop's SHUFFLE/REDUCE totals back to the ledger."""
+    if shuffle_work:
+        work[Op.SHUFFLE] = shuffle_work
+    if reduce_work:
+        work[Op.REDUCE] = reduce_work
+
+
+def proven_reduce(reducer, value_cls: type):
+    """What *reducer*'s source proves its ``reduce()`` computes over
+    *value_cls* values (``repro.lint.proofs.reducer_proof``), or
+    ``None`` for the generic loop — also when the instance itself
+    rebinds ``reduce``, ``setup`` or ``cleanup``."""
+    from ..lint.proofs import reducer_proof
+
+    if _REDUCER_HOOKS.intersection(getattr(reducer, "__dict__", ())):
+        return None
+    return reducer_proof(type(reducer), value_cls)

@@ -25,10 +25,25 @@ from __future__ import annotations
 
 import ast
 import inspect
+import os
 import threading
 from typing import Any
 
 _LOCK = threading.RLock()
+
+
+def _reset_lock_in_child() -> None:
+    # A fork copies the lock in whatever state another thread left it:
+    # a worker forked while a pipeline stage was fingerprinting, or a
+    # task was taking its fold proof, would block on its first
+    # introspection forever.  The child has one thread, so a new lock
+    # is the right state.
+    global _LOCK
+    _LOCK = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_lock_in_child)
 
 
 def getsource(obj: Any) -> str:

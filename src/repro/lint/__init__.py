@@ -33,9 +33,29 @@ error-severity findings by raising :class:`~repro.errors.LintError`.
 
 from __future__ import annotations
 
-from .engine import analyze_app, analyze_engine, analyze_job, gate_job
-from .findings import Finding, GatingDecision, LintReport, Severity
-from .opt import OptimizationPlan, PlanDecision, apply_plan, plan_job
+import importlib
+
+#: Public name -> the submodule that defines it.  Every name loads on
+#: first use (PEP 562): every reduce task (and every combiner) imports
+#: the leaf :mod:`repro.lint.proofs`, and that must not pull in the rule
+#: catalog or the optimizer.
+_LAZY = {
+    "analyze_app": "engine",
+    "analyze_engine": "engine",
+    "analyze_job": "engine",
+    "gate_job": "engine",
+    "Finding": "findings",
+    "GatingDecision": "findings",
+    "LintReport": "findings",
+    "Severity": "findings",
+    "OptimizationPlan": "opt",
+    "PlanDecision": "opt",
+    "apply_plan": "opt",
+    "plan_job": "opt",
+    # The pipeline analysis pulls in repro.dag; see repro.lint.opt.
+    "PipelineAnalysis": "opt",
+    "analyze_pipeline": "opt",
+}
 
 __all__ = [
     "Finding",
@@ -56,9 +76,7 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # The pipeline analysis pulls in repro.dag; see repro.lint.opt.
-    if name in ("PipelineAnalysis", "analyze_pipeline"):
-        from . import opt
-
-        return getattr(opt, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

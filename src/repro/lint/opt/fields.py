@@ -32,8 +32,7 @@ import ast
 
 from ...serde.projection import FieldProjection
 from ...serde.text import Text
-from ..rules.base import method_params
-from ..source import ClassSource
+from ..source import ClassSource, method_params
 from ..target import JobTarget
 from .plan import ACTION_ADVISED, ACTION_REJECTED, ACTION_SKIPPED, OPT_PROJECT, PlanDecision
 

@@ -36,7 +36,7 @@ from ...dag.stage import IterativeStage, JobStage, SourceStage, StageContext, re
 from ...serde.text import Text
 from ..engine import analyze_job
 from ..findings import Finding, LintReport, Severity
-from ..rules.base import method_params
+from ..source import method_params
 from ..target import resolve_target
 from .engine import plan_job
 

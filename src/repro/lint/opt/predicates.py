@@ -41,8 +41,8 @@ from typing import Any, Callable
 
 from ...engine.inputformat import TextInput
 from ...io.prefilter import PREDICATE_FN_NAME
-from ..rules.base import local_names, method_params, self_attribute_writes
-from ..source import ClassSource, positional_params
+from ..rules.base import local_names, self_attribute_writes
+from ..source import ClassSource, method_params, positional_params
 from ..target import JobTarget
 from .plan import ACTION_ADVISED, ACTION_REJECTED, ACTION_SKIPPED, OPT_SELECT, PlanDecision
 

@@ -7,7 +7,6 @@ from abc import ABC, abstractmethod
 from typing import Iterable, Iterator
 
 from ..findings import Finding, Severity
-from ..source import positional_params
 from ..target import JobTarget
 
 
@@ -39,16 +38,6 @@ def finding(
 # ----------------------------------------------------------------------
 # emit() call discovery
 # ----------------------------------------------------------------------
-def method_params(func: ast.FunctionDef) -> tuple[str, str, str]:
-    """``(key, values, emit)`` parameter names of a map/combine/reduce
-    method, positionally (the engine calls them positionally, so the
-    names are whatever the user chose)."""
-    params = positional_params(func)
-    # [self, key, value(s), emit] — pad defensively for odd signatures.
-    padded = params + ["key", "values", "emit"][max(0, len(params) - 1) :]
-    return padded[1], padded[2], padded[3]
-
-
 def iter_emit_calls(func: ast.FunctionDef, emit_name: str) -> Iterator[ast.Call]:
     for node in ast.walk(func):
         if (

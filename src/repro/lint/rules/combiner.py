@@ -38,12 +38,12 @@ import ast
 from typing import Iterable
 
 from ..findings import Finding, Severity
+from ..source import method_params
 from ..target import JobTarget
 from .base import (
     Rule,
     finding,
     iter_emit_calls,
-    method_params,
     self_attribute_writes,
     toplevel_emit_statements,
 )

@@ -24,9 +24,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..findings import Finding, Severity
-from ..source import ClassSource, class_location
+from ..source import ClassSource, class_location, method_params
 from ..target import JobTarget
-from .base import Rule, iter_emit_calls, method_params
+from .base import Rule, iter_emit_calls
 from .serde import _emitted_class  # shared emit-argument resolution
 
 

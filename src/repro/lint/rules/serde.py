@@ -25,9 +25,9 @@ from typing import Any, Iterable
 
 from ...serde.writable import Writable
 from ..findings import Finding, Severity
-from ..source import ClassSource, resolve_annotation
+from ..source import ClassSource, method_params, resolve_annotation
 from ..target import JobTarget
-from .base import Rule, finding, iter_emit_calls, method_params
+from .base import Rule, finding, iter_emit_calls
 
 #: (role, method) pairs whose emits feed the intermediate stream and so
 #: must match the declared map-output classes.

@@ -107,6 +107,16 @@ def positional_params(func: ast.FunctionDef) -> list[str]:
     return [arg.arg for arg in func.args.args]
 
 
+def method_params(func: ast.FunctionDef) -> tuple[str, str, str]:
+    """``(key, values, emit)`` parameter names of a map/combine/reduce
+    method, positionally (the engine calls them positionally, so the
+    names are whatever the user chose)."""
+    params = positional_params(func)
+    # [self, key, value(s), emit] — pad defensively for odd signatures.
+    padded = params + ["key", "values", "emit"][max(0, len(params) - 1) :]
+    return padded[1], padded[2], padded[3]
+
+
 def resolve_annotation(annotation: Any, namespace: dict[str, Any]) -> Any:
     """Resolve a return annotation to a runtime object when it is a
     plain name (possibly stringized by ``from __future__ import

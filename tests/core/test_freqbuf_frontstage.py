@@ -27,7 +27,7 @@ from repro.engine.inputformat import TextInput
 from repro.engine.job import JobSpec
 from repro.engine.runner import LocalJobRunner
 from repro.experiments.common import build_app
-from repro.lint.opt.synth import combiner_fold
+from repro.lint.proofs import combiner_fold
 from repro.serde.numeric import IntWritable, LongWritable, VIntWritable
 from repro.serde.text import Text
 

@@ -17,7 +17,7 @@ import pytest
 
 from repro.apps.wordcount import WordCountCombiner
 from repro.engine.api import Combiner, FnCombiner
-from repro.lint.opt.synth import combiner_fold
+from repro.lint.proofs import combiner_fold
 from repro.serde.numeric import FloatWritable, IntWritable, LongWritable, VIntWritable
 from repro.serde.text import Text
 from tests.lint.shadowing_fixture import ShadowedSumCombiner
@@ -137,16 +137,25 @@ def test_source_is_parsed_once_per_class():
 
 
 def test_the_matcher_and_a_default_run_leave_the_pipeline_analysis_unloaded():
-    # Every job with a combiner imports the matcher (CombinerRunner takes
-    # the proof at construction), in every forked worker too.  It must
-    # not drag in the pipeline analysis and, through it, repro.dag.
+    # Every job with a combiner or a reducer imports the proofs
+    # (CombinerRunner takes the combiner proof at construction, the
+    # reduce task the reducer proof), in every forked worker too.  They
+    # must load neither the rule catalog nor the optimizer, and the
+    # matcher must not drag in the pipeline analysis and, through it,
+    # repro.dag.
     script = "\n".join([
         "import sys",
-        "from repro.lint.opt.synth import combiner_fold",
-        "assert 'repro.dag' not in sys.modules, 'matcher loads repro.dag'",
-        "assert 'concurrent.futures' not in sys.modules, 'matcher loads concurrent.futures'",
         "from repro.engine.runner import LocalJobRunner",
         "from repro.experiments.common import build_app",
+        "for name in ('wordcount', 'distributedsort'):",
+        "    LocalJobRunner().run(build_app(name, 'baseline', scale=0.02).job)",
+        "assert 'repro.lint.proofs' in sys.modules",
+        "heavy = ('repro.lint.engine', 'repro.lint.rules', 'repro.lint.opt.engine')",
+        "loaded = [m for m in heavy if m in sys.modules]",
+        "assert not loaded, loaded",
+        "import repro.lint.opt.synth",
+        "assert 'repro.dag' not in sys.modules, 'the optimizer loads repro.dag'",
+        "assert 'concurrent.futures' not in sys.modules, 'the optimizer loads concurrent.futures'",
         "result = LocalJobRunner().run(build_app('wordcount', 'baseline', scale=0.02).job)",
         "assert result.counters.as_dict()['combine_input_records'] > 0",
         "loaded = [m for m in sys.modules if m.startswith(('repro.dag', 'repro.lint.opt.pipeline'))]",

@@ -30,8 +30,10 @@ Opcodes
 ``HELLO``  worker -> master: ``{worker_id, host, pid, shuffle_address}``,
            first frame on the task channel; registers the worker.
 ``PING``   worker -> master (fresh connection): ``{worker_id, seq}``.
-``TASK``   master -> worker: ``{key, kind, payload, attempt_offset,
-           tag}`` — run one map/reduce attempt.
+``TASK``   master -> worker: ``{task, fetch_results, tag}`` — run one
+           attempt of ``task`` (a :class:`~repro.exec.base.Task`);
+           ``fetch_results`` is the map outputs a reduce fetches
+           (``None`` for a map).
 ``RESULT`` worker -> master: ``{tag, outcome}`` with the entry points'
            ``(task_id, attempts, result, error)`` outcome tuple.
 ``STATS``  worker -> master: final shuffle-server snapshot, sent while

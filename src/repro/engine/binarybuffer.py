@@ -1,4 +1,4 @@
-"""The map-output spill buffer: packed records, a flat index, an integer sort.
+"""The map-output spill buffer: packed records, a flat index, a stable run sort.
 
 Models Hadoop's ``MapOutputBuffer``: serialized map-output records
 accumulate in a bounded byte budget ``M`` (``repro.io.sort.buffer.bytes``);
@@ -14,11 +14,7 @@ Hadoop's too:
   ``uint32`` per record — Hadoop's kvmeta quad, plus an explicit value
   length so segments never need re-parsing.  :attr:`BinarySpill.kvindex`
   exposes the same entries as ``struct``-packed little-endian bytes
-  (:data:`KVINDEX_STRUCT`) for tools and the self-description contract;
-* **sort keys** are computed in one bulk pass at drain time: one
-  integer per record packing ``(partition, first 8 key bytes)`` so a
-  spill orders itself with a flat integer sort instead of a tuple-key
-  object sort.
+  (:data:`KVINDEX_STRUCT`) for tools and the self-description contract.
 
 Occupancy is tracked as Hadoop tracks it — serialized payload bytes plus
 :data:`RECORD_METADATA_BYTES` per record (its 16-byte kvindex entry)
@@ -26,23 +22,23 @@ against the capacity.  Circularity is irrelevant to dataflow and cost
 (only to pointer arithmetic); what matters — and is faithfully modelled
 — is the byte budget, the threshold, and the content of each spill.
 
-Sorting: the 8-byte key prefix is zero-right-padded and read big-endian,
-which makes it *monotone* with respect to lexicographic byte order
-(``a < b`` implies ``pad8(a[:8]) <= pad8(b[:8])``), so a flat sort of
-``(partition, prefix, arrival)`` integers is almost the full ordering.
-Records agreeing on ``(partition, prefix)`` form contiguous runs that a
-fix-up pass re-sorts stably by full key bytes, so equal keys keep their
-insertion order — the order a stable sort on ``(partition, key bytes)``
-gives (``tests/engine/test_binarybuffer_properties.py``).
+Sorting is the merge's idiom (:mod:`repro.io.merger`):
+:meth:`BinarySpill.sorted_runs` slices every record, in arrival order,
+into its partition's ``(key, value)`` list in one pass over the kvindex,
+then sorts each list once with a stable C ``list.sort`` on the key
+bytes.  Bucketing by partition first and sorting stably by key second
+is exactly a stable sort on ``(partition, key bytes)``: equal keys keep
+their insertion order (``tests/engine/test_binarybuffer_properties.py``).
 
 Comparison accounting has two modes, selected by
-``repro.instrument.exact.comparisons``:
+``repro.instrument.exact.comparisons`` (:meth:`BinarySpill.sort_stats`);
+neither changes the order, which always comes from ``sorted_runs``:
 
 * ``model`` (default): charge ``n · log2(n)`` comparisons, the standard
-  comparison-sort cost; the actual sort runs natively (fast).
-* ``exact``: run the sort through a counting comparator and charge the
-  comparisons actually performed (slower; used by calibration tests to
-  validate that the model is a faithful stand-in).
+  comparison-sort cost.
+* ``exact``: sort the records through a counting comparator and charge
+  the comparisons it saw (slower; used by calibration tests to validate
+  that the model is a faithful stand-in).
 
 Hot-path contract: :class:`~repro.engine.collector.StandardCollector`
 fuses the append path into its collect loop by writing
@@ -59,6 +55,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cmp_to_key
 from math import log2
+from operator import itemgetter
 from typing import Iterator
 
 from ..errors import SpillBufferError
@@ -110,25 +107,10 @@ KVINDEX_ENTRY_BYTES = KVINDEX_STRUCT.size
 #: platform functional (kvindex bytes are repacked portably anyway).
 _META_TYPECODE = "I" if array("I").itemsize == 4 else "L"
 
-PREFIX_BYTES = 8
-"""Key bytes folded into the precomputed integer sort key."""
-
 #: kvindex offsets are uint32: a buffer this large cannot be indexed.
 _MAX_ADDRESSABLE = 0xFFFFFFFF
 
-
-def key_prefix(key: bytes) -> int:
-    """First 8 key bytes, zero-right-padded, as a big-endian integer.
-
-    Right-padding keeps the mapping monotone across key lengths
-    (``b"ab" < b"b"`` and ``pad8(b"ab") < pad8(b"b")``); keys sharing a
-    prefix — including short keys with trailing NULs — tie here and are
-    settled by the full-key fix-up pass.
-    """
-    head = key[:PREFIX_BYTES]
-    if len(head) < PREFIX_BYTES:
-        return int.from_bytes(head, "big") << ((PREFIX_BYTES - len(head)) * 8)
-    return int.from_bytes(head, "big")
+_KEY = itemgetter(0)
 
 
 def pack_kvindex_entry(
@@ -149,12 +131,11 @@ class BinarySpill:
 
     data: bytes
     meta: "array[int]"  # flat uint32s, 5 per record (see KVINDEX_STRUCT order)
-    sortkeys: list[int]
     payload_bytes: int
 
     @property
     def record_count(self) -> int:
-        return len(self.sortkeys)
+        return len(self.meta) // 5
 
     @property
     def kvindex(self) -> bytes:
@@ -181,62 +162,45 @@ class BinarySpill:
             data[val_off : val_off + meta[base + 4]],
         )
 
-    def key_of(self, seq: int) -> bytes:
-        meta = self.meta
-        base = 5 * seq
-        key_off = meta[base + 1]
-        return self.data[key_off : key_off + meta[base + 2]]
-
     def __iter__(self) -> Iterator[tuple[int, bytes, bytes]]:
         return (self.entry(seq) for seq in range(self.record_count))
 
     # ------------------------------------------------------------------
-    def sort(self, exact_comparisons: bool = False) -> tuple[list[int], SortStats]:
-        """Order of records by ``(partition, key bytes)``; returns
-        ``(arrival sequence numbers in sorted order, stats)``.
+    def sorted_runs(self, num_partitions: int) -> list[list[SerdePair]]:
+        """One ``(key, value)`` run per partition, sorted by key bytes.
 
-        The stats feed the SORT charge: the modelled ``n · log2(n)``
-        comparisons (or, in exact mode, the count a counting comparator
-        saw) and the payload bytes moved.
+        One pass over the kvindex slices each record, in arrival order,
+        into its partition's list; one stable ``list.sort`` per list then
+        orders it, so equal keys keep arrival order.
         """
+        runs: list[list[SerdePair]] = [[] for _ in range(num_partitions)]
+        appends = [run.append for run in runs]
+        data = self.data
+        fields = iter(self.meta)
+        for partition, key_off, key_len, val_off, val_len in zip(
+            fields, fields, fields, fields, fields
+        ):
+            appends[partition](
+                (data[key_off : key_off + key_len], data[val_off : val_off + val_len])
+            )
+        for run in runs:
+            run.sort(key=_KEY)
+        return runs
+
+    def sort_stats(self, exact_comparisons: bool = False) -> SortStats:
+        """What ordering this spill costs, for the SORT charge: the
+        modelled ``n · log2(n)`` comparisons (or, in exact mode, the
+        count a counting comparator saw) and the payload bytes moved."""
         n = self.record_count
         stats = SortStats(records=n)
-        if n <= 1:
-            return list(range(n)), stats
-        stats.bytes_moved = self.payload_bytes
+        if n > 1:
+            stats.bytes_moved = self.payload_bytes
+            stats.comparisons = self._count_comparisons() if exact_comparisons else n * log2(n)
+        return stats
 
-        if exact_comparisons:
-            return self._sort_exact(stats)
-
-        # Pack (sortkey, arrival) into one integer per record: the sort
-        # runs over flat ints with no key function, and the arrival
-        # number in the low bits keeps it stable by construction.
-        packed = [(sortkey << 32) | seq for seq, sortkey in enumerate(self.sortkeys)]
-        packed.sort()
-        order = [p & 0xFFFFFFFF for p in packed]
-
-        # Fix-up: records tying on (partition, prefix) are re-sorted by
-        # full key bytes.  list.sort is stable, so equal full keys keep
-        # arrival order.
-        i = 0
-        while i < n:
-            group = packed[i] >> 32
-            j = i + 1
-            while j < n and (packed[j] >> 32) == group:
-                j += 1
-            if j - i > 1:
-                run = order[i:j]
-                run.sort(key=self.key_of)
-                order[i:j] = run
-            i = j
-
-        stats.comparisons = n * log2(n)
-        return order, stats
-
-    def _sort_exact(self, stats: SortStats) -> tuple[list[int], SortStats]:
-        """Counting-comparator sort: records enter in arrival order and
-        every comparison Timsort asks for is counted."""
-        entries = [self.entry(seq) + (seq,) for seq in range(self.record_count)]
+    def _count_comparisons(self) -> float:
+        """Comparisons Timsort asks for when the records, entering in
+        arrival order, are sorted by ``(partition, key bytes)``."""
         count = 0
 
         def compare(a: tuple, b: tuple) -> int:
@@ -246,60 +210,15 @@ class BinarySpill:
                 return -1 if a[0] < b[0] else 1
             return memcmp(a[1], b[1])
 
-        entries.sort(key=cmp_to_key(compare))
-        stats.comparisons = float(count)
-        return [entry[3] for entry in entries], stats
-
-    def partition_runs(self, order: list[int], num_partitions: int) -> list[list[SerdePair]]:
-        """Slice the records, taken in sorted *order*, into one key-sorted
-        ``(key, value)`` run per partition."""
-        partitions: list[list[SerdePair]] = [[] for _ in range(num_partitions)]
-        appends = [run.append for run in partitions]
-        data = self.data
-        meta = self.meta
-        for seq in order:
-            base = 5 * seq
-            key_off = meta[base + 1]
-            val_off = meta[base + 3]
-            appends[meta[base]](
-                (
-                    data[key_off : key_off + meta[base + 2]],
-                    data[val_off : val_off + meta[base + 4]],
-                )
-            )
-        return partitions
-
-    def key_groups(self, order: list[int]) -> list[tuple[int, bytes, list[bytes]]]:
-        """The records, taken in sorted *order*, as equal-``(partition,
-        key)`` runs: ``(partition, key, [value, ...])`` per run — what a
-        combiner consumes, with no per-record pair in between."""
-        groups: list[tuple[int, bytes, list[bytes]]] = []
-        data = self.data
-        meta = self.meta
-        group_partition = -1
-        group_key = None
-        values: list[bytes] = []
-        for seq in order:
-            base = 5 * seq
-            key_off = meta[base + 1]
-            key = data[key_off : key_off + meta[base + 2]]
-            val_off = meta[base + 3]
-            value = data[val_off : val_off + meta[base + 4]]
-            if key == group_key and meta[base] == group_partition:
-                values.append(value)
-            else:
-                group_partition, group_key, values = meta[base], key, [value]
-                groups.append((group_partition, key, values))
-        return groups
+        sorted(self, key=cmp_to_key(compare))
+        return float(count)
 
 
 class BinarySpillBuffer:
     """Bounded packed accumulation buffer for serialized map output.
 
     Appends are byte copies into a growing ``bytearray`` plus five ints
-    into a flat ``array``, with no per-record object construction and no
-    per-record sort-key arithmetic (sort keys are computed in one bulk
-    pass when the buffer drains).
+    into a flat ``array``, with no per-record object construction.
     """
 
     def __init__(self, capacity_bytes: int) -> None:
@@ -361,30 +280,11 @@ class BinarySpillBuffer:
         )
 
     def drain(self) -> BinarySpill:
-        """Remove and return all buffered records (a spill's content).
-
-        Sort keys are computed here, one tight pass over the kvindex —
-        per-record work deferred off the collect hot loop."""
-        data = bytes(self._data)
-        meta = self._meta
-        from_bytes = int.from_bytes
-        sortkeys: list[int] = []
-        push = sortkeys.append
-        for base in range(0, len(meta), 5):
-            key_off = meta[base + 1]
-            key_len = meta[base + 2]
-            if key_len >= PREFIX_BYTES:
-                prefix = from_bytes(data[key_off : key_off + PREFIX_BYTES], "big")
-            else:
-                prefix = from_bytes(data[key_off : key_off + key_len], "big") << (
-                    (PREFIX_BYTES - key_len) * 8
-                )
-            push((meta[base] << 64) | prefix)
+        """Remove and return all buffered records (a spill's content)."""
         spill = BinarySpill(
-            data=data,
-            meta=meta,
-            sortkeys=sortkeys,
-            payload_bytes=self._occupancy - RECORD_METADATA_BYTES * len(sortkeys),
+            data=bytes(self._data),
+            meta=self._meta,
+            payload_bytes=self._occupancy - RECORD_METADATA_BYTES * self.record_count,
         )
         self._data = bytearray()
         self._meta = array(_META_TYPECODE)

@@ -26,15 +26,15 @@ from typing import Any, Callable
 
 from ..errors import SpillBufferError
 from ..io.blockdisk import LocalDisk
-from ..io.merger import MergeStats, merge_and_combine
+from ..io.merger import MergeStats, merge_runs
 from ..io.spillfile import SpillIndex, read_segment, write_spill
-from ..serde.writable import SerdePair, Writable
+from ..serde.writable import Writable
 from .api import HashPartitioner, Partitioner
 from .binarybuffer import RECORD_METADATA_BYTES, BinarySpillBuffer, oversized_record_message
 from .combiner import CombinerRunner
 from .costmodel import CostModel
 from .counters import Counter, Counters
-from .grouping import HashGrouping, SortGrouping
+from .grouping import HashGrouping, SortGrouping, combine_runs
 from .instrumentation import Op, TaskInstruments
 from .pipeline import PipelineTimeline
 from .spillpolicy import SpillPolicy
@@ -78,7 +78,7 @@ class StandardCollector(MapOutputCollector):
     records accumulate in the packed spill buffer
     (:mod:`repro.engine.binarybuffer`): serialized bytes in one
     contiguous buffer plus a flat uint32 kvindex, ordered at spill time
-    by the key-prefix integer sort.  *grouping* builds the other
+    by one stable sort per partition run.  *grouping* builds the other
     strategy, bound once and dispatched to once per spill.
     """
 
@@ -283,28 +283,18 @@ class StandardCollector(MapOutputCollector):
 
     def _merge_batch(self, indices: list[SpillIndex], out_path: str) -> SpillIndex:
         model = self.cost_model
-        combine = None
-        if self.combiner_runner is not None:
-            runner = self.combiner_runner
-
-            def combine(kb: bytes, vbs: list[bytes]) -> list[SerdePair]:
-                out = runner.combine_serialized(kb, vbs)
-                self.instruments.charge(
-                    Op.COMBINE,
-                    runner.last_work + model.combine_record_overhead * len(vbs),
-                )
-                return out
-
-        # merge_and_combine adds each partition's input side to *stats*.
+        # merge_runs adds each partition's input side to *stats*; each
+        # merged partition is combined (:func:`combine_runs`, the
+        # per-spill loop) before the next one is merged.
         stats = MergeStats()
-        partitions = [
-            merge_and_combine(
-                [read_segment(self.disk, index, partition) for index in indices],
-                combine,
-                stats,
-            )
+        merged = (
+            merge_runs([read_segment(self.disk, index, partition) for index in indices], stats)
             for partition in range(self.num_partitions)
-        ]
+        )
+        if self.combiner_runner is None:
+            partitions = list(merged)
+        else:
+            partitions, _ = combine_runs(self, merged)
 
         final = write_spill(self.disk, out_path, partitions, codec=self.codec)
         merge_work = (

@@ -14,7 +14,8 @@ Where the combiner's source *proves* that ``combine()`` is ``emit(key,
 W(sum|min|max(v.value for v in values)))`` over an exact-int ``W``
 (:func:`proven_fold`), the round trip is skipped: the runner folds raw
 ints — a one-value group's bytes are already what ``combine()`` would
-emit, a larger group is decoded once per value and encoded once — and
+emit, a larger group is decoded in bulk (:func:`int_values`), folded by
+the builtin ``sum``/``min``/``max`` and encoded once — and
 accounts the ``combine()`` call that did not run exactly as if it had.
 Whether a runner folds is never a setting: an unproven combiner (or one
 behind a proxy that hides its source) takes the generic path, which is
@@ -27,6 +28,7 @@ import operator
 from typing import Type
 
 from ..errors import UserCodeError
+from ..serde.numeric import int_values
 from ..serde.writable import SerdePair, Writable
 from .api import Combiner
 from .costmodel import UserCodeCosts
@@ -74,6 +76,12 @@ class CombinerRunner:
         self.counters = counters
         #: The fold the combiner's source proves, or ``None`` (generic).
         self.fold = proven_fold(combiner, value_cls)
+        if self.fold is not None:
+            from ..lint.proofs import FOLD_AGGS
+
+            # The builtin over a whole group: over exact ints, what the
+            # pairwise FOLD_OPS loop computes.
+            self._aggregate = FOLD_AGGS[self.fold]
 
     def combine_serialized(self, key_bytes: bytes, value_bytes_list: list[bytes]) -> list[SerdePair]:
         """Run ``combine()`` on one serialized group; returns serialized output.
@@ -110,12 +118,7 @@ class CombinerRunner:
         if len(value_bytes_list) == 1:
             # W(fold([v])) is W(v): the bytes in hand, already canonical.
             return value_bytes_list[0]
-        decode = self.value_cls.from_bytes
-        op = FOLD_OPS[self.fold]  # type: ignore[index]
-        numbers = iter(value_bytes_list)
-        total = decode(next(numbers)).value
-        for value_bytes in numbers:
-            total = op(total, decode(value_bytes).value)
+        total = self._aggregate(int_values(self.value_cls, value_bytes_list))
         return wrap_folded(self.value_cls, total).to_bytes()
 
     last_work: float = 0.0

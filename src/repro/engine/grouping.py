@@ -3,7 +3,8 @@ spill becomes sorted per-partition runs with its SORT/COMBINE charges.
 
 ``sort`` (:class:`SortGrouping`)
     Hadoop's ``MapOutputBuffer``: the collector's packed spill buffer,
-    the key-prefix integer sort, a combine per sorted key group.
+    one stable sort per partition run, a combine per sorted key group
+    (:func:`combine_runs`, shared with the end-of-map merge).
 ``hash`` (:class:`HashGrouping`)
     The paper's §VII "different post-map() grouping procedures" (§II-A:
     "Lin, et al. do not do full sorting at all").  Records are grouped
@@ -18,8 +19,9 @@ spill becomes sorted per-partition runs with its SORT/COMBINE charges.
 from __future__ import annotations
 
 from math import log2
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
+from ..io.merger import group_sorted
 from ..serde.writable import SerdePair
 from .binarybuffer import BinarySpill
 from .counters import Counter
@@ -37,7 +39,7 @@ Runs = list[list[SerdePair]]
 
 
 class SortGrouping:
-    """Packed buffer, key-prefix sort, combine over the sorted groups."""
+    """Packed buffer, a stable sort per partition, combine over the sorted groups."""
 
     def __init__(self, collector: "StandardCollector") -> None:
         #: Its fused ``collect_serialized`` fills the buffer drained here.
@@ -56,58 +58,65 @@ class SortGrouping:
         returns them with the SORT + COMBINE consume work."""
         collector = self.collector
         model = collector.cost_model
-        order, sort_stats = spill.sort(collector.exact_comparisons)
+        sort_stats = spill.sort_stats(collector.exact_comparisons)
         consume_work = collector.instruments.charge_support_thread(
             Op.SORT,
             model.sort_comparison * sort_stats.comparisons
             + model.sort_byte_move * sort_stats.bytes_moved,
         )
+        runs = spill.sorted_runs(collector.num_partitions)
         if collector.combiner_runner is None:
-            return spill.partition_runs(order, collector.num_partitions), consume_work
-        return self._combine_sorted(spill.key_groups(order), consume_work)
+            return runs, consume_work
+        return combine_runs(collector, runs, consume_work)
 
-    def _combine_sorted(
-        self, groups: list[tuple[int, bytes, list[bytes]]], consume_work: float
-    ) -> tuple[Runs, float]:
-        """Combine sorted ``(partition, key, values)`` groups into runs,
-        advancing *consume_work* by each group's COMBINE charge.  A proven
-        fold (:attr:`CombinerRunner.fold`) never calls the runner: groups
-        fold on raw ints, charged the generic path's per-group amounts in
-        the same order, the counters in bulk."""
-        collector = self.collector
-        instruments, combiner_runner = collector.instruments, collector.combiner_runner
-        overhead = collector.cost_model.combine_record_overhead
-        partitions: Runs = [[] for _ in range(collector.num_partitions)]
-        if combiner_runner.fold is None:
-            for partition, key_bytes, values in groups:
-                partitions[partition].extend(
-                    combiner_runner.combine_serialized(key_bytes, values)
-                )
-                consume_work += instruments.charge_support_thread(
-                    Op.COMBINE, combiner_runner.last_work + overhead * len(values)
-                )
-            return partitions, consume_work
 
-        appends = [run.append for run in partitions]
-        fold_values = combiner_runner.fold_values
-        combine_record = combiner_runner.user_costs.combine_record
-        work = instruments.ledger.work
-        charged = work.get(_COMBINE_OP, 0.0)
-        in_records = 0
-        for partition, key_bytes, values in groups:
+def combine_runs(
+    collector: "StandardCollector", runs: Iterable[list[SerdePair]], tally: float = 0.0
+) -> tuple[Runs, float]:
+    """Combine every equal-key group of the key-sorted *runs* (the
+    per-spill combine and the end-of-map merge): returns the combined
+    runs and *tally* advanced by each group's COMBINE charge.
+
+    A proven fold (:attr:`CombinerRunner.fold`) never calls the runner:
+    groups fold on raw ints, charged the generic path's per-group
+    amounts in the same order, the ``COMBINE_*`` counters set once."""
+    runner = collector.combiner_runner
+    overhead = collector.cost_model.combine_record_overhead
+    ledger = collector.instruments.ledger
+    combined: Runs = []
+    if runner.fold is None:
+        for run in runs:
+            out: list[SerdePair] = []
+            for key_bytes, values in group_sorted(run):
+                out.extend(runner.combine_serialized(key_bytes, values))
+                amount = runner.last_work + overhead * len(values)
+                ledger.charge(_COMBINE_OP, amount)
+                tally += amount
+            combined.append(out)
+        return combined, tally
+
+    fold_values = runner.fold_values
+    combine_record = runner.user_costs.combine_record
+    work = ledger.work
+    charged = work.get(_COMBINE_OP, 0.0)
+    in_records = out_records = 0
+    for run in runs:
+        out = []
+        append = out.append
+        for key_bytes, values in group_sorted(run):
             count = len(values)
             in_records += count
-            appends[partition](
-                (key_bytes, values[0] if count == 1 else fold_values(values))
-            )
+            append((key_bytes, values[0] if count == 1 else fold_values(values)))
             amount = combine_record * count + overhead * count
             charged += amount
-            consume_work += amount
-        if charged:
-            work[_COMBINE_OP] = charged
-        collector.counters.incr(Counter.COMBINE_INPUT_RECORDS, in_records)
-        collector.counters.incr(Counter.COMBINE_OUTPUT_RECORDS, len(groups))
-        return partitions, consume_work
+            tally += amount
+        out_records += len(out)
+        combined.append(out)
+    if charged:
+        work[_COMBINE_OP] = charged
+    runner.counters.incr(Counter.COMBINE_INPUT_RECORDS, in_records)
+    runner.counters.incr(Counter.COMBINE_OUTPUT_RECORDS, out_records)
+    return combined, tally
 
 
 class HashGrouping:

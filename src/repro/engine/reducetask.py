@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from ..errors import UserCodeError
 from ..io.merger import group_sorted, group_sorted_by
+from ..serde.numeric import int_values
 from ..serde.writable import Writable
 from .counters import Counter, Counters
 from .instrumentation import Ledger, Op, TaskInstruments
@@ -170,7 +171,7 @@ class ReduceTaskRunner:
             )
         else:
             input_groups, input_records, output_bytes = self._fold(
-                groups, output, proof, key_cls.from_bytes, value_cls.from_bytes
+                groups, output, proof, key_cls.from_bytes, value_cls
             )
         counters.incr(Counter.REDUCE_INPUT_GROUPS, input_groups)
         counters.incr(Counter.REDUCE_INPUT_RECORDS, input_records)
@@ -272,9 +273,10 @@ class ReduceTaskRunner:
         _settle(work, shuffle_work, reduce_work)
         return input_groups, input_records, output_bytes
 
-    def _fold(self, groups, output, proof, key_from_bytes, value_from_bytes):
+    def _fold(self, groups, output, proof, key_from_bytes, value_cls):
         """A proven ``emit(key, W(agg(v.value for v in values)))``: the
-        same builtin aggregate over the same decoded ints, and ``W``
+        same builtin aggregate over the same ints (decoded in bulk by
+        :func:`~repro.serde.numeric.int_values`), and ``W``
         built once per group, failing as the ``reduce()`` that would
         have built it."""
         serialize_byte = self.job.cost_model.serialize_byte
@@ -291,7 +293,7 @@ class ReduceTaskRunner:
                 group_payload = len(key_bytes) + len(value_bytes_list[0])
             else:
                 group_payload = len(key_bytes) + sum(map(len, value_bytes_list))
-            numbers = [value_from_bytes(vb).value for vb in value_bytes_list]
+            numbers = int_values(value_cls, value_bytes_list)
             shuffle_work += serialize_byte * group_payload
             key = key_from_bytes(key_bytes)
             input_groups += 1

@@ -223,3 +223,22 @@ class VIntWritable(Writable):
 
     def __repr__(self) -> str:
         return f"VIntWritable({self._value})"
+
+
+#: Every one-byte vint encoding (no continuation bit) -> its value.
+_ONE_BYTE_VINTS = {bytes((byte,)): (byte >> 1) ^ -(byte & 1) for byte in range(0x80)}
+
+
+def int_values(value_cls: type, values: list[bytes]) -> list[int]:
+    """``[value_cls.from_bytes(v).value for v in values]``, decoded in
+    bulk: a :class:`VIntWritable` list whose encodings are all one byte
+    (text counters) is one table lookup per value.  Anything else, a
+    miss included, decodes through ``from_bytes`` — so every error is
+    the one it raises."""
+    if value_cls is VIntWritable:
+        try:
+            return list(map(_ONE_BYTE_VINTS.__getitem__, values))
+        except (KeyError, TypeError):  # a longer or unhashable encoding
+            pass
+    decode = value_cls.from_bytes
+    return [decode(value).value for value in values]

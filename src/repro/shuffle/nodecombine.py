@@ -43,6 +43,7 @@ and nothing is double counted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import log2
 
 from ..config import Keys
@@ -55,6 +56,7 @@ from ..engine.pipeline import PipelineResult
 from ..io.blockdisk import LocalDisk
 from ..io.merger import MergeStats, merge_and_combine
 from ..io.spillfile import read_segment, write_spill
+from ..serde.numeric import int_values
 from ..serde.writable import SerdePair
 
 
@@ -174,9 +176,13 @@ class NodeCombiner:
                 if index.codec is not None:
                     read_work += model.decompress_byte * entry.uncompressed_length
                 work += read_work
-                for key_bytes, value_bytes in read_segment(
-                    result.disk, index, partition
-                ):
+                records = read_segment(result.disk, index, partition)
+                numbers = (  # under the monoid fold, one decoded int per record
+                    repeat(None)
+                    if fold_op is None
+                    else int_values(value_cls, [value for _, value in records])
+                )
+                for (key_bytes, value_bytes), number in zip(records, numbers):
                     size = len(key_bytes) + len(value_bytes)
                     in_records += 1
                     in_bytes += size
@@ -185,7 +191,6 @@ class NodeCombiner:
                     if fold_op is None:
                         table.setdefault(key_bytes, []).append(value_bytes)
                     else:
-                        number = value_cls.from_bytes(value_bytes).value
                         slot = table.get(key_bytes)
                         if slot is None:
                             table[key_bytes] = [1, number]

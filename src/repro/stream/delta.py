@@ -109,7 +109,7 @@ def _effective_range(data: bytes, split: FileSplit) -> tuple[int, int]:
     return start, end
 
 
-def _job_key_prefix(job: JobSpec) -> "hashlib._Hash":
+def _job_key_base(job: JobSpec) -> "hashlib._Hash":
     """The split-invariant part of the content key: user code, semantic
     configuration, and any installed projection.  Source digesting walks
     the job's class sources with ``inspect``/``ast``, which is far too
@@ -135,11 +135,11 @@ def split_content_key(
     code, semantic configuration, any installed projection, and the
     split's position (offset/length pin the straddle semantics).
 
-    *prefix* is an optional precomputed :func:`_job_key_prefix`; pass it
+    *prefix* is an optional precomputed :func:`_job_key_base`; pass it
     when keying many splits of the same job so the source digest is
     computed once, not per split.
     """
-    digest = (_job_key_prefix(job) if prefix is None else prefix).copy()
+    digest = (_job_key_base(job) if prefix is None else prefix).copy()
     digest.update(f"|{split.offset}|{split.length}|".encode("ascii"))
     start, end = _effective_range(data, split)
     digest.update(data[start:end])
@@ -213,7 +213,7 @@ def delta_run_job(
     base = job.input_format
     assert isinstance(base, TextInput)
     splits = base.splits()
-    prefix = _job_key_prefix(job)
+    prefix = _job_key_base(job)
     keys = [split_content_key(job, base.data, split, prefix) for split in splits]
 
     # Rebuilt results carry no accounting (no work happened) and, in the

@@ -4,13 +4,13 @@ Two invariants carry the binary collector's byte-identity claim:
 
 * the struct-packed kvindex is lossless — pack/unpack round-trips every
   entry, and a buffered record reads back exactly as appended;
-* the key-prefix bucket sort (flat integer sort + full-key fix-up)
-  produces exactly the order of a stable sort by ``(partition, key
-  bytes)`` — including insertion-order stability for equal keys.
+* the per-partition runs (bucket by partition, stable sort by key)
+  hold exactly the order of a stable sort by ``(partition, key bytes)``
+  — including insertion-order stability for equal keys.
 
 Hypothesis drives both over adversarial keys: empty, sharing long
-prefixes, differing only past the 8-byte prefix, trailing NULs (which
-collide with the prefix's zero padding), and arbitrary non-ASCII bytes.
+prefixes, differing only past the first 8 bytes, trailing NULs, and
+arbitrary non-ASCII bytes.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from hypothesis import strategies as st
 from repro.engine.binarybuffer import (
     KVINDEX_ENTRY_BYTES,
     BinarySpillBuffer,
-    key_prefix,
     pack_kvindex_entry,
     unpack_kvindex_entry,
 )
 
-# Keys that stress the prefix sort: empty, shared prefixes longer than 8
-# bytes, trailing NULs, and raw non-ASCII bytes.
+# Keys that stress a byte-order sort: empty, shared prefixes longer than
+# 8 bytes, trailing NULs, and raw non-ASCII bytes.
 tricky_keys = st.one_of(
     st.binary(min_size=0, max_size=12),
     st.binary(min_size=0, max_size=3).map(lambda suffix: b"sameprefix" + suffix),
@@ -72,27 +71,18 @@ def test_buffered_records_read_back_exactly(recs):
 @settings(max_examples=150, deadline=None)
 @given(recs=records, exact=st.booleans())
 def test_bucket_sort_matches_stable_sorted(recs, exact):
-    """The prefix sort + fix-up equals a stable sort by (partition, key)
-    — positionally, so equal keys keep arrival order."""
+    """The per-partition runs equal a stable sort by (partition, key) —
+    positionally, so equal keys keep arrival order; the comparison mode
+    only changes the count."""
     buffer = BinarySpillBuffer(1 << 20)
     for partition, key, value in recs:
         buffer.append(partition, key, value)
     spill = buffer.drain()
-    order, stats = spill.sort(exact_comparisons=exact)
+    runs = spill.sorted_runs(4)
+    stats = spill.sort_stats(exact_comparisons=exact)
 
-    reference = sorted(
-        range(len(recs)), key=lambda seq: (recs[seq][0], recs[seq][1])
-    )
-    assert order == reference
+    reference = sorted(recs, key=lambda record: (record[0], record[1]))
+    assert [
+        (partition, key, value) for partition, run in enumerate(runs) for key, value in run
+    ] == reference
     assert stats.records == len(recs)
-
-
-@settings(max_examples=200, deadline=None)
-@given(a=tricky_keys, b=tricky_keys)
-def test_key_prefix_is_monotone(a, b):
-    """a < b implies prefix(a) <= prefix(b): ties fall to the fix-up
-    pass, but the flat sort never inverts a strict byte order."""
-    if a < b:
-        assert key_prefix(a) <= key_prefix(b)
-    elif a == b:
-        assert key_prefix(a) == key_prefix(b)

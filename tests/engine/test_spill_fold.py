@@ -2,9 +2,10 @@
 
 Where a combiner's source proves ``emit(key, W(sum|min|max(...)))`` the
 ``CombinerRunner`` folds raw ints instead of round-tripping writables
-through ``combine()`` — inside ``combine_serialized`` (end-of-map merge,
-hash grouping) and, without calling the runner at all, in the per-spill
-walk over the sorted kvindex.  Neither may be observable: the same
+through ``combine()`` — inside ``combine_serialized`` (hash grouping)
+and, without calling the runner at all, in the one bulk loop over
+sorted runs (``grouping.combine_runs``) that both the per-spill combine
+and every end-of-map merge pass run.  Neither may be observable: the same
 combiner behind a delegating proxy (which hides the source, as
 ``bench/tracing.py::_TracedCombiner`` does) takes the generic path and
 must produce the same output, counters and ledger, floats included.
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from repro.config import JobConf, Keys
 from repro.engine.api import Combiner, FnCombiner, Mapper
 from repro.engine.combiner import CombinerRunner
-from repro.engine.costmodel import UserCodeCosts
+from repro.engine.costmodel import DEFAULT_COST_MODEL, UserCodeCosts
 from repro.engine.counters import Counter, Counters
 from repro.engine.inputformat import TextInput
 from repro.engine.job import JobSpec
@@ -53,6 +54,12 @@ class ScaledNumberMapper(Mapper):
             emit(Text(word), self.value_cls(number * self.scale))
 
 
+#: Costs that are not small integers, so a change in the order (or the
+#: grouping) of the per-group COMBINE float additions would show.
+COSTS = dataclasses.replace(DEFAULT_COST_MODEL, combine_record_overhead=0.1)
+USER_COSTS = UserCodeCosts(combine_record=0.7)
+
+
 def make_job(agg: str, value_cls, scale: int, conf: dict) -> JobSpec:
     return JobSpec(
         name="spillfold",
@@ -62,6 +69,8 @@ def make_job(agg: str, value_cls, scale: int, conf: dict) -> JobSpec:
         combiner_factory=COMBINERS[agg, value_cls],
         map_output_key_cls=Text,
         map_output_value_cls=value_cls,
+        cost_model=COSTS,
+        user_costs=USER_COSTS,
         conf=JobConf({Keys.NUM_REDUCERS: 2, Keys.TASK_MAX_ATTEMPTS: 1, **conf}),
     )
 
@@ -71,6 +80,23 @@ def run_or_error(job: JobSpec):
         return LocalJobRunner().run(job)
     except JobFailedError as failure:
         return failure.__cause__
+
+
+def proven_and_generic(proven_job: JobSpec):
+    """Run *proven_job* and the same job with its combiner behind a
+    proxy that hides the source (so it takes the generic path)."""
+    combiner_cls = proven_job.combiner_factory
+    generic_job = dataclasses.replace(
+        proven_job, combiner_factory=lambda: HiddenCombiner(combiner_cls())
+    )
+    return run_or_error(proven_job), run_or_error(generic_job)
+
+
+def assert_same_run(proven, generic) -> None:
+    assert proven.output_digest() == generic.output_digest()
+    assert proven.counters.get(Counter.COMBINE_INPUT_RECORDS) > 0
+    assert proven.counters.as_dict() == generic.counters.as_dict()
+    assert proven.ledger.as_dict() == generic.ledger.as_dict()
 
 
 @settings(max_examples=40, deadline=None)
@@ -94,13 +120,7 @@ def test_proven_fold_is_unobservable(
         Keys.GROUPING: grouping,
         Keys.SPILLMATCHER_ENABLED: spill_matcher,
     })
-    combiner_cls = proven_job.combiner_factory
-    generic_job = dataclasses.replace(
-        proven_job, combiner_factory=lambda: HiddenCombiner(combiner_cls())
-    )
-
-    proven = run_or_error(proven_job)
-    generic = run_or_error(generic_job)
+    proven, generic = proven_and_generic(proven_job)
 
     if agg == "sum" and value_cls is IntWritable and scale == 1 << 27:
         # The sum leaves 32 bits inside a combine: W(total) fails as the
@@ -110,10 +130,23 @@ def test_proven_fold_is_unobservable(
         assert proven.message == generic.message
         return
 
-    assert proven.output_digest() == generic.output_digest()
-    assert proven.counters.get(Counter.COMBINE_INPUT_RECORDS) > 0
-    assert proven.counters.as_dict() == generic.counters.as_dict()
-    assert proven.ledger.as_dict() == generic.ledger.as_dict()
+    assert_same_run(proven, generic)
+
+
+@pytest.mark.parametrize("agg", sorted(AGGS))
+def test_intermediate_merge_passes_fold_like_the_generic_path(agg):
+    """``sort_factor=2`` over many spills a task: the intermediate merge
+    passes, not only the final one, fold through the bulk loop."""
+    proven, generic = proven_and_generic(make_job(agg, VIntWritable, 1 << 20, {
+        Keys.SPILL_BUFFER_BYTES: 512,
+        Keys.SORT_FACTOR: 2,
+    }))
+    map_tasks = len(proven.map_results)
+    assert proven.counters.get(Counter.SPILLS) > 2 * map_tasks  # > sort_factor a task
+    assert proven.counters.get(Counter.MERGED_RECORDS) > proven.counters.get(
+        Counter.MAP_FINAL_OUTPUT_RECORDS
+    )
+    assert_same_run(proven, generic)
 
 
 # ----------------------------------------------------------------------

@@ -353,58 +353,6 @@ def render_failure_report(result: "JobResult") -> str:
     return "\n".join(lines)
 
 
-def render_serve_report(stats: dict, jobs: list[dict]) -> str:
-    """The ``repro jobs`` overview: daemon health line, per-tenant
-    admission/usage table, and the submission list.  *stats* is the
-    service's ``/v1/tenants`` payload, *jobs* the ``/v1/jobs`` list."""
-    from .tables import render_table
-
-    pool = stats.get("pool", {})
-    counters = stats.get("counters", {})
-    lines = [
-        f"serve: queued={stats.get('queued', 0)} "
-        f"running={stats.get('active_runs', 0)} "
-        f"pool={pool.get('size', '?')}{' warm' if pool.get('warm') else ' cold'} "
-        f"leases={pool.get('leases', 0)} forks={pool.get('forks', 0)} "
-        f"dedup_hits={counters.get('serve_dedup_hits', 0)} "
-        f"cache_hits={counters.get('serve_result_cache_hits', 0)}"
-    ]
-    tenants = stats.get("tenants", [])
-    if tenants:
-        lines.append(
-            render_table(
-                "tenants",
-                ["tenant", "weight", "submitted", "done", "failed", "rejected",
-                 "dedup", "cached", "inflight", "attempts", "busy s"],
-                [
-                    [t["tenant"], t["weight"], str(t["submitted"]),
-                     str(t["completed"]), str(t["failed"]), str(t["rejected"]),
-                     str(t["dedup_hits"]), str(t["cache_hits"]),
-                     str(t["inflight"]), str(t["attempts_used"]),
-                     t["busy_seconds"]]
-                    for t in tenants
-                ],
-            )
-        )
-    if jobs:
-        lines.append(
-            render_table(
-                "submissions",
-                ["id", "tenant", "job", "state", "key", "notes"],
-                [
-                    [j["id"], j["tenant"], f"{j['kind']}:{j['name']}",
-                     j["state"], j["key"],
-                     "cache-hit" if j.get("cache_hit")
-                     else (f"dedup of {j['dedup_of']}" if j.get("dedup_of") else "")]
-                    for j in jobs
-                ],
-            )
-        )
-    else:
-        lines.append("no submissions")
-    return "\n".join(lines)
-
-
 def render_lint_report(report: "LintReport") -> str:
     """The static analyzer's findings as a text report.
 

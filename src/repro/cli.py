@@ -12,9 +12,7 @@ Usage::
     python -m repro.cli experiment table3
     python -m repro.cli lint wordcount
     python -m repro.cli lint all --json
-    python -m repro.cli serve --port 8750 --pool-size 4
-    python -m repro.cli submit wordcount --tenant alice --scale 0.01
-    python -m repro.cli jobs --tenant alice
+    python -m repro.cli analyze all --json
     python -m repro.cli list
 
 ``run`` executes an application on the single-node engine and prints
@@ -22,11 +20,14 @@ output stats plus the work breakdown; ``pipeline`` runs a registered
 multi-job dataflow pipeline (``repro.dag``) with per-stage result
 caching; ``stream`` tails an append-only input with the micro-batch
 driver (``repro.stream``), recomputing only new/changed splits per
-batch and publishing versioned outputs; ``cluster`` runs an app on a simulated cluster with optional
-Gantt chart; ``experiment`` regenerates one of the paper's
-tables/figures; ``lint`` statically analyzes an application's user code
-against the job-safety rule catalog (``all`` sweeps every registered
-app plus the engine's own thread-contract self-lint).
+batch and publishing versioned outputs; ``cluster`` runs an app on a
+simulated cluster with optional Gantt chart; ``experiment`` regenerates
+one of the paper's tables/figures; ``lint`` statically analyzes an
+application's user code against the job-safety rule catalog (``all``
+sweeps every registered app plus the engine's own thread-contract
+self-lint); ``analyze`` prints the static optimizer's per-job rewrite
+plans and the whole-pipeline dataflow checks; ``list`` names every
+registered application and experiment.
 """
 
 from __future__ import annotations
@@ -389,137 +390,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _parse_conf_value(text: str):
-    """``--conf`` values arrive as strings; recover int/float/bool so
-    overrides land in the JobConf with the types the engine expects."""
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
-
-
-def _conf_overrides(pairs: list[str]) -> dict:
-    conf = {}
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise SystemExit(f"--conf wants KEY=VALUE, got {pair!r}")
-        conf[key] = _parse_conf_value(value)
-    return conf
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    from .config import JobConf
-    from .serve import JobService, ServeDaemon
-
-    conf = JobConf({
-        Keys.SERVE_POOL_SIZE: args.pool_size,
-        Keys.SERVE_POOL_WARM: not args.cold,
-        Keys.SERVE_POOL_RECYCLE_JOBS: args.recycle_jobs,
-        Keys.SERVE_QUEUE_DEPTH: args.queue_depth,
-        Keys.SERVE_QUEUE_QUANTUM: args.quantum,
-        Keys.SERVE_DEDUP: not args.no_dedup,
-        Keys.SERVE_CACHE_DIR: args.cache_dir or "",
-        Keys.SERVE_TENANT_MAX_INFLIGHT: args.max_inflight,
-        Keys.SERVE_TENANT_ATTEMPT_BUDGET: args.attempt_budget,
-    })
-    weights = {}
-    for pair in args.tenant_weight:
-        name, sep, weight = pair.partition("=")
-        if not sep or not name:
-            raise SystemExit(f"--tenant-weight wants NAME=WEIGHT, got {pair!r}")
-        weights[name] = float(weight)
-    service = JobService(conf, tenant_weights=weights)
-    daemon = ServeDaemon(service, host=args.host, port=args.port)
-    daemon.run_forever(port_file=args.port_file)
-    return 0
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    from .serve import JobRequest, ServeClient
-
-    request = JobRequest(
-        tenant=args.tenant,
-        kind=args.kind,
-        name=args.name,
-        config=args.config,
-        scale=args.scale,
-        splits=args.splits,
-        seed=args.seed,
-        conf=_conf_overrides(args.conf),
-    )
-    client = ServeClient(args.host, args.port, timeout=args.timeout)
-    record = client.submit(request)
-    if args.no_wait:
-        if args.json:
-            print(json.dumps(record, indent=2))
-        else:
-            print(f"submitted {record['id']} ({record['state']}) key={record['key']}")
-        return 0
-    if record["state"] not in ("done", "failed", "cancelled"):
-        client.wait(record["id"], timeout=args.timeout)
-    final = client.result(record["id"])
-    if args.json:
-        print(json.dumps(final, indent=2))
-        return 0 if final["state"] == "done" else 1
-    outcome = final.get("outcome") or {}
-    flags = "".join(
-        f" [{flag}]" for flag, on in (
-            ("cache-hit", final.get("cache_hit")),
-            (f"dedup-of {final.get('dedup_of')}", final.get("dedup_of")),
-        ) if on
-    )
-    print(f"{final['id']} {final['state']}{flags}")
-    if final["state"] == "done":
-        print(f"  records={outcome.get('records')} "
-              f"digest={outcome.get('output_digest')} "
-              f"attempts={outcome.get('task_attempts')} "
-              f"seconds={outcome.get('seconds', 0):.3f}")
-        for line in (outcome.get("preview") or [])[:5]:
-            print(f"  | {line}")
-    elif final.get("error"):
-        print(f"  error: {final['error']}")
-    return 0 if final["state"] == "done" else 1
-
-
-def cmd_jobs(args: argparse.Namespace) -> int:
-    from .analysis.report import render_serve_report
-    from .serve import ServeClient
-
-    client = ServeClient(args.host, args.port, timeout=args.timeout)
-    if args.cancel:
-        record = client.cancel(args.cancel)
-        print(json.dumps(record, indent=2) if args.json
-              else f"{record['id']} {record['state']}")
-        return 0
-    if args.watch:
-        for event in client.events(args.watch, timeout=args.timeout):
-            if args.json:
-                print(json.dumps(event))
-            else:
-                data = {k: v for k, v in event.items()
-                        if k not in ("seq", "ts", "type")}
-                print(f"[{event['seq']:3d}] {event['type']:9s} {json.dumps(data)}")
-        return 0
-    if args.job:
-        record = client.job(args.job)
-        print(json.dumps(record, indent=2) if args.json
-              else f"{record['id']} {record['state']} tenant={record['tenant']} "
-                   f"{record['kind']}:{record['name']}")
-        return 0
-    stats = client.tenants()
-    jobs = client.jobs(tenant=args.tenant)
-    if args.json:
-        print(json.dumps({"jobs": jobs, **stats}, indent=2))
-        return 0
-    print(render_serve_report(stats, jobs))
-    return 0
-
-
 def cmd_list(_args: argparse.Namespace) -> int:
     print("applications (the paper's suite):")
     for name, entry in REGISTRY.items():
@@ -594,7 +464,10 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="repro", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="run an app on the single-node engine")
@@ -813,112 +686,12 @@ def main(argv: list[str] | None = None) -> int:
                                 help="emit machine-readable plans and reports")
     analyze_parser.set_defaults(fn=cmd_analyze)
 
-    serve_parser = sub.add_parser(
-        "serve", help="run the multi-tenant job service daemon"
-    )
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument(
-        "--port", type=int, default=8750, help="listen port (0 = ephemeral)"
-    )
-    serve_parser.add_argument(
-        "--port-file", default=None,
-        help="write the bound port here once listening (for --port 0)",
-    )
-    serve_parser.add_argument(
-        "--pool-size", type=int, default=4,
-        help="warm worker slots (= concurrent job executions)",
-    )
-    serve_parser.add_argument(
-        "--cold", action="store_true",
-        help="fork a fresh worker per job instead of keeping a warm pool",
-    )
-    serve_parser.add_argument(
-        "--recycle-jobs", type=int, default=0,
-        help="retire a warm worker after this many jobs (0 = never)",
-    )
-    serve_parser.add_argument(
-        "--queue-depth", type=int, default=1024,
-        help="total queued submissions before the service answers 503",
-    )
-    serve_parser.add_argument(
-        "--quantum", type=float, default=4.0,
-        help="deficit-round-robin quantum (cost units credited per pass)",
-    )
-    serve_parser.add_argument(
-        "--no-dedup", action="store_true",
-        help="disable cross-tenant coalescing of identical submissions",
-    )
-    serve_parser.add_argument(
-        "--cache-dir", default=None,
-        help="persist result + stage caches here (shared across restarts)",
-    )
-    serve_parser.add_argument(
-        "--max-inflight", type=int, default=64,
-        help="per-tenant cap on queued+running submissions (429 beyond)",
-    )
-    serve_parser.add_argument(
-        "--attempt-budget", type=int, default=0,
-        help="per-tenant task-attempt budget (0 = unlimited)",
-    )
-    serve_parser.add_argument(
-        "--tenant-weight", action="append", default=[], metavar="NAME=WEIGHT",
-        help="fair-queue weight for a tenant (repeatable; default 1.0)",
-    )
-    serve_parser.set_defaults(fn=cmd_serve)
-
-    submit_parser = sub.add_parser(
-        "submit", help="submit a job to a running serve daemon"
-    )
-    submit_parser.add_argument("name", help="registered app or pipeline name")
-    submit_parser.add_argument(
-        "--kind", choices=("app", "pipeline"), default="app"
-    )
-    submit_parser.add_argument("--tenant", default="default")
-    submit_parser.add_argument(
-        "--config", choices=OPTIMIZATION_CONFIGS, default="baseline",
-        help="optimization config (apps only)",
-    )
-    submit_parser.add_argument("--scale", type=float, default=0.01)
-    submit_parser.add_argument("--splits", type=int, default=2)
-    submit_parser.add_argument("--seed", type=int, default=0)
-    submit_parser.add_argument(
-        "--conf", action="append", default=[], metavar="KEY=VALUE",
-        help="conf override forwarded to the job (repeatable)",
-    )
-    submit_parser.add_argument("--host", default="127.0.0.1")
-    submit_parser.add_argument("--port", type=int, default=8750)
-    submit_parser.add_argument(
-        "--no-wait", action="store_true",
-        help="print the accepted submission and return without waiting",
-    )
-    submit_parser.add_argument(
-        "--timeout", type=float, default=120.0,
-        help="seconds to wait for completion (with the default --wait)",
-    )
-    submit_parser.add_argument("--json", action="store_true")
-    submit_parser.set_defaults(fn=cmd_submit)
-
-    jobs_parser = sub.add_parser(
-        "jobs", help="inspect a serve daemon's submissions and tenants"
-    )
-    jobs_parser.add_argument("--host", default="127.0.0.1")
-    jobs_parser.add_argument("--port", type=int, default=8750)
-    jobs_parser.add_argument("--tenant", default=None, help="filter the job list")
-    jobs_parser.add_argument("--job", default=None, help="show one submission")
-    jobs_parser.add_argument("--cancel", default=None, metavar="JOB",
-                             help="cancel a submission")
-    jobs_parser.add_argument("--watch", default=None, metavar="JOB",
-                             help="stream a submission's progress events")
-    jobs_parser.add_argument("--timeout", type=float, default=120.0)
-    jobs_parser.add_argument("--json", action="store_true")
-    jobs_parser.set_defaults(fn=cmd_jobs)
-
     list_parser = sub.add_parser("list", help="list applications and experiments")
     list_parser.set_defaults(fn=cmd_list)
 
     args = parser.parse_args(argv)
     # SIGTERM unwinds like Ctrl-C: the try/finally teardown in whatever
-    # command is running (cluster masters, shuffle servers, warm pools)
+    # command is running (cluster masters, shuffle servers, worker pools)
     # gets to release its ports and reap its children.
     with graceful_termination():
         return args.fn(args)

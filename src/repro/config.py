@@ -91,19 +91,6 @@ class Keys:
     DFS_BLOCK_BYTES = "repro.dfs.block.bytes"
     DFS_REPLICATION = "repro.dfs.replication"
 
-    # --- multi-tenant job service (repro.serve) ---
-    SERVE_HOST = "repro.serve.host"
-    SERVE_PORT = "repro.serve.port"  # 0 = ephemeral
-    SERVE_POOL_SIZE = "repro.serve.pool.size"  # leasable worker slots
-    SERVE_POOL_WARM = "repro.serve.pool.warm"  # pre-fork at start, reuse across jobs
-    SERVE_POOL_RECYCLE_JOBS = "repro.serve.pool.recycle.jobs"  # re-fork after N jobs (0 = never)
-    SERVE_QUEUE_DEPTH = "repro.serve.queue.depth"  # global queued-submission bound
-    SERVE_QUEUE_QUANTUM = "repro.serve.queue.quantum"  # DRR deficit refill per round
-    SERVE_DEDUP = "repro.serve.dedup.enabled"  # coalesce identical submissions
-    SERVE_CACHE_DIR = "repro.serve.cache.dir"  # result cache ("" = in-memory)
-    SERVE_TENANT_MAX_INFLIGHT = "repro.serve.tenant.max.inflight"  # default quota
-    SERVE_TENANT_ATTEMPT_BUDGET = "repro.serve.tenant.attempt.budget"  # 0 = unlimited
-
     # --- micro-batch streaming (repro.stream) ---
     STREAM_STATE_DIR = "repro.stream.state.dir"  # manifest + published versions
     STREAM_POLL_INTERVAL = "repro.stream.poll.interval.seconds"
@@ -174,17 +161,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.TASK_TIMEOUT: 0.0,  # Hadoop's mapred.task.timeout, scaled; 0 disables
     Keys.DFS_BLOCK_BYTES: 1 << 22,  # 4 MiB
     Keys.DFS_REPLICATION: 3,
-    Keys.SERVE_HOST: "127.0.0.1",
-    Keys.SERVE_PORT: 8750,
-    Keys.SERVE_POOL_SIZE: 4,
-    Keys.SERVE_POOL_WARM: True,
-    Keys.SERVE_POOL_RECYCLE_JOBS: 0,
-    Keys.SERVE_QUEUE_DEPTH: 1024,
-    Keys.SERVE_QUEUE_QUANTUM: 4.0,
-    Keys.SERVE_DEDUP: True,
-    Keys.SERVE_CACHE_DIR: "",
-    Keys.SERVE_TENANT_MAX_INFLIGHT: 64,
-    Keys.SERVE_TENANT_ATTEMPT_BUDGET: 0,
     Keys.STREAM_STATE_DIR: "",
     Keys.STREAM_POLL_INTERVAL: 0.2,
     Keys.STREAM_MIN_BATCH_BYTES: 1,

@@ -285,13 +285,13 @@ class PipelineRunner:
         """Cache lookup with in-flight execution dedup.
 
         Concurrent executions of the same key against the same cache
-        (fan-out stages in one run, or identical pipelines submitted
-        from several threads — the serve front door's case) elect one
-        *leader* via the cache's :class:`~repro.dag.cache.SingleFlight`
-        table; waiters block, then take the leader's committed entry as
-        an ordinary cache hit.  A failed leader commits nothing, so the
-        first waiter to re-check becomes the new leader and the failure
-        never cascades to submissions that could still succeed.
+        (fan-out stages in one run, or identical pipelines run from
+        several threads) elect one *leader* via the cache's
+        :class:`~repro.dag.cache.SingleFlight` table; waiters block, then
+        take the leader's committed entry as an ordinary cache hit.  A
+        failed leader commits nothing, so the first waiter to re-check
+        becomes the new leader and the failure never cascades to runs
+        that could still succeed.
         """
         if not self.cache_enabled:
             return compute()

@@ -77,18 +77,6 @@ class Counter(str, Enum):
     STREAM_BATCHES = "stream_batches"  # micro-batches executed by the driver
     STREAM_VERSIONS_PUBLISHED = "stream_versions_published"  # dataset versions promoted
     STREAM_VERSIONS_RETIRED = "stream_versions_retired"  # old versions GC'd by retention
-    # --- multi-tenant job service (repro.serve) ---
-    SERVE_SUBMISSIONS = "serve_submissions"  # requests reaching the admission controller
-    SERVE_ADMITTED = "serve_admitted"  # submissions past admission (incl. dedup/cache)
-    SERVE_REJECTED = "serve_rejected"  # quota or queue-depth refusals
-    SERVE_DEDUP_HITS = "serve_dedup_hits"  # coalesced onto an in-flight execution
-    SERVE_RESULT_CACHE_HITS = "serve_result_cache_hits"  # served from the result cache
-    SERVE_JOBS_EXECUTED = "serve_jobs_executed"  # submissions that actually ran a job
-    SERVE_JOBS_COMPLETED = "serve_jobs_completed"  # submissions finished successfully
-    SERVE_JOBS_FAILED = "serve_jobs_failed"
-    SERVE_JOBS_CANCELLED = "serve_jobs_cancelled"
-    SERVE_POOL_LEASES = "serve_pool_leases"  # worker-slot checkouts
-    SERVE_POOL_FORKS = "serve_pool_forks"  # worker processes forked (warm pools amortize)
 
 
 @dataclass

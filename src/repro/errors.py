@@ -70,14 +70,6 @@ class LintError(ReproError):
         self.report = report
 
 
-class ServeError(ReproError):
-    """The multi-tenant job service (:mod:`repro.serve`) rejected or
-    failed a submission: admission denied (quota exhausted, queue full),
-    an unknown job or tenant, or a submission whose in-worker execution
-    died.  Instances cross process boundaries (serve workers ship
-    failures back through a pickle)."""
-
-
 class PipelineError(ReproError):
     """A dataflow pipeline (:mod:`repro.dag`) is malformed or failed.
 

@@ -100,7 +100,7 @@ class Task:
     driver builds and every scheduler (pool, cluster master) carries."""
 
     key: str  # task id, for attribution
-    kind: str  # "map" | "reduce" (the serve lease ships "job")
+    kind: str  # "map" | "reduce"
     payload: Any  # map: split index; reduce: partition number
     attempt_offset: int = 0  # attempts already consumed (crashed ones)
     crashes: int = 0  # workers this task has killed so far

@@ -66,23 +66,19 @@ class CrashTolerantPool:
 
     ctx: Any  # a fork multiprocessing context
     workers: int
-    worker_target: Callable[[Any], None]  # worker_main(conn), handler bound
+    worker_target: Callable[[Any], None]  # worker_main(conn), ctx_id bound
     max_attempts: int
     task_timeout: float = 0.0  # seconds; 0 disables reaping
     events: Counters = field(default_factory=Counters)
     #: task_id -> attempts consumed, updated on crashes too, so callers
     #: see the true count even when the job ultimately fails.
     attempts_seen: dict[str, int] = field(default_factory=dict)
-    #: Worker processes forked over this pool's lifetime (initial spawn
-    #: plus crash replacements) — what warm pool reuse amortizes away.
-    forks: int = 0
 
     def __post_init__(self) -> None:
         self._pool: list[_Worker] = [self._spawn() for _ in range(self.workers)]
 
     # ------------------------------------------------------------------
     def _spawn(self) -> _Worker:
-        self.forks += 1
         parent_conn, child_conn = self.ctx.Pipe(duplex=True)
         process = self.ctx.Process(
             target=self.worker_target, args=(child_conn,), daemon=True
@@ -117,15 +113,10 @@ class CrashTolerantPool:
                     self._lost(worker, worker.current, pending, outcomes)
         return [outcomes[task.key] for task in tasks]
 
-    def run_one(self, task: Task) -> tuple:
-        """Run a single task to an outcome — the warm-pool lease path,
-        where one leased single-worker pool runs one job at a time."""
-        return self.run([task])[0]
-
     def close(self) -> None:
         """Shut the workers down (politely, then firmly).  Idempotent:
-        a second close is a no-op, so lease managers and error paths can
-        both call it."""
+        a second close is a no-op, so the executor's teardown and error
+        paths can both call it."""
         for worker in self._pool:
             try:
                 worker.conn.send(None)

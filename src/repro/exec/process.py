@@ -67,11 +67,10 @@ class ProcessExecutor(Executor):
         # Workers are pinned to this executor's ctx_id: replacements
         # forked while a concurrent executor is live in the same parent
         # still resolve *this* job's context from the registry.
-        handler = functools.partial(workers.task_entry, ctx_id=self._ctx_id)
         self._pool = CrashTolerantPool(
             ctx=ctx,
             workers=self.workers,
-            worker_target=functools.partial(workers.worker_main, handler=handler),
+            worker_target=functools.partial(workers.worker_main, ctx_id=self._ctx_id),
             max_attempts=job.conf.get_positive_int(Keys.TASK_MAX_ATTEMPTS),
             task_timeout=job.conf.get_float(Keys.TASK_TIMEOUT),
             events=self.events,

@@ -12,13 +12,14 @@ disk for the parent and the reduce workers to read.
 Handlers return ``(task_id, attempts, result, error)`` rather than
 raising, so the parent can record attempt counts before propagating the
 failure in task order.  One discipline serves the pool's worker loop
-(:func:`worker_main`), the cluster's worker daemon and the serve lease:
+(:func:`worker_main`) and the cluster's worker daemon:
 :func:`run_entry` turns every error into an outcome, and
 :func:`send_outcome` degrades an outcome that will not pickle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
@@ -197,19 +198,18 @@ def send_outcome(send: Callable[[tuple], None], outcome: tuple) -> None:
         )
 
 
-def worker_main(conn, handler: Callable[[Task, "list | None"], tuple]) -> None:
+def worker_main(conn, ctx_id: int) -> None:
     """The long-lived worker loop the crash-tolerant pool forks.
 
     Receives ``(task, fetch_results)`` messages over the pipe, runs
-    *handler* on each and sends back its ``(task_id, attempts, result,
-    error)`` outcome.  A ``None`` message (or pipe EOF) shuts the worker
-    down; abrupt death the parent observes via the process sentinel.
-    The process backend binds :func:`task_entry` to its executor's
-    context id, so replacement workers forked while other executors are
-    live in the same parent never run against a different job's
-    context; the serve lease binds a handler that rebuilds the
-    submission in-child.
+    :func:`task_entry` on each and sends back its ``(task_id, attempts,
+    result, error)`` outcome.  A ``None`` message (or pipe EOF) shuts the
+    worker down; abrupt death the parent observes via the process
+    sentinel.  The worker is pinned to its executor's *ctx_id*, so
+    replacement workers forked while other executors are live in the
+    same parent never run against a different job's context.
     """
+    handler = functools.partial(task_entry, ctx_id=ctx_id)
     mark_worker_process()
     while True:
         try:

@@ -101,7 +101,7 @@ MUTATOR_METHODS = frozenset(
         "discard",
         "clear",
         "__setitem__",
-        # deque mutators (the DRR queue's ring is a deque)
+        # deque mutators
         "popleft",
         "appendleft",
         "rotate",

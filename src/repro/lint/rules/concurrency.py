@@ -1,9 +1,8 @@
 """Self-lint: thread discipline of the shared, lock-guarded classes.
 
-Three classes are touched from several threads at once: the dataflow
+Two classes are touched from several threads at once: the dataflow
 cache's :class:`~repro.dag.cache.SingleFlight` (pipeline scheduler
-threads), the job service's :class:`~repro.serve.queue.FairQueue`
-(submission handlers and scheduler threads) and the cluster master's
+threads) and the cluster master's
 :class:`~repro.cluster.runtime.membership.Membership` (ping handlers
 and the scheduling loop).  Each one's safety argument is a *written*
 protocol: under its lock, only a small documented set of attributes is
@@ -66,7 +65,6 @@ def _default_contracts() -> tuple[ThreadContract, ...]:
     # in at import time (core already layers on engine).
     from ...cluster.runtime.membership import Membership
     from ...dag.cache import SingleFlight
-    from ...serve.queue import FairQueue
 
     return (
         # The dataflow cache's single-flight table: every method may run
@@ -76,17 +74,6 @@ def _default_contracts() -> tuple[ThreadContract, ...]:
             cls=SingleFlight,
             support_methods=("begin", "done", "in_flight"),
             shared_writes=("_flights",),
-        ),
-        # The job service's deficit-round-robin queue: submission
-        # handlers push while scheduler threads pop/drain; all mutation
-        # stays within the four lock-guarded structures (per-lane state
-        # hangs off _lanes values, not off self).
-        ThreadContract(
-            cls=FairQueue,
-            support_methods=(
-                "push", "pop", "_pop_drr", "close", "drain", "__len__", "queued_for",
-            ),
-            shared_writes=("_lanes", "_ring", "_size", "_closed"),
         ),
         # The cluster master's membership table: ping-handler threads
         # and the scheduling loop share it; only the worker-record dict

@@ -4,7 +4,7 @@ Python maps SIGINT to :class:`KeyboardInterrupt` — so ``finally``
 blocks and context managers run on Ctrl-C — but SIGTERM's default
 disposition kills the process immediately.  For commands that fork
 daemons (the cluster backend's master and workerd processes, network
-shuffle servers, ``repro serve`` warm pools), that means orphaned
+shuffle servers, process-backend worker pools), that means orphaned
 children and leaked ports whenever a supervisor sends the polite kill.
 
 :func:`graceful_termination` converts the chosen signals into
@@ -12,8 +12,7 @@ children and leaked ports whenever a supervisor sends the polite kill.
 existing ``try/finally`` teardown (``Master.close``,
 ``ShuffleServer.stop``, pool closes) runs on the way out and the exit
 code follows the ``128 + signum`` convention.  The CLI wraps every
-command in it; ``repro serve`` installs its own asyncio signal
-handlers instead (a drain is better than an unwind for a server).
+command in it.
 """
 
 from __future__ import annotations

@@ -13,11 +13,12 @@ def test_shipped_engine_contracts_hold():
     assert report.clean, [f.message for f in report.findings]
     assert report.subject == "engine"
     # The contracts under check — the lock-guarded shared structures of
-    # the dag/serve/cluster layers — are surfaced, so a silently-empty
+    # the dag/cluster layers — are surfaced, so a silently-empty
     # self-lint is distinguishable from a passing one.
     assert any("SingleFlight" in note for note in report.notes)
-    assert any("FairQueue" in note for note in report.notes)
     assert any("Membership" in note for note in report.notes)
+    checked = {c.cls.__name__ for c in EngineConcurrencyRule().contracts}
+    assert checked == {"SingleFlight", "Membership"}
 
 
 class LeakyWorker:

@@ -3,8 +3,8 @@
 Every test here carries ``@pytest.mark.stream``: they run real pipeline
 batches (some on the process backend) against on-disk driver state, so
 the autouse fixture below arms a per-test wall-clock alarm (mirroring
-the ``serve`` marker's setup in ``tests/serve/conftest.py``) — a wedged
-poll loop kills the *test*, not the whole CI run.  Tune with
+the ``cluster`` marker's setup in ``tests/cluster/conftest.py``) — a
+wedged poll loop kills the *test*, not the whole CI run.  Tune with
 ``REPRO_STREAM_TEST_TIMEOUT`` (seconds).
 """
 

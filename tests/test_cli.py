@@ -1,10 +1,35 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+
+
+class TestHelp:
+    def test_usage_examples_keep_their_lines(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        printed = [
+            line.strip() for line in out.splitlines() if "python -m repro.cli" in line
+        ]
+        documented = [
+            line.strip() for line in cli.__doc__.splitlines()
+            if line.strip().startswith("python -m repro.cli")
+        ]
+        # One example per line, exactly as the module docstring writes
+        # them (the default formatter reflows them into one paragraph).
+        assert printed == documented
+        assert all(line.count("python -m repro.cli") == 1 for line in printed)
+
+        commands = set(re.search(r"\{([a-z,]+)\}", out).group(1).split(","))
+        assert not commands & {"serve", "submit", "jobs"}
+        assert {line.split()[3] for line in printed} <= commands
 
 
 class TestList:

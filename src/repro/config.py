@@ -33,7 +33,6 @@ class Keys:
     FREQBUF_AUTOTUNE = "repro.freqbuf.autotune"  # derive s from Zipf fit
     FREQBUF_PREPROFILE_FRACTION = "repro.freqbuf.preprofile.fraction"
     FREQBUF_BUFFER_FRACTION = "repro.freqbuf.buffer.fraction"  # share of spill buffer
-    FREQBUF_VALUES_PER_KEY = "repro.freqbuf.values.per.key"  # combine trigger
     FREQBUF_SHARE_ACROSS_TASKS = "repro.freqbuf.share.across.tasks"
 
     # --- spill-matcher (the paper's Section IV) ---
@@ -79,7 +78,6 @@ class Keys:
 
     # --- engine ---
     NUM_REDUCERS = "repro.job.reduces"
-    COMBINER_MIN_SPILL_RECORDS = "repro.combine.min.spill.records"
     EXACT_COMPARISON_COUNTING = "repro.instrument.exact.comparisons"
     SPILL_COMPRESSION = "repro.io.spill.compression"  # identity|zlib|rle+zlib
     GROUPING = "repro.engine.grouping"  # sort | hash (post-map grouping procedure)
@@ -125,7 +123,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.FREQBUF_AUTOTUNE: False,
     Keys.FREQBUF_PREPROFILE_FRACTION: 0.01,
     Keys.FREQBUF_BUFFER_FRACTION: 0.3,  # Section V-B2: 30% of spill buffer
-    Keys.FREQBUF_VALUES_PER_KEY: 8,
     Keys.FREQBUF_SHARE_ACROSS_TASKS: True,
     Keys.EXEC_BACKEND: "serial",
     Keys.EXEC_WORKERS: 0,
@@ -152,7 +149,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.SPILLMATCHER_MIN_PERCENT: 0.05,
     Keys.SPILLMATCHER_MAX_PERCENT: 0.95,
     Keys.NUM_REDUCERS: 1,
-    Keys.COMBINER_MIN_SPILL_RECORDS: 1,
     Keys.EXACT_COMPARISON_COUNTING: False,
     Keys.SPILL_COMPRESSION: "identity",
     Keys.GROUPING: "sort",

@@ -3,7 +3,6 @@ Zipf-driven auto-tuning, and the frequent-key hash buffer collector."""
 
 from .autotune import AutotuneDecision, PreProfiler
 from .collector import FrequencyBufferingCollector, Stage
-from .hashbuffer import FrequentKeyTable, MonoidKeyTable, frequent_key_table
 from .predictors import (
     BufferStrategy,
     LRUStrategy,
@@ -25,15 +24,12 @@ __all__ = [
     "AutotuneDecision",
     "BufferStrategy",
     "FrequencyBufferingCollector",
-    "FrequentKeyTable",
     "LRUStrategy",
-    "MonoidKeyTable",
     "PreProfiler",
     "ProfiledTopKStrategy",
     "SpaceSaving",
     "Stage",
     "fit_alpha",
-    "frequent_key_table",
     "fit_alpha_from_counts",
     "generalized_harmonic",
     "ideal_strategy",

@@ -10,13 +10,14 @@ paper's two-stage dataflow:
    takes the standard path while a Space-Saving summary tracks key
    frequencies;
 3. **optimization** — the summary's top-k become the frozen frequent
-   set, held as a :class:`~repro.core.freqbuf.hashbuffer.
-   FrequentKeyTable` keyed on serialized key bytes.  Each emit
-   serializes its key once and probes once: a hit is folded into its
-   slot (combined eagerly, bypassing sort/spill), a miss hands the same
-   bytes to the standard path.  At flush the table drains its
-   aggregates into the standard path so the final map output is
-   complete and sorted.
+   set: the admission of a :class:`~repro.engine.foldtable.FoldTable`
+   keyed on serialized key bytes, whose budget evicts the fullest keys'
+   aggregates to the standard path.  Each emit serializes its key once
+   and probes once: a hit is folded into its slot (combined eagerly at
+   :data:`VALUES_PER_KEY_LIMIT` values, bypassing sort/spill), a miss
+   hands the same bytes to the standard path.  At flush the table
+   drains its aggregates into the standard path so the final map
+   output is complete and sorted.
 
 The optimization stage charges nothing per record.  Hits, misses and
 combines accumulate as integers and are *settled* — counters and the
@@ -32,25 +33,49 @@ the rest skip straight to the optimization stage.
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Any
 
 from ...config import Keys
 from ...engine.collector import MapOutputCollector, StandardCollector
 from ...engine.combiner import CombinerRunner
 from ...engine.counters import Counter, Counters
+from ...engine.foldtable import Combined, FoldTable
 from ...engine.instrumentation import Op, TaskInstruments
 from ...engine.job import JobSpec
 from ...io.spillfile import SpillIndex
 from ...serde.writable import Writable
 from .autotune import PreProfiler
-from .hashbuffer import FrequentKeyTable, frequent_key_table
 from .spacesaving import SpaceSaving
 
 SHARED_FREQUENT_KEYS = "freqbuf.frequent_keys"
 SHARED_ALPHA = "freqbuf.alpha"
 SHARED_SAMPLE_FRACTION = "freqbuf.sample_fraction"
+
+#: A frequent key's values are combined eagerly once this many accumulate.
+VALUES_PER_KEY_LIMIT = 8
+
+
+@dataclass
+class Tallies:
+    """What the table did since the last settlement."""
+
+    hits: int = 0  # tuples folded in
+    hit_bytes: int = 0  # their serialized key + value bytes
+    combines: int = 0  # eager/overflow combines (charged as hash work)
+    combine_in: int = 0  # values consumed by combine(), drain included
+    combine_out: int = 0  # records it emitted
+    evictions: int = 0  # records sent down the spill path
+
+    def publish(self, left: int, combined: Combined, eager: bool = True) -> None:
+        """Tally *left* records forwarded and *combined*; the drain's
+        combines (``eager=False``) are user work but not hash work."""
+        self.evictions += left
+        if eager:
+            self.combines += len(combined)
+        self.combine_in += sum(n_in for n_in, _ in combined)
+        self.combine_out += sum(n_out for _, n_out in combined)
 
 
 class Stage(Enum):
@@ -71,7 +96,6 @@ class FrequencyBufferingCollector(MapOutputCollector):
         autotune: bool,
         preprofile_fraction: float,
         hash_budget_bytes: int,
-        values_per_key_limit: int,
         instruments: TaskInstruments,
         counters: Counters,
         combiner_runner: CombinerRunner | None,
@@ -88,7 +112,6 @@ class FrequencyBufferingCollector(MapOutputCollector):
         self.autotune = autotune
         self.preprofile_fraction = preprofile_fraction
         self.hash_budget_bytes = max(1, hash_budget_bytes)
-        self.values_per_key_limit = values_per_key_limit
         self.instruments = instruments
         self.counters = counters
         self.combiner_runner = combiner_runner
@@ -99,7 +122,9 @@ class FrequencyBufferingCollector(MapOutputCollector):
         self._emitted = 0
         self._summary: SpaceSaving[Writable] = SpaceSaving(max(2 * k, 16))
         self._preprofiler: PreProfiler | None = None
-        self._table: FrequentKeyTable | None = None
+        self._table: FoldTable | None = None
+        self._folds = False  # slots hold the proven fold's ints
+        self._tallies = Tallies()
         self._misses = 0
         self.alpha: float | None = None
 
@@ -139,7 +164,6 @@ class FrequencyBufferingCollector(MapOutputCollector):
             autotune=conf.get_bool(Keys.FREQBUF_AUTOTUNE),
             preprofile_fraction=conf.get_fraction(Keys.FREQBUF_PREPROFILE_FRACTION),
             hash_budget_bytes=hash_budget_bytes,
-            values_per_key_limit=conf.get_positive_int(Keys.FREQBUF_VALUES_PER_KEY),
             instruments=instruments,
             counters=counters,
             combiner_runner=combiner_runner,
@@ -174,8 +198,18 @@ class FrequencyBufferingCollector(MapOutputCollector):
             if slot is None:
                 self._misses += 1
                 self.inner.collect_serialized(key_bytes, value.to_bytes())
+                return
+            if self._folds:
+                item, size = value.value, value.serialized_size()  # type: ignore[attr-defined]
             else:
-                table.add(slot, value)
+                item = value.to_bytes()
+                size = len(item)
+            tallies = self._tallies
+            tallies.hits += 1
+            tallies.hit_bytes += len(key_bytes) + size
+            outcome = table.add(slot, item, size)
+            if outcome is not None:
+                self._forward(*outcome)
             return
 
         # Profiling stages: standard dataflow + frequency observation.
@@ -194,14 +228,26 @@ class FrequencyBufferingCollector(MapOutputCollector):
 
     def flush(self) -> SpillIndex:
         if self._table is not None:
-            drained = self._table.drain()
+            aggregates, outcomes = self._table.drain()
+            for rekeyed, combined in outcomes:
+                self._forward(rekeyed, combined, eager=False)
             self._settle()
             # The aggregates re-enter the standard dataflow: they are
             # buffered (EMIT), sorted, spilled and merged like any other
             # record — just far fewer of them.
-            for key_bytes, value_bytes in drained:
+            for key_bytes, value_bytes in aggregates:
                 self.inner.collect_serialized(key_bytes, value_bytes, count_output=False)
         return self.inner.flush()
+
+    def _forward(self, left: list, combined: Combined, eager: bool = True) -> None:
+        """Send records that left the table down the spill path, *then*
+        publish the combines: a forwarded record can cut a spill, which
+        settles, and that spill's produce work must not include them."""
+        collect = self.inner.collect_serialized
+        for key_bytes, value_bytes in left:
+            # Already counted as map output when they hit.
+            collect(key_bytes, value_bytes, count_output=False)
+        self._tallies.publish(len(left), combined, eager)
 
     def _settle(self) -> None:
         """Charge everything the optimization stage did since the last
@@ -209,15 +255,14 @@ class FrequencyBufferingCollector(MapOutputCollector):
         and the user combine() bodies (both run on the map thread), and
         the hits' map-output accounting (misses are counted as output by
         the standard path)."""
-        assert self._table is not None
-        tallies = self._table.take_tallies()
+        tallies, self._tallies = self._tallies, Tallies()
         misses, self._misses = self._misses, 0
         model = self.inner.cost_model
         charge = self.instruments.charge_map_thread
         charge(
             Op.HASHBUF,
             model.hash_record * (tallies.hits + misses)
-            + model.hash_combine_record * self.values_per_key_limit * tallies.combines,
+            + model.hash_combine_record * VALUES_PER_KEY_LIMIT * tallies.combines,
         )
         if self.combiner_runner is not None:
             charge(
@@ -276,17 +321,13 @@ class FrequencyBufferingCollector(MapOutputCollector):
         self._activate(frequent)
 
     def _activate(self, frequent: set[Writable]) -> None:
-        runner = self.combiner_runner
-        self._table = frequent_key_table(
-            frequent,
+        self._table = FoldTable(
+            self.combiner_runner,
+            VALUES_PER_KEY_LIMIT,
+            keys=(key.to_bytes() for key in frequent),
             budget_bytes=self.hash_budget_bytes,
-            # Aggregated records evicted for space rejoin the spill path;
-            # they were already counted as map output when they hit.
-            overflow_sink=partial(self.inner.collect_serialized, count_output=False),
-            combiner=runner.combiner if runner is not None else None,
-            value_cls=runner.value_cls if runner is not None else None,
-            values_per_key_limit=self.values_per_key_limit,
         )
+        self._folds = self._table.fold is not None
         # Non-owning: a bound method here would close an outer <-> inner
         # cycle that only the cyclic GC could free.
         self.inner.settle_front_stage = weakref.WeakMethod(self._settle)

@@ -5,10 +5,12 @@ writables.  :class:`CombinerRunner` bridges the two — deserialize the
 group, run the user code, re-serialize the results — while charging the
 user-code cost to the ``COMBINE`` ledger op and updating counters.
 
-The runner serves the serialized combine sites: per-spill combining,
-the end-of-map merge, hash grouping and the node-combine stage.  The
-frequency buffer holds live writables (or folds raw ints) and calls the
-combiner itself (:mod:`repro.core.freqbuf.hashbuffer`).
+The runner is the only map-side caller of the user's ``combine()``:
+per-spill combining, the end-of-map merge and the node-combine stage
+go through :meth:`CombinerRunner.combine_serialized`; the fold table
+behind the frequency buffer and hash grouping
+(:mod:`repro.engine.foldtable`) through :meth:`CombinerRunner.call_combine`
+and counts for itself.
 
 Where the combiner's source *proves* that ``combine()`` is ``emit(key,
 W(sum|min|max(v.value for v in values)))`` over an exact-int ``W``
@@ -91,14 +93,15 @@ class CombinerRunner:
         if self.fold is not None:
             out = [(key_bytes, self.fold_values(value_bytes_list))]
         else:
-            out = self._call_combine(key_bytes, value_bytes_list)
+            out = self.call_combine(key_bytes, value_bytes_list)
         self.counters.incr(Counter.COMBINE_INPUT_RECORDS, len(value_bytes_list))
         self.counters.incr(Counter.COMBINE_OUTPUT_RECORDS, len(out))
         self.last_work = self.user_costs.combine_record * len(value_bytes_list)
         return out
 
-    def _call_combine(self, key_bytes: bytes, value_bytes_list: list[bytes]) -> list[SerdePair]:
-        """The round trip: writables in, user ``combine()``, bytes out."""
+    def call_combine(self, key_bytes: bytes, value_bytes_list: list[bytes]) -> list[SerdePair]:
+        """The round trip: writables in, user ``combine()``, bytes out
+        (neither counted nor charged)."""
         key = self.key_cls.from_bytes(key_bytes)
         values = [self.value_cls.from_bytes(vb) for vb in value_bytes_list]
 

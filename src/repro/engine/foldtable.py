@@ -1,0 +1,182 @@
+"""The one map-side table of pending values per serialized key.
+
+The paper's frequent-key hash buffer (§III-A) and its §VII hash
+grouping are one structure — Skywriting's ``PartialHashOutputCollector``:
+a bytes-keyed table of pending values, combined once a key holds
+*combine_at* values and flushed at a byte budget.  Two parameters set
+it up for either site:
+
+* *admission* — ``keys=`` admits only that frozen set (the frequency
+  buffer probes ``slots.get``); without it every key gets a slot on
+  first sight (:meth:`FoldTable.slot`: hash grouping);
+* *budget* — ``budget_bytes=`` evicts the fullest keys' aggregates (ties
+  broken by key bytes) until the table fits; without it nothing is
+  evicted and the caller spills the whole table at its capacity.
+
+A slot holds value bytes.  When the combiner's source proves an int
+``sum``/``min``/``max`` (:attr:`CombinerRunner.fold`) it holds the
+running int instead, and ``W(total)`` is built only where ``combine()``
+would have built it; every other combine goes through
+:meth:`CombinerRunner.call_combine`.
+
+The table never charges and never calls back into a collector: an
+insert and a drain *return* what left the table and what each combine
+did, and the caller forwards and accounts them in its own order.
+"""
+
+from __future__ import annotations
+
+import sys
+from typing import Iterable
+
+from ..serde.writable import SerdePair
+from .combiner import FOLD_OPS, CombinerRunner, wrap_folded
+
+#: ``(values in, records out)`` of each ``combine()`` an operation ran.
+Combined = list[tuple[int, int]]
+#: The records that left the table, and the combines that sent them.
+Outcome = tuple[list[SerdePair], Combined]
+
+
+class Slot:
+    """One key's pending values."""
+
+    __slots__ = ("key_bytes", "held", "count", "bytes", "keyed")
+
+    def __init__(self, key_bytes: bytes) -> None:
+        self.key_bytes = key_bytes
+        self.held = None  # value bytes (a list), or the proven fold's running int
+        self.count = 0  # values held
+        self.bytes = 0  # their serialized size
+        self.keyed = False  # key bytes counted in the table's occupancy yet?
+
+
+def _fullness(slot: Slot) -> tuple[int, bytes]:
+    return -slot.bytes, slot.key_bytes
+
+
+class FoldTable:
+    """Pending values per key, combined at *combine_at* and bounded by
+    *budget_bytes* (see the module docstring)."""
+
+    def __init__(
+        self,
+        runner: CombinerRunner | None,
+        combine_at: int,
+        *,
+        keys: Iterable[bytes] | None = None,
+        budget_bytes: int | None = None,
+    ) -> None:
+        if combine_at < 2:
+            raise ValueError(f"combine_at must be at least 2, got {combine_at}")
+        if budget_bytes is not None and budget_bytes <= 0:
+            raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
+        self.runner = runner
+        #: The proven fold (``"sum"|"min"|"max"``): slots hold ints.
+        self.fold = runner.fold if runner is not None else None
+        self._op = FOLD_OPS[self.fold] if self.fold is not None else None
+        # Without a combiner values only accumulate until they leave.
+        self._combine_at = combine_at if runner is not None else sys.maxsize
+        self.budget_bytes = budget_bytes if budget_bytes is not None else sys.maxsize
+        self._open = keys is None
+        self.slots: dict[bytes, Slot] = {} if keys is None else {kb: Slot(kb) for kb in keys}
+        self.occupancy_bytes = 0
+
+    def slot(self, key_bytes: bytes) -> Slot:
+        """*key_bytes*' slot, opened on first sight."""
+        slot = self.slots.get(key_bytes)
+        if slot is None:
+            slot = self.slots[key_bytes] = Slot(key_bytes)
+        return slot
+
+    def add(self, slot: Slot, item: bytes | int, size: int) -> Outcome | None:
+        """Hold one more value of *slot*'s key: *item* is its bytes, or
+        its int under a proven fold; *size* its serialized size.
+
+        Returns ``None``, or — when the insert combined or evicted — the
+        records that left the table (a combine's re-keyed output, then
+        each victim's aggregates) and the combines it ran."""
+        op = self._op
+        if not slot.count:
+            slot.held = [item] if op is None else item
+        elif op is None:
+            slot.held.append(item)
+        else:
+            slot.held = op(slot.held, item)
+        if not slot.keyed:
+            slot.keyed = True
+            self.occupancy_bytes += len(slot.key_bytes)
+        slot.count += 1
+        slot.bytes += size
+        self.occupancy_bytes += size
+        if slot.count >= self._combine_at or self.occupancy_bytes > self.budget_bytes:
+            return self._compact(slot)
+        return None
+
+    def _compact(self, slot: Slot) -> Outcome:
+        """Combine *slot* at its value limit, then evict aggregates until
+        back under budget.
+
+        The victims are the keys holding the most bytes — the cheapest
+        way to reclaim space while the key set stays intact for future
+        hits (only the values leave).  A victim is combined before it
+        leaves, even a lone value."""
+        left: list[SerdePair] = []
+        combined: Combined = []
+        if slot.count >= self._combine_at:
+            combined.append(self._combine(slot, left))
+        if self.occupancy_bytes > self.budget_bytes:
+            for victim in sorted((s for s in self.slots.values() if s.count), key=_fullness):
+                if self.occupancy_bytes <= self.budget_bytes:
+                    break
+                if self.runner is not None:
+                    combined.append(self._combine(victim, left))
+                left.extend((victim.key_bytes, value) for value in self._held_bytes(victim))
+                self.occupancy_bytes -= victim.bytes
+                victim.held, victim.count, victim.bytes = None, 0, 0
+        return left, combined
+
+    def _combine(self, slot: Slot, rekeyed: list[SerdePair]) -> tuple[int, int]:
+        """``combine()`` one slot's values in place; output under another
+        key cannot stay in the slot and goes to *rekeyed*."""
+        values = slot.count
+        if self._op is not None:
+            # combine() would leave W(total) as the slot's one value;
+            # only the accounting of that happens here.
+            size = wrap_folded(self.runner.value_cls, slot.held).serialized_size()
+            self.occupancy_bytes += size - slot.bytes
+            slot.count, slot.bytes = 1, size
+            return values, 1
+        key_bytes = slot.key_bytes
+        out = self.runner.call_combine(key_bytes, slot.held)
+        kept = [value for key, value in out if key == key_bytes]
+        if len(kept) < len(out):
+            rekeyed.extend(record for record in out if record[0] != key_bytes)
+        size = sum(map(len, kept))
+        self.occupancy_bytes += size - slot.bytes
+        slot.held, slot.count, slot.bytes = kept, len(kept), size
+        return values, len(out)
+
+    def _held_bytes(self, slot: Slot) -> list[bytes]:
+        if self._op is None:
+            return slot.held
+        return [wrap_folded(self.runner.value_cls, slot.held).to_bytes()]
+
+    def drain(self) -> tuple[list[SerdePair], list[Outcome]]:
+        """Combine every key holding more than one value and empty the
+        table: returns the aggregates in key-bytes order, and per combine
+        the records it re-keyed and its ``(values in, records out)``."""
+        aggregates: list[SerdePair] = []
+        outcomes: list[Outcome] = []
+        combines = self.runner is not None
+        for key_bytes, slot in sorted(self.slots.items()):
+            if combines and slot.count > 1:
+                rekeyed: list[SerdePair] = []
+                outcomes.append((rekeyed, [self._combine(slot, rekeyed)]))
+            if slot.count:
+                aggregates.extend((key_bytes, value) for value in self._held_bytes(slot))
+            slot.held, slot.count, slot.bytes, slot.keyed = None, 0, 0, False
+        if self._open:
+            self.slots = {}
+        self.occupancy_bytes = 0
+        return aggregates, outcomes

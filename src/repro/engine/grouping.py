@@ -8,23 +8,26 @@ spill becomes sorted per-partition runs with its SORT/COMBINE charges.
 ``hash`` (:class:`HashGrouping`)
     The paper's §VII "different post-map() grouping procedures" (§II-A:
     "Lin, et al. do not do full sorting at all").  Records are grouped
-    immediately in a per-task hash table, combined eagerly once a group
-    holds :data:`VALUES_PER_GROUP_LIMIT` values; a spill combines every
-    group and sorts only the aggregates, so segments stay sorted for
-    reduce.  O(n) hashing plus an O(u log u) sort replaces the
-    O(n log n) raw sort: a large win when combining shrinks data
-    (WordCount), a wash when it does not (joins).
+    immediately in a :class:`~repro.engine.foldtable.FoldTable` with
+    open admission and no budget, combined eagerly once a key holds
+    :data:`VALUES_PER_GROUP_LIMIT` values; a spill combines every key
+    and sorts only the aggregates, so segments stay sorted for reduce.
+    O(n) hashing plus an O(u log u) sort replaces the O(n log n) raw
+    sort: a large win when combining shrinks data (WordCount), a wash
+    when it does not (joins).
 """
 
 from __future__ import annotations
 
 from math import log2
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable
 
 from ..io.merger import group_sorted
 from ..serde.writable import SerdePair
 from .binarybuffer import BinarySpill
 from .counters import Counter
+from .foldtable import Combined, FoldTable
 from .instrumentation import Op
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; the collector imports us
@@ -120,18 +123,20 @@ def combine_runs(
 
 
 class HashGrouping:
-    """Group-by-hash: one table entry per distinct key, not per record.
-    The whole spill-buffer allocation backs the table; it spills when its
-    key + value bytes reach the buffer's capacity."""
+    """Group-by-hash: one :class:`~repro.engine.foldtable.FoldTable` slot
+    per distinct key, not one entry per record, and no budget.  The whole
+    spill-buffer allocation backs the table; it spills when its key +
+    value bytes reach the buffer's capacity."""
 
     def __init__(self, collector: "StandardCollector") -> None:
         self.collector = collector
         # Take over the per-record entry point: records go to the table,
         # never to the packed buffer.
         collector.collect_serialized = self.collect_serialized  # type: ignore[method-assign]
-        #: (partition, key bytes) -> serialized values
-        self._groups: dict[tuple[int, bytes], list[bytes]] = {}
-        self._occupancy = 0
+        runner = collector.combiner_runner
+        self.table = FoldTable(runner, VALUES_PER_GROUP_LIMIT)
+        #: Under a proven fold a slot holds an int: decodes a value's bytes.
+        self._decode = runner.value_cls.from_bytes if self.table.fold is not None else None
         #: COMBINE work of the eager combines since the last spill.
         self._pending_work = 0.0
 
@@ -148,63 +153,68 @@ class HashGrouping:
             collector.counters.incr(Counter.MAP_OUTPUT_RECORDS)
             collector.counters.incr(Counter.MAP_OUTPUT_BYTES, payload)
 
-        slot = (collector.partitioner.partition(key_bytes, collector.num_partitions), key_bytes)
-        values = self._groups.get(slot)
-        if values is None:
-            values = self._groups[slot] = []
-            self._occupancy += len(key_bytes)
-        values.append(value_bytes)
-        self._occupancy += len(value_bytes)
-
-        runner = collector.combiner_runner
-        if runner is not None and len(values) >= VALUES_PER_GROUP_LIMIT:
-            # Eager combine.  Replace the slot before re-collecting any
-            # output under another key: a re-collect may spill, and the
-            # spill must see the combined values only.
-            out = runner.combine_serialized(key_bytes, values)
-            work = runner.last_work + model.combine_record_overhead * len(values)
-            self._pending_work += collector.instruments.charge_support_thread(Op.COMBINE, work)
-            kept = self._groups[slot] = [value for key, value in out if key == key_bytes]
-            self._occupancy += sum(map(len, kept)) - sum(map(len, values))
-            for out_key, out_value in out:
-                if out_key != key_bytes:
-                    self.collect_serialized(out_key, out_value, count_output=False)
-        if self._occupancy >= collector.buffer.capacity_bytes:
+        table, decode = self.table, self._decode
+        item = value_bytes if decode is None else decode(value_bytes).value
+        outcome = table.add(table.slot(key_bytes), item, len(value_bytes))
+        if outcome is not None:
+            rekeyed, combined = outcome
+            # Charge the eager combine before re-collecting its re-keyed
+            # output: a re-collect may spill this table, and that
+            # spill's consume work includes this combine.
+            self._pending_work += self._charge(combined)
+            for out_key, out_value in rekeyed:
+                self.collect_serialized(out_key, out_value, count_output=False)
+        if table.occupancy_bytes >= collector.buffer.capacity_bytes:
             collector._spill()
 
-    def drain(self) -> tuple[tuple[dict, float], int] | None:
-        """The table and its eager-combine work as one spill, or ``None``."""
-        if not self._groups:
+    def _charge(self, combined: Combined) -> float:
+        """Count *combined* and charge its COMBINE work to the support
+        thread; returns that work."""
+        if not combined:
+            return 0.0
+        collector = self.collector
+        runner = collector.combiner_runner
+        combine_record = runner.user_costs.combine_record
+        overhead = collector.cost_model.combine_record_overhead
+        charge = collector.instruments.charge_support_thread
+        work = 0.0
+        for values, _ in combined:
+            work += charge(Op.COMBINE, combine_record * values + overhead * values)
+        runner.counters.incr(Counter.COMBINE_INPUT_RECORDS, sum(n_in for n_in, _ in combined))
+        runner.counters.incr(Counter.COMBINE_OUTPUT_RECORDS, sum(n_out for _, n_out in combined))
+        return work
+
+    def drain(self) -> tuple[tuple[tuple, float], int] | None:
+        """The table's drained contents and the eager-combine work as one
+        spill, or ``None``."""
+        table = self.table
+        if not table.slots:
             return None
-        drained = (self._groups, self._pending_work), max(1, self._occupancy)
-        self._groups, self._occupancy, self._pending_work = {}, 0, 0.0
+        size_bytes = max(1, table.occupancy_bytes)  # before the drain resets it
+        drained = (table.drain(), self._pending_work), size_bytes
+        self._pending_work = 0.0
         return drained
 
-    def runs(self, spill: tuple[dict, float]) -> tuple[Runs, float]:
-        """Combine every group, then sort the aggregates once; returns the
-        runs with the eager + final COMBINE and the SORT work charged."""
-        groups, consume_work = spill
+    def runs(self, spill: tuple[tuple, float]) -> tuple[Runs, float]:
+        """Sort the drained aggregates into partition runs; returns them
+        with the eager + final COMBINE and the SORT work charged."""
+        (aggregates, outcomes), consume_work = spill
         collector = self.collector
-        instruments, combiner_runner = collector.instruments, collector.combiner_runner
-        model = collector.cost_model
-        partitioner, num_partitions = collector.partitioner, collector.num_partitions
+        partition, num_partitions = collector.partitioner.partition, collector.num_partitions
         partitions: Runs = [[] for _ in range(num_partitions)]
-        for (partition, key_bytes), values in groups.items():
-            if combiner_runner is not None and len(values) > 1:
-                out = combiner_runner.combine_serialized(key_bytes, values)
-                work = combiner_runner.last_work + model.combine_record_overhead * len(values)
-                consume_work += instruments.charge_support_thread(Op.COMBINE, work)
-            else:
-                out = [(key_bytes, value) for value in values]
-            for record in out:  # a re-keyed output goes to its key's partition
-                same = record[0] == key_bytes
-                target = partition if same else partitioner.partition(record[0], num_partitions)
-                partitions[target].append(record)
+        for record in aggregates:
+            partitions[partition(record[0], num_partitions)].append(record)
+        for rekeyed, combined in outcomes:
+            consume_work += self._charge(combined)
+            for record in rekeyed:  # to its own key's partition
+                partitions[partition(record[0], num_partitions)].append(record)
 
         sort_comparisons = 0.0
         for run in partitions:
-            run.sort(key=lambda record: record[0])
+            run.sort(key=itemgetter(0))
             if len(run) > 1:
                 sort_comparisons += len(run) * log2(len(run))
-        sort_work = model.sort_comparison * sort_comparisons
-        return partitions, consume_work + instruments.charge_support_thread(Op.SORT, sort_work)
+        sort_work = collector.cost_model.sort_comparison * sort_comparisons
+        return partitions, consume_work + collector.instruments.charge_support_thread(
+            Op.SORT, sort_work
+        )

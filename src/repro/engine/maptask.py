@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ..errors import UserCodeError
+from ..errors import ReproError, UserCodeError
 from ..io.blockdisk import LocalDisk
 from ..io.linereader import FileSplit
 from ..io.spillfile import SpillIndex
@@ -177,7 +177,7 @@ class MapTaskRunner:
                 progress(min(1.0, consumed_total / split_length))
             try:
                 mapper_map(key, value, emit)
-            except UserCodeError:
+            except ReproError:  # a framework error inside emit keeps its type
                 raise
             except Exception as exc:  # noqa: BLE001 - user code boundary
                 raise UserCodeError("map", str(exc)) from exc
@@ -188,7 +188,7 @@ class MapTaskRunner:
 
         try:
             mapper.cleanup(emit)
-        except UserCodeError:
+        except ReproError:
             raise
         except Exception as exc:  # noqa: BLE001 - user code boundary
             raise UserCodeError("map", f"cleanup failed: {exc}") from exc

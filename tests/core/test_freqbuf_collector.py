@@ -10,6 +10,7 @@ from repro.core.freqbuf.collector import (
     SHARED_FREQUENT_KEYS,
     FrequencyBufferingCollector,
     Stage,
+    Tallies,
 )
 from repro.engine.counters import Counter
 from repro.engine.instrumentation import Op
@@ -106,12 +107,12 @@ class TestOptimizationBehaviour:
 
 
 class TestSettlement:
-    def _optimizing_collector(self, tiny_text, extra):
+    def _optimizing_collector(self, tiny_text, extra, combiner=True):
         from repro.engine.counters import Counters
         from repro.engine.instrumentation import Ledger, TaskInstruments
         from repro.io.blockdisk import LocalDisk
 
-        job = make_wordcount_job(tiny_text, freq_conf(extra=extra))
+        job = make_wordcount_job(tiny_text, freq_conf(extra=extra), combiner=combiner)
         shared = {SHARED_FREQUENT_KEYS: frozenset({Text("apple"), Text("fig")})}
         instruments, counters = TaskInstruments(Ledger()), Counters()
         collector = build_collector(job, "t0", LocalDisk(), instruments, counters, shared)
@@ -133,10 +134,10 @@ class TestSettlement:
     def test_spill_produce_work_includes_the_front_stage(self, tiny_text):
         # Settled before the spill reads the map-thread meter: whenever a
         # spill has just been cut, the spills' T_p add up to every probe
-        # and every emit so far, the triggering record's included.
+        # and every emit so far, the triggering record's included.  (No
+        # combiner, so that no eager combine adds to the probes.)
         job, collector, instruments, _ = self._optimizing_collector(
-            tiny_text,
-            {Keys.SPILL_BUFFER_BYTES: 256, Keys.FREQBUF_VALUES_PER_KEY: 1000},
+            tiny_text, {Keys.SPILL_BUFFER_BYTES: 256}, combiner=False
         )
         model = job.cost_model
         spills = collector.timeline.result.spills
@@ -154,7 +155,7 @@ class TestSettlement:
                 assert sum(spill.produce_work for spill in spills) == expected
         assert checked >= 3
 
-    def test_overflow_cut_spills_do_not_charge_their_combines_twice(self, tiny_text):
+    def test_overflow_cut_spills_do_not_charge_their_combines_twice(self, tiny_text, monkeypatch):
         # A table that overflows on every hit keeps cutting spills from
         # inside an insert.  COMBINE must still be: the user body once
         # per value combined anywhere, plus the serialized path's
@@ -163,16 +164,20 @@ class TestSettlement:
             tiny_text,
             {Keys.SPILL_BUFFER_BYTES: 512, Keys.FREQBUF_BUFFER_FRACTION: 0.002},
         )
-        table = collector._table
-        settled = []
-        take = table.take_tallies
-        table.take_tallies = lambda: settled.append(take()) or settled[-1]
+        in_table = []  # values each table combine consumed
+        publish = Tallies.publish
+
+        def spy(tallies, left, combined, eager=True):
+            in_table.extend(n_in for n_in, _ in combined)
+            publish(tallies, left, combined, eager)
+
+        monkeypatch.setattr(Tallies, "publish", spy)
         for i in range(300):
             collector.collect(Text(("apple", "fig", f"cold{i % 7}")[i % 3]), VIntWritable(1))
         collector.flush()
         assert counters.get(Counter.FREQBUF_EVICTIONS) > 100
         assert counters.get(Counter.SPILLS) > 3
-        in_table = sum(tallies.combine_in for tallies in settled)
+        in_table = sum(in_table)
         combined = counters.get(Counter.COMBINE_INPUT_RECORDS)
         assert 0 < in_table < combined
         assert instruments.ledger.get(Op.COMBINE) == (

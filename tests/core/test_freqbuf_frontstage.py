@@ -1,8 +1,8 @@
 """Differential tests for the frequency-buffering front stage.
 
-The front stage folds hits in one of two ways — the generic fold (live
-writables, the user's ``combine()``) or the monoid fold (a raw int per
-slot, ``combine()`` only accounted) — and the node-combine stage shares
+The front stage folds hits in one of two ways — the generic fold (value
+bytes, the user's ``combine()``) or the monoid fold (a raw int per slot,
+``combine()`` only accounted) — and the node-combine stage shares
 both.  Neither may be observable: same output as with the optimization
 off, and identical counters and ledger between the two folds, floats
 included.  The generic fold is forced the way ``bench/tracing.py`` ends
@@ -152,14 +152,13 @@ def make_job(agg: str, value_cls, conf: dict) -> JobSpec:
 @given(
     agg=st.sampled_from(sorted(AGGS)),
     value_cls=st.sampled_from([VIntWritable, IntWritable, LongWritable]),
-    values_per_key=st.sampled_from([2, 3, 8]),
     # Share of a 1 KiB buffer: from "fits everything" down to a
     # one-byte table that overflows on every insert.
     hash_fraction=st.sampled_from([0.5, 0.08, 0.02, 0.0005]),
     k=st.sampled_from([2, 6, 25]),
     node_buffer=st.sampled_from([64, 1 << 20]),  # 64 bytes parks runs
 )
-def test_folds_are_unobservable(agg, value_cls, values_per_key, hash_fraction, k, node_buffer):
+def test_folds_are_unobservable(agg, value_cls, hash_fraction, k, node_buffer):
     conf = {
         # Small and adaptive, so that evictions cut spills and the
         # spill-matcher acts on the produce work the settlement reports.
@@ -170,7 +169,6 @@ def test_folds_are_unobservable(agg, value_cls, values_per_key, hash_fraction, k
         Keys.FREQBUF_K: k,
         Keys.FREQBUF_SAMPLE_FRACTION: 0.2,
         Keys.FREQBUF_BUFFER_FRACTION: hash_fraction,
-        Keys.FREQBUF_VALUES_PER_KEY: values_per_key,
     }
     monoid_job = make_job(agg, value_cls, {**conf, Keys.FREQBUF_ENABLED: True})
     combiner_cls = monoid_job.combiner_factory

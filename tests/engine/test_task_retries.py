@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import Keys
 from repro.engine.runner import LocalJobRunner
-from repro.errors import JobFailedError
+from repro.errors import JobFailedError, SpillBufferError
 from tests.conftest import SumReducer, TokenMapper, make_wordcount_job
 
 
@@ -61,6 +61,18 @@ class TestMapRetries:
         job.mapper_factory = AlwaysFails
         with pytest.raises(JobFailedError, match="2 attempts"):
             LocalJobRunner().run(job)
+
+    def test_framework_error_in_emit_is_not_retried_as_user_code(self):
+        # A record larger than the whole spill buffer fails inside emit:
+        # a framework error, raised with its own type on the first
+        # attempt — not a user map() failure that burns every retry.
+        job = make_wordcount_job(
+            b"x" * 3000 + b"\n", {Keys.SPILL_BUFFER_BYTES: 1024}, num_splits=1
+        )
+        runner = LocalJobRunner()
+        with pytest.raises(SpillBufferError, match="single record"):
+            runner.run(job)
+        assert runner.task_attempts == {"wc-test.m0000": 1}
 
     def test_retry_leaves_no_partial_output(self, tiny_text, wordcount_truth):
         """A failed attempt's partial spills must not leak into the job

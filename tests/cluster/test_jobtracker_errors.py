@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.apps.unsafe import build_unsafewordcount
 from repro.cluster.jobtracker import ClusterJobRunner
 from repro.cluster.specs import local_cluster
 from repro.config import Keys
+from repro.engine.counters import Counter
 from repro.engine.inputformat import RecordListInput
-from repro.errors import JobFailedError
+from repro.engine.runner import LocalJobRunner
+from repro.errors import JobFailedError, LintError
 from repro.experiments.common import build_app
 from tests.conftest import make_wordcount_job
 
@@ -62,4 +65,50 @@ class TestClusterRetries:
 
         app.job.mapper_factory = Dead
         with pytest.raises(JobFailedError):
+            ClusterJobRunner(local_cluster()).run(app)
+
+
+class TestSameJobPlanAsEveryBackend:
+    """The simulator runs the one job plan, so a conf key that changes
+    how a job runs on the serial backend changes it here too instead of
+    being dropped."""
+
+    @staticmethod
+    def wordcount(extra=None):
+        return build_app(
+            "wordcount", "combined", scale=0.02, num_splits=4,
+            extra_conf={Keys.NUM_REDUCERS: 2, **(extra or {})},
+        )
+
+    @pytest.mark.parametrize(
+        "extra, effect",
+        [
+            ({Keys.NODE_COMBINE: True}, Counter.NODE_COMBINE_IN_RECORDS),
+            (
+                {Keys.FAULTS_SPEC: "disk.corrupt:0.5", Keys.FAULTS_SEED: 7},
+                Counter.TASK_REEXECUTIONS,
+            ),
+            ({Keys.SHUFFLE_MODE: "net"}, Counter.SHUFFLE_FETCHES),
+        ],
+        ids=["node-combine", "disk-corrupt", "net-shuffle"],
+    )
+    def test_an_option_takes_effect_and_keeps_the_output(self, extra, effect):
+        # Node-combine folds, faults re-execute and the net shuffle
+        # moves bytes over TCP — as much as on the serial backend, and
+        # none of them may change the output of the plain run.
+        plain = LocalJobRunner().run(self.wordcount().job)
+        app = self.wordcount(extra)
+        result = ClusterJobRunner(local_cluster()).run(app)
+        serial = LocalJobRunner().run(app.job)
+        assert result.output_digest() == plain.output_digest()
+        assert result.counters.get(effect) > 0
+        assert result.counters.get(effect) == serial.counters.get(effect)
+        if effect is Counter.NODE_COMBINE_IN_RECORDS:
+            assert result.counters.get(effect) == result.counters.get(
+                Counter.MAP_FINAL_OUTPUT_RECORDS
+            )
+
+    def test_strict_lint_refuses_an_unsafe_job_at_submit(self):
+        app = build_unsafewordcount(conf_overrides={Keys.LINT_MODE: "strict"})
+        with pytest.raises(LintError):
             ClusterJobRunner(local_cluster()).run(app)

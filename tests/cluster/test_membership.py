@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster.policy import SpeculationPolicy
 from repro.cluster.runtime.membership import Membership, WorkerState
-from repro.cluster.runtime.placement import choose_task, stage_locality
+from repro.cluster.placement import choose_task, stage_locality
 from repro.cluster.runtime.protocol import (
     MAGIC,
     OP_HELLO,

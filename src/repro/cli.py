@@ -68,6 +68,7 @@ from .cluster.jobtracker import ClusterJobRunner
 from .cluster.specs import PRESET_CLUSTERS
 from .config import Keys
 from .engine.runner import LocalJobRunner
+from .exec import backend_names
 from .experiments import runall
 from .experiments.common import OPTIMIZATION_CONFIGS, build_app
 from .shutdown import graceful_termination
@@ -104,44 +105,34 @@ def _build(args: argparse.Namespace, extra: dict | None = None):
     )
 
 
-def _fault_conf(args: argparse.Namespace) -> dict:
-    """Conf entries for the --fault / --fault-seed / --task-timeout
-    flags (shared by `repro run` and `repro pipeline`)."""
-    conf: dict = {}
-    if args.fault:
-        conf[Keys.FAULTS_SPEC] = ";".join(args.fault)
-    if args.fault_seed is not None:
-        conf[Keys.FAULTS_SEED] = args.fault_seed
-    if args.task_timeout is not None:
-        conf[Keys.TASK_TIMEOUT] = args.task_timeout
-    return conf
-
-
-def _cluster_conf(args: argparse.Namespace) -> dict:
-    """Conf entries for the --cluster-workers / --heartbeat-interval
-    flags (shared by `repro run` and `repro pipeline`)."""
-    conf: dict = {}
-    if args.cluster_workers is not None:
-        conf[Keys.CLUSTER_WORKERS] = args.cluster_workers
-    if args.heartbeat_interval is not None:
-        conf[Keys.CLUSTER_HEARTBEAT_INTERVAL] = args.heartbeat_interval
-    return conf
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    extra = {
+def _exec_conf(args: argparse.Namespace) -> dict:
+    """Conf entries for the execution flags :func:`_add_exec_args`
+    declares (shared by `repro run`, `repro pipeline` and `repro
+    stream`)."""
+    conf = {
         Keys.EXEC_BACKEND: args.backend,
         Keys.EXEC_WORKERS: args.workers,
         Keys.SHUFFLE_MODE: args.shuffle,
         Keys.LINT_MODE: args.lint,
         Keys.LINT_OPT_MODE: args.opt,
     }
-    if args.shuffle_fetchers is not None:
-        extra[Keys.SHUFFLE_FETCHERS] = args.shuffle_fetchers
+    optional = {
+        Keys.SHUFFLE_FETCHERS: getattr(args, "shuffle_fetchers", None),
+        Keys.FAULTS_SEED: args.fault_seed,
+        Keys.TASK_TIMEOUT: args.task_timeout,
+        Keys.CLUSTER_WORKERS: args.cluster_workers,
+        Keys.CLUSTER_HEARTBEAT_INTERVAL: args.heartbeat_interval,
+    }
+    conf.update({key: value for key, value in optional.items() if value is not None})
+    if args.fault:
+        conf[Keys.FAULTS_SPEC] = ";".join(args.fault)
+    return conf
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    extra = _exec_conf(args)
     if args.node_combine:
         extra[Keys.NODE_COMBINE] = True
-    extra.update(_fault_conf(args))
-    extra.update(_cluster_conf(args))
     app = _build(args, extra=extra)
     start = time.perf_counter()
     runner = LocalJobRunner()
@@ -190,18 +181,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     conf = JobConf({Keys.PIPELINE_CACHE: not args.no_cache})
     if args.cache_dir:
         conf.set(Keys.PIPELINE_CACHE_DIR, args.cache_dir)
-    stage_conf = {
-        Keys.EXEC_BACKEND: args.backend,
-        Keys.EXEC_WORKERS: args.workers,
-        Keys.SHUFFLE_MODE: args.shuffle,
-        Keys.LINT_MODE: args.lint,
-        Keys.LINT_OPT_MODE: args.opt,
-    }
-    if args.shuffle_fetchers is not None:
-        stage_conf[Keys.SHUFFLE_FETCHERS] = args.shuffle_fetchers
-    stage_conf.update(_fault_conf(args))
-    stage_conf.update(_cluster_conf(args))
-    result = PipelineRunner(conf=conf, stage_conf=stage_conf).run(pipeline)
+    result = PipelineRunner(conf=conf, stage_conf=_exec_conf(args)).run(pipeline)
     if args.json:
         print(json.dumps({
             "pipeline": args.name,
@@ -255,17 +235,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
         Keys.STREAM_IDLE_TIMEOUT: args.idle_timeout,
         Keys.STREAM_DELTA: not args.no_delta,
     })
-    stage_conf = {
-        Keys.EXEC_BACKEND: args.backend,
-        Keys.EXEC_WORKERS: args.workers,
-        Keys.SHUFFLE_MODE: args.shuffle,
-        Keys.LINT_MODE: args.lint,
-        Keys.LINT_OPT_MODE: args.opt,
-    }
-    stage_conf.update(_fault_conf(args))
-    stage_conf.update(_cluster_conf(args))
     driver = StreamDriver(
-        args.name, entry.builder, args.input, conf=conf, stage_conf=stage_conf
+        args.name, entry.builder, args.input, conf=conf, stage_conf=_exec_conf(args)
     )
     report = driver.run()
     if args.json:
@@ -415,8 +386,6 @@ def cmd_list(_args: argparse.Namespace) -> int:
         "process": "forked worker processes with crash recovery",
         "cluster": "master/worker daemons with heartbeats, locality, speculation",
     }
-    from .exec import backend_names
-
     for name in backend_names():
         print(f"  {name:15s} {backend_blurbs.get(name, '')}")
     print()
@@ -430,7 +399,51 @@ def cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_fault_args(parser: argparse.ArgumentParser) -> None:
+def _add_exec_args(
+    parser: argparse.ArgumentParser, target: str, fetchers: bool = True
+) -> None:
+    """The execution flags `run`, `pipeline` and `stream` share (read
+    back by :func:`_exec_conf`); *target* names what they apply to."""
+    parser.add_argument(
+        "--backend", choices=backend_names(), default="serial",
+        help=f"execution backend for {target}",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=0,
+        help="worker count for parallel backends (0 = one per CPU)",
+    )
+    parser.add_argument(
+        "--shuffle", choices=("mem", "net"), default="mem",
+        help=f"shuffle transport for {target}: direct in-process reads "
+             "with modelled network charges (mem) or real per-node TCP "
+             "shuffle servers with measured charges (net)",
+    )
+    if fetchers:
+        parser.add_argument(
+            "--shuffle-fetchers", type=int, default=None,
+            help="parallel fetcher threads per reduce task (net shuffle only)",
+        )
+    parser.add_argument(
+        "--lint", choices=("off", "warn", "strict"), default="off",
+        help=f"static job-safety analysis at the submit of {target}: warn "
+             "analyzes and gates unproven optimizations, strict refuses "
+             "unsafe jobs",
+    )
+    parser.add_argument(
+        "--opt", choices=("off", "advise", "apply"), default="off",
+        help=f"static optimizer at the submit of {target}: advise records "
+             "the rewrite plan, apply runs the equivalently rewritten job",
+    )
+    parser.add_argument(
+        "--cluster-workers", type=int, default=None,
+        help="worker daemons for the cluster backend "
+             "(default: --workers, i.e. one per CPU)",
+    )
+    parser.add_argument(
+        "--heartbeat-interval", type=float, default=None,
+        help="seconds between worker pings to the cluster master "
+             "(missed pings mark workers suspect, then dead)",
+    )
     parser.add_argument(
         "--fault", action="append", default=[], metavar="SITE.KIND:FRACTION[:ATTEMPTS]",
         help="inject a deterministic fault (repeatable); sites: disk "
@@ -450,19 +463,6 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cluster-workers", type=int, default=None,
-        help="worker daemons for the cluster backend "
-             "(default: --workers, i.e. one per CPU)",
-    )
-    parser.add_argument(
-        "--heartbeat-interval", type=float, default=None,
-        help="seconds between worker pings to the cluster master "
-             "(missed pings mark workers suspect, then dead)",
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
@@ -472,24 +472,7 @@ def main(argv: list[str] | None = None) -> int:
 
     run_parser = sub.add_parser("run", help="run an app on the single-node engine")
     _add_common_app_args(run_parser)
-    run_parser.add_argument(
-        "--backend", choices=("serial", "thread", "process", "cluster"),
-        default="serial", help="execution backend for task attempts",
-    )
-    run_parser.add_argument(
-        "--workers", type=int, default=0,
-        help="worker count for parallel backends (0 = one per CPU)",
-    )
-    run_parser.add_argument(
-        "--shuffle", choices=("mem", "net"), default="mem",
-        help="shuffle transport: direct in-process reads with modelled "
-             "network charges (mem) or real per-node TCP shuffle servers "
-             "with measured charges (net)",
-    )
-    run_parser.add_argument(
-        "--shuffle-fetchers", type=int, default=None,
-        help="parallel fetcher threads per reduce task (net shuffle only)",
-    )
+    _add_exec_args(run_parser, "the job")
     run_parser.add_argument(
         "--node-combine", action="store_true",
         help="fold each node's finished map outputs with the job combiner "
@@ -497,21 +480,9 @@ def main(argv: list[str] | None = None) -> int:
              "when --lint is warn/strict)",
     )
     run_parser.add_argument(
-        "--lint", choices=("off", "warn", "strict"), default="off",
-        help="static job-safety analysis at submit: warn analyzes and "
-             "gates unproven optimizations, strict refuses unsafe jobs",
-    )
-    run_parser.add_argument(
-        "--opt", choices=("off", "advise", "apply"), default="off",
-        help="static optimizer at submit: advise records the rewrite "
-             "plan, apply runs the equivalently rewritten job",
-    )
-    run_parser.add_argument(
         "--json", action="store_true",
         help="emit a machine-readable job record (stamp, digest, counters)",
     )
-    _add_cluster_args(run_parser)
-    _add_fault_args(run_parser)
     run_parser.set_defaults(fn=cmd_run)
 
     pipe_parser = sub.add_parser(
@@ -519,30 +490,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     pipe_parser.add_argument("name", choices=PIPELINE_NAMES)
     pipe_parser.add_argument("--scale", type=float, default=0.05, help="dataset scale knob")
-    pipe_parser.add_argument(
-        "--backend", choices=("serial", "thread", "process", "cluster"),
-        default="serial", help="execution backend every stage's job runs on",
-    )
-    pipe_parser.add_argument(
-        "--workers", type=int, default=0,
-        help="worker count for parallel backends (0 = one per CPU)",
-    )
-    pipe_parser.add_argument(
-        "--shuffle", choices=("mem", "net"), default="mem",
-        help="shuffle transport for every stage's job",
-    )
-    pipe_parser.add_argument(
-        "--shuffle-fetchers", type=int, default=None,
-        help="parallel fetcher threads per reduce task (net shuffle only)",
-    )
-    pipe_parser.add_argument(
-        "--lint", choices=("off", "warn", "strict"), default="off",
-        help="static job-safety analysis applied at every stage's submit",
-    )
-    pipe_parser.add_argument(
-        "--opt", choices=("off", "advise", "apply"), default="off",
-        help="static optimizer applied at every stage's submit",
-    )
+    _add_exec_args(pipe_parser, "every stage's job")
     pipe_parser.add_argument(
         "--no-cache", action="store_true",
         help="disable the content-hash result cache (recompute every stage)",
@@ -555,8 +503,6 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true",
         help="emit a machine-readable per-stage record (digests, counters)",
     )
-    _add_cluster_args(pipe_parser)
-    _add_fault_args(pipe_parser)
     pipe_parser.set_defaults(fn=cmd_pipeline)
 
     stream_parser = sub.add_parser(
@@ -582,26 +528,7 @@ def main(argv: list[str] | None = None) -> int:
         "--scale", type=float, default=0.05,
         help="dataset scale knob for --generate",
     )
-    stream_parser.add_argument(
-        "--backend", choices=("serial", "thread", "process", "cluster"),
-        default="serial", help="execution backend every batch's jobs run on",
-    )
-    stream_parser.add_argument(
-        "--workers", type=int, default=0,
-        help="worker count for parallel backends (0 = one per CPU)",
-    )
-    stream_parser.add_argument(
-        "--shuffle", choices=("mem", "net"), default="mem",
-        help="shuffle transport for every batch's jobs",
-    )
-    stream_parser.add_argument(
-        "--lint", choices=("off", "warn", "strict"), default="off",
-        help="static job-safety analysis applied at every job's submit",
-    )
-    stream_parser.add_argument(
-        "--opt", choices=("off", "advise", "apply"), default="off",
-        help="static optimizer applied at every job's submit",
-    )
+    _add_exec_args(stream_parser, "every batch's jobs", fetchers=False)
     stream_parser.add_argument(
         "--poll-interval", type=float, default=0.2,
         help="seconds between input-size polls",
@@ -630,8 +557,6 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true",
         help="emit the machine-readable per-batch report",
     )
-    _add_cluster_args(stream_parser)
-    _add_fault_args(stream_parser)
     stream_parser.set_defaults(fn=cmd_stream)
 
     cluster_parser = sub.add_parser("cluster", help="run an app on a simulated cluster")

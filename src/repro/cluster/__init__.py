@@ -1,7 +1,8 @@
 """Cluster layer: discrete-event simulation (specs, locality-aware slot
-scheduling, the JobTracker) plus the real master/worker runtime in
-:mod:`repro.cluster.runtime`, both driven by the shared
-:class:`~repro.cluster.policy.SpeculationPolicy`."""
+scheduling, the JobTracker — a task transport under the one job plan)
+plus the real master/worker runtime in :mod:`repro.cluster.runtime`.
+Both place tasks by :mod:`repro.cluster.placement` and speculate by the
+shared :class:`~repro.cluster.policy.SpeculationPolicy`."""
 
 from .jobtracker import ClusterJobResult, ClusterJobRunner
 from .policy import SpeculationPolicy

@@ -31,14 +31,11 @@ class Keys:
     FREQBUF_K = "repro.freqbuf.k"  # number of frequent keys tracked
     FREQBUF_SAMPLE_FRACTION = "repro.freqbuf.sample.fraction"  # s
     FREQBUF_AUTOTUNE = "repro.freqbuf.autotune"  # derive s from Zipf fit
-    FREQBUF_PREPROFILE_FRACTION = "repro.freqbuf.preprofile.fraction"
     FREQBUF_BUFFER_FRACTION = "repro.freqbuf.buffer.fraction"  # share of spill buffer
     FREQBUF_SHARE_ACROSS_TASKS = "repro.freqbuf.share.across.tasks"
 
     # --- spill-matcher (the paper's Section IV) ---
     SPILLMATCHER_ENABLED = "repro.spillmatcher.enabled"
-    SPILLMATCHER_MIN_PERCENT = "repro.spillmatcher.min.percent"
-    SPILLMATCHER_MAX_PERCENT = "repro.spillmatcher.max.percent"
 
     # --- execution backend (repro.exec) ---
     EXEC_BACKEND = "repro.exec.backend"  # serial | thread | process | cluster
@@ -72,9 +69,6 @@ class Keys:
     # --- dataflow pipelines (repro.dag) ---
     PIPELINE_CACHE = "repro.pipeline.cache.enabled"  # skip unchanged stages
     PIPELINE_CACHE_DIR = "repro.pipeline.cache.dir"  # "" = in-memory only
-    PIPELINE_MAX_CONCURRENT = "repro.pipeline.max.concurrent.stages"
-    PIPELINE_MAX_ITERATIONS = "repro.pipeline.max.iterations"  # iterative-driver cap
-    PIPELINE_DFS_HOSTS = "repro.pipeline.dfs.hosts"  # datanodes backing dataset handoff
 
     # --- engine ---
     NUM_REDUCERS = "repro.job.reduces"
@@ -86,7 +80,6 @@ class Keys:
     TASK_TIMEOUT = "repro.task.timeout.seconds"  # reap hung workers (0 = off)
 
     # --- DFS ---
-    DFS_BLOCK_BYTES = "repro.dfs.block.bytes"
     DFS_REPLICATION = "repro.dfs.replication"
 
     # --- micro-batch streaming (repro.stream) ---
@@ -101,8 +94,6 @@ class Keys:
     # --- cluster runtime (repro.cluster.runtime) ---
     CLUSTER_WORKERS = "repro.cluster.workers"  # 0 = fall back to repro.exec.workers
     CLUSTER_HEARTBEAT_INTERVAL = "repro.cluster.heartbeat.interval.seconds"
-    CLUSTER_SUSPECT_MISSES = "repro.cluster.heartbeat.suspect.misses"
-    CLUSTER_DEAD_MISSES = "repro.cluster.heartbeat.dead.misses"
     CLUSTER_REGISTER_TIMEOUT = "repro.cluster.register.timeout.seconds"
     CLUSTER_SPECULATION = "repro.cluster.speculation.enabled"
     CLUSTER_SPEC_QUORUM = "repro.cluster.speculation.quorum.fraction"
@@ -121,7 +112,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.FREQBUF_K: 3000,
     Keys.FREQBUF_SAMPLE_FRACTION: 0.01,
     Keys.FREQBUF_AUTOTUNE: False,
-    Keys.FREQBUF_PREPROFILE_FRACTION: 0.01,
     Keys.FREQBUF_BUFFER_FRACTION: 0.3,  # Section V-B2: 30% of spill buffer
     Keys.FREQBUF_SHARE_ACROSS_TASKS: True,
     Keys.EXEC_BACKEND: "serial",
@@ -142,12 +132,7 @@ DEFAULTS: dict[str, Any] = {
     Keys.LINT_OPT_SYNTH: True,
     Keys.PIPELINE_CACHE: True,
     Keys.PIPELINE_CACHE_DIR: "",
-    Keys.PIPELINE_MAX_CONCURRENT: 4,
-    Keys.PIPELINE_MAX_ITERATIONS: 100,
-    Keys.PIPELINE_DFS_HOSTS: 3,
     Keys.SPILLMATCHER_ENABLED: False,
-    Keys.SPILLMATCHER_MIN_PERCENT: 0.05,
-    Keys.SPILLMATCHER_MAX_PERCENT: 0.95,
     Keys.NUM_REDUCERS: 1,
     Keys.EXACT_COMPARISON_COUNTING: False,
     Keys.SPILL_COMPRESSION: "identity",
@@ -155,7 +140,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.REDUCE_MEMORY_BYTES: 64 << 20,  # 64 MiB: in-memory merge by default
     Keys.TASK_MAX_ATTEMPTS: 4,  # Hadoop's mapred.map.max.attempts default
     Keys.TASK_TIMEOUT: 0.0,  # Hadoop's mapred.task.timeout, scaled; 0 disables
-    Keys.DFS_BLOCK_BYTES: 1 << 22,  # 4 MiB
     Keys.DFS_REPLICATION: 3,
     Keys.STREAM_STATE_DIR: "",
     Keys.STREAM_POLL_INTERVAL: 0.2,
@@ -166,8 +150,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.STREAM_DELTA: True,
     Keys.CLUSTER_WORKERS: 0,
     Keys.CLUSTER_HEARTBEAT_INTERVAL: 0.1,
-    Keys.CLUSTER_SUSPECT_MISSES: 3,
-    Keys.CLUSTER_DEAD_MISSES: 8,
     Keys.CLUSTER_REGISTER_TIMEOUT: 15.0,
     Keys.CLUSTER_SPECULATION: True,
     Keys.CLUSTER_SPEC_QUORUM: 0.5,  # phase progress before speculating

@@ -3,7 +3,7 @@
 :class:`PipelineRunner` walks a validated :class:`~repro.dag.pipeline.
 Pipeline` in dependency order, running every stage whose inputs are
 materialized — independent stages concurrently, up to
-``repro.pipeline.max.concurrent.stages`` at a time.  Each job stage runs
+:data:`MAX_CONCURRENT_STAGES` at a time.  Each job stage runs
 through :class:`~repro.engine.runner.LocalJobRunner`, so the whole
 existing execution stack applies per stage: backend selection
 (``repro.exec.backend``), network shuffle, and the lint gate
@@ -52,6 +52,11 @@ from .store import DfsDatasetStore
 
 if TYPE_CHECKING:  # pragma: no cover - stream builds on dag; typing only
     from ..stream.manifest import SplitManifest
+
+#: Scheduler width: how many ready stages run at once.
+MAX_CONCURRENT_STAGES = 4
+#: The iterative driver's cap when an ``IterativeStage`` sets none.
+MAX_ITERATIONS = 100
 
 
 @dataclass
@@ -136,8 +141,6 @@ class PipelineRunner:
         started = time.perf_counter()
         store = DfsDatasetStore(
             pipeline.name,
-            hosts=self.conf.get_positive_int(Keys.PIPELINE_DFS_HOSTS),
-            block_bytes=self.conf.get_positive_int(Keys.DFS_BLOCK_BYTES),
             replication=self.conf.get_positive_int(Keys.DFS_REPLICATION),
         )
         producer = {s.output: s.name for s in pipeline}
@@ -146,10 +149,8 @@ class PipelineRunner:
         }
         outcomes: dict[str, _StageOutcome] = {}
         running: dict[Future[_StageOutcome], str] = {}
-        max_workers = self.conf.get_positive_int(Keys.PIPELINE_MAX_CONCURRENT)
-
         with ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix=f"dag-{pipeline.name}"
+            max_workers=MAX_CONCURRENT_STAGES, thread_name_prefix=f"dag-{pipeline.name}"
         ) as pool:
             while waiting or running:
                 ready = [
@@ -444,9 +445,7 @@ class PipelineRunner:
         digests: dict[str, tuple[str, ...]],
         store: DfsDatasetStore,
     ) -> _StageOutcome:
-        max_iterations = stage.max_iterations or self.conf.get_positive_int(
-            Keys.PIPELINE_MAX_ITERATIONS
-        )
+        max_iterations = stage.max_iterations or MAX_ITERATIONS
         state = inputs[stage.state_input]
         job = self._build_job(stage, self._context(inputs))
         # The whole fixpoint run is one cacheable unit, keyed on the

@@ -133,8 +133,8 @@ class IterativeStage(JobStage):
     state (default: the first input); the other inputs stay constant
     across iterations.  After each run the rendered output replaces the
     state, and ``converged(previous, new, iteration)`` decides whether
-    to stop.  ``max_iterations`` (``None`` = the
-    ``repro.pipeline.max.iterations`` conf cap) bounds the driver.
+    to stop.  ``max_iterations`` (``None`` = the runner's
+    :data:`~repro.dag.scheduler.MAX_ITERATIONS`) bounds the driver.
     """
 
     def __init__(

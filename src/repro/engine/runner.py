@@ -98,11 +98,7 @@ def build_spill_policy(conf: JobConf) -> SpillPolicy:
     if conf.get_bool(Keys.SPILLMATCHER_ENABLED):
         from ..core.spillmatcher.controller import SpillMatcherPolicy
 
-        return SpillMatcherPolicy(
-            initial_percent=conf.get_fraction(Keys.SPILL_PERCENT),
-            min_percent=conf.get_fraction(Keys.SPILLMATCHER_MIN_PERCENT),
-            max_percent=conf.get_fraction(Keys.SPILLMATCHER_MAX_PERCENT),
-        )
+        return SpillMatcherPolicy(initial_percent=conf.get_fraction(Keys.SPILL_PERCENT))
     return StaticSpillPolicy(conf.get_fraction(Keys.SPILL_PERCENT))
 
 
@@ -192,8 +188,9 @@ class LocalJobRunner:
     without code changes — the same property the paper's optimizations
     have.
 
-    The cluster simulator (:mod:`repro.cluster`) reuses the same task
-    runners but schedules them over many nodes and a network model.
+    The cluster simulator (:class:`~repro.cluster.jobtracker.
+    ClusterJobRunner`) runs the same job plan over one more transport,
+    which places tasks on a modelled cluster's slots and network.
 
     Failed tasks (user-code exceptions) are retried with a fresh task
     attempt — fresh mapper/reducer objects, fresh disk, fresh collector —

@@ -9,8 +9,9 @@ assembles the :class:`~repro.engine.runner.JobResult`.  A backend is a
 :meth:`~Executor.run_tasks`, :meth:`~Executor.close`) that decide only
 *where* task attempts run: the calling thread
 (:mod:`repro.exec.serial`), a thread pool (:mod:`repro.exec.threaded`),
-forked worker processes (:mod:`repro.exec.process`), or worker daemons
-under a master (:mod:`repro.cluster.runtime.master`).  The attempt loop
+forked worker processes (:mod:`repro.exec.process`), worker daemons
+under a master (:mod:`repro.cluster.runtime.master`), or the modelled
+slots of the cluster simulator (:mod:`repro.cluster.jobtracker`).  The attempt loop
 (Hadoop's retry-on-user-failure semantics) and the lost-attempt rule
 live here as plain functions every transport calls, in-process or
 inside a worker.

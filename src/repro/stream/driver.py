@@ -194,8 +194,6 @@ class StreamDriver:
         )
         self.store = DfsDatasetStore(
             f"{name}.stream",
-            hosts=self.conf.get_positive_int(Keys.PIPELINE_DFS_HOSTS),
-            block_bytes=self.conf.get_positive_int(Keys.DFS_BLOCK_BYTES),
             replication=self.conf.get_positive_int(Keys.DFS_REPLICATION),
         )
         self.batch, self.processed_bytes = self._load_state()

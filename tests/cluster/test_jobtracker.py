@@ -1,5 +1,9 @@
 """Integration tests for the cluster-level job runner."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cluster.jobtracker import ClusterJobRunner
@@ -107,3 +111,22 @@ class TestClusterScaling:
         for counter in (Counter.MAP_INPUT_RECORDS, Counter.MAP_OUTPUT_RECORDS,
                         Counter.REDUCE_OUTPUT_RECORDS):
             assert wc_result.counters.get(counter) == local.counters.get(counter)
+
+
+def test_importing_the_simulator_loads_no_runtime_or_multiprocessing():
+    # Every benchmark run imports the jobtracker (repro.analysis ->
+    # gantt), so it must not drag in the real runtime, whose package
+    # loads the master and, through it, multiprocessing.
+    script = "\n".join([
+        "import sys",
+        "import repro.cluster.jobtracker",
+        "loaded = [m for m in sys.modules",
+        "          if m.startswith('repro.cluster.runtime') or m == 'multiprocessing']",
+        "assert not loaded, loaded",
+    ])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

@@ -4,7 +4,7 @@ The paper benchmarks a single PageRank iteration; real PageRank chains
 iterations, feeding each job's output back as the next job's input.
 This example runs the chain on the engine (with the combined
 optimizations on), tracks rank movement per iteration, and
-cross-checks the final ranks against an independent networkx power
+cross-checks the final ranks against an independent plain-Python power
 iteration over the same graph.
 
 Run:  python examples/pagerank_iterations.py
@@ -66,14 +66,8 @@ def main() -> None:
         print(f"  iter {iteration}: total rank movement = {delta:.6f}")
         previous = ranks
 
-    # Independent check: networkx power iteration (no damping, to match
-    # the paper's summation semantics) over the same structure.
-    import networkx as nx
-
-    g = nx.DiGraph()
-    for url, (_, links) in graph.items():
-        for target in links:
-            g.add_edge(url, target)
+    # Independent check: plain-Python power iteration (no damping, to
+    # match the paper's summation semantics) over the same structure.
     reference = {url: 1.0 / len(graph) for url in graph}
     for _ in range(ITERATIONS):
         nxt = {url: 0.0 for url in graph}

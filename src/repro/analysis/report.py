@@ -18,10 +18,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
-    from ..dag.result import PipelineResult
     from ..engine.runner import JobResult
-    from ..lint import LintReport, OptimizationPlan, PipelineAnalysis
-    from ..stream.driver import StreamReport
+    from ..lint import LintReport, OptimizationPlan
 
 
 @dataclass(frozen=True)
@@ -175,141 +173,6 @@ def job_stamp(result: "JobResult") -> str:
     return f"job {job_id}  output sha256:{result.output_digest()[:12]}"
 
 
-def render_pipeline_report(result: "PipelineResult") -> str:
-    """The per-stage table of one pipeline run.
-
-    One row per stage — status, how the result cache treated it (a
-    full ``hit``, a split-level ``delta`` recompute with the reuse
-    ratio, or a ``miss``), the iterative driver's iteration count, wall
-    time, bytes handed off through the DFS, and provenance (job id +
-    output digest) — followed by the cache totals and any failure/skip
-    detail.
-    """
-    from ..dag.result import StageStatus
-    from ..engine.counters import Counter
-    from .tables import render_table
-
-    rows = []
-    for stage in result.stages:
-        if stage.status is StageStatus.DONE:
-            iters = str(stage.iterations) if stage.iterations else "-"
-            if stage.converged is False:
-                iters += " (no fixpoint)"
-            if stage.cache_hit:
-                cache = "hit"
-            elif stage.cache_delta:
-                cache = f"delta {stage.splits_reused}r/{stage.splits_recomputed}c"
-            else:
-                cache = "miss"
-            rows.append([
-                stage.stage,
-                stage.status.value,
-                cache,
-                iters,
-                f"{stage.seconds:.3f}",
-                str(stage.output_bytes),
-                stage.job_id or "-",
-                stage.output_digest[:12] if stage.output_digest else "-",
-            ])
-        else:
-            rows.append([
-                stage.stage, stage.status.value, "-", "-",
-                f"{stage.seconds:.3f}", "-", "-", "-",
-            ])
-    lines = [
-        render_table(
-            f"pipeline {result.pipeline}: {result.seconds:.3f}s",
-            ["stage", "status", "cache", "iters", "seconds", "out bytes", "job id", "output"],
-            rows,
-        )
-    ]
-    hits = result.counters.get(Counter.PIPELINE_CACHE_HITS)
-    deltas = result.counters.get(Counter.PIPELINE_CACHE_DELTA)
-    misses = result.counters.get(Counter.PIPELINE_CACHE_MISSES)
-    handoff = result.counters.get(Counter.PIPELINE_HANDOFF_BYTES)
-    cache_line = f"cache: {hits} hit(s), "
-    if deltas:
-        cache_line += f"{deltas} delta recompute(s), "
-    cache_line += (
-        f"{misses} miss(es); {handoff} dataset byte(s) handed off via DFS"
-    )
-    reused = result.counters.get(Counter.STREAM_SPLITS_REUSED)
-    recomputed = result.counters.get(Counter.STREAM_SPLITS_RECOMPUTED)
-    if reused or deltas:
-        cache_line += (
-            f"; splits: {reused} reused, {recomputed} recomputed"
-        )
-    lines.append(cache_line)
-    crashes = result.counters.get(Counter.WORKER_CRASHES)
-    reexecutions = result.counters.get(Counter.TASK_REEXECUTIONS)
-    quarantined = result.counters.get(Counter.TASKS_QUARANTINED)
-    failovers = result.counters.get(Counter.DFS_READ_FAILOVERS)
-    if any((crashes, reexecutions, quarantined, failovers)):
-        lines.append(
-            f"failures survived: {crashes} worker crash(es), "
-            f"{reexecutions} task re-execution(s), {quarantined} task(s) "
-            f"quarantined, {failovers} DFS read failover(s)"
-        )
-    for stage in result.stages:
-        if stage.status in (StageStatus.FAILED, StageStatus.SKIPPED):
-            lines.append(stage.describe())
-    return "\n".join(lines)
-
-
-def render_stream_report(report: "StreamReport") -> str:
-    """The per-batch table of one streaming-driver run.
-
-    One row per micro-batch — input/appended bytes, split reuse versus
-    recompute, the three-way stage cache outcome, what was published at
-    which version — followed by the driver totals.
-    """
-    from .tables import render_table
-
-    rows = []
-    for record in report.batches:
-        published = (
-            ", ".join(
-                f"{dataset}@v{version}"
-                for dataset, version in sorted(record.published.items())
-            )
-            or "-"
-        )
-        rows.append([
-            str(record.batch),
-            "ok" if record.ok else "FAILED",
-            str(record.input_bytes),
-            str(record.appended_bytes),
-            f"{record.splits_reused}r/{record.splits_recomputed}c",
-            f"{record.stages_hit}h/{record.stages_delta}d/{record.stages_miss}m",
-            f"{record.seconds:.3f}",
-            published,
-        ])
-    lines = [
-        render_table(
-            f"stream {report.pipeline}: {report.seconds:.3f}s",
-            ["batch", "status", "in bytes", "appended", "splits", "stages",
-             "seconds", "published"],
-            rows,
-        )
-        if rows
-        else f"stream {report.pipeline}: no batches ran"
-    ]
-    counters = report.counters
-    from ..engine.counters import Counter
-
-    lines.append(
-        f"totals: {counters.get(Counter.STREAM_BATCHES)} batch(es), "
-        f"{counters.get(Counter.STREAM_SPLITS_REUSED)} split(s) reused, "
-        f"{counters.get(Counter.STREAM_SPLITS_RECOMPUTED)} recomputed, "
-        f"{counters.get(Counter.STREAM_VERSIONS_PUBLISHED)} version(s) "
-        f"published, {counters.get(Counter.STREAM_VERSIONS_RETIRED)} retired"
-    )
-    for record in report.batches:
-        if record.error:
-            lines.append(f"batch {record.batch}: {record.error}")
-    return "\n".join(lines)
-
-
 def render_failure_report(result: "JobResult") -> str:
     """The fault-tolerance section of a finished job's report.
 
@@ -392,14 +255,3 @@ def render_optimization_plan(plan: "OptimizationPlan") -> str:
         lines.append(f"  {decision.describe()}")
     return "\n".join(lines)
 
-
-def render_pipeline_analysis(analysis: "PipelineAnalysis") -> str:
-    """Whole-pipeline analysis: stage reports, then the edge findings."""
-    lines: list[str] = [f"== pipeline analysis: {analysis.name} =="]
-    for stage in analysis.stages:
-        if stage.report is None:
-            lines.append(f"stage {stage.stage}: {stage.note}")
-            continue
-        lines.append(render_lint_report(stage.report))
-    lines.append(render_lint_report(analysis.report))
-    return "\n".join(lines)

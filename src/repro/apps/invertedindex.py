@@ -80,8 +80,7 @@ def invertedindex_jobspec(
     path: str = "corpus.txt",
     name: str = "invertedindex",
 ) -> JobSpec:
-    """An InvertedIndex job over *data* — any text dataset, including
-    another stage's rendered output in a pipeline."""
+    """An InvertedIndex job over *data* — any text dataset."""
     split_size = max(1, len(data) // num_splits)
     return JobSpec(
         name=name,

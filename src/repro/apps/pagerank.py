@@ -93,8 +93,8 @@ def pagerank_jobspec(
 ) -> JobSpec:
     """One PageRank iteration over *data* (``url<TAB>rank<TAB>links``
     lines).  The reducer's output renders back to the same line format,
-    so the iterative driver can feed each iteration's output straight in
-    as the next iteration's input."""
+    so a caller can feed each iteration's output straight in as the next
+    iteration's input."""
     split_size = max(1, len(data) // num_splits)
     return JobSpec(
         name=name,
@@ -110,8 +110,8 @@ def pagerank_jobspec(
 
 
 def parse_ranks(state: bytes) -> dict[str, float]:
-    """``url -> rank`` from a crawl-format dataset (state of the
-    iterative PageRank pipeline)."""
+    """``url -> rank`` from a crawl-format dataset (the state chained
+    PageRank iterations hand on)."""
     ranks: dict[str, float] = {}
     for line in state.decode("utf-8").splitlines():
         if not line:
@@ -123,7 +123,7 @@ def parse_ranks(state: bytes) -> dict[str, float]:
 
 def max_rank_delta(previous: bytes, current: bytes) -> float:
     """Largest absolute per-URL rank change between two states — the
-    convergence measure of the iterative driver."""
+    convergence measure of chained iterations."""
     before = parse_ranks(previous)
     after = parse_ranks(current)
     return max(

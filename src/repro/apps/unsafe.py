@@ -113,8 +113,7 @@ def build_unsafewordcount(
 # ----------------------------------------------------------------------
 class ImpurePredicateMapper(Mapper):
     """The filter guard depends on ``random``: selection pushdown must
-    refuse to hoist it (and the purity rule flags the nondeterminism —
-    which is also what poisons the pipeline dataflow cache)."""
+    refuse to hoist it (and the purity rule flags the nondeterminism)."""
 
     def map(self, key: Writable, value: Writable, emit: Emitter) -> None:
         line = value.value  # type: ignore[attr-defined]

@@ -70,7 +70,7 @@ def wordcount_jobspec(
     name: str = "wordcount",
 ) -> JobSpec:
     """A WordCount job over *data* — any text, not just the generated
-    corpus; pipeline stages feed upstream datasets through here."""
+    corpus."""
     split_size = max(1, len(data) // num_splits)
     return JobSpec(
         name=name,

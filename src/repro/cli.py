@@ -5,9 +5,6 @@ Usage::
     python -m repro.cli run wordcount --config combined --scale 0.1
     python -m repro.cli run wordcount --backend process --workers 4
     python -m repro.cli run wordcount --backend process --shuffle net --shuffle-fetchers 8
-    python -m repro.cli pipeline textindex --backend thread
-    python -m repro.cli pipeline pagerank --scale 0.03
-    python -m repro.cli stream sessionize --input visits.log --state-dir .stream --generate
     python -m repro.cli cluster invertedindex --cluster local --config freq --gantt
     python -m repro.cli experiment table3
     python -m repro.cli lint wordcount
@@ -16,18 +13,13 @@ Usage::
     python -m repro.cli list
 
 ``run`` executes an application on the single-node engine and prints
-output stats plus the work breakdown; ``pipeline`` runs a registered
-multi-job dataflow pipeline (``repro.dag``) with per-stage result
-caching; ``stream`` tails an append-only input with the micro-batch
-driver (``repro.stream``), recomputing only new/changed splits per
-batch and publishing versioned outputs; ``cluster`` runs an app on a
+output stats plus the work breakdown; ``cluster`` runs an app on a
 simulated cluster with optional Gantt chart; ``experiment`` regenerates
 one of the paper's tables/figures; ``lint`` statically analyzes an
 application's user code against the job-safety rule catalog (``all``
 sweeps every registered app plus the engine's own thread-contract
 self-lint); ``analyze`` prints the static optimizer's per-job rewrite
-plans and the whole-pipeline dataflow checks; ``list`` names every
-registered application and experiment.
+plans; ``list`` names every registered application and experiment.
 """
 
 from __future__ import annotations
@@ -44,17 +36,7 @@ from .analysis.report import (
     render_claims,
     render_failure_report,
     render_lint_report,
-    render_pipeline_report,
     render_shuffle_traffic,
-    render_stream_report,
-)
-from .apps.pipelines import (
-    PIPELINE_NAMES,
-    PIPELINE_REGISTRY,
-    STREAM_NAMES,
-    STREAM_REGISTRY,
-    build_pipeline,
-    build_stream,
 )
 from .apps.registry import (
     APP_NAMES,
@@ -105,11 +87,8 @@ def _build(args: argparse.Namespace, extra: dict | None = None):
     )
 
 
-def _exec_conf(args: argparse.Namespace) -> dict:
-    """Conf entries for the execution flags :func:`_add_exec_args`
-    declares (shared by `repro run`, `repro pipeline` and `repro
-    stream`)."""
-    conf = {
+def cmd_run(args: argparse.Namespace) -> int:
+    extra = {
         Keys.EXEC_BACKEND: args.backend,
         Keys.EXEC_WORKERS: args.workers,
         Keys.SHUFFLE_MODE: args.shuffle,
@@ -117,20 +96,15 @@ def _exec_conf(args: argparse.Namespace) -> dict:
         Keys.LINT_OPT_MODE: args.opt,
     }
     optional = {
-        Keys.SHUFFLE_FETCHERS: getattr(args, "shuffle_fetchers", None),
+        Keys.SHUFFLE_FETCHERS: args.shuffle_fetchers,
         Keys.FAULTS_SEED: args.fault_seed,
         Keys.TASK_TIMEOUT: args.task_timeout,
         Keys.CLUSTER_WORKERS: args.cluster_workers,
         Keys.CLUSTER_HEARTBEAT_INTERVAL: args.heartbeat_interval,
     }
-    conf.update({key: value for key, value in optional.items() if value is not None})
+    extra.update({key: value for key, value in optional.items() if value is not None})
     if args.fault:
-        conf[Keys.FAULTS_SPEC] = ";".join(args.fault)
-    return conf
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    extra = _exec_conf(args)
+        extra[Keys.FAULTS_SPEC] = ";".join(args.fault)
     if args.node_combine:
         extra[Keys.NODE_COMBINE] = True
     app = _build(args, extra=extra)
@@ -173,79 +147,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    from .config import JobConf
-    from .dag import PipelineRunner
-
-    pipeline = build_pipeline(args.name, scale=args.scale)
-    conf = JobConf({Keys.PIPELINE_CACHE: not args.no_cache})
-    if args.cache_dir:
-        conf.set(Keys.PIPELINE_CACHE_DIR, args.cache_dir)
-    result = PipelineRunner(conf=conf, stage_conf=_exec_conf(args)).run(pipeline)
-    if args.json:
-        print(json.dumps({
-            "pipeline": args.name,
-            "ok": result.ok,
-            "seconds": result.seconds,
-            "stages": [
-                {
-                    "stage": s.stage,
-                    "status": s.status.value,
-                    "cache_hit": s.cache_hit,
-                    "seconds": s.seconds,
-                    "job_id": s.job_id,
-                    "output_digest": s.output_digest,
-                    "output_bytes": s.output_bytes,
-                    "iterations": s.iterations,
-                    "error": str(s.error) if s.error is not None else None,
-                }
-                for s in result.stages
-            ],
-            "counters": result.counters.as_dict(),
-        }, indent=2))
-        return 0 if result.ok else 1
-    print(render_pipeline_report(result))
-    return 0 if result.ok else 1
-
-
-def cmd_stream(args: argparse.Namespace) -> int:
-    import os
-
-    from .config import JobConf
-    from .stream import StreamDriver
-
-    entry = build_stream(args.name)
-    if not os.path.exists(args.input):
-        if not args.generate:
-            print(
-                f"input file {args.input!r} does not exist "
-                f"(pass --generate to seed it)",
-                file=sys.stderr,
-            )
-            return 2
-        with open(args.input, "wb") as handle:
-            handle.write(entry.generate(args.scale, 0))
-        print(f"seeded {args.input} ({os.path.getsize(args.input)} bytes)")
-    conf = JobConf({
-        Keys.STREAM_STATE_DIR: args.state_dir,
-        Keys.STREAM_POLL_INTERVAL: args.poll_interval,
-        Keys.STREAM_MIN_BATCH_BYTES: args.min_batch_bytes,
-        Keys.STREAM_RETAIN_VERSIONS: args.retain,
-        Keys.STREAM_MAX_BATCHES: args.max_batches,
-        Keys.STREAM_IDLE_TIMEOUT: args.idle_timeout,
-        Keys.STREAM_DELTA: not args.no_delta,
-    })
-    driver = StreamDriver(
-        args.name, entry.builder, args.input, conf=conf, stage_conf=_exec_conf(args)
-    )
-    report = driver.run()
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2))
-        return 0 if report.ok else 1
-    print(render_stream_report(report))
-    return 0 if report.ok else 1
-
-
 def cmd_cluster(args: argparse.Namespace) -> int:
     cluster = PRESET_CLUSTERS[args.cluster]()
     app = _build(args, extra={Keys.NUM_REDUCERS: args.reducers or cluster.total_reduce_slots})
@@ -282,16 +183,6 @@ def _lint_app(name: str, scale: float) -> list:
     return [analyze_app(app)]
 
 
-def _lint_pipeline(name: str) -> list:
-    """Lint every job stage of a registered pipeline, plus its edges."""
-    from .lint import analyze_pipeline
-
-    analysis = analyze_pipeline(build_pipeline(name))
-    reports = [s.report for s in analysis.stages if s.report is not None]
-    reports.append(analysis.report)
-    return reports
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     from .lint import analyze_engine
 
@@ -301,15 +192,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
     elif args.app == "all":
         for name in list(REGISTRY) + list(EXTRA_REGISTRY):
             reports.extend(_lint_app(name, args.scale))
-        for name in PIPELINE_NAMES:
-            reports.extend(_lint_pipeline(name))
         reports.append(analyze_engine())
-    elif args.app in REGISTRY or args.app in EXTRA_REGISTRY or args.app in FIXTURE_REGISTRY:
-        # Apps win name collisions with pipelines (`pagerank` names both);
-        # the pipeline of the same name is still linted under `all`.
-        reports.extend(_lint_app(args.app, args.scale))
     else:
-        reports.extend(_lint_pipeline(args.app))
+        reports.extend(_lint_app(args.app, args.scale))
 
     if args.json:
         print(json.dumps([r.as_dict() for r in reports], indent=2))
@@ -320,45 +205,28 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from .analysis.report import render_pipeline_analysis
-    from .lint import analyze_app, analyze_pipeline, plan_job
+    from .lint import analyze_app, plan_job
 
-    app_names: list[str] = []
-    pipeline_names: list[str] = []
     if args.subject == "all":
-        # Registered apps + every pipeline; fixtures only by explicit name
-        # (they exist to be rejected, so `all` must stay green in CI).
-        app_names = list(REGISTRY) + list(EXTRA_REGISTRY)
-        pipeline_names = list(PIPELINE_NAMES)
-    elif (
-        args.subject in REGISTRY
-        or args.subject in EXTRA_REGISTRY
-        or args.subject in FIXTURE_REGISTRY
-    ):
-        app_names = [args.subject]
+        # Registered apps only; fixtures only by explicit name (they
+        # exist to be rejected, so `all` must stay green in CI).
+        names = list(REGISTRY) + list(EXTRA_REGISTRY)
     else:
-        pipeline_names = [args.subject]
+        names = [args.subject]
 
     reports = []
-    analyses = []
-    for name in app_names:
+    for name in names:
         app = build_application(name, scale=args.scale, include_fixtures=True)
         report = analyze_app(app)
         report.plan = plan_job(app.job, subject=name, mode="advise")
         reports.append(report)
-    for name in pipeline_names:
-        analyses.append(analyze_pipeline(build_pipeline(name)))
 
     if args.json:
-        payload = [r.as_dict() for r in reports] + [a.as_dict() for a in analyses]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps([r.as_dict() for r in reports], indent=2))
     else:
         for report in reports:
             print(render_lint_report(report))
-        for analysis in analyses:
-            print(render_pipeline_analysis(analysis))
-    failed = any(r.has_errors for r in reports) or any(a.has_errors for a in analyses)
-    return 1 if failed else 0
+    return 1 if any(r.has_errors for r in reports) else 0
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -370,14 +238,6 @@ def cmd_list(_args: argparse.Namespace) -> int:
     print("extra applications:")
     for name, entry in EXTRA_REGISTRY.items():
         print(f"  {name:15s} {entry.description}")
-    print()
-    print("pipelines (multi-job dataflows, `repro pipeline <name>`):")
-    for name, pipe_entry in PIPELINE_REGISTRY.items():
-        print(f"  {name:15s} {pipe_entry.description}")
-    print()
-    print("streams (micro-batch tailing, `repro stream <name>`):")
-    for name, stream_entry in STREAM_REGISTRY.items():
-        print(f"  {name:15s} {stream_entry.description}")
     print()
     print("execution backends (`repro run <app> --backend <name>`):")
     backend_blurbs = {
@@ -399,70 +259,6 @@ def cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_exec_args(
-    parser: argparse.ArgumentParser, target: str, fetchers: bool = True
-) -> None:
-    """The execution flags `run`, `pipeline` and `stream` share (read
-    back by :func:`_exec_conf`); *target* names what they apply to."""
-    parser.add_argument(
-        "--backend", choices=backend_names(), default="serial",
-        help=f"execution backend for {target}",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="worker count for parallel backends (0 = one per CPU)",
-    )
-    parser.add_argument(
-        "--shuffle", choices=("mem", "net"), default="mem",
-        help=f"shuffle transport for {target}: direct in-process reads "
-             "with modelled network charges (mem) or real per-node TCP "
-             "shuffle servers with measured charges (net)",
-    )
-    if fetchers:
-        parser.add_argument(
-            "--shuffle-fetchers", type=int, default=None,
-            help="parallel fetcher threads per reduce task (net shuffle only)",
-        )
-    parser.add_argument(
-        "--lint", choices=("off", "warn", "strict"), default="off",
-        help=f"static job-safety analysis at the submit of {target}: warn "
-             "analyzes and gates unproven optimizations, strict refuses "
-             "unsafe jobs",
-    )
-    parser.add_argument(
-        "--opt", choices=("off", "advise", "apply"), default="off",
-        help=f"static optimizer at the submit of {target}: advise records "
-             "the rewrite plan, apply runs the equivalently rewritten job",
-    )
-    parser.add_argument(
-        "--cluster-workers", type=int, default=None,
-        help="worker daemons for the cluster backend "
-             "(default: --workers, i.e. one per CPU)",
-    )
-    parser.add_argument(
-        "--heartbeat-interval", type=float, default=None,
-        help="seconds between worker pings to the cluster master "
-             "(missed pings mark workers suspect, then dead)",
-    )
-    parser.add_argument(
-        "--fault", action="append", default=[], metavar="SITE.KIND:FRACTION[:ATTEMPTS]",
-        help="inject a deterministic fault (repeatable); sites: disk "
-             "(corrupt, torn), dfs (corrupt), worker (kill, hang, stall), "
-             "shuffle (refuse, drop, truncate, delay), master "
-             "(heartbeat_drop; cluster backend) — e.g. "
-             "--fault worker.kill:0.5 --fault disk.corrupt:0.3",
-    )
-    parser.add_argument(
-        "--fault-seed", type=int, default=None,
-        help="seed for deterministic fault-victim selection",
-    )
-    parser.add_argument(
-        "--task-timeout", type=float, default=None,
-        help="seconds before a hung task's worker is killed and the "
-             "attempt rescheduled (process/cluster backends; 0 = never)",
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
@@ -472,7 +268,62 @@ def main(argv: list[str] | None = None) -> int:
 
     run_parser = sub.add_parser("run", help="run an app on the single-node engine")
     _add_common_app_args(run_parser)
-    _add_exec_args(run_parser, "the job")
+    run_parser.add_argument(
+        "--backend", choices=backend_names(), default="serial",
+        help="execution backend for the job",
+    )
+    run_parser.add_argument(
+        "--workers", type=int, default=0,
+        help="worker count for parallel backends (0 = one per CPU)",
+    )
+    run_parser.add_argument(
+        "--shuffle", choices=("mem", "net"), default="mem",
+        help="shuffle transport for the job: direct in-process reads "
+             "with modelled network charges (mem) or real per-node TCP "
+             "shuffle servers with measured charges (net)",
+    )
+    run_parser.add_argument(
+        "--shuffle-fetchers", type=int, default=None,
+        help="parallel fetcher threads per reduce task (net shuffle only)",
+    )
+    run_parser.add_argument(
+        "--lint", choices=("off", "warn", "strict"), default="off",
+        help="static job-safety analysis at the submit of the job: warn "
+             "analyzes and gates unproven optimizations, strict refuses "
+             "unsafe jobs",
+    )
+    run_parser.add_argument(
+        "--opt", choices=("off", "advise", "apply"), default="off",
+        help="static optimizer at the submit of the job: advise records "
+             "the rewrite plan, apply runs the equivalently rewritten job",
+    )
+    run_parser.add_argument(
+        "--cluster-workers", type=int, default=None,
+        help="worker daemons for the cluster backend "
+             "(default: --workers, i.e. one per CPU)",
+    )
+    run_parser.add_argument(
+        "--heartbeat-interval", type=float, default=None,
+        help="seconds between worker pings to the cluster master "
+             "(missed pings mark workers suspect, then dead)",
+    )
+    run_parser.add_argument(
+        "--fault", action="append", default=[], metavar="SITE.KIND:FRACTION[:ATTEMPTS]",
+        help="inject a deterministic fault (repeatable); sites: disk "
+             "(corrupt, torn), dfs (corrupt), worker (kill, hang, stall), "
+             "shuffle (refuse, drop, truncate, delay), master "
+             "(heartbeat_drop; cluster backend) — e.g. "
+             "--fault worker.kill:0.5 --fault disk.corrupt:0.3",
+    )
+    run_parser.add_argument(
+        "--fault-seed", type=int, default=None,
+        help="seed for deterministic fault-victim selection",
+    )
+    run_parser.add_argument(
+        "--task-timeout", type=float, default=None,
+        help="seconds before a hung task's worker is killed and the "
+             "attempt rescheduled (process/cluster backends; 0 = never)",
+    )
     run_parser.add_argument(
         "--node-combine", action="store_true",
         help="fold each node's finished map outputs with the job combiner "
@@ -484,80 +335,6 @@ def main(argv: list[str] | None = None) -> int:
         help="emit a machine-readable job record (stamp, digest, counters)",
     )
     run_parser.set_defaults(fn=cmd_run)
-
-    pipe_parser = sub.add_parser(
-        "pipeline", help="run a registered multi-job dataflow pipeline"
-    )
-    pipe_parser.add_argument("name", choices=PIPELINE_NAMES)
-    pipe_parser.add_argument("--scale", type=float, default=0.05, help="dataset scale knob")
-    _add_exec_args(pipe_parser, "every stage's job")
-    pipe_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the content-hash result cache (recompute every stage)",
-    )
-    pipe_parser.add_argument(
-        "--cache-dir", default=None,
-        help="persist the result cache here so repeated invocations warm-start",
-    )
-    pipe_parser.add_argument(
-        "--json", action="store_true",
-        help="emit a machine-readable per-stage record (digests, counters)",
-    )
-    pipe_parser.set_defaults(fn=cmd_pipeline)
-
-    stream_parser = sub.add_parser(
-        "stream",
-        help="tail an append-only input with the micro-batch streaming driver",
-    )
-    stream_parser.add_argument("name", choices=STREAM_NAMES)
-    stream_parser.add_argument(
-        "--input", required=True,
-        help="the tailed append-only input file",
-    )
-    stream_parser.add_argument(
-        "--state-dir", required=True,
-        help="driver state directory (split manifest, stage cache, "
-             "published versions, batch watermark); reuse it across "
-             "invocations to resume where the last run stopped",
-    )
-    stream_parser.add_argument(
-        "--generate", action="store_true",
-        help="seed --input with generated data if it does not exist",
-    )
-    stream_parser.add_argument(
-        "--scale", type=float, default=0.05,
-        help="dataset scale knob for --generate",
-    )
-    _add_exec_args(stream_parser, "every batch's jobs", fetchers=False)
-    stream_parser.add_argument(
-        "--poll-interval", type=float, default=0.2,
-        help="seconds between input-size polls",
-    )
-    stream_parser.add_argument(
-        "--min-batch-bytes", type=int, default=1,
-        help="new bytes required before a batch runs (first batch exempt)",
-    )
-    stream_parser.add_argument(
-        "--max-batches", type=int, default=0,
-        help="stop after this many successful batches (0 = unbounded)",
-    )
-    stream_parser.add_argument(
-        "--idle-timeout", type=float, default=5.0,
-        help="stop after this many seconds without new input (0 = never)",
-    )
-    stream_parser.add_argument(
-        "--retain", type=int, default=3,
-        help="published versions kept per dataset (older ones retire)",
-    )
-    stream_parser.add_argument(
-        "--no-delta", action="store_true",
-        help="disable split-level delta recompute (full recompute per batch)",
-    )
-    stream_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the machine-readable per-batch report",
-    )
-    stream_parser.set_defaults(fn=cmd_stream)
 
     cluster_parser = sub.add_parser("cluster", help="run an app on a simulated cluster")
     _add_common_app_args(cluster_parser)
@@ -576,12 +353,10 @@ def main(argv: list[str] | None = None) -> int:
     lint_parser.add_argument(
         "app",
         choices=tuple(dict.fromkeys(
-            APP_NAMES + EXTRA_APP_NAMES + tuple(FIXTURE_REGISTRY)
-            + PIPELINE_NAMES + ("all", "engine")
+            APP_NAMES + EXTRA_APP_NAMES + tuple(FIXTURE_REGISTRY) + ("all", "engine")
         )),
-        help="an application, a pipeline (lints every stage job), 'all' "
-             "(every registered app + pipeline + engine self-lint), or "
-             "'engine' (thread-contract self-lint only)",
+        help="an application, 'all' (every registered app + engine "
+             "self-lint), or 'engine' (thread-contract self-lint only)",
     )
     lint_parser.add_argument("--scale", type=float, default=0.01,
                              help="dataset scale used to materialize the job")
@@ -591,19 +366,15 @@ def main(argv: list[str] | None = None) -> int:
 
     analyze_parser = sub.add_parser(
         "analyze",
-        help="static optimizer: per-job rewrite plans and whole-pipeline "
-             "dataflow analysis",
+        help="static optimizer: per-job rewrite plans",
     )
     analyze_parser.add_argument(
         "subject",
         choices=tuple(dict.fromkeys(
-            APP_NAMES + EXTRA_APP_NAMES + tuple(FIXTURE_REGISTRY)
-            + PIPELINE_NAMES + ("all",)
+            APP_NAMES + EXTRA_APP_NAMES + tuple(FIXTURE_REGISTRY) + ("all",)
         )),
-        help="an application (advise-mode optimization plan), a pipeline "
-             "(per-stage plans + handoff type-flow and cache checks), or "
-             "'all' (every registered app and pipeline; fixtures only by "
-             "explicit name)",
+        help="an application (advise-mode optimization plan) or 'all' "
+             "(every registered app; fixtures only by explicit name)",
     )
     analyze_parser.add_argument("--scale", type=float, default=0.01,
                                 help="dataset scale used to materialize the job")

@@ -630,9 +630,8 @@ class Master:
     # ------------------------------------------------------------------
     def _ready(self, task: Task) -> bool:
         """Reduce tasks wait until every output they fetch from a daemon
-        has a live server (net mode); outputs the driver serves — reused
-        splits, per-node synthetics — are always ready, and so is a
-        repair map."""
+        has a live server (net mode); outputs the driver serves — per-node
+        synthetics — are always ready, and so is a repair map."""
         if task.kind != "reduce" or not self._net_shuffle:
             return True
         alive = {record.worker_id for record in self.membership.alive()}

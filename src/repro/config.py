@@ -66,10 +66,6 @@ class Keys:
     LINT_OPT_PROJECT = "repro.lint.opt.project"  # projection pruning rule
     LINT_OPT_SYNTH = "repro.lint.opt.synth"  # auto-combiner synthesis rule
 
-    # --- dataflow pipelines (repro.dag) ---
-    PIPELINE_CACHE = "repro.pipeline.cache.enabled"  # skip unchanged stages
-    PIPELINE_CACHE_DIR = "repro.pipeline.cache.dir"  # "" = in-memory only
-
     # --- engine ---
     NUM_REDUCERS = "repro.job.reduces"
     EXACT_COMPARISON_COUNTING = "repro.instrument.exact.comparisons"
@@ -81,15 +77,6 @@ class Keys:
 
     # --- DFS ---
     DFS_REPLICATION = "repro.dfs.replication"
-
-    # --- micro-batch streaming (repro.stream) ---
-    STREAM_STATE_DIR = "repro.stream.state.dir"  # manifest + published versions
-    STREAM_POLL_INTERVAL = "repro.stream.poll.interval.seconds"
-    STREAM_MIN_BATCH_BYTES = "repro.stream.min.batch.bytes"
-    STREAM_RETAIN_VERSIONS = "repro.stream.retain.versions"  # published outputs kept
-    STREAM_MAX_BATCHES = "repro.stream.max.batches"  # 0 = run until idle timeout
-    STREAM_IDLE_TIMEOUT = "repro.stream.idle.timeout.seconds"  # 0 = poll forever
-    STREAM_DELTA = "repro.stream.delta.enabled"  # split-level delta recompute
 
     # --- cluster runtime (repro.cluster.runtime) ---
     CLUSTER_WORKERS = "repro.cluster.workers"  # 0 = fall back to repro.exec.workers
@@ -130,8 +117,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.LINT_OPT_SELECT: True,
     Keys.LINT_OPT_PROJECT: True,
     Keys.LINT_OPT_SYNTH: True,
-    Keys.PIPELINE_CACHE: True,
-    Keys.PIPELINE_CACHE_DIR: "",
     Keys.SPILLMATCHER_ENABLED: False,
     Keys.NUM_REDUCERS: 1,
     Keys.EXACT_COMPARISON_COUNTING: False,
@@ -141,13 +126,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.TASK_MAX_ATTEMPTS: 4,  # Hadoop's mapred.map.max.attempts default
     Keys.TASK_TIMEOUT: 0.0,  # Hadoop's mapred.task.timeout, scaled; 0 disables
     Keys.DFS_REPLICATION: 3,
-    Keys.STREAM_STATE_DIR: "",
-    Keys.STREAM_POLL_INTERVAL: 0.2,
-    Keys.STREAM_MIN_BATCH_BYTES: 1,
-    Keys.STREAM_RETAIN_VERSIONS: 3,
-    Keys.STREAM_MAX_BATCHES: 0,
-    Keys.STREAM_IDLE_TIMEOUT: 5.0,
-    Keys.STREAM_DELTA: True,
     Keys.CLUSTER_WORKERS: 0,
     Keys.CLUSTER_HEARTBEAT_INTERVAL: 0.1,
     Keys.CLUSTER_REGISTER_TIMEOUT: 15.0,

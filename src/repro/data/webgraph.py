@@ -109,8 +109,8 @@ def reference_pagerank_fixpoint(
 ) -> tuple[dict[str, float], int]:
     """Iterate plain rank propagation to fixpoint with NumPy.
 
-    The dense-matrix power iteration the MapReduce pipeline's iterative
-    driver must reproduce: ``r' = M r`` where ``M[t, s] = 1/out(s)`` for
+    The dense-matrix power iteration chained MapReduce PageRank jobs
+    must reproduce: ``r' = M r`` where ``M[t, s] = 1/out(s)`` for
     each link ``s -> t`` — no damping, matching
     :func:`reference_pagerank_iteration`.  Returns the converged ranks
     and the number of iterations taken.  Dense in the page count, so

@@ -8,7 +8,6 @@ locality hints — everything the MapReduce layer needs from storage.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Sequence
 
 from ..errors import DfsError
@@ -130,30 +129,6 @@ class DfsClient:
             f"block {block_id!r} unreadable from all {len(ordered)} replica(s) "
             f"({', '.join(ordered)})"
         ) from last_error
-
-    # ------------------------------------------------------------------
-    # content identity
-    # ------------------------------------------------------------------
-    def block_digests(self, path: str) -> tuple[str, ...]:
-        """SHA-256 of each block's payload, in block order.
-
-        This is the storage layer's content identity for a file: the
-        dataflow cache (:mod:`repro.dag`) keys stages on these digests,
-        so changing one block invalidates exactly the stages that read
-        the file while identical rewrites keep hitting."""
-        meta = self._cluster.namenode.stat(path)
-        digests = []
-        for block in meta.blocks:
-            payload = self._read_block(block.block_id, block.replicas)
-            digests.append(hashlib.sha256(payload).hexdigest())
-        return tuple(digests)
-
-    def file_digest(self, path: str) -> str:
-        """SHA-256 over the file's block digests — one whole-file id."""
-        digest = hashlib.sha256()
-        for block_digest in self.block_digests(path):
-            digest.update(block_digest.encode("ascii"))
-        return digest.hexdigest()
 
     # ------------------------------------------------------------------
     # splits

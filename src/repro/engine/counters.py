@@ -62,21 +62,6 @@ class Counter(str, Enum):
     REDUCE_INPUT_RECORDS = "reduce_input_records"
     REDUCE_OUTPUT_RECORDS = "reduce_output_records"
     REDUCE_OUTPUT_BYTES = "reduce_output_bytes"
-    # --- dataflow pipelines (repro.dag) ---
-    PIPELINE_STAGES_DONE = "pipeline_stages_done"
-    PIPELINE_STAGES_FAILED = "pipeline_stages_failed"
-    PIPELINE_STAGES_SKIPPED = "pipeline_stages_skipped"
-    PIPELINE_CACHE_HITS = "pipeline_cache_hits"  # stages satisfied from the result cache
-    PIPELINE_CACHE_MISSES = "pipeline_cache_misses"  # stages that actually (re)computed
-    PIPELINE_ITERATIONS = "pipeline_iterations"  # iterative-driver job runs
-    PIPELINE_HANDOFF_BYTES = "pipeline_handoff_bytes"  # dataset bytes written to the DFS
-    PIPELINE_CACHE_DELTA = "pipeline_cache_delta"  # stages recomputed incrementally
-    # --- micro-batch streaming (repro.stream) ---
-    STREAM_SPLITS_REUSED = "stream_splits_reused"  # map segments served from the manifest
-    STREAM_SPLITS_RECOMPUTED = "stream_splits_recomputed"  # map tasks actually re-run
-    STREAM_BATCHES = "stream_batches"  # micro-batches executed by the driver
-    STREAM_VERSIONS_PUBLISHED = "stream_versions_published"  # dataset versions promoted
-    STREAM_VERSIONS_RETIRED = "stream_versions_retired"  # old versions GC'd by retention
 
 
 @dataclass

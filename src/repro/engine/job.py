@@ -16,15 +16,13 @@ from .costmodel import DEFAULT_COST_MODEL, CostModel, UserCodeCosts
 from .inputformat import InputFormat
 
 #: Configuration namespaces that select *where and how* a job executes
-#: (backend, shuffle transport, lint mode, pipeline bookkeeping) without
-#: changing *what* it computes.  They are excluded from job identity so a
-#: job keeps the same ``job_id`` — and the dataflow cache keeps hitting —
-#: no matter which substrate runs it.
+#: (backend, shuffle transport, lint mode) without changing *what* it
+#: computes.  They are excluded from job identity so a job keeps the
+#: same ``job_id`` no matter which substrate runs it.
 NON_SEMANTIC_CONF_PREFIXES: tuple[str, ...] = (
     "repro.exec.",
     "repro.shuffle.",
     "repro.lint.",
-    "repro.pipeline.",
     "repro.instrument.",
     # Fault injection and the retry/timeout budget change how hard a run
     # is to finish, never what a finished run computes (recovered runs
@@ -34,10 +32,6 @@ NON_SEMANTIC_CONF_PREFIXES: tuple[str, ...] = (
     # The cluster runtime's topology and speculation knobs move work
     # between daemons; recovered/speculated runs stay byte-identical.
     "repro.cluster.",
-    # Streaming cadence (poll interval, batch sizing, retention) shapes
-    # *when* batches run, never what a batch computes — delta recompute
-    # is byte-identical to a cold run by contract.
-    "repro.stream.",
 )
 
 
@@ -53,15 +47,14 @@ def semantic_conf_items(conf: JobConf) -> list[tuple[str, str]]:
 def source_fingerprint(obj: Any) -> str:
     """A stable fingerprint of a callable/class: its source text when
     retrievable, else its qualified name.  Classes and functions edited
-    between runs fingerprint differently — the property the dataflow
-    cache's job-source digest relies on."""
+    between runs fingerprint differently — the property
+    :meth:`JobSpec.job_id` relies on."""
     if obj is None:
         return "-"
     if isinstance(obj, functools.partial):
         # A bare ``type(partial)`` fingerprint would collapse every
         # partial to "functools.partial", letting two jobs whose only
-        # difference is the bound arguments (e.g. per-iteration k-means
-        # centroids) share a source digest.  Fingerprint the wrapped
+        # difference is the bound arguments share a source digest.  Fingerprint the wrapped
         # callable plus the bound arguments instead.
         bound = ", ".join(
             [repr(a) for a in obj.args]
@@ -112,7 +105,7 @@ class JobSpec:
     #: runner duck-types ``.project(text)``.
     value_projection: Any = None
     #: Set when the static optimizer rewrote this job from another one:
-    #: the *original* job's id, so caches and provenance keep recognizing
+    #: the *original* job's id, so provenance keeps recognizing
     #: the rewritten job as the same computation (the rewrites are
     #: output-preserving by construction).
     pinned_job_id: str | None = None

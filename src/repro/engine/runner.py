@@ -73,9 +73,7 @@ class JobResult:
     def output_digest(self) -> str:
         """SHA-256 over the serialized final output, in partition order
         then key order — the job's *content* identity.  Two runs of a
-        deterministic job produce the same digest on every backend;
-        the dataflow cache (:mod:`repro.dag`) keys downstream stages on
-        digests like this one."""
+        deterministic job produce the same digest on every backend."""
         import hashlib
 
         digest = hashlib.sha256()

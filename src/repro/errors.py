@@ -70,15 +70,6 @@ class LintError(ReproError):
         self.report = report
 
 
-class PipelineError(ReproError):
-    """A dataflow pipeline (:mod:`repro.dag`) is malformed or failed.
-
-    Raised at submit time for graph defects (cycles, unknown input
-    datasets, duplicate stage names) and by
-    :meth:`~repro.dag.result.PipelineResult.raise_on_failure` when a run
-    left failed stages behind."""
-
-
 class UserCodeError(ReproError):
     """User-supplied map/combine/reduce code raised an exception.
 

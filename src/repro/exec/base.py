@@ -294,7 +294,7 @@ def materialize_map_result(result: MapTaskResult) -> None:
     """Copy a map task's temp-dir files into an in-memory disk so the
     job result outlives the temp tree, keeping the worker's I/O stats
     (the copy itself is not task work).  Outputs already in memory —
-    in-process tasks, reused splits — are left as they are."""
+    in-process tasks — are left as they are."""
     file_disk = result.disk
     if isinstance(file_disk, LocalDisk):
         return
@@ -398,18 +398,9 @@ class Executor(ABC):
     # ------------------------------------------------------------------
     # the plan
     # ------------------------------------------------------------------
-    def run(
-        self, job: JobSpec, reuse: dict[int, MapTaskResult] | None = None
-    ) -> JobResult:
-        """Execute *job* to completion and return its merged result.
-
-        *reuse* maps split indices to map results the caller already
-        holds (delta recompute): their map tasks are skipped and the
-        given results take their place, in split order, everywhere a
-        fresh result would go — shuffle, node-combine, job result.
-        """
+    def run(self, job: JobSpec) -> JobResult:
+        """Execute *job* to completion and return its merged result."""
         check_choices(job)
-        reuse = reuse or {}
         self.job = job
         self.events = Counters()
         shuffle_hosts: list = []
@@ -421,15 +412,8 @@ class Executor(ABC):
                 map_tasks = [
                     Task(key=map_task_id(job, index), kind="map", payload=index)
                     for index in range(len(self.splits))
-                    if index not in reuse
                 ]
-                fresh = iter(self._collect(self.run_tasks(map_tasks, None)))
-                # Split order decides merge tie-breaking: reused and fresh
-                # outputs interleave exactly as a full run's would.
-                map_results = [
-                    reuse[index] if index in reuse else next(fresh)
-                    for index in range(len(self.splits))
-                ]
+                map_results = self._collect(self.run_tasks(map_tasks, None))
                 self._publish(map_results)
                 fetch_results, node_combine = apply_node_combine(
                     job, map_results, self.host
@@ -470,8 +454,8 @@ class Executor(ABC):
     def shuffle_server(self):
         """The driver's own shuffle server, started on first use
         (``None`` in ``mem`` mode).  It serves every output the driver's
-        process holds — in-process map results, reused splits, per-node
-        synthetics — and the process backend's workers register theirs
+        process holds — in-process map results and per-node synthetics —
+        and the process backend's workers register theirs
         with it; a cluster job whose daemons serve everything never
         starts it."""
         if self._server is None:

@@ -64,10 +64,10 @@ class WorkerContext:
 
 
 # Contexts are registered by id, not held in a single slot: concurrent
-# process executors in one parent (fan-out pipeline stages) each push
-# their own entry, and a worker forked at *any* moment — including a
-# crash-replacement forked mid-way through another stage's run — still
-# resolves its own executor's context by id.
+# process executors in one parent each push their own entry, and a
+# worker forked at *any* moment — including a crash-replacement forked
+# mid-way through another executor's run — still resolves its own
+# executor's context by id.
 _CTX_LOCK = threading.Lock()
 _CONTEXTS: dict[int, WorkerContext] = {}
 _NEXT_CTX_ID = itertools.count(1)

@@ -23,7 +23,7 @@ from typing import Any, Mapping
 from ..analysis.breakdown import Breakdown, breakdown_from_ledger
 from ..analysis.idle import IdleReport, aggregate_idle
 from ..apps.base import AppJob
-from ..apps.registry import REGISTRY, build_application
+from ..apps.registry import build_application
 from ..config import Keys
 from ..core.freqbuf.zipf import generalized_harmonic
 from ..engine.runner import JobResult, LocalJobRunner
@@ -170,7 +170,3 @@ def job_breakdown(result: JobResult) -> Breakdown:
 
 def job_idle(result: JobResult) -> IdleReport:
     return aggregate_idle(result.pipeline_results())
-
-
-def is_text_centric(name: str) -> bool:
-    return REGISTRY[name].text_centric

@@ -13,11 +13,10 @@ stable hash of ``(seed, site, kind, token)``, and only the first
 and chaos tests never flake.
 
 Select a plan with the ``repro.faults.spec`` conf key, the ``--fault``
-CLI flag on ``repro run`` / ``repro pipeline``, or the ``REPRO_FAULT``
-environment variable; see :mod:`repro.faults.plan` for the spec
-grammar.  The shuffle-specific plan the shuffle server consumes is
-derived from the unified plan's ``shuffle.*`` rule in
-:mod:`repro.faults.shuffle`.
+CLI flag on ``repro run``, or the ``REPRO_FAULT`` environment
+variable; see :mod:`repro.faults.plan` for the spec grammar.  The
+shuffle-specific plan the shuffle server consumes is derived from the
+unified plan's ``shuffle.*`` rule in :mod:`repro.faults.shuffle`.
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ Three gates keep injection honest:
   can never take down the test runner or a serial backend.
 
 Installation is reentrant and plan-deduplicating: nested installs of an
-equal plan (pipeline runner -> per-stage executor) share one injector,
-so fault-attempt counters stay coherent.
+equal plan (a caller's scope around an executor run) share one
+injector, so fault-attempt counters stay coherent.
 """
 
 from __future__ import annotations
@@ -128,10 +128,6 @@ def mark_worker_process() -> None:
     loop right after fork); arms ``worker``-site faults."""
     global _IN_WORKER_PROCESS
     _IN_WORKER_PROCESS = True
-
-
-def in_worker_process() -> bool:
-    return _IN_WORKER_PROCESS
 
 
 # ----------------------------------------------------------------------

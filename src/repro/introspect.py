@@ -10,10 +10,10 @@ inside the interpreter itself; observed failure modes (CPython 3.11):
   of ``ast.parse`` — surfaced as a flaky stage failure;
 - the class-finder walk silently coming up empty, which ``inspect``
   reports as ``OSError: could not find class definition`` — swallowed
-  by the fingerprint fallback and surfaced as a spurious dataflow-cache
-  miss (the digest degrades to name-only for that one run).
+  by the fingerprint fallback and surfaced as a spurious job-id change
+  (the digest degrades to name-only for that one run).
 
-Concurrent pipeline stages fingerprint user code on worker threads, so
+Thread-backend tasks take fold proofs on worker threads, so
 every source-introspection entry point funnels through one process-wide
 lock.  ``linecache``'s module-level cache, which ``inspect`` reads and
 mutates with no locking of its own, is covered by the same lock for the
@@ -34,7 +34,7 @@ _LOCK = threading.RLock()
 
 def _reset_lock_in_child() -> None:
     # A fork copies the lock in whatever state another thread left it:
-    # a worker forked while a pipeline stage was fingerprinting, or a
+    # a worker forked while another thread was fingerprinting, or a
     # task was taking its fold proof, would block on its first
     # introspection forever.  The child has one thread, so a new lock
     # is the right state.

@@ -52,9 +52,6 @@ _LAZY = {
     "PlanDecision": "opt",
     "apply_plan": "opt",
     "plan_job": "opt",
-    # The pipeline analysis pulls in repro.dag; see repro.lint.opt.
-    "PipelineAnalysis": "opt",
-    "analyze_pipeline": "opt",
 }
 
 __all__ = [
@@ -62,13 +59,11 @@ __all__ = [
     "GatingDecision",
     "LintReport",
     "OptimizationPlan",
-    "PipelineAnalysis",
     "PlanDecision",
     "Severity",
     "analyze_app",
     "analyze_engine",
     "analyze_job",
-    "analyze_pipeline",
     "apply_plan",
     "gate_job",
     "plan_job",

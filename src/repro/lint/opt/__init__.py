@@ -6,14 +6,7 @@ per-job rewrites (selection pushdown, projection pruning, combiner
 synthesis) are detected by AST dataflow over the user's own map/reduce
 code and recorded as anchored :class:`PlanDecision`\\ s; ``apply`` mode
 installs them on an equivalent job whose output is byte-identical to
-the unoptimized run.  :func:`analyze_pipeline` extends the analysis
-across :mod:`repro.dag` stage graphs — serde shape flow between
-stages, and nondeterminism feeding the dataflow cache.
-
-The pipeline analysis is the one part that needs :mod:`repro.dag` (and
-with it ``concurrent.futures``, ``tempfile``, ...); its three names load
-on first use, so that importing the fold matcher — which every job with
-a combiner does — stays small.
+the unoptimized run.
 """
 
 from .engine import OPT_MODES, apply_plan, plan_job
@@ -45,24 +38,11 @@ __all__ = [
     "OPT_SYNTH",
     "FoldCombinerFactory",
     "OptimizationPlan",
-    "PipelineAnalysis",
     "PlanDecision",
-    "StageAnalysis",
     "SynthesizedFoldCombiner",
-    "analyze_pipeline",
     "apply_plan",
     "detect_fold",
     "detect_projection",
     "detect_selection",
     "plan_job",
 ]
-
-_PIPELINE_NAMES = ("PipelineAnalysis", "StageAnalysis", "analyze_pipeline")
-
-
-def __getattr__(name: str):
-    if name in _PIPELINE_NAMES:
-        from . import pipeline
-
-        return getattr(pipeline, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

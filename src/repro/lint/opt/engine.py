@@ -14,9 +14,9 @@ turns proposals into an equivalent job via ``dataclasses.replace``:
   report's fold-like verdict reflects the combiner that will actually
   run — which is what unlocks frequency buffering downstream.
 
-The rewritten job pins the *original* job's id, so the dataflow cache
-and provenance keep recognizing it as the same computation (the
-rewrites are output-preserving by construction).  Each rule honors its
+The rewritten job pins the *original* job's id, so provenance keeps
+recognizing it as the same computation (the rewrites are
+output-preserving by construction).  Each rule honors its
 ``repro.lint.opt.<rule>`` conf switch with a ``disabled`` decision, so
 every rewrite is individually refusable.
 """

@@ -1,10 +1,8 @@
 """Self-lint: thread discipline of the shared, lock-guarded classes.
 
-Two classes are touched from several threads at once: the dataflow
-cache's :class:`~repro.dag.cache.SingleFlight` (pipeline scheduler
-threads) and the cluster master's
-:class:`~repro.cluster.runtime.membership.Membership` (ping handlers
-and the scheduling loop).  Each one's safety argument is a *written*
+One class is touched from several threads at once: the cluster
+master's :class:`~repro.cluster.runtime.membership.Membership` (ping
+handlers and the scheduling loop).  Its safety argument is a *written*
 protocol: under its lock, only a small documented set of attributes is
 ever rebound or mutated on ``self``.  This rule turns that prose into a
 check, so a refactor that quietly adds a cross-thread write fails
@@ -64,17 +62,8 @@ def _default_contracts() -> tuple[ThreadContract, ...]:
     # Imported lazily so `repro.lint` does not drag the execution stack
     # in at import time (core already layers on engine).
     from ...cluster.runtime.membership import Membership
-    from ...dag.cache import SingleFlight
 
     return (
-        # The dataflow cache's single-flight table: every method may run
-        # on any pipeline scheduler thread; under the lock the only
-        # mutable state is the flights dict itself.
-        ThreadContract(
-            cls=SingleFlight,
-            support_methods=("begin", "done", "in_flight"),
-            shared_writes=("_flights",),
-        ),
         # The cluster master's membership table: ping-handler threads
         # and the scheduling loop share it; only the worker-record dict
         # is ever (re)bound on self — state transitions mutate the

@@ -21,7 +21,7 @@ from repro.serde.text import Text
 
 #: Suites whose tests start executors, daemons, pools or shuffle servers.
 LEAK_CHECKED = tuple(
-    f"tests/{suite}/" for suite in ("exec", "cluster", "stream", "faults")
+    f"tests/{suite}/" for suite in ("exec", "cluster", "faults")
 )
 #: Threads a finished job must not leave running: thread-backend workers
 #: (``<job>.exec_N``), the master's accept loop, daemon heartbeats, and

@@ -3,10 +3,8 @@
 :meth:`repro.exec.base.Executor.run` is the only map → node-combine →
 reduce driver; a backend is three transport methods.  The fake below is
 the reason that seam is allowed to exist: with it the plan's order,
-failure rule, ``reuse`` semantics and accounting laws are pinned
-without forking a process, and the real backends are then held to the
-same failure contract.  The last test is the cell the old code could
-not express: delta reuse through every backend and shuffle mode.
+failure rule and accounting laws are pinned without forking a process,
+and the real backends are then held to the same failure contract.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import pytest
 
 from repro.config import Keys
 from repro.engine.api import Mapper
-from repro.engine.counters import Counter, Counters
+from repro.engine.counters import Counters
 from repro.engine.instrumentation import Ledger
 from repro.engine.runner import LocalJobRunner
 from repro.errors import ConfigError, JobFailedError, ReproError, ShuffleError
@@ -24,8 +22,6 @@ from repro.exec.base import Executor, run_with_retries
 from repro.io.blockdisk import LocalDisk
 from repro.serde.numeric import VIntWritable
 from repro.serde.text import Text
-from repro.stream.delta import delta_run_job
-from repro.stream.manifest import SplitManifest
 
 from ..conftest import make_wordcount_job
 
@@ -212,25 +208,6 @@ def test_failure_contract_holds_on_every_backend(backend: str, tiny_text) -> Non
         LocalJobRunner().run(make_wordcount_job(tiny_text, conf, num_splits=3))
 
 
-def test_reuse_skips_exactly_the_given_splits(plan_log, tiny_text) -> None:
-    job = make_wordcount_job(tiny_text, num_splits=4)
-    cold = RecordingExecutor([]).run(job)
-    assert len(cold.map_results) >= 4
-    reuse = {1: cold.map_results[1], 3: cold.map_results[3]}
-
-    plan_log.clear()
-    warm = RecordingExecutor(plan_log).run(job, reuse=reuse)
-    (_, ran, _), (_, _, fetched) = [entry for entry in plan_log if isinstance(entry, tuple)]
-    skipped = {f"{job.name}.m0001", f"{job.name}.m0003"}
-    assert ran == [r.task_id for r in cold.map_results if r.task_id not in skipped]
-    # Split order everywhere: what reducers fetch, and the job result.
-    assert fetched == [r.task_id for r in cold.map_results]
-    assert [r.task_id for r in warm.map_results] == fetched
-    assert warm.map_results[1] is reuse[1] and warm.map_results[3] is reuse[3]
-    assert warm.output_digest() == cold.output_digest()
-    assert not skipped & set(warm.task_attempts)
-
-
 @pytest.mark.parametrize("node_combine", (False, True), ids=("plain", "node-combine"))
 def test_task_accounting_sums_to_the_job(plan_log, node_combine, tiny_text) -> None:
     job = make_wordcount_job(tiny_text, {Keys.NODE_COMBINE: node_combine}, num_splits=3)
@@ -246,34 +223,3 @@ def test_task_accounting_sums_to_the_job(plan_log, node_combine, tiny_text) -> N
     assert ledger.work == result.ledger.work
     assert counters.values == result.counters.values
     assert all(isinstance(r.disk, LocalDisk) for r in result.map_results)
-
-
-@pytest.mark.stream
-@pytest.mark.parametrize("shuffle", ("mem", "net"))
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_delta_reuse_through_every_transport(backend, shuffle, tmp_path) -> None:
-    lines = [f"the quick brown fox line {i} jumps over the lazy dog" for i in range(300)]
-    corpus = ("\n".join(lines) + "\n").encode()
-    appended = corpus + b"some freshly appended words of text\n" * 20
-
-    def make(data: bytes, conf: dict | None = None):
-        job = make_wordcount_job(data, conf, name="wordcount")
-        job.input_format.split_size = 4096  # fixed: append-stable boundaries
-        return job
-
-    manifest = SplitManifest(str(tmp_path / "manifest"))
-    delta_run_job(make(corpus), manifest)
-    outcome = delta_run_job(
-        make(appended, {
-            Keys.EXEC_BACKEND: backend, Keys.EXEC_WORKERS: 2, Keys.SHUFFLE_MODE: shuffle,
-        }),
-        manifest,
-    )
-    assert outcome.eligible and 0 < outcome.reused < len(outcome.result.map_results)
-    assert outcome.result.counters.get(Counter.STREAM_SPLITS_REUSED) == outcome.reused
-    cold = LocalJobRunner().run(make(appended))
-    assert outcome.result.output_digest() == cold.output_digest()
-    # Reused splits ran no task; fresh ones ran under the job's real ids.
-    ran = {task_id for task_id in outcome.result.task_attempts if ".m" in task_id}
-    assert len(ran) == outcome.recomputed
-    assert ran <= {r.task_id for r in outcome.result.map_results}

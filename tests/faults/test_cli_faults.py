@@ -1,4 +1,4 @@
-"""The --fault CLI surface on ``repro run`` and ``repro pipeline``."""
+"""The --fault CLI surface on ``repro run``."""
 
 from __future__ import annotations
 
@@ -37,33 +37,3 @@ class TestRunFault:
         with pytest.raises(ConfigError, match="fault"):
             main(["run", "wordcount", "--scale", "0.02", "--fault", "bogus"])
 
-
-class TestPipelineFault:
-    def test_pipeline_survives_faults(self, capsys) -> None:
-        code = main(
-            [
-                "pipeline", "textindex", "--scale", "0.01", "--backend", "process",
-                "--workers", "3", "--no-cache",
-                "--fault", "worker.kill:0.5", "--fault", "disk.corrupt:0.5",
-                "--fault-seed", "1234",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "failures survived" in out
-
-    def test_attempt_exhaustion_exits_nonzero_with_causal_error(self, capsys) -> None:
-        """Satellite: a fault plan the retry budget cannot absorb must
-        fail the pipeline with a nonzero exit and the report must name
-        the exhausted task, not a generic stage failure."""
-        code = main(
-            [
-                "pipeline", "textindex", "--scale", "0.01", "--backend", "process",
-                "--workers", "2", "--no-cache",
-                "--fault", "worker.kill:1.0:99",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "quarantined" in out
-        assert "worker crash" in out

@@ -12,13 +12,12 @@ def test_shipped_engine_contracts_hold():
     report = analyze_engine()
     assert report.clean, [f.message for f in report.findings]
     assert report.subject == "engine"
-    # The contracts under check — the lock-guarded shared structures of
-    # the dag/cluster layers — are surfaced, so a silently-empty
-    # self-lint is distinguishable from a passing one.
-    assert any("SingleFlight" in note for note in report.notes)
+    # The contract under check — the cluster master's lock-guarded
+    # membership table — is surfaced, so a silently-empty self-lint is
+    # distinguishable from a passing one.
     assert any("Membership" in note for note in report.notes)
     checked = {c.cls.__name__ for c in EngineConcurrencyRule().contracts}
-    assert checked == {"SingleFlight", "Membership"}
+    assert checked == {"Membership"}
 
 
 class LeakyWorker:

@@ -1,205 +1,20 @@
-"""Whole-pipeline analysis: stage plans, type flow, cache poisoning.
-
-Constructed pipelines live here as module-level builders and job
-classes so their source resolves, mirroring how registered pipelines
-are written.
-"""
+"""The static optimizer's CLI surface: ``repro analyze``."""
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
-from repro.apps.pipelines import PIPELINE_NAMES, build_pipeline
-from repro.apps.unsafe import ImpurePredicateMapper
 from repro.cli import main
-from repro.dag import JobStage, Pipeline, SourceStage, StageContext
-from repro.engine.api import Mapper, Reducer
-from repro.engine.inputformat import TextInput
-from repro.engine.job import JobSpec
-from repro.lint import analyze_pipeline
-from repro.serde.numeric import VIntWritable
-from repro.serde.text import Text
 
 
-# ----------------------------------------------------------------------
-# registered pipelines are clean
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", PIPELINE_NAMES)
-def test_registered_pipelines_analyze_clean(name):
-    analysis = analyze_pipeline(build_pipeline(name))
-    assert not analysis.has_errors, [
-        f.message
-        for s in ([analysis.report] + [st.report for st in analysis.stages])
-        if s is not None
-        for f in s.findings
-    ]
-    # Every job stage carries an advise-mode plan; no pipeline-edge rule
-    # fired on the shipped dataflows.
-    job_stages = [s for s in analysis.stages if s.report is not None]
-    assert job_stages
-    assert all(s.report.plan is not None for s in job_stages)
-    assert all(s.report.plan.mode == "advise" for s in job_stages)
-    rule_ids = {f.rule_id for f in analysis.report.findings}
-    assert not rule_ids & {"pipeline-type-flow", "pipeline-cache-poison"}
-
-
-def test_pagerank_iterative_state_loop_is_type_checked_not_flagged():
-    # PageRank's mapper unpacks 3 tab fields; its reducer renders
-    # rank<TAB>links (1 tab -> 3 fields with the key). The self-loop
-    # edge must be analyzed and found consistent.
-    analysis = analyze_pipeline(build_pipeline("pagerank"))
-    assert analysis.stage_report("pagerank") is not None
-    assert not analysis.report.has_errors
-
-
-# ----------------------------------------------------------------------
-# a constructed arity mismatch is caught at analysis time
-# ----------------------------------------------------------------------
-class PairEmitReducer(Reducer):
-    """Renders as key<TAB>a<TAB>b: three tab fields per output line."""
-
-    def reduce(self, key, values, emit):
-        emit(key, Text("a\tb"))
-
-
-class TokenMapper(Mapper):
-    def map(self, key, value, emit):
-        for word in value.value.split():
-            emit(Text(word), VIntWritable(1))
-
-
-class FourFieldMapper(Mapper):
-    """Expects four tab fields; upstream provably renders three."""
-
-    def map(self, key, value, emit):
-        name, left, right, extra = value.value.split("\t")
-        emit(Text(name), Text(extra))
-
-
-class ThreeFieldMapper(Mapper):
-    """Matches upstream's three fields; middle one deliberately dead."""
-
-    def map(self, key, value, emit):
-        name, _left, right = value.value.split("\t")
-        emit(Text(name), Text(right))
-
-
-class JoinReducer(Reducer):
-    def reduce(self, key, values, emit):
-        emit(key, Text(",".join(v.value for v in values)))
-
-
-def _producer_stage(ctx: StageContext) -> JobSpec:
-    return JobSpec(
-        name="producer",
-        input_format=TextInput(ctx.inputs["raw"] or b"x y\n", split_size=64),
-        mapper_factory=TokenMapper,
-        reducer_factory=PairEmitReducer,
-        map_output_key_cls=Text,
-        map_output_value_cls=VIntWritable,
-    )
-
-
-def _consumer_stage(mapper):
-    def build(ctx: StageContext) -> JobSpec:
-        return JobSpec(
-            name="consumer",
-            input_format=TextInput(ctx.inputs["mid"] or b"\n", split_size=64),
-            mapper_factory=mapper,
-            reducer_factory=JoinReducer,
-            map_output_key_cls=Text,
-            map_output_value_cls=Text,
-        )
-
-    return build
-
-
-def _chain(mapper) -> Pipeline:
-    pipeline = Pipeline("chain")
-    pipeline.add(SourceStage("raw", generate=lambda: b"x y\n", params="fixed"))
-    pipeline.add(JobStage("producer", build=_producer_stage, inputs=("raw",),
-                          output="mid"))
-    pipeline.add(JobStage("consumer", build=_consumer_stage(mapper),
-                          inputs=("mid",)))
-    return pipeline
-
-
-def test_arity_mismatch_is_a_type_flow_error():
-    analysis = analyze_pipeline(_chain(FourFieldMapper))
-    flows = [f for f in analysis.report.findings if f.rule_id == "pipeline-type-flow"]
-    assert len(flows) == 1
-    assert analysis.has_errors
-    (finding,) = flows
-    assert "4 tab fields" in finding.message
-    assert "[3]" in finding.message  # what the producer actually renders
-    assert finding.file.endswith("test_opt_pipeline.py")
-    assert finding.line > 0
-
-
-def test_matching_arity_passes_and_dead_fields_are_noted():
-    analysis = analyze_pipeline(_chain(ThreeFieldMapper))
-    assert not analysis.has_errors
-    notes = [n for n in analysis.report.notes if "ignores tab field" in n]
-    assert len(notes) == 1
-    assert "'consumer'" in notes[0] and "'producer'" in notes[0]
-
-
-# ----------------------------------------------------------------------
-# nondeterminism poisons the content-hash cache
-# ----------------------------------------------------------------------
-def _flaky_stage(ctx: StageContext) -> JobSpec:
-    return JobSpec(
-        name="flaky",
-        input_format=TextInput(ctx.inputs["raw"] or b"a|1\n", split_size=64),
-        mapper_factory=ImpurePredicateMapper,
-        reducer_factory=JoinReducer,
-        map_output_key_cls=Text,
-        map_output_value_cls=Text,
-    )
-
-
-def _flaky_pipeline() -> Pipeline:
-    pipeline = Pipeline("flakychain")
-    pipeline.add(SourceStage("raw", generate=lambda: b"a|1\n", params="fixed"))
-    pipeline.add(JobStage("flaky", build=_flaky_stage, inputs=("raw",)))
-    return pipeline
-
-
-def test_nondeterministic_stage_poisons_the_cache():
-    analysis = analyze_pipeline(_flaky_pipeline(), cache_enabled=True)
-    poison = [f for f in analysis.report.findings
-              if f.rule_id == "pipeline-cache-poison"]
-    assert len(poison) == 1
-    assert "'flaky'" in poison[0].message
-    # Anchored to the nondeterministic call, not to pipeline machinery.
-    assert poison[0].file.endswith("unsafe.py")
-
-
-def test_cache_poison_finding_vanishes_with_cache_disabled():
-    analysis = analyze_pipeline(_flaky_pipeline(), cache_enabled=False)
-    assert not any(f.rule_id == "pipeline-cache-poison"
-                   for f in analysis.report.findings)
-    # The underlying purity finding still stands in the stage report.
-    stage = analysis.stage_report("flaky")
-    assert any(f.rule_id == "purity-nondeterministic" for f in stage.findings)
-
-
-# ----------------------------------------------------------------------
-# the CLI surface
-# ----------------------------------------------------------------------
 def test_analyze_all_is_green_and_json_parses(capsys):
     assert main(["analyze", "all", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    subjects = {entry.get("subject") or entry.get("pipeline") for entry in payload}
-    assert {"wordcount", "accesslogip", "textindex", "textfan"} <= subjects
-    # App entries carry plans; pipeline entries carry stage reports.
+    subjects = {entry["subject"] for entry in payload}
+    assert {"wordcount", "accesslogip"} <= subjects
+    # Every entry carries its advise-mode plan.
     for entry in payload:
-        if "subject" in entry:
-            assert entry["plan"]["decisions"]
-        else:
-            assert entry["stages"]
+        assert entry["plan"]["decisions"]
 
 
 def test_analyze_app_emits_a_plan(capsys):
@@ -213,18 +28,3 @@ def test_analyze_fixture_fails_loudly(capsys):
     assert main(["analyze", "unsafeopt"]) == 1
     out = capsys.readouterr().out
     assert "rejected" in out
-
-
-def test_lint_accepts_pipelines(capsys):
-    assert main(["lint", "textindex"]) == 0
-    out = capsys.readouterr().out
-    assert "textindex/wordcount" in out
-    assert "textindex/invertedindex" in out
-    assert "pipeline:textindex" in out
-
-
-def test_lint_all_covers_pipelines_too(capsys):
-    assert main(["lint", "all"]) == 0
-    out = capsys.readouterr().out
-    for name in PIPELINE_NAMES:
-        assert f"pipeline:{name}" in out

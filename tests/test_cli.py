@@ -28,7 +28,7 @@ class TestHelp:
         assert all(line.count("python -m repro.cli") == 1 for line in printed)
 
         commands = set(re.search(r"\{([a-z,]+)\}", out).group(1).split(","))
-        assert not commands & {"serve", "submit", "jobs"}
+        assert not commands & {"serve", "submit", "jobs", "pipeline", "stream"}
         assert {line.split()[3] for line in printed} <= commands
 
 
@@ -39,12 +39,9 @@ class TestList:
         assert "wordcount" in out
         assert "table3" in out
 
-    def test_lists_pipelines_and_fixtures(self, capsys):
+    def test_lists_fixtures(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "pipelines" in out
-        assert "textindex" in out
-        assert "pagerank" in out
         assert "lint fixtures" in out
         assert "unsafewordcount" in out
 
@@ -85,37 +82,6 @@ class TestRun:
         assert len(record["output_digest"]) == 64
         assert record["task_attempts"] >= 1
         assert record["counters"]["map_input_records"] > 0
-
-
-class TestPipeline:
-    def test_textindex_runs(self, capsys):
-        assert main(["pipeline", "textindex", "--scale", "0.01"]) == 0
-        out = capsys.readouterr().out
-        assert "pipeline textindex" in out
-        assert "invertedindex" in out
-        assert "3 miss(es)" in out
-
-    def test_no_cache_flag_accepted(self, capsys):
-        code = main([
-            "pipeline", "textindex", "--scale", "0.01",
-            "--backend", "thread", "--workers", "2", "--no-cache",
-        ])
-        assert code == 0
-        assert "0 hit(s)" in capsys.readouterr().out
-
-    def test_rejects_unknown_pipeline(self):
-        with pytest.raises(SystemExit):
-            main(["pipeline", "nosuchpipeline"])
-
-    def test_pipeline_json_record(self, capsys):
-        assert main(["pipeline", "textindex", "--scale", "0.01", "--json"]) == 0
-        record = json.loads(capsys.readouterr().out)
-        assert record["pipeline"] == "textindex" and record["ok"] is True
-        assert [s["stage"] for s in record["stages"]] == [
-            "corpus", "wordcount", "invertedindex",
-        ]
-        assert all(len(s["output_digest"]) == 64 for s in record["stages"])
-        assert record["counters"]["pipeline_cache_misses"] == 3
 
 
 class TestCluster:

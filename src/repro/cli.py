@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -119,7 +120,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "backend": args.backend,
             "job_id": result.job_id,
             "output_digest": result.output_digest(),
-            "records": len(result.output_pairs()),
+            "records": result.output_records,
             "seconds": elapsed,
             "stamp": job_stamp(result),
             "task_attempts": sum(runner.task_attempts.values()),
@@ -128,7 +129,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 0
     workers = f", workers={args.workers or 'auto'}" if args.backend != "serial" else ""
     shuffle = f", shuffle={args.shuffle}" if args.shuffle != "mem" else ""
-    print(f"{app.job.describe()}: {len(result.output_pairs())} output records "
+    print(f"{app.job.describe()}: {result.output_records} output records "
           f"in {elapsed:.3f}s (backend={args.backend}{workers}{shuffle})")
     print(job_stamp(result))
     if args.fault:
@@ -390,7 +391,18 @@ def main(argv: list[str] | None = None) -> int:
     # command is running (cluster masters, shuffle servers, worker pools)
     # gets to release its ports and reap its children.
     with graceful_termination():
-        return args.fn(args)
+        try:
+            code = args.fn(args)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader went away (`repro list | head`).  Point stdout at
+            # devnull so the interpreter's final flush cannot raise again,
+            # and exit non-zero without a traceback (the recipe of the
+            # Python `signal` docs' note on SIGPIPE).
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            return 1
+        return code
 
 
 if __name__ == "__main__":

@@ -50,7 +50,8 @@ class MapOutputCollector(ABC):
     @abstractmethod
     def flush(self) -> "SpillIndex":
         """End of input: drain buffers, merge spills, return the final
-        map-output index (one sorted segment per reduce partition)."""
+        map-output index (one sorted segment per reduce partition).  The
+        final output is the only file left on the task's disk."""
 
     def note_input_progress(self, fraction: float) -> None:
         """Hint from the task runner: *fraction* of the split's input has
@@ -264,7 +265,12 @@ class StandardCollector(MapOutputCollector):
             # another pass — no merge work to charge.
             return self.spill_indices[0]
 
-        return self._merge_spills(self.spill_indices)
+        final = self._merge_spills(self.spill_indices)
+        # As Hadoop's MapTask.mergeParts: once file.out is written, the
+        # spills and intermediate merge outputs are garbage.
+        for index in self.spill_indices:
+            self.disk.delete(index.path)
+        return final
 
     def _merge_spills(self, indices: list[SpillIndex]) -> SpillIndex:
         """Multi-pass k-way merge of spills into the final map output.

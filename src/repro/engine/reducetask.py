@@ -3,20 +3,27 @@
 A :class:`ReduceTaskRunner` fetches and merges one partition of every
 map output, groups the merged run by key (or by ``group_key_fn``'s
 prefix, for secondary sort), runs the user's ``reduce()`` per group and
-collects the final output pairs.
+writes the output pairs, serialized once, as the partition's part file:
+one framed record stream (:mod:`repro.io.records`, Hadoop's
+``part-r-NNNNN``).  Writables are built from it only when a caller asks
+(:attr:`ReduceTaskResult.output`).
 
 Where the reducer's source *proves* what ``reduce()`` computes
 (:func:`proven_reduce`, built on :mod:`repro.lint.proofs`), the group
 loop skips the call and the writable round trip:
 
 * an identity ``for v in values: emit(key, v)`` becomes a pass-through
-  that builds each output pair straight from the merged bytes, counted
-  as ``len(key) + len(value)`` output bytes per the Writable contract;
+  that frames the merged key and value bytes as they are, counted as
+  ``len(key) + len(value)`` output bytes per the Writable contract;
 * ``emit(key, W(sum|min|max(v.value for v in values)))`` over an
   exact-int value class decodes each value once, applies the same
-  builtin aggregate and builds ``W`` once per group — a ``W`` that
-  refuses the total fails as ``UserCodeError("reduce")``, as the
-  ``reduce()`` that would have built it.
+  builtin aggregate and frames ``W(total).to_bytes()`` once per group —
+  a ``W`` that refuses the total fails as ``UserCodeError("reduce")``,
+  as the ``reduce()`` that would have built it.
+
+Both still run ``from_bytes`` on every key and value they frame (and
+discard the result), so malformed bytes raise the generic loop's
+``SerdeError`` in its order.
 
 Both charge ``Op.SHUFFLE`` and ``Op.REDUCE`` per group in the generic
 loop's float order, so counters and ledger are ``==`` whichever loop
@@ -33,8 +40,9 @@ from dataclasses import dataclass
 
 from ..errors import UserCodeError
 from ..io.merger import group_sorted, group_sorted_by
+from ..io.records import append_record, decode_records
 from ..serde.numeric import int_values
-from ..serde.writable import Writable
+from ..serde.writable import Writable, class_from_ref, class_ref
 from .counters import Counter, Counters
 from .instrumentation import Ledger, Op, TaskInstruments
 from .job import JobSpec
@@ -44,11 +52,22 @@ from .shuffle import ShuffleService
 
 @dataclass
 class ReduceTaskResult:
-    """A finished reduce task: its final output plus accounting."""
+    """A finished reduce task: its part file plus accounting.
+
+    *records* is the partition's output, framed ``vint(len) key
+    vint(len) value`` per pair; *output_classes* holds ``(first record,
+    key class, value class)`` for each run of records that share a
+    class pair — one run, unless a generic ``reduce()`` changes the
+    classes it emits.  Classes pickle by :func:`~repro.serde.writable.
+    class_ref`, so a result crosses process and socket boundaries with
+    no writable object in it.
+    """
 
     task_id: str
     partition: int
-    output: list[tuple[Writable, Writable]]
+    records: bytes
+    output_records: int
+    output_classes: tuple[tuple[int, type[Writable], type[Writable]], ...]
     ledger: Ledger
     counters: Counters
     shuffle_bytes: int
@@ -59,8 +78,30 @@ class ReduceTaskResult:
     fetch_wait_seconds: float = 0.0  # network shuffle: backoff + lost-attempt wait
 
     @property
-    def output_records(self) -> int:
-        return len(self.output)
+    def output(self) -> list[tuple[Writable, Writable]]:
+        """The output pairs as writables, decoded from :attr:`records`."""
+        pairs = decode_records(self.records)
+        runs = self.output_classes
+        ends = [start for start, _, _ in runs[1:]] + [len(pairs)]
+        out: list[tuple[Writable, Writable]] = []
+        for (start, key_cls, value_cls), end in zip(runs, ends):
+            key_from_bytes, value_from_bytes = key_cls.from_bytes, value_cls.from_bytes
+            out += [(key_from_bytes(k), value_from_bytes(v)) for k, v in pairs[start:end]]
+        return out
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["output_classes"] = tuple(
+            (start, class_ref(k), class_ref(v)) for start, k, v in self.output_classes
+        )
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state["output_classes"] = tuple(
+            (start, class_from_ref(k), class_from_ref(v))
+            for start, k, v in state["output_classes"]
+        )
+        self.__dict__.update(state)
 
     @property
     def duration_work(self) -> float:
@@ -136,13 +177,23 @@ class ReduceTaskRunner:
         key_cls = job.map_output_key_cls
         value_cls = job.map_output_value_cls
 
-        output: list[tuple[Writable, Writable]] = []
-        output_bytes = 0
+        part = bytearray()
+        classes: list[tuple[int, type[Writable], type[Writable]]] = []
+        output_records = output_bytes = 0
 
         def emit(out_key: Writable, out_value: Writable) -> None:
-            nonlocal output_bytes
-            output.append((out_key, out_value))
-            output_bytes += out_key.serialized_size() + out_value.serialized_size()
+            nonlocal output_records, output_bytes
+            key_bytes = out_key.to_bytes()
+            value_bytes = out_value.to_bytes()
+            if (
+                not classes
+                or type(out_key) is not classes[-1][1]
+                or type(out_value) is not classes[-1][2]
+            ):
+                classes.append((output_records, type(out_key), type(out_value)))
+            append_record(part, key_bytes, value_bytes)
+            output_bytes += len(key_bytes) + len(value_bytes)
+            output_records += 1
 
         try:
             reducer.setup()
@@ -167,12 +218,16 @@ class ReduceTaskRunner:
             )
         elif proof.identity:
             input_groups, input_records, output_bytes = self._pass_through(
-                groups, output, key_cls.from_bytes, value_cls.from_bytes
+                groups, part, key_cls.from_bytes, value_cls.from_bytes
             )
+            classes.append((0, key_cls, value_cls))
+            output_records = input_records
         else:
             input_groups, input_records, output_bytes = self._fold(
-                groups, output, proof, key_cls.from_bytes, value_cls
+                groups, part, proof, key_cls.from_bytes, value_cls
             )
+            classes.append((0, key_cls, proof.wrapper))
+            output_records = input_groups
         counters.incr(Counter.REDUCE_INPUT_GROUPS, input_groups)
         counters.incr(Counter.REDUCE_INPUT_RECORDS, input_records)
 
@@ -184,13 +239,15 @@ class ReduceTaskRunner:
             raise UserCodeError("reduce", f"cleanup failed: {exc}") from exc
 
         instruments.charge(Op.OUTPUT, model.output_byte * output_bytes)
-        counters.incr(Counter.REDUCE_OUTPUT_RECORDS, len(output))
+        counters.incr(Counter.REDUCE_OUTPUT_RECORDS, output_records)
         counters.incr(Counter.REDUCE_OUTPUT_BYTES, output_bytes)
 
         return ReduceTaskResult(
             task_id=self.task_id,
             partition=self.partition,
-            output=output,
+            records=bytes(part),
+            output_records=output_records,
+            output_classes=tuple(classes),
             ledger=instruments.ledger,
             counters=counters,
             shuffle_bytes=shuffle.bytes_fetched,
@@ -239,33 +296,35 @@ class ReduceTaskRunner:
         _settle(work, shuffle_work, reduce_work)
         return input_groups, input_records
 
-    def _pass_through(self, groups, output, key_from_bytes, value_from_bytes):
+    def _pass_through(self, groups, part, key_from_bytes, value_from_bytes):
         """A proven identity ``reduce()``: each group's ``(key, value)``
-        pairs are built straight from the merged bytes.  Per the Writable
-        contract a pair serializes to its key and value bytes, so that is
-        what the pairs count as output."""
+        pairs are framed straight from the merged bytes, once
+        ``from_bytes`` has checked them.  Per the Writable contract a
+        pair serializes to its key and value bytes, so that is what the
+        pairs count as output."""
         serialize_byte = self.job.cost_model.serialize_byte
         reduce_record = self.job.user_costs.reduce_record
         work = self.instruments.ledger.work
         shuffle_work = work.get(Op.SHUFFLE, 0.0)
         reduce_work = work.get(Op.REDUCE, 0.0)
-        append = output.append
         input_groups = input_records = output_bytes = 0
         for key_bytes, value_bytes_list in groups:
             count = len(value_bytes_list)
             if count == 1:
                 value_bytes = value_bytes_list[0]
                 group_payload = len(key_bytes) + len(value_bytes)
-                value = value_from_bytes(value_bytes)
+                value_from_bytes(value_bytes)
                 shuffle_work += serialize_byte * group_payload
-                append((key_from_bytes(key_bytes), value))
+                key_from_bytes(key_bytes)
+                append_record(part, key_bytes, value_bytes)
                 output_bytes += group_payload
             else:
                 group_payload = len(key_bytes) + sum(map(len, value_bytes_list))
-                values = [value_from_bytes(vb) for vb in value_bytes_list]
+                for value_bytes in value_bytes_list:
+                    value_from_bytes(value_bytes)
+                    append_record(part, key_bytes, value_bytes)
                 shuffle_work += serialize_byte * group_payload
-                key = key_from_bytes(key_bytes)
-                output.extend([(key, value) for value in values])
+                key_from_bytes(key_bytes)
                 output_bytes += group_payload + (count - 1) * len(key_bytes)
             input_groups += 1
             input_records += count
@@ -273,19 +332,18 @@ class ReduceTaskRunner:
         _settle(work, shuffle_work, reduce_work)
         return input_groups, input_records, output_bytes
 
-    def _fold(self, groups, output, proof, key_from_bytes, value_cls):
+    def _fold(self, groups, part, proof, key_from_bytes, value_cls):
         """A proven ``emit(key, W(agg(v.value for v in values)))``: the
         same builtin aggregate over the same ints (decoded in bulk by
-        :func:`~repro.serde.numeric.int_values`), and ``W``
-        built once per group, failing as the ``reduce()`` that would
-        have built it."""
+        :func:`~repro.serde.numeric.int_values`), and ``W`` built and
+        serialized once per group, failing as the ``reduce()`` that
+        would have built it."""
         serialize_byte = self.job.cost_model.serialize_byte
         reduce_record = self.job.user_costs.reduce_record
         work = self.instruments.ledger.work
         shuffle_work = work.get(Op.SHUFFLE, 0.0)
         reduce_work = work.get(Op.REDUCE, 0.0)
         agg, wrapper = proof.aggregate, proof.wrapper
-        append = output.append
         input_groups = input_records = output_bytes = 0
         for key_bytes, value_bytes_list in groups:
             count = len(value_bytes_list)
@@ -295,15 +353,15 @@ class ReduceTaskRunner:
                 group_payload = len(key_bytes) + sum(map(len, value_bytes_list))
             numbers = int_values(value_cls, value_bytes_list)
             shuffle_work += serialize_byte * group_payload
-            key = key_from_bytes(key_bytes)
+            key_from_bytes(key_bytes)
             input_groups += 1
             input_records += count
             try:
-                value = wrapper(agg(numbers))
+                value_bytes = wrapper(agg(numbers)).to_bytes()
             except Exception as exc:  # noqa: BLE001 - stands in for user reduce()
                 raise UserCodeError("reduce", str(exc)) from exc
-            append((key, value))
-            output_bytes += len(key_bytes) + value.serialized_size()
+            append_record(part, key_bytes, value_bytes)
+            output_bytes += len(key_bytes) + len(value_bytes)
             reduce_work += reduce_record * count
         _settle(work, shuffle_work, reduce_work)
         return input_groups, input_records, output_bytes

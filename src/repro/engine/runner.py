@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 from ..config import JobConf, Keys
 from ..errors import ConfigError, LintError
 from ..io.blockdisk import LocalDisk
+from ..io.records import decode_records
 from ..serde.writable import Writable
 from .collector import MapOutputCollector, StandardCollector
 from .combiner import CombinerRunner
@@ -63,24 +64,36 @@ class JobResult:
     #: runner applied, e.g. freqbuf forced off for an unverified combiner.
     lint_report: "LintReport | None" = None
 
+    def _parts(self) -> list[ReduceTaskResult]:
+        return sorted(self.reduce_results, key=lambda r: r.partition)
+
+    @property
+    def output_records(self) -> int:
+        """Output pairs over all reduce tasks (no decoding)."""
+        return sum(r.output_records for r in self.reduce_results)
+
     def output_pairs(self) -> list[tuple[Writable, Writable]]:
-        """All reduce outputs, in partition order then key order."""
+        """All reduce outputs as writables, in partition order then key
+        order, decoded from the part files."""
         out: list[tuple[Writable, Writable]] = []
-        for result in sorted(self.reduce_results, key=lambda r: r.partition):
+        for result in self._parts():
             out.extend(result.output)
         return out
 
     def output_digest(self) -> str:
         """SHA-256 over the serialized final output, in partition order
         then key order — the job's *content* identity.  Two runs of a
-        deterministic job produce the same digest on every backend."""
+        deterministic job produce the same digest on every backend.  It
+        reads the part files' bytes, which are each pair's ``to_bytes()``
+        (the Writable contract: ``from_bytes(b).to_bytes() == b``)."""
         import hashlib
 
         digest = hashlib.sha256()
-        for key, value in self.output_pairs():
-            for blob in (key.to_bytes(), value.to_bytes()):
-                digest.update(len(blob).to_bytes(4, "big"))
-                digest.update(blob)
+        for result in self._parts():
+            chunks: list[bytes] = []
+            for key, value in decode_records(result.records):
+                chunks += (len(key).to_bytes(4, "big"), key, len(value).to_bytes(4, "big"), value)
+            digest.update(b"".join(chunks))
         return digest.hexdigest()
 
     def pipeline_results(self) -> list[PipelineResult]:

@@ -291,20 +291,20 @@ def assemble_job_result(
 
 
 def materialize_map_result(result: MapTaskResult) -> None:
-    """Copy a map task's temp-dir files into an in-memory disk so the
-    job result outlives the temp tree, keeping the worker's I/O stats
-    (the copy itself is not task work).  Outputs already in memory —
-    in-process tasks — are left as they are."""
+    """Copy a map task's final output file from its temp dir into an
+    in-memory disk so the job result outlives the temp tree, keeping
+    the worker's I/O stats (the copy itself is not task work).  Outputs
+    already in memory — in-process tasks — are left as they are."""
     file_disk = result.disk
     if isinstance(file_disk, LocalDisk):
         return
     stats = file_disk.stats.snapshot()
     local = LocalDisk(f"{result.task_id}.disk")
-    for path in file_disk.list_files():
-        with file_disk.open(path) as reader:
-            data = reader.read()
-        with local.create(path) as writer:
-            writer.write(data)
+    path = result.output_index.path
+    with file_disk.open(path) as reader:
+        data = reader.read()
+    with local.create(path) as writer:
+        writer.write(data)
     local.stats = stats
     result.disk = local
 

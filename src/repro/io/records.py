@@ -28,6 +28,16 @@ def encode_record(key: bytes, value: bytes) -> bytes:
     return encode_vint(len(key)) + key + encode_vint(len(value)) + value
 
 
+def append_record(out: bytearray, key: bytes, value: bytes) -> None:
+    """Frame one serialized record onto the end of *out*."""
+    length = len(key)
+    out += SMALL_VINTS[length] if length < 64 else encode_vint(length)
+    out += key
+    length = len(value)
+    out += SMALL_VINTS[length] if length < 64 else encode_vint(length)
+    out += value
+
+
 def encode_records(records: Iterable[SerdePair]) -> bytes:
     """Frame a record sequence into one byte string."""
     out = bytearray()

@@ -3,19 +3,20 @@
 The process backend forks its workers, so job specs — lambdas,
 closures, and all — are inherited, never pickled (see
 :mod:`repro.exec.workers`).  What *is* pickled is results: spill
-indexes, counters, and reduce output, which contains live
-:class:`~repro.serde.writable.Writable` instances.  A writable class
-that pickle cannot find by qualified name dies mid-run, after the maps
-have already burned their CPU — the exact failure mode this rule
-rejects at submit time:
+indexes, counters, and reduce output — framed bytes plus the
+:class:`~repro.serde.writable.Writable` classes they decode as
+(:func:`~repro.serde.writable.class_ref`: a registered class by name,
+any other by reference).  A writable class that pickle cannot find by
+qualified name dies mid-run, after the maps have already burned their
+CPU — the exact failure mode this rule rejects at submit time:
 
 ``pickle-local-writable`` (error)
     A declared map-output class (or a class a per-record method
     resolvably emits) defined inside a function body (``<locals>`` in
-    its qualname) with no custom ``__reduce__``/``__getstate__``:
-    ``pickle.dumps`` on an instance raises ``PicklingError`` in the
-    worker.  Dynamically-manufactured classes that implement
-    ``__reduce__`` (e.g. ``repro.serde.composite``'s Pair/Array types)
+    its qualname) and not registered under its ``type_name``:
+    ``pickle.dumps`` of the class raises ``PicklingError`` in the
+    worker.  Registered run-time classes (e.g.
+    ``repro.serde.composite``'s Pair/Array types) pickle by name and
     pass.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from ...serde.writable import class_ref
 from ..findings import Finding, Severity
 from ..source import ClassSource, class_location, method_params
 from ..target import JobTarget
@@ -30,17 +32,8 @@ from .base import Rule, iter_emit_calls
 from .serde import _emitted_class  # shared emit-argument resolution
 
 
-def _custom_pickle_protocol(cls: type) -> bool:
-    """Does the class (not ``object``) define its own pickling hooks?"""
-    return any(
-        name in ancestor.__dict__
-        for ancestor in cls.__mro__[:-1]  # exclude object
-        for name in ("__reduce__", "__reduce_ex__", "__getstate__")
-    )
-
-
 def _unpicklable_by_name(cls: type) -> bool:
-    return "<locals>" in getattr(cls, "__qualname__", "") and not _custom_pickle_protocol(cls)
+    return "<locals>" in getattr(cls, "__qualname__", "") and class_ref(cls) is cls
 
 
 class PicklabilityRule(Rule):
@@ -65,9 +58,9 @@ class PicklabilityRule(Rule):
                     line=line,
                     message=(
                         f"declared {which} class {declared.__name__} is "
-                        f"function-local ({declared.__qualname__}) with no "
-                        "__reduce__: the process backend cannot pickle its "
-                        "instances back from workers"
+                        f"function-local ({declared.__qualname__}) and not "
+                        "registered: the process backend cannot pickle it "
+                        "back from workers"
                     ),
                 )
 
@@ -100,7 +93,7 @@ class PicklabilityRule(Rule):
                         message=(
                             f"{source.cls.__name__}.reduce() emits "
                             f"function-local class {emitted.__qualname__} "
-                            "with no __reduce__: reduce output is pickled "
-                            "back from process-backend workers"
+                            "that is not registered: reduce output carries "
+                            "its classes back from process-backend workers"
                         ),
                     )

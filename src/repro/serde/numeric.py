@@ -206,7 +206,12 @@ class VIntWritable(Writable):
         return self._value
 
     def to_bytes(self) -> bytes:
-        return encode_vint(self._value)
+        # ``__init__`` already checked the type: small counters (every
+        # WordCount value) come straight from the table.
+        value = self._value
+        if 0 <= value < 64:
+            return SMALL_VINTS[value]
+        return encode_vint(value)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "VIntWritable":
@@ -216,6 +221,8 @@ class VIntWritable(Writable):
         return cls(value)
 
     def serialized_size(self) -> int:
+        if 0 <= self._value < 64:
+            return 1
         return vint_size(self._value)
 
     def __lt__(self, other: "VIntWritable") -> bool:

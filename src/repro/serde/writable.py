@@ -54,6 +54,20 @@ def registered_writables() -> dict[str, Type["Writable"]]:
     return dict(_REGISTRY)
 
 
+def class_ref(cls: type) -> "type | str":
+    """*cls* as a pickle should carry it: a registered class by its
+    ``type_name`` (the Pair/Array classes of :mod:`repro.serde.composite`
+    are made at run time, so pickle cannot find them by qualified name),
+    any other class as itself.  :func:`class_from_ref` inverts it."""
+    name = getattr(cls, "type_name", None)
+    return name if name is not None and _REGISTRY.get(name) is cls else cls
+
+
+def class_from_ref(ref: "type | str") -> type:
+    """The class a :func:`class_ref` stands for."""
+    return lookup_writable(ref) if isinstance(ref, str) else ref
+
+
 class Writable(ABC):
     """A value that can round-trip through bytes.
 

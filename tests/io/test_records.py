@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SerdeError
 from repro.io.records import (
+    append_record,
     count_records,
     decode_records,
     encode_record,
@@ -115,6 +116,10 @@ def test_round_trip_across_prefix_widths(records, before, after):
     head, body, tail = encode_records(before), encode_records(records), encode_records(after)
     assert len(body) == sum(record_frame_size(len(k), len(v)) for k, v in records)
     assert body == b"".join(encode_record(k, v) for k, v in records)
+    appended = bytearray()
+    for key, value in records:
+        append_record(appended, key, value)
+    assert appended == body
     data = head + body + tail
     assert decode_records(data, len(head), len(head) + len(body)) == records
     assert decode_records(data) == before + records + after

@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -44,6 +47,30 @@ class TestList:
         out = capsys.readouterr().out
         assert "lint fixtures" in out
         assert "unsafewordcount" in out
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_pipe_exits_without_traceback(self, unbuffered):
+        """`repro list | head` with the reader gone: the reader's end is
+        closed before the first line, so the failing write happens on
+        every run (a reader that closes after one line races the child,
+        which usually writes its whole listing first).  Unbuffered, the
+        write fails inside ``print``; buffered, at the final flush."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "list"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr.decode()
+        assert "BrokenPipeError" not in proc.stderr.decode()
 
 
 class TestRun:

@@ -1,34 +1,29 @@
-"""The map-output spill buffer: packed records, a flat index, a stable run sort.
+"""The map-output spill buffer: per-partition runs, a stable run sort.
 
 Models Hadoop's ``MapOutputBuffer``: serialized map-output records
 accumulate in a bounded byte budget ``M`` (``repro.io.sort.buffer.bytes``);
 when occupancy crosses the current *spill threshold* ``x·M`` a spill is
 cut — the buffered records are sorted by (partition, key bytes),
-combined, and written to local disk, freeing the space.  The layout is
-Hadoop's too:
+combined, and written to local disk, freeing the space.
 
-* **record payload** accumulates in one contiguous ``bytearray``
-  (``kvbuffer``): key bytes then value bytes, back to back;
-* **kvindex** is a parallel flat ``array('I')`` of entries —
-  ``(partition, key offset, key len, value offset, value len)`` as five
-  ``uint32`` per record — Hadoop's kvmeta quad, plus an explicit value
-  length so segments never need re-parsing.  :attr:`BinarySpill.kvindex`
-  exposes the same entries as ``struct``-packed little-endian bytes
-  (:data:`KVINDEX_STRUCT`) for tools and the self-description contract.
+Records are bucketed by partition as they arrive, as Skywriting's
+``PartialHashOutputCollector`` does: each ``(key bytes, value bytes)``
+pair is appended to its partition's *run* list, and its partition to an
+*arrival* list, from which :class:`BinarySpill` rebuilds arrival order
+(iteration, :meth:`BinarySpill.entry`, exact comparison counting).
 
 Occupancy is tracked as Hadoop tracks it — serialized payload bytes plus
-:data:`RECORD_METADATA_BYTES` per record (its 16-byte kvindex entry)
-against the capacity.  Circularity is irrelevant to dataflow and cost
-(only to pointer arithmetic); what matters — and is faithfully modelled
-— is the byte budget, the threshold, and the content of each spill.
+:data:`RECORD_METADATA_BYTES` per record (its kvindex entry) against the
+capacity.  Circularity and the packed layout are irrelevant to dataflow
+and cost; what matters — and is faithfully modelled — is the byte
+budget, the threshold, and the content of each spill.
 
 Sorting is the merge's idiom (:mod:`repro.io.merger`):
-:meth:`BinarySpill.sorted_runs` slices every record, in arrival order,
-into its partition's ``(key, value)`` list in one pass over the kvindex,
-then sorts each list once with a stable C ``list.sort`` on the key
-bytes.  Bucketing by partition first and sorting stably by key second
-is exactly a stable sort on ``(partition, key bytes)``: equal keys keep
-their insertion order (``tests/engine/test_binarybuffer_properties.py``).
+:meth:`BinarySpill.sorted_runs` sorts each run once with a stable C
+sort on the key bytes.  Bucketing by partition first and sorting stably
+by key second is exactly a stable sort on ``(partition, key bytes)``:
+equal keys keep their insertion order
+(``tests/engine/test_binarybuffer_properties.py``).
 
 Comparison accounting has two modes, selected by
 ``repro.instrument.exact.comparisons`` (:meth:`BinarySpill.sort_stats`);
@@ -36,22 +31,19 @@ neither changes the order, which always comes from ``sorted_runs``:
 
 * ``model`` (default): charge ``n · log2(n)`` comparisons, the standard
   comparison-sort cost.
-* ``exact``: sort the records through a counting comparator and charge
-  the comparisons it saw (slower; used by calibration tests to validate
-  that the model is a faithful stand-in).
+* ``exact``: sort the records, in arrival order, through a counting
+  comparator and charge the comparisons it saw (slower; used by
+  calibration tests to validate that the model is a faithful stand-in).
 
 Hot-path contract: :class:`~repro.engine.collector.StandardCollector`
 fuses the append path into its collect loop by writing
-``_data``/``_meta``/``_occupancy`` directly — those attribute names and
-their meanings are part of this class's internal API; change them
+``_runs``/``_arrival``/``_occupancy`` directly — those attribute names
+and their meanings are part of this class's internal API; change them
 together.
 """
 
 from __future__ import annotations
 
-import struct
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import cmp_to_key
 from math import log2
@@ -66,6 +58,11 @@ RECORD_METADATA_BYTES = 16
 """Accounting overhead per buffered record (Hadoop's kvindex entry)."""
 
 _KEY_PREVIEW_BYTES = 64
+
+#: Hadoop caps ``io.sort.mb`` so that kvindex offsets stay uint32.
+_MAX_CAPACITY = 0xFFFFFFFF
+
+_KEY = itemgetter(0)
 
 
 def oversized_record_message(
@@ -97,94 +94,38 @@ class SortStats:
     bytes_moved: int = 0
 
 
-KVINDEX_STRUCT = struct.Struct("<IIIII")
-"""One kvindex entry: partition, key offset, key len, value offset, value len."""
-
-KVINDEX_ENTRY_BYTES = KVINDEX_STRUCT.size
-
-#: array typecode holding one uint32 per kvindex field.  'I' is 4 bytes
-#: on every CPython platform we target; the guard keeps a big-itemsize
-#: platform functional (kvindex bytes are repacked portably anyway).
-_META_TYPECODE = "I" if array("I").itemsize == 4 else "L"
-
-#: kvindex offsets are uint32: a buffer this large cannot be indexed.
-_MAX_ADDRESSABLE = 0xFFFFFFFF
-
-_KEY = itemgetter(0)
-
-
-def pack_kvindex_entry(
-    partition: int, key_off: int, key_len: int, val_off: int, val_len: int
-) -> bytes:
-    """Pack one kvindex entry (exposed for tests and tools)."""
-    return KVINDEX_STRUCT.pack(partition, key_off, key_len, val_off, val_len)
-
-
-def unpack_kvindex_entry(kvindex: bytes | bytearray, seq: int) -> tuple[int, int, int, int, int]:
-    """Unpack entry *seq* of a packed kvindex."""
-    return KVINDEX_STRUCT.unpack_from(kvindex, seq * KVINDEX_ENTRY_BYTES)
-
-
 @dataclass
 class BinarySpill:
-    """One drained buffer-load: frozen payload bytes plus its kvindex."""
+    """One drained buffer-load: its partition runs, each in arrival
+    order, and the partition of every record in arrival order."""
 
-    data: bytes
-    meta: "array[int]"  # flat uint32s, 5 per record (see KVINDEX_STRUCT order)
+    runs: list[list[SerdePair]]
+    arrival: list[int]
     payload_bytes: int
 
     @property
     def record_count(self) -> int:
-        return len(self.meta) // 5
-
-    @property
-    def kvindex(self) -> bytes:
-        """The kvindex as ``struct``-packed little-endian bytes — the
-        self-describing on-disk form (:data:`KVINDEX_STRUCT` per entry)."""
-        if _META_TYPECODE == "I" and sys.byteorder == "little":
-            return self.meta.tobytes()
-        meta = self.meta
-        return b"".join(
-            KVINDEX_STRUCT.pack(*meta[base : base + 5])
-            for base in range(0, len(meta), 5)
-        )
+        return len(self.arrival)
 
     def entry(self, seq: int) -> tuple[int, bytes, bytes]:
         """Record *seq* in arrival order as ``(partition, key, value)``."""
-        meta = self.meta
-        base = 5 * seq
-        data = self.data
-        key_off = meta[base + 1]
-        val_off = meta[base + 3]
-        return (
-            meta[base],
-            data[key_off : key_off + meta[base + 2]],
-            data[val_off : val_off + meta[base + 4]],
-        )
+        partition = self.arrival[seq]
+        return (partition, *self.runs[partition][self.arrival[:seq].count(partition)])
 
     def __iter__(self) -> Iterator[tuple[int, bytes, bytes]]:
-        return (self.entry(seq) for seq in range(self.record_count))
+        cursors = [iter(run) for run in self.runs]
+        for partition in self.arrival:
+            yield (partition, *next(cursors[partition]))
 
     # ------------------------------------------------------------------
     def sorted_runs(self, num_partitions: int) -> list[list[SerdePair]]:
         """One ``(key, value)`` run per partition, sorted by key bytes.
 
-        One pass over the kvindex slices each record, in arrival order,
-        into its partition's list; one stable ``list.sort`` per list then
-        orders it, so equal keys keep arrival order.
+        One stable sort per run, so equal keys keep arrival order; the
+        spill's own runs are left in arrival order.
         """
-        runs: list[list[SerdePair]] = [[] for _ in range(num_partitions)]
-        appends = [run.append for run in runs]
-        data = self.data
-        fields = iter(self.meta)
-        for partition, key_off, key_len, val_off, val_len in zip(
-            fields, fields, fields, fields, fields
-        ):
-            appends[partition](
-                (data[key_off : key_off + key_len], data[val_off : val_off + val_len])
-            )
-        for run in runs:
-            run.sort(key=_KEY)
+        runs = [sorted(run, key=_KEY) for run in self.runs]
+        runs.extend([] for _ in range(num_partitions - len(runs)))
         return runs
 
     def sort_stats(self, exact_comparisons: bool = False) -> SortStats:
@@ -215,23 +156,29 @@ class BinarySpill:
 
 
 class BinarySpillBuffer:
-    """Bounded packed accumulation buffer for serialized map output.
+    """Bounded accumulation buffer for serialized map output.
 
-    Appends are byte copies into a growing ``bytearray`` plus five ints
-    into a flat ``array``, with no per-record object construction.
+    An append is two list appends — the record to its partition's run,
+    the partition to the arrival list — and one occupancy add.  Runs for
+    *num_partitions* are made up front; :meth:`append` adds any higher
+    partition's run on demand.
     """
 
-    def __init__(self, capacity_bytes: int) -> None:
+    def __init__(self, capacity_bytes: int, num_partitions: int = 1) -> None:
         if capacity_bytes <= 0:
             raise SpillBufferError(f"buffer capacity must be positive, got {capacity_bytes}")
-        if capacity_bytes > _MAX_ADDRESSABLE:
+        if capacity_bytes > _MAX_CAPACITY:
             raise SpillBufferError(
-                f"binary buffer capacity {capacity_bytes} exceeds the uint32 "
-                f"kvindex offset range ({_MAX_ADDRESSABLE} bytes)"
+                f"spill buffer capacity {capacity_bytes} exceeds the uint32 "
+                f"kvindex offset range ({_MAX_CAPACITY} bytes)"
             )
         self.capacity_bytes = capacity_bytes
-        self._data = bytearray()
-        self._meta = array(_META_TYPECODE)
+        self.num_partitions = num_partitions
+        self._reset()
+
+    def _reset(self) -> None:
+        self._runs: list[list[SerdePair]] = [[] for _ in range(self.num_partitions)]
+        self._arrival: list[int] = []
         self._occupancy = 0
 
     # ------------------------------------------------------------------
@@ -241,11 +188,16 @@ class BinarySpillBuffer:
 
     @property
     def record_count(self) -> int:
-        return len(self._meta) // 5
+        return len(self._arrival)
+
+    @property
+    def payload_bytes(self) -> int:
+        """Serialized key + value bytes buffered (occupancy less metadata)."""
+        return self._occupancy - RECORD_METADATA_BYTES * len(self._arrival)
 
     @property
     def is_empty(self) -> bool:
-        return not self._meta
+        return not self._arrival
 
     def occupancy_fraction(self) -> float:
         return self._occupancy / self.capacity_bytes
@@ -264,12 +216,10 @@ class BinarySpillBuffer:
             raise SpillBufferError(
                 oversized_record_message(partition, key, accounted, self.capacity_bytes)
             )
-        data = self._data
-        key_off = len(data)
-        data += key
-        val_off = len(data)
-        data += value
-        self._meta.extend((partition, key_off, len(key), val_off, len(value)))
+        runs = self._runs
+        runs.extend([] for _ in range(partition + 1 - len(runs)))
+        runs[partition].append((key, value))
+        self._arrival.append(partition)
         self._occupancy += accounted
 
     def would_overflow(self, key_len: int, value_len: int) -> bool:
@@ -281,14 +231,8 @@ class BinarySpillBuffer:
 
     def drain(self) -> BinarySpill:
         """Remove and return all buffered records (a spill's content)."""
-        spill = BinarySpill(
-            data=bytes(self._data),
-            meta=self._meta,
-            payload_bytes=self._occupancy - RECORD_METADATA_BYTES * self.record_count,
-        )
-        self._data = bytearray()
-        self._meta = array(_META_TYPECODE)
-        self._occupancy = 0
+        spill = BinarySpill(self._runs, self._arrival, self.payload_bytes)
+        self._reset()
         return spill
 
     def __repr__(self) -> str:

@@ -8,8 +8,8 @@ map-output file.  :class:`StandardCollector` reproduces Hadoop's
     serialize -> partition -> buffer -> [threshold] -> sort -> combine
     -> spill to disk -> ... -> final merge of all spills
 
-A *grouping* strategy (:mod:`repro.engine.grouping`: packed sort or
-hash) decides what is buffered and how a drained spill becomes sorted
+A *grouping* strategy (:mod:`repro.engine.grouping`: sort or hash)
+decides what is buffered and how a drained spill becomes sorted
 runs; every spill then runs through the one inline cycle *drain ->
 consume -> settle -> observe* here, with the two threads of Hadoop's
 spill pipeline modelled in work units
@@ -67,20 +67,17 @@ class MapOutputCollector(ABC):
 #: spaces.
 _PARTITION_MEMO_MAX = 1 << 16
 
-_EMIT_OP = Op.EMIT
-_MAP_OUTPUT_RECORDS = Counter.MAP_OUTPUT_RECORDS
-_MAP_OUTPUT_BYTES = Counter.MAP_OUTPUT_BYTES
-
 
 class StandardCollector(MapOutputCollector):
     """Hadoop's store-sort-combine-spill-merge dataflow, instrumented.
 
     With the default :class:`~repro.engine.grouping.SortGrouping`,
-    records accumulate in the packed spill buffer
-    (:mod:`repro.engine.binarybuffer`): serialized bytes in one
-    contiguous buffer plus a flat uint32 kvindex, ordered at spill time
-    by one stable sort per partition run.  *grouping* builds the other
-    strategy, bound once and dispatched to once per spill.
+    :meth:`collect` appends serialized records straight to their
+    partition's run in the spill buffer (:mod:`repro.engine.binarybuffer`),
+    each run ordered at spill time by one stable sort; EMIT and the
+    ``MAP_OUTPUT_*`` counters are settled once per spill.  *grouping*
+    builds the other strategy, bound once and dispatched to once per
+    spill.
     """
 
     def __init__(
@@ -116,7 +113,14 @@ class StandardCollector(MapOutputCollector):
         self.sort_factor = max(2, sort_factor)
         self.codec = codec  # optional spill/shuffle compression (§VII extension)
 
-        self.buffer = BinarySpillBuffer(capacity_bytes)
+        self.buffer = BinarySpillBuffer(capacity_bytes, num_partitions)
+        #: Records (and their payload bytes) buffered since the last
+        #: settle that ``collect_serialized`` took uncounted.
+        self._uncounted_records = self._uncounted_bytes = 0
+        # EMIT is settled per spill but first charged with the first
+        # record, ahead of MAP (Ledger.total sums in key order): hold its
+        # place as the task ledger's first key; flush drops it if unused.
+        instruments.ledger.work.setdefault(Op.EMIT, 0.0)
         self.timeline = PipelineTimeline(capacity_bytes)
         self.spill_indices: list[SpillIndex] = []
         self._spill_target = self.timeline.expected_next_size(policy.spill_percent(), None)
@@ -139,35 +143,18 @@ class StandardCollector(MapOutputCollector):
         self.grouping = grouping(weakref.proxy(self))
 
     def collect(self, key: Writable, value: Writable) -> None:
-        self.collect_serialized(key.to_bytes(), value.to_bytes())
+        """Serialize, partition and buffer one record, in one frame.
 
-    def collect_serialized(
-        self, key_bytes: bytes, value_bytes: bytes, count_output: bool = True
-    ) -> None:
-        """Accept an already-serialized record.
-
-        The frequency buffer uses this to drain combined tuples into the
-        standard path with ``count_output=False`` — those tuples were
-        already counted as map output when the user emitted them.
-
-        The hot loop is *fused*: the EMIT charge (what
-        ``charge_map_thread`` does), the output counters (what ``incr``
-        does) and the buffer append (what ``BinarySpillBuffer.append``
-        does) are inlined into this one frame, in that order.
+        Per record only the map-thread meter moves (a spill reads it for
+        ``T_p``); EMIT and ``MAP_OUTPUT_*`` are settled from the
+        buffer's totals at each spill (:meth:`_settle_emit`).
+        :meth:`collect_serialized` is this body for serialized records.
         """
-        model = self.cost_model
+        key_bytes = key.to_bytes()
+        value_bytes = value.to_bytes()
         payload = len(key_bytes) + len(value_bytes)
-        amount = model.serialize_byte * payload + model.collect_record
-        instruments = self.instruments
-        if amount:
-            work = instruments.ledger.work
-            work[_EMIT_OP] = work.get(_EMIT_OP, 0.0) + amount
-            instruments.map_thread_work += amount
-        if count_output:
-            values = self.counters.values
-            values[_MAP_OUTPUT_RECORDS] = values.get(_MAP_OUTPUT_RECORDS, 0) + 1
-            if payload:
-                values[_MAP_OUTPUT_BYTES] = values.get(_MAP_OUTPUT_BYTES, 0) + payload
+        model = self.cost_model
+        self.instruments.map_thread_work += model.serialize_byte * payload + model.collect_record
 
         memo = self._partition_memo
         if memo is None:
@@ -194,22 +181,75 @@ class StandardCollector(MapOutputCollector):
         if buffer._occupancy + accounted > capacity:
             # Hard capacity: spill whatever we have before appending.
             self._spill()
-        data = buffer._data
-        key_off = len(data)
-        data += key_bytes
-        val_off = len(data)
-        data += value_bytes
-        buffer._meta.extend(
-            (partition, key_off, len(key_bytes), val_off, len(value_bytes))
-        )
+        buffer._runs[partition].append((key_bytes, value_bytes))
+        buffer._arrival.append(partition)
         occupancy = buffer._occupancy = buffer._occupancy + accounted
         if occupancy >= self._spill_target:
             self._spill()
+
+    def collect_serialized(
+        self, key_bytes: bytes, value_bytes: bytes, count_output: bool = True
+    ) -> None:
+        """Accept an already-serialized record (:meth:`collect`'s body).
+
+        The frequency buffer uses this to drain combined tuples into the
+        standard path with ``count_output=False`` — those tuples were
+        already counted as map output when the user emitted them, so
+        they are tallied here for the settle to leave out.
+        """
+        payload = len(key_bytes) + len(value_bytes)
+        if not count_output:
+            self._uncounted_records += 1
+            self._uncounted_bytes += payload
+        model = self.cost_model
+        self.instruments.map_thread_work += model.serialize_byte * payload + model.collect_record
+
+        memo = self._partition_memo
+        if memo is None:
+            partition = self.partitioner.partition(key_bytes, self.num_partitions)
+        else:
+            partition = memo.get(key_bytes, -1)
+            if partition < 0:
+                partition = self.partitioner.partition(key_bytes, self.num_partitions)
+                if len(memo) < _PARTITION_MEMO_MAX:
+                    memo[key_bytes] = partition
+
+        buffer = self.buffer
+        accounted = payload + RECORD_METADATA_BYTES
+        capacity = buffer.capacity_bytes
+        if accounted > capacity:
+            raise SpillBufferError(
+                oversized_record_message(partition, key_bytes, accounted, capacity)
+            )
+        if buffer._occupancy + accounted > capacity:
+            self._spill()
+        buffer._runs[partition].append((key_bytes, value_bytes))
+        buffer._arrival.append(partition)
+        occupancy = buffer._occupancy = buffer._occupancy + accounted
+        if occupancy >= self._spill_target:
+            self._spill()
+
+    def _settle_emit(self) -> None:
+        """Charge EMIT and count ``MAP_OUTPUT_*`` for everything buffered
+        since the last spill: the same totals a per-record charge would
+        reach (exactly, under integer-valued constants)."""
+        buffer = self.buffer
+        records, payload = buffer.record_count, buffer.payload_bytes
+        if records:
+            model = self.cost_model
+            work = self.instruments.ledger.work
+            work[Op.EMIT] = work.get(Op.EMIT, 0.0) + (
+                model.serialize_byte * payload + model.collect_record * records
+            )
+            self.counters.incr(Counter.MAP_OUTPUT_RECORDS, records - self._uncounted_records)
+            self.counters.incr(Counter.MAP_OUTPUT_BYTES, payload - self._uncounted_bytes)
+            self._uncounted_records = self._uncounted_bytes = 0
 
     def _spill(self) -> None:
         """One spill cycle, inline: the grouping drains, :meth:`_consume`
         writes the spill, a deferring front stage settles, and
         :meth:`_observe` feeds the policy."""
+        self._settle_emit()
         drained = self.grouping.drain()
         if drained is None:
             return
@@ -255,6 +295,9 @@ class StandardCollector(MapOutputCollector):
         self._flushed = True
         self._spill()
         self.timeline.finish()
+        work = self.instruments.ledger.work
+        if work.get(Op.EMIT) == 0.0:
+            del work[Op.EMIT]
 
         if not self.spill_indices:
             # No output at all: write an empty final file.

@@ -2,7 +2,7 @@
 spill becomes sorted per-partition runs with its SORT/COMBINE charges.
 
 ``sort`` (:class:`SortGrouping`)
-    Hadoop's ``MapOutputBuffer``: the collector's packed spill buffer,
+    Hadoop's ``MapOutputBuffer``: the collector's per-partition spill buffer,
     one stable sort per partition run, a combine per sorted key group
     (:func:`combine_runs`, shared with the end-of-map merge).
 ``hash`` (:class:`HashGrouping`)
@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable
 
 from ..io.merger import group_sorted
-from ..serde.writable import SerdePair
+from ..serde.writable import SerdePair, Writable
 from .binarybuffer import BinarySpill
 from .counters import Counter
 from .foldtable import Combined, FoldTable
@@ -42,10 +42,10 @@ Runs = list[list[SerdePair]]
 
 
 class SortGrouping:
-    """Packed buffer, a stable sort per partition, combine over the sorted groups."""
+    """Per-partition runs, a stable sort each, combine over the sorted groups."""
 
     def __init__(self, collector: "StandardCollector") -> None:
-        #: Its fused ``collect_serialized`` fills the buffer drained here.
+        #: Its one-frame ``collect`` fills the buffer drained here.
         self.collector = collector
 
     def drain(self) -> tuple[BinarySpill, int] | None:
@@ -130,8 +130,9 @@ class HashGrouping:
 
     def __init__(self, collector: "StandardCollector") -> None:
         self.collector = collector
-        # Take over the per-record entry point: records go to the table,
-        # never to the packed buffer.
+        # Take over the per-record entry points: records go to the table,
+        # never to the spill buffer.
+        collector.collect = self.collect  # type: ignore[method-assign]
         collector.collect_serialized = self.collect_serialized  # type: ignore[method-assign]
         runner = collector.combiner_runner
         self.table = FoldTable(runner, VALUES_PER_GROUP_LIMIT)
@@ -139,6 +140,9 @@ class HashGrouping:
         self._decode = runner.value_cls.from_bytes if self.table.fold is not None else None
         #: COMBINE work of the eager combines since the last spill.
         self._pending_work = 0.0
+
+    def collect(self, key: Writable, value: Writable) -> None:
+        self.collect_serialized(key.to_bytes(), value.to_bytes())
 
     def collect_serialized(
         self, key_bytes: bytes, value_bytes: bytes, count_output: bool = True

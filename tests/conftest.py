@@ -6,6 +6,7 @@ import fnmatch
 import glob
 import multiprocessing
 import os
+import shutil
 import tempfile
 import threading
 
@@ -29,11 +30,30 @@ LEAK_CHECKED = tuple(
 LEAKY_THREADS = ("*.exec*", "cluster-master-accept", "heartbeat-*", "shuffle-server*")
 #: Temp trees the process and cluster backends spill into.
 LEAKY_TREES = ("repro-exec-*", "repro-cluster-*")
+#: The temp dir other processes share; the session's own root is below it.
+SYSTEM_TEMP = tempfile.gettempdir()
 
 
 def _temp_trees() -> set[str]:
     root = tempfile.gettempdir()
     return {path for pattern in LEAKY_TREES for path in glob.glob(os.path.join(root, pattern))}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_temp_root():
+    """Every temp file of this session, its child processes' included,
+    goes under one private root, so ``_temp_trees`` sees only trees this
+    session made — not a job another process runs beside the suite."""
+    saved = tempfile.tempdir, os.environ.get("TMPDIR")
+    root = tempfile.mkdtemp(prefix="repro-tests-")
+    tempfile.tempdir = os.environ["TMPDIR"] = root
+    yield root
+    tempfile.tempdir = saved[0]
+    if saved[1] is None:
+        del os.environ["TMPDIR"]
+    else:
+        os.environ["TMPDIR"] = saved[1]
+    shutil.rmtree(root, ignore_errors=True)
 
 
 @pytest.fixture(autouse=True)

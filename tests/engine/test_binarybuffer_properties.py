@@ -1,9 +1,9 @@
-"""Property tests for the packed binary spill buffer.
+"""Property tests for the per-partition spill buffer.
 
 Two invariants carry the binary collector's byte-identity claim:
 
-* the struct-packed kvindex is lossless — pack/unpack round-trips every
-  entry, and a buffered record reads back exactly as appended;
+* a buffered record reads back exactly as appended, in arrival order
+  rebuilt from the per-partition runs;
 * the per-partition runs (bucket by partition, stable sort by key)
   hold exactly the order of a stable sort by ``(partition, key bytes)``
   — including insertion-order stability for equal keys.
@@ -18,12 +18,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.binarybuffer import (
-    KVINDEX_ENTRY_BYTES,
-    BinarySpillBuffer,
-    pack_kvindex_entry,
-    unpack_kvindex_entry,
-)
+from repro.engine.binarybuffer import BinarySpillBuffer
 
 # Keys that stress a byte-order sort: empty, shared prefixes longer than
 # 8 bytes, trailing NULs, and raw non-ASCII bytes.
@@ -43,17 +38,6 @@ records = st.lists(
     min_size=0,
     max_size=60,
 )
-
-uint32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
-
-
-@settings(max_examples=200, deadline=None)
-@given(entries=st.lists(st.tuples(uint32, uint32, uint32, uint32, uint32), max_size=20))
-def test_kvindex_pack_unpack_round_trip(entries):
-    packed = b"".join(pack_kvindex_entry(*entry) for entry in entries)
-    assert len(packed) == KVINDEX_ENTRY_BYTES * len(entries)
-    for seq, entry in enumerate(entries):
-        assert unpack_kvindex_entry(packed, seq) == entry
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,13 +1,19 @@
 """Tests for the standard map-output collector (spill/sort/combine/merge)."""
 
+import inspect
+from dataclasses import replace
+
 import pytest
 
+from repro.config import Keys
+from repro.core.freqbuf.collector import SHARED_FREQUENT_KEYS
 from repro.engine.api import HashPartitioner
 from repro.engine.collector import StandardCollector
 from repro.engine.combiner import CombinerRunner
-from repro.engine.costmodel import DEFAULT_COST_MODEL, UserCodeCosts
+from repro.engine.costmodel import DEFAULT_COST_MODEL, CostModel, UserCodeCosts
 from repro.engine.counters import Counter, Counters
 from repro.engine.instrumentation import Ledger, Op, TaskInstruments
+from repro.engine.runner import build_collector
 from repro.engine.spillpolicy import StaticSpillPolicy
 from repro.errors import SpillBufferError
 from repro.io.blockdisk import LocalDisk
@@ -15,7 +21,7 @@ from repro.io.compression import ZlibCodec
 from repro.io.spillfile import read_segment
 from repro.serde.numeric import VIntWritable
 from repro.serde.text import Text
-from tests.conftest import SumCombiner
+from tests.conftest import SumCombiner, make_wordcount_job
 
 
 def make_collector(
@@ -162,4 +168,56 @@ class TestAccounting:
         collector.collect_serialized(b"k", b"\x02", count_output=False)
         assert counters.get(Counter.MAP_OUTPUT_RECORDS) == 0
         collector.collect_serialized(b"k", b"\x02", count_output=True)
+        collector.flush()  # output counters are settled at spills and flush
         assert counters.get(Counter.MAP_OUTPUT_RECORDS) == 1
+
+    @pytest.mark.parametrize(
+        "model",
+        (CostModel(serialize_byte=0.3, collect_record=55.5), DEFAULT_COST_MODEL),
+        ids=("fractional", "default"),
+    )
+    def test_emit_settle_conserves_work(self, tiny_text, model):
+        """EMIT and ``MAP_OUTPUT_*``, settled once per spill, equal what
+        per-record charging reaches — with the frequency buffer's misses
+        entering counted and its evictions and drains uncounted."""
+        job = make_wordcount_job(tiny_text, {
+            Keys.FREQBUF_ENABLED: True,
+            Keys.FREQBUF_K: 2,
+            Keys.SPILL_BUFFER_BYTES: 1024,
+        })
+        job = replace(job, cost_model=model)
+        instruments, counters = TaskInstruments(Ledger()), Counters()
+        shared = {SHARED_FREQUENT_KEYS: frozenset({Text("apple"), Text("fig")})}
+        collector = build_collector(job, "t0", LocalDisk(), instruments, counters, shared)
+        buffered = {"records": 0, "bytes": 0, "uncounted": 0}
+        collect_serialized = collector.inner.collect_serialized
+
+        def tally(key_bytes, value_bytes, count_output=True):
+            buffered["records"] += 1
+            buffered["bytes"] += len(key_bytes) + len(value_bytes)
+            buffered["uncounted"] += not count_output
+            collect_serialized(key_bytes, value_bytes, count_output)
+
+        collector.inner.collect_serialized = tally
+        emitted = [(Text(word), VIntWritable(1)) for word in tiny_text.decode().split()]
+        for key, value in emitted:
+            collector.collect(key, value)
+        collector.flush()
+
+        assert counters.get(Counter.SPILLS) > 2
+        assert 0 < buffered["uncounted"] < buffered["records"]
+        emit = instruments.ledger.work[Op.EMIT]
+        expected = model.serialize_byte * buffered["bytes"] + model.collect_record * buffered[
+            "records"
+        ]
+        assert emit == pytest.approx(expected, rel=1e-12)
+        if model is DEFAULT_COST_MODEL:
+            assert emit == expected
+        assert counters.get(Counter.MAP_OUTPUT_RECORDS) == len(emitted)
+        assert counters.get(Counter.MAP_OUTPUT_BYTES) == sum(
+            len(key.to_bytes()) + len(value.to_bytes()) for key, value in emitted
+        )
+
+    def test_collect_neither_counts_nor_charges_per_record(self):
+        source = inspect.getsource(StandardCollector.collect)
+        assert "counters" not in source and "ledger" not in source

@@ -27,7 +27,7 @@ from .base import AppJob, make_conf
 from .nlp.tokenizer import tokenize
 
 #: Module-level mutable state the mapper leaks into — racy under the
-#: thread backend, silently diverging under the process backend's fork.
+#: thread backend, silently diverging under the cluster backend's fork.
 RECORDS_SEEN = 0
 
 
@@ -35,7 +35,7 @@ def _make_local_counter_cls() -> type:
     """A writable class pickle cannot find by qualified name.
 
     Its qualname contains ``<locals>`` and it defines no ``__reduce__``,
-    so the process backend's result pickle dies on instances of it —
+    so the cluster backend's result pickle dies on instances of it —
     the ``pickle-local-writable`` case.
     """
 

@@ -3,8 +3,8 @@
 Usage::
 
     python -m repro.cli run wordcount --config combined --scale 0.1
-    python -m repro.cli run wordcount --backend process --workers 4
-    python -m repro.cli run wordcount --backend process --shuffle net --shuffle-fetchers 8
+    python -m repro.cli run wordcount --backend cluster --workers 4
+    python -m repro.cli run wordcount --backend cluster --shuffle net --shuffle-fetchers 8
     python -m repro.cli cluster invertedindex --cluster local --config freq --gantt
     python -m repro.cli experiment table3
     python -m repro.cli lint wordcount
@@ -100,7 +100,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         Keys.SHUFFLE_FETCHERS: args.shuffle_fetchers,
         Keys.FAULTS_SEED: args.fault_seed,
         Keys.TASK_TIMEOUT: args.task_timeout,
-        Keys.CLUSTER_WORKERS: args.cluster_workers,
         Keys.CLUSTER_HEARTBEAT_INTERVAL: args.heartbeat_interval,
     }
     extra.update({key: value for key, value in optional.items() if value is not None})
@@ -244,8 +243,8 @@ def cmd_list(_args: argparse.Namespace) -> int:
     backend_blurbs = {
         "serial": "in-order, in-thread reference backend",
         "thread": "task attempts over a thread pool",
-        "process": "forked worker processes with crash recovery",
-        "cluster": "master/worker daemons with heartbeats, locality, speculation",
+        "cluster": "a master over forked worker daemons: crash recovery, "
+                   "heartbeats, locality, speculation",
     }
     for name in backend_names():
         print(f"  {name:15s} {backend_blurbs.get(name, '')}")
@@ -275,7 +274,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     run_parser.add_argument(
         "--workers", type=int, default=0,
-        help="worker count for parallel backends (0 = one per CPU)",
+        help="worker count for parallel backends: threads, or the "
+             "cluster backend's worker daemons (0 = one per CPU)",
     )
     run_parser.add_argument(
         "--shuffle", choices=("mem", "net"), default="mem",
@@ -299,11 +299,6 @@ def main(argv: list[str] | None = None) -> int:
              "the rewrite plan, apply runs the equivalently rewritten job",
     )
     run_parser.add_argument(
-        "--cluster-workers", type=int, default=None,
-        help="worker daemons for the cluster backend "
-             "(default: --workers, i.e. one per CPU)",
-    )
-    run_parser.add_argument(
         "--heartbeat-interval", type=float, default=None,
         help="seconds between worker pings to the cluster master "
              "(missed pings mark workers suspect, then dead)",
@@ -323,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument(
         "--task-timeout", type=float, default=None,
         help="seconds before a hung task's worker is killed and the "
-             "attempt rescheduled (process/cluster backends; 0 = never)",
+             "attempt rescheduled (cluster backend; 0 = never)",
     )
     run_parser.add_argument(
         "--node-combine", action="store_true",
@@ -388,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     # SIGTERM unwinds like Ctrl-C: the try/finally teardown in whatever
-    # command is running (cluster masters, shuffle servers, worker pools)
+    # command is running (cluster masters, shuffle servers, thread pools)
     # gets to release its ports and reap its children.
     with graceful_termination():
         try:

@@ -13,8 +13,7 @@ the wrong port fails loudly instead of confusing a shuffle server::
 the shuffle protocol (which moves opaque segment bytes between
 processes that may disagree about code), both ends of this protocol are
 forked from one parent and exchange engine objects — task payloads,
-:class:`~repro.engine.maptask.MapTaskResult` s, exceptions — exactly as
-the process backend's pipes do.
+:class:`~repro.engine.maptask.MapTaskResult` s, exceptions.
 
 Connections
 -----------

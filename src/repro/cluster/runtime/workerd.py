@@ -5,14 +5,14 @@ configured worker (plus replacements).  Startup order matters:
 
 1. :func:`~repro.faults.runtime.mark_worker_process` — this *is* a real
    worker process, so inherited ``worker.kill``/``hang``/``stall``
-   rules arm exactly as they do in the process backend's pool;
+   rules arm here and nowhere else;
 2. materialize the job input from the staged DFS through a client
    pinned to this worker's host label, preferring the local replica
    (remote blocks and digest failovers are tallied and reported in
    HELLO) — the daemon then reads splits from its own copy of the
    bytes, never the master's memory;
 3. start this node's :class:`~repro.shuffle.server.ShuffleServer` (net
-   mode) and point the inherited worker context at it, so the shared
+   mode) and point the inherited worker context at it, so
    :func:`~repro.exec.workers.task_entry` registers map output with
    *this worker's* server and reducers anywhere fetch it over TCP;
 4. HELLO on the long-lived task channel, then serve TASK frames until
@@ -21,15 +21,14 @@ configured worker (plus replacements).  Startup order matters:
    so only the task timeout (not the membership sweep) judges slow
    tasks.
 
-Task execution is exactly the process backend's: the same
-:func:`~repro.exec.workers.run_entry` / :func:`~repro.exec.workers.
-send_outcome` pair around the same handler, the same attempt budget,
-the same outcome tuples — just shipped over a socket instead of a pipe.
+Each TASK frame runs through :func:`~repro.exec.workers.run_entry`
+(the shared attempt loop, every error an outcome tuple) and its result
+goes back through :func:`~repro.exec.workers.send_outcome` (an outcome
+that will not pickle degrades to an error outcome).
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 import time
@@ -117,7 +116,6 @@ def workerd_main(
     ctx.host = host
     ctx.shuffle_address = server.address if server is not None else None
 
-    handler = functools.partial(workers.task_entry, ctx_id=ctx_id)
     conn = connect(master_address)
     # The task channel is idle between dispatches; the connect timeout
     # must not outlive the dial or a quiet minute reads as EOF.
@@ -156,7 +154,7 @@ def workerd_main(
                 continue
             started = time.monotonic()
             outcome = workers.run_entry(
-                handler, message["task"], message["fetch_results"]
+                message["task"], message["fetch_results"], ctx_id
             )
             reply = {"tag": message["tag"], "seconds": time.monotonic() - started}
             workers.send_outcome(

@@ -38,7 +38,7 @@ class Keys:
     SPILLMATCHER_ENABLED = "repro.spillmatcher.enabled"
 
     # --- execution backend (repro.exec) ---
-    EXEC_BACKEND = "repro.exec.backend"  # serial | thread | process | cluster
+    EXEC_BACKEND = "repro.exec.backend"  # serial | thread | cluster
     EXEC_WORKERS = "repro.exec.workers"  # worker count (0 = one per CPU)
 
     # --- network shuffle (repro.shuffle) ---
@@ -79,7 +79,6 @@ class Keys:
     DFS_REPLICATION = "repro.dfs.replication"
 
     # --- cluster runtime (repro.cluster.runtime) ---
-    CLUSTER_WORKERS = "repro.cluster.workers"  # 0 = fall back to repro.exec.workers
     CLUSTER_HEARTBEAT_INTERVAL = "repro.cluster.heartbeat.interval.seconds"
     CLUSTER_REGISTER_TIMEOUT = "repro.cluster.register.timeout.seconds"
     CLUSTER_SPECULATION = "repro.cluster.speculation.enabled"
@@ -126,7 +125,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.TASK_MAX_ATTEMPTS: 4,  # Hadoop's mapred.map.max.attempts default
     Keys.TASK_TIMEOUT: 0.0,  # Hadoop's mapred.task.timeout, scaled; 0 disables
     Keys.DFS_REPLICATION: 3,
-    Keys.CLUSTER_WORKERS: 0,
     Keys.CLUSTER_HEARTBEAT_INTERVAL: 0.1,
     Keys.CLUSTER_REGISTER_TIMEOUT: 15.0,
     Keys.CLUSTER_SPECULATION: True,

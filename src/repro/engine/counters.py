@@ -48,7 +48,7 @@ class Counter(str, Enum):
     SHUFFLE_FETCH_RETRIES = "shuffle_fetch_retries"  # failed attempts retried
     SHUFFLE_BACKOFF_MS = "shuffle_backoff_ms"  # total retry backoff + lost-attempt wait
     # --- fault tolerance (repro.faults + executor recovery) ---
-    WORKER_CRASHES = "worker_crashes"  # pool workers that died abruptly
+    WORKER_CRASHES = "worker_crashes"  # worker daemons that died abruptly
     TASK_REEXECUTIONS = "task_reexecutions"  # attempts beyond each task's first
     TASK_TIMEOUTS = "task_timeouts"  # hung workers reaped by the task timeout
     TASKS_QUARANTINED = "tasks_quarantined"  # poison tasks pulled from scheduling

@@ -192,7 +192,7 @@ class LocalJobRunner:
     """Runs jobs in-process on a configurable execution backend.
 
     The default (``serial``) backend is the original single-node
-    reference loop; ``thread`` and ``process`` backends parallelize task
+    reference loop; ``thread`` and ``cluster`` backends parallelize task
     attempts (:mod:`repro.exec`).  Which backend runs is taken from the
     job's own configuration (``repro.exec.backend`` /
     ``repro.exec.workers``), so applications and experiments opt in

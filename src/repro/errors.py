@@ -47,8 +47,9 @@ class ExecBackendError(ReproError):
 class ShuffleError(ReproError):
     """A network shuffle fetch ultimately failed (retries exhausted, a
     map output was never registered, or the wire protocol was violated
-    beyond repair).  Instances cross process boundaries — reduce workers
-    on the ``process`` backend ship them back through a pickle."""
+    beyond repair).  Instances cross process boundaries — reduce tasks
+    on the ``cluster`` backend's worker daemons ship them back through
+    a pickle."""
 
 
 class ShuffleTransportError(ShuffleError):
@@ -74,7 +75,7 @@ class UserCodeError(ReproError):
     """User-supplied map/combine/reduce code raised an exception.
 
     The original exception is available as ``__cause__``.  Instances
-    cross process boundaries (the ``process`` execution backend ships
+    cross process boundaries (the ``cluster`` execution backend ships
     worker failures back through a pickle), so reconstruction must go
     through the two-argument constructor rather than ``Exception``'s
     default ``args`` replay.

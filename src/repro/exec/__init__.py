@@ -7,13 +7,13 @@ The engine's task machinery is execution-agnostic; this package decides
     The original in-order, in-thread loop — the reference backend.
 ``thread``
     Map/reduce tasks over a thread pool (GIL-bound for CPU work).
-``process``
-    Real OS worker processes with spills on real temp disk — the
-    backend that scales CPU-bound maps across cores.
 ``cluster``
-    A master daemon scheduling over worker daemons that register and
-    heartbeat over localhost TCP, with locality-aware placement and
-    speculative re-execution (:mod:`repro.cluster.runtime`).
+    A master scheduling over forked worker daemons that register and
+    heartbeat over localhost TCP, spill to real temp disk, and survive
+    worker crashes, hangs and poison tasks, with locality-aware
+    placement and speculative re-execution
+    (:mod:`repro.cluster.runtime`) — the backend that scales CPU-bound
+    maps across cores.
 
 Every backend is a task transport under the one job plan in
 :meth:`repro.exec.base.Executor.run`, and is registered by dotted name:
@@ -37,7 +37,6 @@ from .base import Executor
 _LAZY_BACKENDS: dict[str, str] = {
     "serial": "repro.exec.serial:SerialExecutor",
     "thread": "repro.exec.threaded:ThreadExecutor",
-    "process": "repro.exec.process:ProcessExecutor",
     "cluster": "repro.cluster.runtime.master:ClusterExecutor",
 }
 
@@ -66,7 +65,7 @@ def create_executor(
     backend: str, workers: int = 0, host: str = "localhost"
 ) -> Executor:
     """Instantiate the named backend
-    (``serial`` | ``thread`` | ``process`` | ``cluster``)."""
+    (``serial`` | ``thread`` | ``cluster``)."""
     return _resolve(backend)(workers=workers, host=host)
 
 

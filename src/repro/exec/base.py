@@ -9,9 +9,9 @@ assembles the :class:`~repro.engine.runner.JobResult`.  A backend is a
 :meth:`~Executor.run_tasks`, :meth:`~Executor.close`) that decide only
 *where* task attempts run: the calling thread
 (:mod:`repro.exec.serial`), a thread pool (:mod:`repro.exec.threaded`),
-forked worker processes (:mod:`repro.exec.process`), worker daemons
-under a master (:mod:`repro.cluster.runtime.master`), or the modelled
-slots of the cluster simulator (:mod:`repro.cluster.jobtracker`).  The attempt loop
+forked worker daemons under a master
+(:mod:`repro.cluster.runtime.master`), or the modelled slots of the
+cluster simulator (:mod:`repro.cluster.jobtracker`).  The attempt loop
 (Hadoop's retry-on-user-failure semantics) and the lost-attempt rule
 live here as plain functions every transport calls, in-process or
 inside a worker.
@@ -98,7 +98,8 @@ def reduce_task_id(job: JobSpec, partition: int) -> str:
 @dataclass
 class Task:
     """One schedulable task with its crash history — the one record the
-    driver builds and every scheduler (pool, cluster master) carries."""
+    driver builds and every scheduler (the cluster master, the
+    simulator) carries."""
 
     key: str  # task id, for attribution
     kind: str  # "map" | "reduce"
@@ -375,7 +376,7 @@ class Executor(ABC):
     # the transport: where task attempts run
     # ------------------------------------------------------------------
     def open(self, job: JobSpec) -> None:
-        """Bring up whatever runs this job's tasks (pool, daemons)."""
+        """Bring up whatever runs this job's tasks (thread pool, daemons)."""
 
     @abstractmethod
     def run_tasks(
@@ -451,26 +452,18 @@ class Executor(ABC):
             node_combine=node_combine,
         )
 
-    def shuffle_server(self):
-        """The driver's own shuffle server, started on first use
-        (``None`` in ``mem`` mode).  It serves every output the driver's
-        process holds — in-process map results and per-node synthetics —
-        and the process backend's workers register theirs
-        with it; a cluster job whose daemons serve everything never
-        starts it."""
-        if self._server is None:
-            self._server = start_shuffle_server(self.job, self.host)
-        return self._server
-
     def _publish(self, results: list[MapTaskResult]) -> None:
-        """Net shuffle: register the outputs no worker has published
-        with the driver's server, so reducers can fetch them over TCP."""
+        """Net shuffle: register the outputs no worker daemon has
+        published with the driver's own shuffle server (started on first
+        use; a cluster job whose daemons serve everything never starts
+        it), so reducers can fetch them over TCP."""
         held = [result for result in results if result.serve_address is None]
-        server = self.shuffle_server() if held else None
-        if server is not None:
+        if held and self._server is None:
+            self._server = start_shuffle_server(self.job, self.host)
+        if self._server is not None:
             for result in held:
-                server.register(result.task_id, result.output_index, result.disk)
-                result.serve_address = server.address
+                self._server.register(result.task_id, result.output_index, result.disk)
+                result.serve_address = self._server.address
 
     def _collect(self, outcomes: list[tuple]) -> list:
         """Record every attempt count, then fail on the first failed task

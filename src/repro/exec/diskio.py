@@ -1,8 +1,9 @@
 """A real-directory-backed drop-in for :class:`~repro.io.blockdisk.LocalDisk`.
 
-The process backend runs map tasks in worker processes; their spill
-files must be visible to the parent (and to reduce workers) after the
-worker returns, so the in-memory :class:`LocalDisk` will not do.
+The cluster backend runs map tasks in worker daemons; their spill
+files must be visible to the parent (and to reduce tasks on other
+daemons) after the task returns, so the in-memory :class:`LocalDisk`
+will not do.
 :class:`FileDisk` stores each logical file as one real file under a root
 directory while keeping the same interface and the same byte-level
 traffic accounting, so cost charging and I/O assertions behave

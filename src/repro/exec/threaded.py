@@ -2,7 +2,7 @@
 
 Pure-Python task bodies are GIL-bound, so this backend mostly buys
 overlap of real I/O and a cheap way to exercise the engine's
-thread-safety contract; the process backend is the one that scales CPU
+thread-safety contract; the cluster backend is the one that scales CPU
 work.  Tasks get *fresh* per-task shared state (no cross-task
 frequent-key sharing — concurrent tasks have no well-defined "first
 task profiles" order), and results are collected in task order so the

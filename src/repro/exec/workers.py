@@ -1,25 +1,24 @@
-"""Worker-process entry points shared by every out-of-process transport.
+"""The task entry point of the cluster backend's worker daemons.
 
-The job is handed to workers through a context registry populated
-*before* the pool is created under the ``fork`` start method: forked
+The job is handed to the daemons through a context registry populated
+*before* the master forks them under the ``fork`` start method: forked
 children inherit the parent's memory, so :class:`~repro.engine.job.
 JobSpec` objects with unpicklable pieces (the apps build mappers from
-lambdas and closures) never cross a pickle boundary.  Only task *results* are pickled back —
-ledgers, counters, spill indexes, and a :class:`~repro.exec.diskio.
-FileDisk` handle pointing at the spill files the worker left on real
-disk for the parent and the reduce workers to read.
+lambdas and closures) never cross a pickle boundary.  Only task
+*results* are pickled back — ledgers, counters, spill indexes, and a
+:class:`~repro.exec.diskio.FileDisk` handle pointing at the spill files
+the daemon left on real disk for the parent and the reduce tasks to
+read.
 
-Handlers return ``(task_id, attempts, result, error)`` rather than
-raising, so the parent can record attempt counts before propagating the
-failure in task order.  One discipline serves the pool's worker loop
-(:func:`worker_main`) and the cluster's worker daemon:
-:func:`run_entry` turns every error into an outcome, and
-:func:`send_outcome` degrades an outcome that will not pickle.
+:func:`run_entry` returns ``(task_id, attempts, result, error)`` rather
+than raising — every error becomes an outcome — so the master can
+record attempt counts before the job plan propagates the failure in
+task order; :func:`send_outcome` degrades an outcome that will not
+pickle.  The daemon itself is :mod:`repro.cluster.runtime.workerd`.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import multiprocessing
 import os
@@ -29,19 +28,19 @@ from typing import Callable
 
 from ..engine.job import JobSpec
 from ..errors import ExecBackendError, JobFailedError, ReproError
-from ..faults.runtime import mark_worker_process
 from .base import Task, run_with_retries
 from .diskio import FileDisk
 
 
-def fork_context(backend: str):
-    """The ``fork`` multiprocessing context *backend* needs: jobs reach
-    workers by inheritance (see :class:`WorkerContext`), never by pickle."""
+def fork_context():
+    """The ``fork`` multiprocessing context the cluster backend needs:
+    jobs reach its daemons by inheritance (see :class:`WorkerContext`),
+    never by pickle."""
     try:
         return multiprocessing.get_context("fork")
     except ValueError as exc:
         raise ExecBackendError(
-            f"the {backend} backend requires the 'fork' start method, "
+            "the cluster backend requires the 'fork' start method, "
             "which this platform does not provide"
         ) from exc
 
@@ -53,19 +52,19 @@ class WorkerContext:
     job: JobSpec
     tmp_root: str
     host: str
-    #: The parent's shuffle server, when ``repro.shuffle.mode = net``:
-    #: map workers register their finished output with it over TCP and
-    #: reducers fetch from it.
-    shuffle_address: tuple[str, int] | None = None
-    #: The cluster backend's staged input DFS: worker daemons read their
-    #: job input through it (preferring the local replica) instead of
-    #: the parent's in-memory bytes.  ``None`` for the process backend.
+    #: The staged input DFS: worker daemons read their job input
+    #: through it (preferring the local replica) instead of the
+    #: parent's in-memory bytes.
     dfs: object | None = None
+    #: This daemon's own shuffle server, when ``repro.shuffle.mode =
+    #: net`` (set by the daemon after fork): map tasks register their
+    #: finished output with it over TCP and reducers fetch from it.
+    shuffle_address: tuple[str, int] | None = None
 
 
 # Contexts are registered by id, not held in a single slot: concurrent
-# process executors in one parent each push their own entry, and a
-# worker forked at *any* moment — including a crash-replacement forked
+# cluster executors in one parent each push their own entry, and a
+# daemon forked at *any* moment — including a crash-replacement forked
 # mid-way through another executor's run — still resolves its own
 # executor's context by id.
 _CTX_LOCK = threading.Lock()
@@ -73,16 +72,8 @@ _CONTEXTS: dict[int, WorkerContext] = {}
 _NEXT_CTX_ID = itertools.count(1)
 
 
-def push_context(
-    job: JobSpec,
-    tmp_root: str,
-    host: str,
-    shuffle_address: tuple[str, int] | None = None,
-    dfs: object | None = None,
-) -> int:
-    ctx = WorkerContext(
-        job=job, tmp_root=tmp_root, host=host, shuffle_address=shuffle_address, dfs=dfs
-    )
+def push_context(job: JobSpec, tmp_root: str, host: str, dfs: object | None) -> int:
+    ctx = WorkerContext(job=job, tmp_root=tmp_root, host=host, dfs=dfs)
     with _CTX_LOCK:
         ctx_id = next(_NEXT_CTX_ID)
         _CONTEXTS[ctx_id] = ctx
@@ -94,28 +85,23 @@ def pop_context(ctx_id: int) -> None:
         _CONTEXTS.pop(ctx_id, None)
 
 
-def _context(ctx_id: int) -> WorkerContext:
+def worker_context(ctx_id: int) -> WorkerContext:
+    """The context *ctx_id* names, as inherited across fork."""
     try:
         return _CONTEXTS[ctx_id]
     except KeyError:
         raise RuntimeError(
-            f"worker context {ctx_id} not registered; process-backend entry "
-            "points must run in a pool forked after push_context()"
+            f"worker context {ctx_id} not registered; worker daemons must "
+            "be forked after push_context()"
         ) from None
 
 
-def worker_context(ctx_id: int) -> WorkerContext:
-    """Public accessor for daemons outside this module (the cluster
-    runtime's ``workerd``) that inherit the registry across fork."""
-    return _context(ctx_id)
-
-
-def task_entry(task: Task, fetch_results: list | None, ctx_id: int = 0) -> tuple:
+def task_entry(task: Task, fetch_results: list | None, ctx_id: int) -> tuple:
     """Run one map or reduce task of the context's job in this worker
     process.  ``task.attempt_offset`` is the number of attempts the task
     already consumed in workers that died running it (threaded through
-    by the scheduler so the cumulative budget survives reschedules)."""
-    ctx = _context(ctx_id)
+    by the master so the cumulative budget survives reschedules)."""
+    ctx = worker_context(ctx_id)
     job = ctx.job
     attempt_seq = itertools.count(task.attempt_offset)
 
@@ -159,17 +145,14 @@ def task_entry(task: Task, fetch_results: list | None, ctx_id: int = 0) -> tuple
     return outcome
 
 
-def run_entry(
-    handler: Callable[[Task, "list | None"], tuple],
-    task: Task,
-    fetch_results: list | None,
-) -> tuple:
-    """Run *task* through *handler*; every error becomes an outcome —
-    a worker's only exits are orderly shutdown and abrupt death."""
+def run_entry(task: Task, fetch_results: list | None, ctx_id: int) -> tuple:
+    """Run *task* through :func:`task_entry`; every error becomes an
+    outcome — a worker's only exits are orderly shutdown and abrupt
+    death."""
     try:
-        return handler(task, fetch_results)
+        return task_entry(task, fetch_results, ctx_id)
     except ReproError as exc:
-        # Framework errors the handler does not convert (shuffle
+        # Framework errors task_entry does not convert (shuffle
         # registration failures, config problems): ship them whole so
         # the parent re-raises the causal type.
         return (task.key, 0, None, exc)
@@ -197,26 +180,3 @@ def send_outcome(send: Callable[[tuple], None], outcome: tuple) -> None:
             )
         )
 
-
-def worker_main(conn, ctx_id: int) -> None:
-    """The long-lived worker loop the crash-tolerant pool forks.
-
-    Receives ``(task, fetch_results)`` messages over the pipe, runs
-    :func:`task_entry` on each and sends back its ``(task_id, attempts,
-    result, error)`` outcome.  A ``None`` message (or pipe EOF) shuts the
-    worker down; abrupt death the parent observes via the process
-    sentinel.  The worker is pinned to its executor's *ctx_id*, so
-    replacement workers forked while other executors are live in the
-    same parent never run against a different job's context.
-    """
-    handler = functools.partial(task_entry, ctx_id=ctx_id)
-    mark_worker_process()
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message is None:
-            break
-        send_outcome(conn.send, run_entry(handler, *message))
-    conn.close()

@@ -6,9 +6,9 @@ framework (:func:`corrupt_spill_read` in :mod:`repro.io.spillfile`,
 :func:`corrupt_dfs_read` in :mod:`repro.dfs.datanode`,
 :func:`worker_fault` in the task-attempt loop) consult the installed
 injector and stay zero-cost no-ops when nothing is installed.  The
-process backend relies on ``fork`` inheritance: the plan is installed
-in the parent before the pool forks, so every worker process carries it
-without any pickling.
+cluster backend relies on ``fork`` inheritance: the plan is installed
+in the parent before the master forks its worker daemons, so every
+daemon carries it without any pickling.
 
 Three gates keep injection honest:
 
@@ -19,8 +19,8 @@ Three gates keep injection honest:
 * **attempt bound** — a rule faults only attempts ``<= rule.attempts``
   of any task, so retries deterministically see clean runs;
 * **worker process flag** — ``worker`` faults fire only inside real
-  pool worker processes (:func:`mark_worker_process`), so ``kill``
-  can never take down the test runner or a serial backend.
+  worker daemons (:func:`mark_worker_process`), so ``kill`` can never
+  take down the test runner or a serial backend.
 
 Installation is reentrant and plan-deduplicating: nested installs of an
 equal plan (a caller's scope around an executor run) share one
@@ -124,8 +124,8 @@ def installed(plan: FaultPlan | None) -> Iterator[FaultInjector | None]:
 
 
 def mark_worker_process() -> None:
-    """Flag this process as a pool worker (called by the worker main
-    loop right after fork); arms ``worker``-site faults."""
+    """Flag this process as a worker daemon (called by ``workerd`` right
+    after fork); arms ``worker``-site faults."""
     global _IN_WORKER_PROCESS
     _IN_WORKER_PROCESS = True
 
@@ -206,8 +206,8 @@ def corrupt_dfs_read(block_token: str, payload: bytes) -> bytes:
 
 
 def worker_fault(task_id: str, attempt: int) -> None:
-    """Worker-site faults, fired at task-attempt entry inside pool
-    worker processes only: ``kill`` exits abruptly (exit code 137, the
+    """Worker-site faults, fired at task-attempt entry inside worker
+    daemons only: ``kill`` exits abruptly (exit code 137, the
     OOM signature), ``hang`` sleeps until the executor's task timeout
     reaps the worker, ``stall`` pauses briefly and continues."""
     injector = active_injector()

@@ -4,8 +4,8 @@ The engine's optimizations are only sound under properties of *user*
 code that nothing used to check: frequency-buffering assumes the
 combiner is an associative, commutative, key-preserving fold (the
 engine may apply it zero, one, or many times per key); the thread and
-process backends assume ``map()``/``reduce()`` are pure and
-deterministic; the process backend's fork+pickle result path assumes
+cluster backends assume ``map()``/``reduce()`` are pure and
+deterministic; the cluster backend's fork+pickle result path assumes
 emitted values are picklable; the declared map-output writable classes
 must match what the job actually emits.  Jahani & Cafarella's Manimal
 showed these properties can be established by static analysis of

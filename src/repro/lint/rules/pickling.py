@@ -1,6 +1,6 @@
 """Picklability of what actually crosses the process boundary.
 
-The process backend forks its workers, so job specs — lambdas,
+The cluster backend forks its worker daemons, so job specs — lambdas,
 closures, and all — are inherited, never pickled (see
 :mod:`repro.exec.workers`).  What *is* pickled is results: spill
 indexes, counters, and reduce output — framed bytes plus the
@@ -38,7 +38,7 @@ def _unpicklable_by_name(cls: type) -> bool:
 
 class PicklabilityRule(Rule):
     prefix = "pickle-"
-    description = "emitted writables must survive the process backend's result pickle"
+    description = "emitted writables must survive the cluster backend's result pickle"
 
     def check(self, target: JobTarget) -> Iterable[Finding]:
         seen: set[type] = set()
@@ -59,8 +59,8 @@ class PicklabilityRule(Rule):
                     message=(
                         f"declared {which} class {declared.__name__} is "
                         f"function-local ({declared.__qualname__}) and not "
-                        "registered: the process backend cannot pickle it "
-                        "back from workers"
+                        "registered: the cluster backend cannot pickle it "
+                        "back from its worker daemons"
                     ),
                 )
 
@@ -94,6 +94,6 @@ class PicklabilityRule(Rule):
                             f"{source.cls.__name__}.reduce() emits "
                             f"function-local class {emitted.__qualname__} "
                             "that is not registered: reduce output carries "
-                            "its classes back from process-backend workers"
+                            "its classes back from cluster worker daemons"
                         ),
                     )

@@ -7,8 +7,9 @@ produces byte-identical output.  Checked properties:
 
 ``purity-global-write`` (error)
     Mutating module-level state from a per-record method: racy under
-    the thread backend, silently diverges under the process backend
-    (each fork mutates its own copy), and breaks retry determinism.
+    the thread backend, silently diverges under the cluster backend
+    (each forked daemon mutates its own copy), and breaks retry
+    determinism.
 
 ``purity-nondeterministic`` (error)
     Wall-clock (``time.time`` & friends, ``datetime.now``) or unseeded
@@ -114,7 +115,7 @@ class PurityRule(Rule):
                                 node,
                                 f"{where} writes into module-level "
                                 f"{name!r}: racy under the thread backend, "
-                                "lost under the process backend's fork",
+                                "lost under the cluster backend's fork",
                             )
             elif isinstance(node, ast.Call):
                 yield from self._check_call(node, where, locals_, source)

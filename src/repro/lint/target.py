@@ -56,7 +56,7 @@ def _resolve_class(factory: Callable, role: str, notes: list[str]) -> UserClass:
     if isinstance(factory, type):
         cls: type | None = factory
     else:
-        # A lambda/closure factory (fine on every backend: the process
+        # A lambda/closure factory (fine on every backend: the cluster
         # backend forks, so factories never cross a pickle boundary).
         # Probe one instance to learn the concrete class.
         try:

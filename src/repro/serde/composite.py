@@ -130,7 +130,7 @@ def _rebuild_writable(type_name: str, payload: bytes) -> Writable:
     Concrete pair/array classes are built with :func:`type` at runtime,
     so the default class-by-reference pickling cannot import them; an
     instance instead pickles as (registered type name, serialized bytes)
-    and rebuilds through the writable registry — which the process
+    and rebuilds through the writable registry — which the cluster
     backend's parent has populated by constructing the job.
     """
     from .writable import lookup_writable

@@ -235,8 +235,8 @@ def register_output(
     timeout: float = 10.0,
 ) -> None:
     """Announce a finished ``FileDisk``-backed map output to its node's
-    shuffle server over the wire (the process backend's map workers call
-    this from their own process)."""
+    shuffle server over the wire (the cluster backend's worker daemons
+    call this for every map task they finish)."""
     from .server import index_to_json
 
     try:

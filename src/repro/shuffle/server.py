@@ -8,9 +8,9 @@ outputs reach it two ways:
 * **in-process registration** (:meth:`ShuffleServer.register`) for the
   serial/thread backends, whose spills live in in-memory ``LocalDisk``
   instances the server can read directly;
-* **wire registration** (the ``REG`` opcode) for the process backend,
-  whose map *workers* announce their finished ``FileDisk``-backed
-  output — path, name, and spill index — from their own process; the
+* **wire registration** (the ``REG`` opcode) for the cluster backend,
+  whose worker daemons announce each finished ``FileDisk``-backed map
+  output — path, name, and spill index — to their node's server; the
   server opens the files itself when segments are requested.
 
 Every ``GET`` response carries the spill index entry's CRC so the

@@ -3,14 +3,14 @@
 Python maps SIGINT to :class:`KeyboardInterrupt` — so ``finally``
 blocks and context managers run on Ctrl-C — but SIGTERM's default
 disposition kills the process immediately.  For commands that fork
-daemons (the cluster backend's master and workerd processes, network
-shuffle servers, process-backend worker pools), that means orphaned
+daemons (the cluster backend's workerd processes, network shuffle
+servers), that means orphaned
 children and leaked ports whenever a supervisor sends the polite kill.
 
 :func:`graceful_termination` converts the chosen signals into
 :class:`SystemExit` for the duration of a ``with`` block, so the
 existing ``try/finally`` teardown (``Master.close``,
-``ShuffleServer.stop``, pool closes) runs on the way out and the exit
+``ShuffleServer.stop``) runs on the way out and the exit
 code follows the ``128 + signum`` convention.  The CLI wraps every
 command in it.
 """

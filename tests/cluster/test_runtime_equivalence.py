@@ -14,17 +14,9 @@ from repro.engine.runner import JobResult, LocalJobRunner
 from repro.exec import create_executor
 from repro.experiments.common import build_app
 
-PAPER_APPS = ("wordcount", "invertedindex", "wordpostag")
+from ..conftest import comparable_counters
 
-#: Executor-level counters only the cluster backend emits; everything
-#: else must match the serial run exactly.
-CLUSTER_ONLY = {
-    Counter.WORKERS_LOST,
-    Counter.DATA_LOCAL_MAPS,
-    Counter.SPECULATIVE_LAUNCHES,
-    Counter.SPECULATIVE_WINS,
-    Counter.DFS_READ_FAILOVERS,
-}
+PAPER_APPS = ("wordcount", "invertedindex", "wordpostag")
 
 
 def run_backend(app_name: str, backend: str, shuffle: str = "mem") -> JobResult:
@@ -48,14 +40,6 @@ def serialized_output(result: JobResult) -> list[tuple[bytes, bytes]]:
     return [(k.to_bytes(), v.to_bytes()) for k, v in result.output_pairs()]
 
 
-def comparable_counters(result: JobResult) -> dict:
-    return {
-        counter: amount
-        for counter, amount in result.counters.values.items()
-        if counter not in CLUSTER_ONLY
-    }
-
-
 @pytest.mark.cluster
 @pytest.mark.parametrize("app_name", PAPER_APPS)
 def test_cluster_matches_serial_over_net_shuffle(app_name: str) -> None:
@@ -64,7 +48,7 @@ def test_cluster_matches_serial_over_net_shuffle(app_name: str) -> None:
 
     result = run_backend(app_name, "cluster", shuffle="net")
     assert serialized_output(result) == serialized_output(serial)
-    assert comparable_counters(result) == comparable_counters(serial)
+    assert comparable_counters(result.counters.as_dict()) == serial.counters.as_dict()
     assert result.ledger.work == pytest.approx(serial.ledger.work)
     # Per-task record/byte accounting matches task by task too.
     for mine, ref in zip(result.map_results, serial.map_results):
@@ -82,7 +66,7 @@ def test_cluster_matches_serial_in_mem_mode() -> None:
     serial = run_backend("wordcount", "serial")
     result = run_backend("wordcount", "cluster")
     assert serialized_output(result) == serialized_output(serial)
-    assert comparable_counters(result) == comparable_counters(serial)
+    assert comparable_counters(result.counters.as_dict()) == serial.counters.as_dict()
     assert result.shuffle_hosts == []
 
 
@@ -99,29 +83,6 @@ def test_create_executor_wires_the_cluster_backend() -> None:
     assert type(executor).__name__ == "ClusterExecutor"
     assert executor.name == "cluster"
     assert executor.workers == 2
-
-
-@pytest.mark.cluster
-def test_cluster_workers_conf_overrides_exec_workers() -> None:
-    """`repro.cluster.workers` sizes the daemon fleet independently of
-    the generic worker count."""
-    app = build_app(
-        "wordcount",
-        "baseline",
-        scale=0.01,
-        num_splits=2,
-        extra_conf={
-            Keys.EXEC_BACKEND: "cluster",
-            Keys.EXEC_WORKERS: 1,
-            Keys.CLUSTER_WORKERS: 2,
-            Keys.SHUFFLE_MODE: "net",
-            Keys.FREQBUF_SHARE_ACROSS_TASKS: False,
-        },
-    )
-    result = LocalJobRunner().run(app.job)
-    assert result.output_pairs()
-    # One shuffle-server snapshot per daemon proves two daemons ran.
-    assert len(result.shuffle_hosts) == 2
 
 
 @pytest.mark.cluster

@@ -14,6 +14,7 @@ import pytest
 
 from repro.config import JobConf, Keys
 from repro.engine.api import Combiner, Mapper, Reducer
+from repro.engine.counters import Counter
 from repro.engine.inputformat import TextInput
 from repro.engine.job import JobSpec
 from repro.serde.numeric import VIntWritable
@@ -28,10 +29,24 @@ LEAK_CHECKED = tuple(
 #: (``<job>.exec_N``), the master's accept loop, daemon heartbeats, and
 #: shuffle-server accept loops.
 LEAKY_THREADS = ("*.exec*", "cluster-master-accept", "heartbeat-*", "shuffle-server*")
-#: Temp trees the process and cluster backends spill into.
-LEAKY_TREES = ("repro-exec-*", "repro-cluster-*")
+#: Temp trees the cluster backend spills into.
+LEAKY_TREES = ("repro-cluster-*",)
 #: The temp dir other processes share; the session's own root is below it.
 SYSTEM_TEMP = tempfile.gettempdir()
+#: Executor-level counters only the cluster backend emits; everything
+#: else a cluster run counts must match the serial run exactly.
+CLUSTER_ONLY = frozenset({
+    Counter.WORKERS_LOST,
+    Counter.DATA_LOCAL_MAPS,
+    Counter.SPECULATIVE_LAUNCHES,
+    Counter.SPECULATIVE_WINS,
+    Counter.DFS_READ_FAILOVERS,
+})
+
+
+def comparable_counters(counters: dict[str, int]) -> dict[str, int]:
+    """A ``Counters.as_dict()`` without the :data:`CLUSTER_ONLY` counters."""
+    return {name: n for name, n in counters.items() if Counter(name) not in CLUSTER_ONLY}
 
 
 def _temp_trees() -> set[str]:

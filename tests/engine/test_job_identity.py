@@ -39,7 +39,7 @@ class TestJobId:
             TEXT, conf_overrides={Keys.NUM_REDUCERS: 5}
         ).job_id()
         backend = make_wordcount_job(
-            TEXT, conf_overrides={Keys.EXEC_BACKEND: "process", Keys.EXEC_WORKERS: 4}
+            TEXT, conf_overrides={Keys.EXEC_BACKEND: "cluster", Keys.EXEC_WORKERS: 4}
         ).job_id()
         assert reducers != base
         assert backend == base

@@ -34,7 +34,7 @@ def test_reduce_results_pickle_to_about_their_output_bytes(app_name):
     assert pickled <= 1.5 * output_bytes + 4096 * app.job.num_reducers
 
 
-@pytest.mark.parametrize("backend", ["serial", "process"])
+@pytest.mark.parametrize("backend", ["serial", "cluster"])
 @pytest.mark.parametrize("spill_buffer", [1 << 11, 1 << 20])
 def test_map_tasks_keep_only_their_final_output(backend, spill_buffer, tiny_text):
     job = make_wordcount_job(
@@ -73,7 +73,7 @@ class TwoClassReducer(Reducer):
         emit(Text(key.value.upper()), VIntArray([VIntWritable(c) for c in counts]))
 
 
-@pytest.mark.parametrize("backend", ["serial", "process"])
+@pytest.mark.parametrize("backend", ["serial", "cluster"])
 def test_generic_reducer_emitting_two_classes_round_trips(backend, tiny_text, wordcount_truth):
     job = make_wordcount_job(
         tiny_text,

@@ -25,7 +25,7 @@ from repro.serde.text import Text
 
 from ..conftest import make_wordcount_job
 
-ALL_BACKENDS = ("serial", "thread", "process", "cluster")
+ALL_BACKENDS = ("serial", "thread", "cluster")
 
 
 class RecordingExecutor(Executor):
@@ -174,7 +174,7 @@ def test_opaque_errors_become_task_attributed_failures(plan_log, tiny_text) -> N
     assert plan_log[-1] == "close"
 
 
-@pytest.mark.parametrize("backend", ("serial", "process"))
+@pytest.mark.parametrize("backend", ("serial", "cluster"))
 @pytest.mark.parametrize("key", (Keys.GROUPING, Keys.SHUFFLE_MODE, Keys.SPILL_COMPRESSION))
 def test_unknown_choice_is_refused_at_submit(key: str, backend: str, tiny_text) -> None:
     """One check at the top of the plan: the same ConfigError, naming the

@@ -28,10 +28,9 @@ FAULT_MATRIX = {
     "shuffle-truncate": ("shuffle.truncate:0.5:1", False, True),
     "combined": ("worker.kill:0.4;disk.corrupt:0.5", True, False),
 }
-BACKENDS = ("thread", "process", "cluster")
-#: Backends whose task attempts run in real OS processes, where
-#: worker.kill/hang/stall rules can actually fire.
-PROCESS_BACKENDS = ("process", "cluster")
+#: Only the cluster backend runs task attempts in real OS processes,
+#: where worker.kill/hang/stall rules can actually fire.
+BACKENDS = ("thread", "cluster")
 SHUFFLE_MODES = ("mem", "net")
 
 
@@ -60,7 +59,7 @@ def test_matrix_cell_recovers_byte_identical(
     kind: str, backend: str, shuffle_mode: str, tiny_text
 ) -> None:
     spec, needs_process, needs_net = FAULT_MATRIX[kind]
-    if needs_process and backend not in PROCESS_BACKENDS:
+    if needs_process and backend != "cluster":
         pytest.skip("worker faults only fire inside real worker processes")
     if needs_net and shuffle_mode != "net":
         pytest.skip("shuffle faults only fire in the network shuffle server")

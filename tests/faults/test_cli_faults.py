@@ -11,7 +11,7 @@ class TestRunFault:
     def test_survivable_faults_report_and_exit_zero(self, capsys) -> None:
         code = main(
             [
-                "run", "wordcount", "--scale", "0.02", "--backend", "process",
+                "run", "wordcount", "--scale", "0.02", "--backend", "cluster",
                 "--workers", "3",
                 "--fault", "worker.kill:0.5", "--fault", "disk.corrupt:0.5",
                 "--fault-seed", "1234",

@@ -16,7 +16,7 @@ from repro.errors import JobFailedError
 
 from ..conftest import make_wordcount_job
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread", "cluster")
 
 
 def run_wordcount(data: bytes, backend: str, fault_conf: dict | None = None) -> JobResult:

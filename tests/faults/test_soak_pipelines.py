@@ -3,7 +3,7 @@
 A chain here is a plain sequence of ``LocalJobRunner`` runs where one
 job's rendered output can be the next job's input, the way
 ``examples/pagerank_iterations.py`` drives PageRank.  With a seeded plan
-that kills process-backend workers, corrupts spill reads and corrupts
+that kills cluster worker daemons, corrupts spill reads and corrupts
 DFS block replicas, every chain must finish with outputs byte-identical
 to a fault-free run, and the recovery counters must prove the faults
 actually fired (nonzero WORKER_CRASHES and TASK_REEXECUTIONS).
@@ -74,7 +74,7 @@ CHAINS = {"pagerank": pagerank, "textfan": textfan, "textindex": textindex}
 
 
 def run_chain(name: str, faulted: bool) -> list[JobResult]:
-    conf: dict = {Keys.EXEC_BACKEND: "process", Keys.EXEC_WORKERS: 3}
+    conf: dict = {Keys.EXEC_BACKEND: "cluster", Keys.EXEC_WORKERS: 3}
     if faulted:
         conf[Keys.FAULTS_SPEC] = SOAK_SPEC
         conf[Keys.FAULTS_SEED] = SOAK_SEED

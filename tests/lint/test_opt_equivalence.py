@@ -22,7 +22,7 @@ from repro.serde.text import Text
 
 from .test_opt_rules import FieldThreeReducer, WholeLineMapper
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread", "cluster")
 OPT_APPS = ("selection", "accesslogip", "accesslogsum")
 
 
@@ -123,13 +123,13 @@ def test_projection_pruning_is_byte_identical(backend):
         baseline.counters.get(Counter.MAP_OUTPUT_BYTES)
 
 
-def test_projection_and_selection_survive_process_pickling():
+def test_projection_and_selection_survive_cluster_pickling():
     # The rewritten job crosses a fork/pickle boundary whole: predicate
     # (by source), projection (frozen dataclass), synthesized combiner
     # (frozen factory) — accesslogip covers combiner above; this covers
     # the projection artifact explicitly.
     job = _visits_job("apply")
-    job.conf.set(Keys.EXEC_BACKEND, "process")
+    job.conf.set(Keys.EXEC_BACKEND, "cluster")
     job.conf.set(Keys.EXEC_WORKERS, 2)
     result = LocalJobRunner().run(job)
     assert result.counters.get(Counter.OPT_PROJ_BYTES_SAVED) > 0

@@ -140,7 +140,7 @@ def test_exhausted_retries_raise_clean_shuffle_error():
 # ----------------------------------------------------------------------
 
 def run_faulted(
-    kind: str, fraction: float, backend: str = "process", attempts: int = 1, **conf
+    kind: str, fraction: float, backend: str = "cluster", attempts: int = 1, **conf
 ):
     extra = {
         Keys.EXEC_BACKEND: backend,
@@ -158,8 +158,8 @@ def run_faulted(
 
 @pytest.mark.network
 def test_job_survives_ten_percent_fetch_failures():
-    """The ISSUE's acceptance run: WordCount on the process backend
-    completes with 10% of fetches injected to fail, retries visible."""
+    """WordCount on the cluster backend completes with 10% of fetches
+    injected to fail, retries visible."""
     clean = run_faulted("none", 0.0)
     faulted = run_faulted("drop", 0.10, **{Keys.FAULTS_SEED: 99})
 

@@ -60,18 +60,18 @@ def test_net_matches_mem_byte_for_byte(app_name: str, freqbuf: bool) -> None:
         assert net.counters.get(counter) == mem.counters.get(counter)
 
 
-@pytest.mark.parametrize("backend", ("thread", "process"))
+@pytest.mark.parametrize("backend", ("thread", "cluster"))
 def test_net_matches_mem_on_parallel_backends(backend: str) -> None:
     mem = run_app("wordcount", "mem", freqbuf=False, backend=backend)
     net = run_app("wordcount", "net", freqbuf=False, backend=backend)
     assert serialized_output(net) == serialized_output(mem)
 
 
-def test_process_backend_charges_measured_shuffle() -> None:
-    """The ISSUE's acceptance run: WordCount on the process backend with
-    ``--shuffle net`` fetches every segment over a real socket, charging
-    ``Op.SHUFFLE`` from measured wall time rather than the cost model."""
-    result = run_app("wordcount", "net", freqbuf=False, backend="process")
+def test_cluster_backend_charges_measured_shuffle() -> None:
+    """WordCount on the cluster backend with ``--shuffle net`` fetches
+    every segment over a real socket, charging ``Op.SHUFFLE`` from
+    measured wall time rather than the cost model."""
+    result = run_app("wordcount", "net", freqbuf=False, backend="cluster")
     maps = len(result.map_results)
     reduces = len(result.reduce_results)
     assert maps > 1 and reduces > 1
@@ -83,21 +83,21 @@ def test_process_backend_charges_measured_shuffle() -> None:
     # The acquisition charge is measured seconds, not modelled cost
     # units.  Op.SHUFFLE also carries the merge/staging costs, which are
     # identical in both modes (same payloads, same merge), so the net-
-    # vs-mem delta is exactly the measured fetch time: on a single
-    # simulated host the mem mode's acquisition charge is zero (every
-    # segment is host-local).
+    # vs-mem delta is exactly the measured fetch time: a serial mem run
+    # is one simulated host, so its acquisition charge is zero (every
+    # segment is host-local; the cluster's daemons are distinct hosts).
     seconds = result.ledger.get_samples("shuffle.fetch_seconds")
     sizes = result.ledger.get_samples("shuffle.fetch_bytes")
     assert len(seconds) == len(sizes) == maps * reduces
     assert all(s > 0 for s in seconds)
-    mem = run_app("wordcount", "mem", freqbuf=False, backend="process")
+    mem = run_app("wordcount", "mem", freqbuf=False)
     assert mem.ledger.get_samples("shuffle.fetch_seconds") == []
     assert result.ledger.get(Op.SHUFFLE) - mem.ledger.get(Op.SHUFFLE) == pytest.approx(
         sum(seconds)
     )
 
     # The servers saw exactly the bytes the fetchers measured.
-    assert result.shuffle_hosts, "process backend must snapshot its servers"
+    assert result.shuffle_hosts, "cluster backend must snapshot its servers"
     served = sum(h.bytes_served for h in result.shuffle_hosts)
     assert served == int(sum(sizes))
     assert all(h.total_faults == 0 for h in result.shuffle_hosts)

@@ -107,7 +107,7 @@ class TestBoundedness:
         ) == roomy.counters.get(Counter.NODE_COMBINE_OUT_RECORDS)
 
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread")
 
 
 class TestEndToEndIdentity:

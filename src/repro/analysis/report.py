@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from ..engine.runner import JobResult
-    from ..lint import LintReport, OptimizationPlan
+    from ..lint import LintReport
 
 
 @dataclass(frozen=True)
@@ -243,15 +243,4 @@ def render_lint_report(report: "LintReport") -> str:
         lines.append(f"gating: {decision.describe()}")
     for note in report.notes:
         lines.append(f"note: {note}")
-    if report.plan is not None:
-        lines.append(render_optimization_plan(report.plan))
     return "\n".join(lines)
-
-
-def render_optimization_plan(plan: "OptimizationPlan") -> str:
-    """The static optimizer's plan as indented decision lines."""
-    lines = [f"optimization plan ({plan.mode}): {plan.subject}"]
-    for decision in plan.decisions:
-        lines.append(f"  {decision.describe()}")
-    return "\n".join(lines)
-

@@ -79,8 +79,8 @@ class AccessLogIpMapper(Mapper):
 
 class AccessLogIpReducer(Reducer):
     """Visits per source IP — a pure integer sum fold, and the job
-    deliberately declares *no* combiner: it exists to exercise the
-    static optimizer's combiner synthesis."""
+    deliberately declares *no* combiner: every map-output record
+    reaches the reduce loop's proven int fold."""
 
     def reduce(self, key: Writable, values: Iterator[Writable], emit: Emitter) -> None:
         emit(key, VIntWritable(sum(v.value for v in values)))  # type: ignore[attr-defined]
@@ -186,7 +186,7 @@ def build_accesslogip(
         input_format=TextInput(data, split_size=split_size, path="uservisits.dat"),
         mapper_factory=AccessLogIpMapper,
         reducer_factory=AccessLogIpReducer,
-        combiner_factory=None,  # the static optimizer synthesizes one
+        combiner_factory=None,  # every record reaches the proven reduce fold
         map_output_key_cls=Text,
         map_output_value_cls=VIntWritable,
         conf=conf,

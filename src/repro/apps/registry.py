@@ -75,7 +75,7 @@ EXTRA_REGISTRY: dict[str, AppEntry] = {
     ),
     "accesslogip": AppEntry(
         "accesslogip", build_accesslogip, False,
-        "visits per sourceIP, no combiner — the optimizer synthesizes one",
+        "visits per sourceIP, no combiner — a proven int-sum reducer",
     ),
 }
 
@@ -84,16 +84,12 @@ EXTRA_APP_NAMES: tuple[str, ...] = tuple(EXTRA_REGISTRY)
 # Lint fixtures: deliberately rule-violating jobs kept out of the
 # benchmark registries (they exist to be *rejected* by `repro lint`,
 # never measured), but reachable by name so the CLI can demo findings.
-from .unsafe import build_unsafeopt, build_unsafewordcount  # noqa: E402
+from .unsafe import build_unsafewordcount  # noqa: E402
 
 FIXTURE_REGISTRY: dict[str, AppEntry] = {
     "unsafewordcount": AppEntry(
         "unsafewordcount", build_unsafewordcount, True,
         "WordCount variant violating every lint rule (analyzer fixture)",
-    ),
-    "unsafeopt": AppEntry(
-        "unsafeopt", build_unsafeopt, True,
-        "job defeating every optimizer rewrite rule (optimizer fixture)",
     ),
 }
 

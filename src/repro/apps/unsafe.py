@@ -12,7 +12,6 @@ run.
 
 from __future__ import annotations
 
-import random
 import time
 from typing import Any, Iterator, Mapping
 
@@ -105,67 +104,4 @@ def build_unsafewordcount(
         job=job,
         oracle=None,
         info={"fixture": "deliberately violates every lint rule"},
-    )
-
-
-# ----------------------------------------------------------------------
-# the optimizer fixtures (``unsafeopt``): defeat every rewrite rule
-# ----------------------------------------------------------------------
-class ImpurePredicateMapper(Mapper):
-    """The filter guard depends on ``random``: selection pushdown must
-    refuse to hoist it (and the purity rule flags the nondeterminism)."""
-
-    def map(self, key: Writable, value: Writable, emit: Emitter) -> None:
-        line = value.value  # type: ignore[attr-defined]
-        if random.random() < 0.5:  # impure guard: select-pushdown reject anchor
-            return
-        emit(Text(line.split("|")[0]), Text(line))
-
-
-class AliasingFieldReducer(Reducer):
-    """Writes into the split field list and re-joins it: projection
-    pruning must refuse (a blanked field would escape through the
-    rewritten record), and the loop body is no monoid fold either."""
-
-    def reduce(self, key: Writable, values: Iterator[Writable], emit: Emitter) -> None:
-        for v in values:
-            fields = v.value.split("|")  # type: ignore[attr-defined]
-            fields[2] = "0"  # aliased field write: projection reject anchor
-            emit(key, Text("|".join(fields)))
-
-
-def build_unsafeopt(
-    scale: float = 0.01,
-    conf_overrides: Mapping[str, Any] | None = None,
-    num_splits: int = 2,
-    seed: int = 0,
-) -> AppJob:
-    """Assemble the optimizer fixture job (for analysis, not running).
-
-    Every rewrite the static optimizer knows is defeated here on
-    purpose: the selection guard is impure, the reducer aliases and
-    mutates the split fields, and its body is not a fold — so the plan
-    for this job must be three anchored rejections.
-    """
-    spec = CorpusSpec(seed=seed).scaled(scale)
-    data = generate_corpus(spec)
-    conf = make_conf(conf_overrides)
-    split_size = max(1, len(data) // num_splits)
-
-    job = JobSpec(
-        name="unsafeopt",
-        input_format=TextInput(data, split_size=split_size, path="corpus.txt"),
-        mapper_factory=ImpurePredicateMapper,
-        reducer_factory=AliasingFieldReducer,
-        combiner_factory=None,  # eligible for synthesis — and refused
-        map_output_key_cls=Text,
-        map_output_value_cls=Text,
-        conf=conf,
-    )
-    return AppJob(
-        app_name="unsafeopt",
-        text_centric=True,
-        job=job,
-        oracle=None,
-        info={"fixture": "deliberately defeats every optimizer rewrite"},
     )

@@ -9,7 +9,6 @@ Usage::
     python -m repro.cli experiment table3
     python -m repro.cli lint wordcount
     python -m repro.cli lint all --json
-    python -m repro.cli analyze all --json
     python -m repro.cli list
 
 ``run`` executes an application on the single-node engine and prints
@@ -18,8 +17,7 @@ simulated cluster with optional Gantt chart; ``experiment`` regenerates
 one of the paper's tables/figures; ``lint`` statically analyzes an
 application's user code against the job-safety rule catalog (``all``
 sweeps every registered app plus the engine's own thread-contract
-self-lint); ``analyze`` prints the static optimizer's per-job rewrite
-plans; ``list`` names every registered application and experiment.
+self-lint); ``list`` names every registered application and experiment.
 """
 
 from __future__ import annotations
@@ -94,7 +92,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         Keys.EXEC_WORKERS: args.workers,
         Keys.SHUFFLE_MODE: args.shuffle,
         Keys.LINT_MODE: args.lint,
-        Keys.LINT_OPT_MODE: args.opt,
     }
     optional = {
         Keys.SHUFFLE_FETCHERS: args.shuffle_fetchers,
@@ -204,31 +201,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 1 if any(r.has_errors for r in reports) else 0
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    from .lint import analyze_app, plan_job
-
-    if args.subject == "all":
-        # Registered apps only; fixtures only by explicit name (they
-        # exist to be rejected, so `all` must stay green in CI).
-        names = list(REGISTRY) + list(EXTRA_REGISTRY)
-    else:
-        names = [args.subject]
-
-    reports = []
-    for name in names:
-        app = build_application(name, scale=args.scale, include_fixtures=True)
-        report = analyze_app(app)
-        report.plan = plan_job(app.job, subject=name, mode="advise")
-        reports.append(report)
-
-    if args.json:
-        print(json.dumps([r.as_dict() for r in reports], indent=2))
-    else:
-        for report in reports:
-            print(render_lint_report(report))
-    return 1 if any(r.has_errors for r in reports) else 0
-
-
 def cmd_list(_args: argparse.Namespace) -> int:
     print("applications (the paper's suite):")
     for name, entry in REGISTRY.items():
@@ -294,11 +266,6 @@ def main(argv: list[str] | None = None) -> int:
              "unsafe jobs",
     )
     run_parser.add_argument(
-        "--opt", choices=("off", "advise", "apply"), default="off",
-        help="static optimizer at the submit of the job: advise records "
-             "the rewrite plan, apply runs the equivalently rewritten job",
-    )
-    run_parser.add_argument(
         "--heartbeat-interval", type=float, default=None,
         help="seconds between worker pings to the cluster master "
              "(missed pings mark workers suspect, then dead)",
@@ -359,24 +326,6 @@ def main(argv: list[str] | None = None) -> int:
     lint_parser.add_argument("--json", action="store_true",
                              help="emit machine-readable reports")
     lint_parser.set_defaults(fn=cmd_lint)
-
-    analyze_parser = sub.add_parser(
-        "analyze",
-        help="static optimizer: per-job rewrite plans",
-    )
-    analyze_parser.add_argument(
-        "subject",
-        choices=tuple(dict.fromkeys(
-            APP_NAMES + EXTRA_APP_NAMES + tuple(FIXTURE_REGISTRY) + ("all",)
-        )),
-        help="an application (advise-mode optimization plan) or 'all' "
-             "(every registered app; fixtures only by explicit name)",
-    )
-    analyze_parser.add_argument("--scale", type=float, default=0.01,
-                                help="dataset scale used to materialize the job")
-    analyze_parser.add_argument("--json", action="store_true",
-                                help="emit machine-readable plans and reports")
-    analyze_parser.set_defaults(fn=cmd_analyze)
 
     list_parser = sub.add_parser("list", help="list applications and experiments")
     list_parser.set_defaults(fn=cmd_list)

@@ -114,7 +114,7 @@ def workerd_main(
     # entry points now attribute work to this node and register map
     # output with this node's shuffle server.
     ctx.host = host
-    ctx.shuffle_address = server.address if server is not None else None
+    ctx.shuffle_server = server
 
     conn = connect(master_address)
     # The task channel is idle between dispatches; the connect timeout
@@ -127,7 +127,7 @@ def workerd_main(
             "worker_id": worker_id,
             "host": host,
             "pid": os.getpid(),
-            "shuffle_address": ctx.shuffle_address,
+            "shuffle_address": server.address if server is not None else None,
             **dfs_stats,
         },
     )

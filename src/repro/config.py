@@ -60,12 +60,6 @@ class Keys:
     # --- static job-safety analysis (repro.lint) ---
     LINT_MODE = "repro.lint.mode"  # off | warn | strict
 
-    # --- static optimizer (repro.lint.opt) ---
-    LINT_OPT_MODE = "repro.lint.opt.mode"  # off | advise | apply
-    LINT_OPT_SELECT = "repro.lint.opt.select"  # selection pushdown rule
-    LINT_OPT_PROJECT = "repro.lint.opt.project"  # projection pruning rule
-    LINT_OPT_SYNTH = "repro.lint.opt.synth"  # auto-combiner synthesis rule
-
     # --- engine ---
     NUM_REDUCERS = "repro.job.reduces"
     EXACT_COMPARISON_COUNTING = "repro.instrument.exact.comparisons"
@@ -112,10 +106,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.FAULTS_SEED: 1234,
     Keys.FAULTS_DELAY: 0.05,
     Keys.LINT_MODE: "off",
-    Keys.LINT_OPT_MODE: "off",
-    Keys.LINT_OPT_SELECT: True,
-    Keys.LINT_OPT_PROJECT: True,
-    Keys.LINT_OPT_SYNTH: True,
     Keys.SPILLMATCHER_ENABLED: False,
     Keys.NUM_REDUCERS: 1,
     Keys.EXACT_COMPARISON_COUNTING: False,

@@ -33,9 +33,6 @@ class Counter(str, Enum):
     FREQBUF_MISSES = "freqbuf_misses"
     FREQBUF_EVICTIONS = "freqbuf_evictions"
     FREQBUF_PROFILED_RECORDS = "freqbuf_profiled_records"
-    # --- static optimizer (repro.lint.opt, apply mode) ---
-    OPT_SELECT_SKIPPED = "opt_select_skipped"  # records dropped by the pushed-down predicate
-    OPT_PROJ_BYTES_SAVED = "opt_proj_bytes_saved"  # map-output bytes pruned by projection
     SHUFFLE_BYTES = "shuffle_bytes"
     SHUFFLE_FETCHES = "shuffle_fetches"  # network shuffle: successful fetches
     # --- in-node combining before shuffle (repro.shuffle.node.combine) ---

@@ -99,16 +99,6 @@ class JobSpec:
     cost_model: CostModel = DEFAULT_COST_MODEL
     #: Secondary sort: group reduce() calls by a prefix of the sorted key.
     group_key_fn: GroupKeyFn | None = None
-    #: Installed by the static optimizer (``repro.lint.opt.mode=apply``):
-    #: blanks dead fields of Text map-output values at emit time.  Plain
-    #: ``Any`` here to keep the engine free of a lint dependency; the
-    #: runner duck-types ``.project(text)``.
-    value_projection: Any = None
-    #: Set when the static optimizer rewrote this job from another one:
-    #: the *original* job's id, so provenance keeps recognizing
-    #: the rewritten job as the same computation (the rewrites are
-    #: output-preserving by construction).
-    pinned_job_id: str | None = None
 
     @property
     def num_reducers(self) -> int:
@@ -140,8 +130,6 @@ class JobSpec:
         user-code source digest, and the semantic configuration —
         never from wall clock, PIDs, or backend choice.
         """
-        if self.pinned_job_id is not None:
-            return self.pinned_job_id
         digest = hashlib.sha256()
         splits = self.input_format.splits()
         digest.update(self.name.encode("utf-8"))

@@ -37,7 +37,6 @@ from .pipeline import PipelineResult
 
 _READ, _MAP = Op.READ, Op.MAP
 _INPUT_RECORDS, _INPUT_BYTES = Counter.MAP_INPUT_RECORDS, Counter.MAP_INPUT_BYTES
-_SKIPPED = Counter.OPT_SELECT_SKIPPED
 
 
 @dataclass
@@ -122,8 +121,6 @@ class MapTaskRunner:
 
         mapper = job.mapper_factory()
         emit = self.collector.collect
-        if job.value_projection is not None:
-            emit = self._projecting_emit(emit, job.value_projection)
 
         try:
             mapper.setup()
@@ -149,22 +146,6 @@ class MapTaskRunner:
         split_length = max(1, self.split.length)
         consumed_total = 0
         for key, value, consumed in job.input_format.record_reader(self.split):
-            if key is None:
-                # Pushed-down selection filtered this record at the
-                # reader: the bytes were scanned but no writables were
-                # built and the mapper never runs — charge the read,
-                # keep progress honest, and count the skip.
-                amount = read_byte * consumed
-                if amount:
-                    work[_READ] = work.get(_READ, 0.0) + amount
-                    instruments.map_thread_work += amount
-                if consumed:
-                    counts[_INPUT_BYTES] = counts.get(_INPUT_BYTES, 0) + consumed
-                counts[_SKIPPED] = counts.get(_SKIPPED, 0) + 1
-                consumed_total += consumed
-                if progress is not None:
-                    progress(min(1.0, consumed_total / split_length))
-                continue
             amount = read_byte * consumed + deserialize_record
             if amount:
                 work[_READ] = work.get(_READ, 0.0) + amount
@@ -210,26 +191,3 @@ class MapTaskRunner:
             pipeline=pipeline_result,
             host=self.host,
         )
-
-    def _projecting_emit(self, collect, projection):
-        """Wrap the collector's collect() with the optimizer's field
-        projection: dead fields of Text values are blanked before the
-        value is serialized, and the byte saving is counted.  Non-Text
-        values pass through untouched (the proof only covers Text)."""
-        from ..serde.text import Text
-
-        counters = self.counters
-
-        def emit(key, value):
-            if isinstance(value, Text):
-                projected = projection.project(value.value)
-                if projected != value.value:
-                    slim = Text(projected)
-                    counters.incr(
-                        Counter.OPT_PROJ_BYTES_SAVED,
-                        max(0, value.serialized_size() - slim.serialized_size()),
-                    )
-                    value = slim
-            collect(key, value)
-
-        return emit

@@ -253,31 +253,15 @@ def lint_at_submit(job: JobSpec) -> "tuple[JobSpec, LintReport | None]":
         outright with :class:`~repro.errors.LintError` before any task
         runs — the Manimal stance that an optimizing runtime should not
         execute code it cannot reason about.
-
-    Independently, ``repro.lint.opt.mode`` runs the static *optimizer*
-    (:mod:`repro.lint.opt`): ``advise`` attaches an
-    :class:`~repro.lint.opt.OptimizationPlan` to the report, ``apply``
-    additionally installs the proposed rewrites on an equivalent job
-    (selection pushdown, projection pruning, combiner synthesis — all
-    output-preserving by construction).  Application happens *after*
-    the strict refusal (never rewrite a job the analyzer refuses) and
-    *before* gating, so a synthesized combiner's re-verified fold
-    verdict can unlock frequency buffering.
     """
     mode = job.conf.get_str(Keys.LINT_MODE)
     if mode not in ("off", "warn", "strict"):
         raise ConfigError(
             f"{Keys.LINT_MODE}={mode!r} is not one of 'off', 'warn', 'strict'"
         )
-    opt_mode = job.conf.get_str(Keys.LINT_OPT_MODE)
-    if opt_mode not in ("off", "advise", "apply"):
-        raise ConfigError(
-            f"{Keys.LINT_OPT_MODE}={opt_mode!r} is not one of 'off', 'advise', 'apply'"
-        )
-    if mode == "off" and opt_mode == "off":
+    if mode == "off":
         return job, None
     from ..lint import analyze_job, gate_job
-    from ..lint.opt import apply_plan, plan_job
 
     report = analyze_job(job)
     if mode == "strict" and report.has_errors:
@@ -292,10 +276,4 @@ def lint_at_submit(job: JobSpec) -> "tuple[JobSpec, LintReport | None]":
             f"({len(report.errors)} error finding(s)): {summary}",
             report=report,
         )
-    if opt_mode != "off":
-        report.plan = plan_job(job, mode=opt_mode)
-        if opt_mode == "apply":
-            job = apply_plan(job, report.plan, report)
-    if mode == "off":
-        return job, report
     return gate_job(job, report), report

@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..config import Keys
+from ..config import DEFAULTS, Keys
 from ..engine.counters import Counter, Counters
 from ..engine.instrumentation import Ledger, TaskInstruments
 from ..engine.job import JobSpec
@@ -60,11 +60,16 @@ TRANSIENT_TASK_ERRORS = (UserCodeError, SerdeError, DiskError)
 
 
 def check_choices(job: JobSpec) -> None:
-    """Refuse an enumerated conf value outside its choices with a
-    :class:`~repro.errors.ConfigError` naming the key — once, at
-    submit, so a bad value fails the same way on every backend and
-    before any task runs."""
+    """Refuse an unknown ``repro.*`` key, or an enumerated conf value
+    outside its choices, with a :class:`~repro.errors.ConfigError`
+    naming the key — once, at submit, so a typo or a retired key fails
+    the same way on every backend and before any task runs.  Keys
+    outside the ``repro.`` namespace belong to the application."""
     from ..io.compression import codec_names
+
+    for key, _value in job.conf.items():
+        if key.startswith("repro.") and key not in DEFAULTS:
+            raise ConfigError(f"{key} is not a configuration key of this engine")
 
     choices = {
         Keys.GROUPING: ("sort", "hash"),

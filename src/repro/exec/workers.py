@@ -24,12 +24,15 @@ import multiprocessing
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..engine.job import JobSpec
 from ..errors import ExecBackendError, JobFailedError, ReproError
 from .base import Task, run_with_retries
 from .diskio import FileDisk
+
+if TYPE_CHECKING:
+    from ..shuffle.server import ShuffleServer
 
 
 def fork_context():
@@ -58,8 +61,8 @@ class WorkerContext:
     dfs: object | None = None
     #: This daemon's own shuffle server, when ``repro.shuffle.mode =
     #: net`` (set by the daemon after fork): map tasks register their
-    #: finished output with it over TCP and reducers fetch from it.
-    shuffle_address: tuple[str, int] | None = None
+    #: finished output with it in-process and reducers fetch from it.
+    shuffle_server: "ShuffleServer | None" = None
 
 
 # Contexts are registered by id, not held in a single slot: concurrent
@@ -127,21 +130,13 @@ def task_entry(task: Task, fetch_results: list | None, ctx_id: int) -> tuple:
         )
     except JobFailedError as exc:
         return task.key, attempts_seen.get(task.key, 0), None, exc
-    if task.kind == "map" and ctx.shuffle_address is not None:
-        # Announce the finished output to this node's shuffle server
-        # over the wire; the server reads the worker's spill files
-        # itself when reducers ask for segments.
-        from ..shuffle.fetcher import register_output
-
+    server = ctx.shuffle_server
+    if task.kind == "map" and server is not None:
+        # Hand the finished output to this daemon's own shuffle server;
+        # it reads the spill files when reducers ask for segments.
         result = outcome[2]
-        register_output(
-            ctx.shuffle_address,
-            task.key,
-            result.disk.root,
-            result.disk.name,
-            result.output_index,
-        )
-        result.serve_address = ctx.shuffle_address
+        server.register(task.key, result.output_index, result.disk)
+        result.serve_address = server.address
     return outcome
 
 
@@ -152,9 +147,9 @@ def run_entry(task: Task, fetch_results: list | None, ctx_id: int) -> tuple:
     try:
         return task_entry(task, fetch_results, ctx_id)
     except ReproError as exc:
-        # Framework errors task_entry does not convert (shuffle
-        # registration failures, config problems): ship them whole so
-        # the parent re-raises the causal type.
+        # Framework errors task_entry does not convert (config
+        # problems): ship them whole so the parent re-raises the causal
+        # type.
         return (task.key, 0, None, exc)
     except BaseException as exc:  # noqa: BLE001 - worker must not die on user junk
         return (

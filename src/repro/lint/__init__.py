@@ -38,7 +38,7 @@ import importlib
 #: Public name -> the submodule that defines it.  Every name loads on
 #: first use (PEP 562): every reduce task (and every combiner) imports
 #: the leaf :mod:`repro.lint.proofs`, and that must not pull in the rule
-#: catalog or the optimizer.
+#: catalog.
 _LAZY = {
     "analyze_app": "engine",
     "analyze_engine": "engine",
@@ -48,25 +48,17 @@ _LAZY = {
     "GatingDecision": "findings",
     "LintReport": "findings",
     "Severity": "findings",
-    "OptimizationPlan": "opt",
-    "PlanDecision": "opt",
-    "apply_plan": "opt",
-    "plan_job": "opt",
 }
 
 __all__ = [
     "Finding",
     "GatingDecision",
     "LintReport",
-    "OptimizationPlan",
-    "PlanDecision",
     "Severity",
     "analyze_app",
     "analyze_engine",
     "analyze_job",
-    "apply_plan",
     "gate_job",
-    "plan_job",
 ]
 
 

@@ -5,10 +5,6 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .opt.plan import OptimizationPlan
 
 
 class Severity(enum.IntEnum):
@@ -98,10 +94,6 @@ class LintReport:
     #: Combiner-algebra verdict; drives the freqbuf gating decision.
     #: ``None`` for reports with no job (the engine self-lint).
     fold_like: str | None = None
-    #: The static optimizer's plan for this job, attached when
-    #: ``repro.lint.opt.mode`` is on (or by ``repro analyze``); ``None``
-    #: when the optimizer did not run.
-    plan: "OptimizationPlan | None" = None
 
     @property
     def errors(self) -> list[Finding]:
@@ -135,7 +127,6 @@ class LintReport:
             "findings": [f.as_dict() for f in self.findings],
             "gating": [g.as_dict() for g in self.gating],
             "notes": list(self.notes),
-            "plan": self.plan.as_dict() if self.plan is not None else None,
         }
 
     def to_json(self, indent: int | None = 2) -> str:

@@ -19,8 +19,8 @@ below :class:`~repro.engine.api.Reducer`.  Each answer is cached per
 class, so a process parses a class at most once.
 
 This module is a leaf: it loads only :mod:`ast` and
-:mod:`repro.lint.source`, never the rule catalog or the optimizer, so a
-job that asks for a proof pays for the proof alone.
+:mod:`repro.lint.source`, never the rule catalog, so a job that asks
+for a proof pays for the proof alone.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def match_fold(
     """Match *func*'s body against the one monoid-fold template,
     ``emit(key, W(sum|min|max(v.value for v in values)))`` over an
     exact-int *value_cls*; returns the aggregate's name or the defeating
-    construct.  ``reduce()`` may wrap in any ``W`` (the synthesized
-    combiner re-wraps in *value_cls* itself); a ``combine()`` whose
+    construct.  ``reduce()`` may wrap in any ``W`` (its output is the
+    job's final output); a ``combine()`` whose
     output re-enters the map-output stream must name *value_cls*
     (*rewraps_value_cls*)."""
     name = func.name

@@ -6,9 +6,9 @@ replaces the transport with real localhost TCP:
 
 ``server``
     A per-node :class:`~repro.shuffle.server.ShuffleServer` serves
-    framed, CRC-checked partition segments from registered map outputs
-    (in-memory disks registered in-process; ``FileDisk``-backed outputs
-    registered over the wire by the map workers that wrote them).
+    framed, CRC-checked partition segments from map outputs registered
+    in-process (in-memory disks by the driver; ``FileDisk``-backed
+    outputs by the worker daemon that wrote them and runs the server).
 ``fetcher``
     A reduce-side fetcher pool pulls segments concurrently with a
     bounded in-flight window, retrying with exponential backoff +
@@ -30,7 +30,7 @@ Select with ``repro.shuffle.mode = net`` (CLI: ``--shuffle net
 from __future__ import annotations
 
 from ..errors import ShuffleError, ShuffleTransportError
-from .fetcher import FetcherPool, FetchPlanEntry, FetchResult, RetryPolicy, register_output
+from .fetcher import FetcherPool, FetchPlanEntry, FetchResult, RetryPolicy
 from .server import ShuffleHostStats, ShuffleServer
 from .service import NetShuffleService
 
@@ -44,5 +44,4 @@ __all__ = [
     "ShuffleHostStats",
     "ShuffleServer",
     "ShuffleTransportError",
-    "register_output",
 ]

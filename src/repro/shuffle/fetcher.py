@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from ..config import JobConf, Keys
 from ..errors import ShuffleError, ShuffleTransportError
 from ..io.compression import decode_segment
-from ..io.spillfile import SpillIndex
 from . import wire
 
 
@@ -224,38 +223,3 @@ class FetcherPool:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-
-
-def register_output(
-    address: tuple[str, int],
-    task_id: str,
-    root: str,
-    disk_name: str,
-    index: SpillIndex,
-    timeout: float = 10.0,
-) -> None:
-    """Announce a finished ``FileDisk``-backed map output to its node's
-    shuffle server over the wire (the cluster backend's worker daemons
-    call this for every map task they finish)."""
-    from .server import index_to_json
-
-    try:
-        with socket.create_connection(address, timeout=timeout) as sock:
-            sock.settimeout(timeout)
-            wire.send_json(sock, wire.OP_REG, {
-                "task": task_id,
-                "root": root,
-                "name": disk_name,
-                "index": index_to_json(index),
-            })
-            opcode, _payload = wire.recv_frame(sock)
-    except (OSError, socket.timeout) as exc:
-        raise ShuffleError(
-            f"registering map output {task_id!r} with shuffle server "
-            f"{address[0]}:{address[1]} failed: {exc}"
-        ) from exc
-    if opcode != wire.OP_OK:
-        raise ShuffleError(
-            f"shuffle server {address[0]}:{address[1]} rejected registration "
-            f"of {task_id!r} (opcode {opcode:#x})"
-        )

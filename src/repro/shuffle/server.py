@@ -3,15 +3,12 @@
 One :class:`ShuffleServer` plays the role of Hadoop's per-TaskTracker
 ``MapOutputServlet``: it owns the map outputs of one simulated host and
 serves their partition segments to reducers over localhost TCP.  Map
-outputs reach it two ways:
-
-* **in-process registration** (:meth:`ShuffleServer.register`) for the
-  serial/thread backends, whose spills live in in-memory ``LocalDisk``
-  instances the server can read directly;
-* **wire registration** (the ``REG`` opcode) for the cluster backend,
-  whose worker daemons announce each finished ``FileDisk``-backed map
-  output — path, name, and spill index — to their node's server; the
-  server opens the files itself when segments are requested.
+outputs reach it by in-process registration
+(:meth:`ShuffleServer.register`): the serial/thread backends register
+in-memory ``LocalDisk`` outputs with the driver's server, and each
+cluster worker daemon registers the ``FileDisk``-backed outputs of the
+maps it ran with the server it runs itself, which opens the spill files
+when segments are requested.
 
 Every ``GET`` response carries the spill index entry's CRC so the
 fetcher can validate the bytes it actually received.  A configured
@@ -34,7 +31,7 @@ from dataclasses import dataclass, field
 
 from ..errors import DiskError, SerdeError, ShuffleError
 from ..io.blockdisk import LocalDisk
-from ..io.spillfile import SegmentIndexEntry, SpillIndex, segment_bytes
+from ..io.spillfile import SpillIndex, segment_bytes
 from ..faults.shuffle import FaultPlan
 from . import wire
 
@@ -54,30 +51,6 @@ class ShuffleHostStats:
     @property
     def total_faults(self) -> int:
         return sum(self.faults_injected.values())
-
-
-def index_to_json(index: SpillIndex) -> dict:
-    return {
-        "path": index.path,
-        "codec": index.codec,
-        "entries": [
-            [e.partition, e.offset, e.length, e.records, e.raw_length, e.crc]
-            for e in index.entries
-        ],
-    }
-
-
-def index_from_json(obj: dict) -> SpillIndex:
-    return SpillIndex(
-        path=obj["path"],
-        codec=obj["codec"],
-        entries=tuple(
-            SegmentIndexEntry(
-                partition=p, offset=o, length=ln, records=r, raw_length=raw, crc=crc
-            )
-            for p, o, ln, r, raw, crc in obj["entries"]
-        ),
-    )
 
 
 class ShuffleServer:
@@ -222,9 +195,7 @@ class ShuffleServer:
             with conn:
                 conn.settimeout(30.0)
                 opcode, payload = wire.recv_frame(conn)
-                if opcode == wire.OP_REG:
-                    self._handle_reg(conn, wire.decode_json(payload))
-                elif opcode == wire.OP_GET:
+                if opcode == wire.OP_GET:
                     self._handle_get(conn, wire.decode_json(payload))
                 else:
                     wire.send_json(conn, wire.OP_ERR, {
@@ -236,15 +207,6 @@ class ShuffleServer:
             # take the server down; the fetcher's retry loop owns recovery.
             with self._lock:
                 self._errors += 1
-
-    def _handle_reg(self, conn: socket.socket, obj: dict) -> None:
-        from ..exec.diskio import FileDisk
-
-        task_id = obj["task"]
-        index = index_from_json(obj["index"])
-        disk = FileDisk(obj["root"], obj["name"])
-        self.register(task_id, index, disk)
-        wire.send_frame(conn, wire.OP_OK)
 
     def _handle_get(self, conn: socket.socket, obj: dict) -> None:
         task_id = obj["task"]

@@ -18,9 +18,7 @@ framing still parses (the fault injector exploits exactly this).
 
 Opcodes
 -------
-``REG``   map worker -> server: register a finished map output by path.
 ``GET``   reducer -> server: request one partition segment.
-``OK``    server -> client: registration accepted.
 ``DATA``  server -> client: the requested segment.
 ``ERR``   server -> client: JSON ``{"code", "message"}``; ``BUSY`` is the
           fault injector's explicit refusal, ``NOTFOUND`` an unknown map
@@ -37,16 +35,12 @@ from ..errors import ShuffleTransportError
 MAGIC = b"RS"
 HEADER_LEN = len(MAGIC) + 1 + 4
 
-OP_REG = 0x01
 OP_GET = 0x02
-OP_OK = 0x10
 OP_DATA = 0x11
 OP_ERR = 0x20
 
 OP_NAMES = {
-    OP_REG: "REG",
     OP_GET: "GET",
-    OP_OK: "OK",
     OP_DATA: "DATA",
     OP_ERR: "ERR",
 }

@@ -9,11 +9,10 @@ at every spill, so ``T_p`` depends on when each addition lands).
 ``golden_maploop.json`` was captured on ``28afe1f``, the last commit
 with the per-record method calls: for wordcount ``combined``
 (spill-matcher + frequency buffering: the ``T_p`` sequence and the
-profiling stage's progress trigger), a selection-pushdown job (the
-reader yields ``key is None`` for filtered records) and a projection
-job, the output digest, every job counter and ledger float, and every
-map task's pipeline timeline — busy, elapsed and each spill's produce
-work, consume work and size — must be ``==``, not approximately.
+profiling stage's progress trigger), the output digest, every job
+counter and ledger float, and every map task's pipeline timeline —
+busy, elapsed and each spill's produce work, consume work and size —
+must be ``==``, not approximately.
 
 Regenerate the golden (only ever on a commit known to be right)::
 
@@ -27,11 +26,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps.registry import build_application
 from repro.config import Keys
 from repro.engine.runner import LocalJobRunner
 from repro.experiments.common import build_app
-from tests.lint.test_opt_equivalence import _visits_job
 
 GOLDEN = Path(__file__).with_name("golden_maploop.json")
 
@@ -40,10 +37,6 @@ JOBS = {
         "wordcount", "combined", scale=0.02, num_splits=3,
         extra_conf={Keys.SPILL_BUFFER_BYTES: 16 * 1024},
     ).job,
-    "selection-pushdown": lambda: build_application(
-        "selection", scale=0.01, conf_overrides={Keys.LINT_OPT_MODE: "apply"},
-    ).job,
-    "projection": lambda: _visits_job("apply"),
 }
 
 
@@ -84,8 +77,6 @@ def test_golden_covers_the_map_loop_shapes(golden):
     assert combined["counters"]["freqbuf_hits"] > 0
     assert combined["counters"]["freqbuf_profiled_records"] > 0
     assert all(len(task["spills"]) > 1 for task in combined["maps"])
-    assert golden["selection-pushdown"]["counters"]["opt_select_skipped"] > 0
-    assert golden["projection"]["counters"]["opt_proj_bytes_saved"] > 0
 
 
 if __name__ == "__main__":

@@ -187,6 +187,19 @@ def test_unknown_choice_is_refused_at_submit(key: str, backend: str, tiny_text) 
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_unknown_repro_key_is_refused_at_submit(backend: str, tiny_text) -> None:
+    """A retired key and a typo both fail at submit, naming the key, on
+    every backend; keys outside ``repro.`` belong to the application."""
+    for key in ("repro.lint.opt.mode", "repro.freqbuf.enable"):
+        job = make_wordcount_job(tiny_text, {Keys.EXEC_BACKEND: backend, key: True})
+        runner = LocalJobRunner()
+        with pytest.raises(ConfigError, match=f"^{key} is not a configuration key"):
+            runner.run(job)
+        assert runner.task_attempts == {}
+    base.check_choices(make_wordcount_job(tiny_text, {"wordcount.min.length": 3}))
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_failure_contract_holds_on_every_backend(backend: str, tiny_text) -> None:
     conf = {Keys.EXEC_BACKEND: backend, Keys.EXEC_WORKERS: 2, Keys.TASK_MAX_ATTEMPTS: 2}
     job = failing_job(tiny_text, conf)

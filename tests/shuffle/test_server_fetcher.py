@@ -15,7 +15,6 @@ from repro.shuffle.fetcher import (
     FetchPlanEntry,
     RetryPolicy,
     fetch_segment,
-    register_output,
 )
 from repro.shuffle.server import ShuffleServer
 
@@ -93,10 +92,12 @@ def test_dead_port_is_connection_refused_not_hang():
         fetch_segment(entry, FAST_RETRIES)
 
 
-def test_wire_registration_from_file_disk(server, tmp_path):
+def test_wire_fetch_from_file_disk(server, tmp_path):
+    # A cluster worker daemon registers its FileDisk-backed map outputs
+    # with the server it runs; reducers fetch them over the wire.
     disk = FileDisk(str(tmp_path / "worker0"), "m1.disk")
     index = write_spill(disk, "m1.out", PARTITIONS)
-    register_output(server.address, "job.m0001", disk.root, disk.name, index)
+    server.register("job.m0001", index, disk)
     assert server.registered_tasks() == ["job.m0001"]
 
     entry = FetchPlanEntry(server.address, "job.m0001", 0)

@@ -7,10 +7,7 @@ import socket
 import pytest
 
 from repro.errors import ShuffleTransportError
-from repro.io.blockdisk import LocalDisk
-from repro.io.spillfile import write_spill
 from repro.shuffle import wire
-from repro.shuffle.server import index_from_json, index_to_json
 
 
 def pipe() -> tuple[socket.socket, socket.socket]:
@@ -29,8 +26,8 @@ class TestFrames:
     def test_empty_payload(self):
         a, b = pipe()
         with a, b:
-            wire.send_frame(a, wire.OP_OK)
-            assert wire.recv_frame(b) == (wire.OP_OK, b"")
+            wire.send_frame(a, wire.OP_GET)
+            assert wire.recv_frame(b) == (wire.OP_GET, b"")
 
     def test_bad_magic_rejected(self):
         a, b = pipe()
@@ -90,14 +87,3 @@ class TestDataPayload:
         payload = wire.encode_data({"length": 1}, b"x")
         with pytest.raises(ShuffleTransportError, match="truncated"):
             wire.decode_data(payload[:6])
-
-
-class TestIndexJson:
-    def test_spill_index_round_trips(self):
-        disk = LocalDisk("t")
-        index = write_spill(
-            disk, "t.out",
-            [[(b"a", b"1"), (b"b", b"2")], [(b"c", b"3")], []],
-        )
-        clone = index_from_json(index_to_json(index))
-        assert clone == index

@@ -9,7 +9,6 @@ from .policy import SpeculationPolicy
 from .scheduler import Placement, TaskRequest, schedule_wave
 from .simclock import EventQueue
 from .speculation import (
-    SpeculationConfig,
     SpeculativeOutcome,
     apply_speculation,
     heterogeneous_cluster,
@@ -32,7 +31,6 @@ __all__ = [
     "NodeSpec",
     "PRESET_CLUSTERS",
     "Placement",
-    "SpeculationConfig",
     "SpeculationPolicy",
     "SpeculativeOutcome",
     "apply_speculation",

@@ -58,7 +58,7 @@ class ClusterJobResult(JobResult):
 class ClusterJobRunner:
     """Executes one job per the discrete-event cluster model.
 
-    Pass a :class:`~repro.cluster.speculation.SpeculationConfig` to turn
+    Pass a :class:`~repro.cluster.policy.SpeculationPolicy` to turn
     on straggler mitigation: after the map wave is planned, lagging
     tasks get backup attempts on free slots and complete at the faster
     attempt's end — the classic MapReduce answer to heterogeneous nodes.

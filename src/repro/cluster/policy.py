@@ -20,8 +20,7 @@ before launching a backup attempt:
    availability itself stays with the scheduler that owns the slots.
 
 The thresholds live here once so the simulator and the runtime cannot
-drift apart; the simulator's ``SpeculationConfig`` name survives as an
-alias.
+drift apart.
 """
 
 from __future__ import annotations
@@ -87,7 +86,3 @@ class SpeculationPolicy:
             min_task_seconds=conf.get_float(Keys.CLUSTER_SPEC_MIN_SECONDS),
         )
 
-
-#: The simulator predates the shared policy and called it a "config";
-#: the old name keeps working everywhere.
-SpeculationConfig = SpeculationPolicy

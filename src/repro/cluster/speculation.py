@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .policy import SpeculationConfig, SpeculationPolicy
+from .policy import SpeculationPolicy
 from .scheduler import DurationFn, Placement, TaskRequest
 from .specs import ClusterSpec
 
 __all__ = [
-    "SpeculationConfig",
     "SpeculationPolicy",
     "SpeculativeOutcome",
     "apply_speculation",
@@ -53,7 +52,7 @@ def apply_speculation(
     placements: list[Placement],
     tasks_by_id: dict[str, TaskRequest],
     duration_fn: DurationFn,
-    config: SpeculationConfig = SpeculationConfig(),
+    config: SpeculationPolicy = SpeculationPolicy(),
     slots_attr: str = "map_slots",
 ) -> SpeculativeOutcome:
     """Launch backup attempts for stragglers in a scheduled wave.

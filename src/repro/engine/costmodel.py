@@ -16,9 +16,9 @@ and hardware-independent.  The constants below were chosen so that the
 baseline breakdown of our six applications reproduces the shape of the
 paper's Figure 2 (user code a small share for all apps except
 WordPOSTag; post-map operations scaling with intermediate data volume).
-Every constant is overridable per-experiment, and
-``benchmarks/test_ablation_costmodel.py`` checks the headline results
-are robust to perturbing them.
+Every constant is overridable per-experiment, and the cost-model claim
+of :mod:`repro.experiments.ablations` checks the headline result is
+robust to perturbing them.
 """
 
 from __future__ import annotations

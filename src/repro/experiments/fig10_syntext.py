@@ -21,6 +21,9 @@ from .common import config_overrides
 
 EXPERIMENT = "fig10"
 
+#: ``runall --fast`` arguments to :func:`run`.
+FAST = {"scale": 0.03}
+
 
 @dataclass
 class Fig10Result:

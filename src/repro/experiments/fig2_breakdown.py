@@ -19,6 +19,9 @@ from .common import build_engine_app as build_app, job_breakdown, run_engine_job
 
 EXPERIMENT = "fig2"
 
+#: ``runall --fast`` arguments to :func:`run`.
+FAST = {"scale": 0.04}
+
 
 @dataclass
 class Fig2Result:

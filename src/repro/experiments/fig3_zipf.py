@@ -20,6 +20,9 @@ from ..data.textcorpus import CorpusSpec, corpus_word_frequencies, generate_corp
 
 EXPERIMENT = "fig3"
 
+#: ``runall --fast`` arguments to :func:`run`.
+FAST = {"scale": 0.05}
+
 
 @dataclass
 class Fig3Result:

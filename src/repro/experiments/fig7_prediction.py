@@ -25,6 +25,9 @@ from ..data.textcorpus import CorpusSpec, generate_corpus
 
 EXPERIMENT = "fig7"
 
+#: ``runall --fast`` arguments to :func:`run`.
+FAST = {"scale": 0.05}
+
 
 @dataclass
 class Fig7Curves:

@@ -22,6 +22,9 @@ from .common import build_engine_app as build_app, job_breakdown, run_engine_job
 
 EXPERIMENT = "fig8"
 
+#: ``runall --fast`` arguments to :func:`run`.
+FAST = {"scale": 0.04}
+
 #: Paper's quoted abstraction-cost reductions (percent).
 PAPER_REDUCTION = {
     "wordcount": 40.0,

@@ -23,6 +23,9 @@ from .common import OPTIMIZATION_CONFIGS, build_engine_app as build_app, job_idl
 
 EXPERIMENT = "fig9"
 
+#: ``runall --fast`` arguments to :func:`run`.
+FAST = {"scale": 0.04}
+
 PAPER_WAIT_REMOVED = {
     "wordcount": 90.0,
     "invertedindex": 89.0,

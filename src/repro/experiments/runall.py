@@ -13,6 +13,7 @@ import time
 
 from ..analysis.report import Claim, render_claims
 from . import (
+    ablations,
     fig2_breakdown,
     fig3_zipf,
     fig7_prediction,
@@ -34,6 +35,7 @@ EXPERIMENTS = [
     ("table3", "Table III — local-cluster runtimes", table3_local),
     ("table4", "Table IV — EC2 runtimes", table4_ec2),
     ("fig10", "Figure 10 — SynText sweep", fig10_syntext),
+    ("ablation", "Ablations — design decisions", ablations),
 ]
 
 
@@ -93,19 +95,7 @@ def run_all(fast: bool = False) -> tuple[str, list[Claim], int]:
     all_claims: list[Claim] = []
     for exp_id, title, module in EXPERIMENTS:
         start = time.perf_counter()
-        kwargs = {}
-        if fast:
-            if exp_id in ("fig2", "table2", "fig8", "fig9"):
-                kwargs = {"scale": 0.04}
-            elif exp_id == "table3":
-                kwargs = {"scale": 0.06, "num_splits": 12}
-            elif exp_id == "table4":
-                kwargs = {"local_scale": 0.06, "num_splits": 24}
-            elif exp_id == "fig10":
-                kwargs = {"scale": 0.03}
-            elif exp_id in ("fig3", "fig7"):
-                kwargs = {"scale": 0.05}
-        result = module.run(**kwargs)
+        result = module.run(**(module.FAST if fast else {}))
         elapsed = time.perf_counter() - start
         sections.append(
             f"## {title}\n\n```\n{result.render()}\n\n"
@@ -145,9 +135,9 @@ def run_all(fast: bool = False) -> tuple[str, list[Claim], int]:
         "  relational support-idle dominance all reproduce; exact percentages\n"
         "  differ with our calibrated produce/consume ratios.\n"
         "* **Absolute seconds are modelled.** Node speed is an arbitrary\n"
-        "  constant; every claim is a ratio. The cost-model ablation bench\n"
-        "  (`benchmarks/test_ablation_costmodel.py`) verifies headline\n"
-        "  directions survive ±50% perturbations of each constant.\n"
+        "  constant; every claim is a ratio. The cost-model ablation (its\n"
+        "  claim in the Ablations section below) checks that the headline\n"
+        "  direction survives ±50% perturbations of each constant.\n"
         "* **Measured seconds trail the modelled saving; on the clock the\n"
         "  optimizations now save ~2 % at most.** The paper's Combined is 0.61x\n"
         "  Baseline.  Ours was 0.87-0.89 before the packed spill path (PR 21)\n"

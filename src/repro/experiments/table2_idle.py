@@ -20,6 +20,9 @@ from .common import build_engine_app as build_app, job_idle, run_engine_job
 
 EXPERIMENT = "table2"
 
+#: ``runall --fast`` arguments to :func:`run`.
+FAST = {"scale": 0.04}
+
 PAPER_IDLE: dict[str, tuple[float, float]] = {
     "wordcount": (38.01, 34.33),
     "invertedindex": (34.86, 33.98),

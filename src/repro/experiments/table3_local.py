@@ -30,6 +30,9 @@ from .common import OPTIMIZATION_CONFIGS, build_app
 
 EXPERIMENT = "table3"
 
+#: ``runall --fast`` arguments to :func:`run`.
+FAST = {"scale": 0.06, "num_splits": 12}
+
 PAPER_TABLE3 = {
     "wordcount": {"baseline": 571, "freq": 448, "spill": 449, "combined": 347},
     "invertedindex": {"baseline": 816, "freq": 634, "spill": 636, "combined": 536},

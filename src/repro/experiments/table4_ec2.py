@@ -27,6 +27,9 @@ from . import table3_local
 
 EXPERIMENT = "table4"
 
+#: ``runall --fast`` arguments to :func:`run`.
+FAST = {"local_scale": 0.06, "num_splits": 24}
+
 EC2_APPS: tuple[str, ...] = ("wordcount", "invertedindex", "pagerank")
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.jobtracker import ClusterJobRunner
-from repro.cluster.speculation import SpeculationConfig, heterogeneous_cluster
+from repro.cluster.speculation import SpeculationPolicy, heterogeneous_cluster
 from repro.cluster.specs import local_cluster
 from repro.config import Keys
 from repro.engine.counters import Counters
@@ -42,7 +42,7 @@ def snapshot(run: str) -> dict:
     app_name, config = run.split("-")
     if config == "speculation":
         app = build_app("wordcount", "baseline", scale=0.04, num_splits=12)
-        runner = ClusterJobRunner(heterogeneous_cluster(), speculation=SpeculationConfig())
+        runner = ClusterJobRunner(heterogeneous_cluster(), speculation=SpeculationPolicy())
     else:
         app = build_app(
             app_name, config, scale=0.02, num_splits=4,

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster.jobtracker import ClusterJobRunner
 from repro.cluster.scheduler import Placement, TaskRequest
 from repro.cluster.speculation import (
-    SpeculationConfig,
+    SpeculationPolicy,
     apply_speculation,
     heterogeneous_cluster,
 )
@@ -51,7 +51,7 @@ class TestApplySpeculation:
             fast_cluster(), placements,
             {tid: TaskRequest(tid) for tid in durations},
             lambda t, h: 1.0,
-            SpeculationConfig(enabled=False),
+            SpeculationPolicy(enabled=False),
         )
         assert outcome.backups_launched == 0
         assert outcome.wave_end == 50.0
@@ -85,7 +85,7 @@ class TestApplySpeculation:
             fast_cluster(), make_placements(durations),
             {tid: TaskRequest(tid) for tid in durations},
             lambda t, h: 1.0,
-            SpeculationConfig(max_backups=2),
+            SpeculationPolicy(max_backups=2),
         )
         assert outcome.backups_launched == 2
 
@@ -104,7 +104,7 @@ class TestHeterogeneousCluster:
         )
         cluster = heterogeneous_cluster(slow_factor=5.0)
         plain = ClusterJobRunner(cluster).run(app)
-        speculative_runner = ClusterJobRunner(cluster, speculation=SpeculationConfig())
+        speculative_runner = ClusterJobRunner(cluster, speculation=SpeculationPolicy())
         speculative = speculative_runner.run(app)
         # Some map task lands on the slow node; a backup on a fast node
         # must shorten the map phase.
@@ -118,7 +118,7 @@ class TestHeterogeneousCluster:
         )
         cluster = heterogeneous_cluster()
         plain = ClusterJobRunner(cluster).run(app)
-        speculative = ClusterJobRunner(cluster, speculation=SpeculationConfig()).run(app)
+        speculative = ClusterJobRunner(cluster, speculation=SpeculationPolicy()).run(app)
         normalize = lambda res: sorted(
             (k.to_bytes(), v.to_bytes())
             for r in res.reduce_results
@@ -133,7 +133,7 @@ class TestHeterogeneousCluster:
         )
         cluster = local_cluster()
         plain = ClusterJobRunner(cluster).run(app)
-        runner = ClusterJobRunner(cluster, speculation=SpeculationConfig())
+        runner = ClusterJobRunner(cluster, speculation=SpeculationPolicy())
         speculative = runner.run(app)
         # Identical nodes: backups can never win; runtime unchanged.
         assert runner.map_backups_won == 0

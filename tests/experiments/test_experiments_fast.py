@@ -2,8 +2,8 @@
 
 Each experiment runs at very small scale; these tests assert the
 *structural* contract (tables render, series have the right axes) and
-the most robust shape claims.  Full-scale claim checks live in the
-benchmark harness.
+the most robust shape claims.  Full-scale claim checks are `runall`'s
+(CI's "Shape claims" step).
 """
 
 import pytest

@@ -52,6 +52,7 @@ from .engine.runner import LocalJobRunner
 from .exec import backend_names
 from .experiments import runall
 from .experiments.common import OPTIMIZATION_CONFIGS, build_app
+from .io.compression import codec_names
 from .shutdown import graceful_termination
 
 
@@ -62,20 +63,13 @@ def _add_common_app_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--splits", type=int, default=4, help="number of map tasks")
     parser.add_argument("--reducers", type=int, default=None)
     parser.add_argument(
-        "--grouping", choices=("sort", "hash"), default="sort",
-        help="post-map grouping procedure (hash = the §VII extension)",
-    )
-    parser.add_argument(
-        "--compression", choices=("identity", "zlib", "rle+zlib"), default="identity",
+        "--compression", choices=codec_names(), default="identity",
         help="spill/shuffle segment codec",
     )
 
 
 def _build(args: argparse.Namespace, extra: dict | None = None):
-    conf = {
-        Keys.GROUPING: args.grouping,
-        Keys.SPILL_COMPRESSION: args.compression,
-    }
+    conf = {Keys.SPILL_COMPRESSION: args.compression}
     if args.reducers:
         conf[Keys.NUM_REDUCERS] = args.reducers
     if extra:

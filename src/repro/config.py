@@ -64,7 +64,6 @@ class Keys:
     NUM_REDUCERS = "repro.job.reduces"
     EXACT_COMPARISON_COUNTING = "repro.instrument.exact.comparisons"
     SPILL_COMPRESSION = "repro.io.spill.compression"  # identity|zlib|rle+zlib
-    GROUPING = "repro.engine.grouping"  # sort | hash (post-map grouping procedure)
     REDUCE_MEMORY_BYTES = "repro.reduce.shuffle.memory.bytes"  # merge budget
     TASK_MAX_ATTEMPTS = "repro.task.max.attempts"  # retries for failed tasks
     TASK_TIMEOUT = "repro.task.timeout.seconds"  # reap hung workers (0 = off)
@@ -110,7 +109,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.NUM_REDUCERS: 1,
     Keys.EXACT_COMPARISON_COUNTING: False,
     Keys.SPILL_COMPRESSION: "identity",
-    Keys.GROUPING: "sort",
     Keys.REDUCE_MEMORY_BYTES: 64 << 20,  # 64 MiB: in-memory merge by default
     Keys.TASK_MAX_ATTEMPTS: 4,  # Hadoop's mapred.map.max.attempts default
     Keys.TASK_TIMEOUT: 0.0,  # Hadoop's mapred.task.timeout, scaled; 0 disables

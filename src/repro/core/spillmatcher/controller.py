@@ -25,14 +25,13 @@ class SpillMatcherPolicy(SpillPolicy):
         initial_percent: float = 0.8,
         min_percent: float = 0.05,
         max_percent: float = 0.95,
-        smoothing: float = 1.0,
     ) -> None:
         if not 0.0 < initial_percent <= 1.0:
             raise ValueError(f"initial percent must be in (0, 1], got {initial_percent}")
         self.initial_percent = initial_percent
         self.min_percent = min_percent
         self.max_percent = max_percent
-        self.estimator = RateEstimator(smoothing)
+        self.estimator = RateEstimator()
         self.history: list[float] = []
         self.observations: list[RateObservation] = []
 

@@ -7,9 +7,7 @@ system characteristics stay roughly constant between adjacent spills,
 so the last spill's measurement predicts the next spill's rates.
 
 :class:`RateEstimator` implements exactly that last-observation
-predictor, with an optional exponential smoothing knob (``smoothing=1``
-reproduces the paper's raw last-value estimator; the ablation bench
-sweeps it).
+predictor.
 """
 
 from __future__ import annotations
@@ -39,22 +37,14 @@ class RateObservation:
 class RateEstimator:
     """Predicts the next spill's (T_p, T_c) from observations so far."""
 
-    def __init__(self, smoothing: float = 1.0) -> None:
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError(f"smoothing must be in (0, 1], got {smoothing}")
-        self.smoothing = smoothing
+    def __init__(self) -> None:
         self._produce_time: float | None = None
         self._consume_time: float | None = None
         self.observations = 0
 
     def observe(self, observation: RateObservation) -> None:
-        a = self.smoothing
-        if self._produce_time is None or self._consume_time is None:
-            self._produce_time = observation.produce_time
-            self._consume_time = observation.consume_time
-        else:
-            self._produce_time = a * observation.produce_time + (1 - a) * self._produce_time
-            self._consume_time = a * observation.consume_time + (1 - a) * self._consume_time
+        self._produce_time = observation.produce_time
+        self._consume_time = observation.consume_time
         self.observations += 1
 
     @property

@@ -10,7 +10,7 @@ Records are bucketed by partition as they arrive, as Skywriting's
 ``PartialHashOutputCollector`` does: each ``(key bytes, value bytes)``
 pair is appended to its partition's *run* list, and its partition to an
 *arrival* list, from which :class:`BinarySpill` rebuilds arrival order
-(iteration, :meth:`BinarySpill.entry`, exact comparison counting).
+(iteration, exact comparison counting).
 
 Occupancy is tracked as Hadoop tracks it — serialized payload bytes plus
 :data:`RECORD_METADATA_BYTES` per record (its kvindex entry) against the
@@ -106,11 +106,6 @@ class BinarySpill:
     @property
     def record_count(self) -> int:
         return len(self.arrival)
-
-    def entry(self, seq: int) -> tuple[int, bytes, bytes]:
-        """Record *seq* in arrival order as ``(partition, key, value)``."""
-        partition = self.arrival[seq]
-        return (partition, *self.runs[partition][self.arrival[:seq].count(partition)])
 
     def __iter__(self) -> Iterator[tuple[int, bytes, bytes]]:
         cursors = [iter(run) for run in self.runs]

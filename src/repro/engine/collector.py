@@ -8,33 +8,37 @@ map-output file.  :class:`StandardCollector` reproduces Hadoop's
     serialize -> partition -> buffer -> [threshold] -> sort -> combine
     -> spill to disk -> ... -> final merge of all spills
 
-A *grouping* strategy (:mod:`repro.engine.grouping`: sort or hash)
-decides what is buffered and how a drained spill becomes sorted
-runs; every spill then runs through the one inline cycle *drain ->
-consume -> settle -> observe* here, with the two threads of Hadoop's
-spill pipeline modelled in work units
-(:class:`~repro.engine.pipeline.PipelineTimeline`).  Frequency
-buffering wraps this class (:mod:`repro.core.freqbuf.collector`);
-spill-matcher plugs in as the :class:`~repro.engine.spillpolicy.SpillPolicy`.
+Every spill runs through the one inline cycle *drain -> consume ->
+settle -> observe* here, with the two threads of Hadoop's spill
+pipeline modelled in work units
+(:class:`~repro.engine.pipeline.PipelineTimeline`); the per-spill
+combine and every end-of-map merge pass share :func:`combine_runs`.
+Frequency buffering wraps this class
+(:mod:`repro.core.freqbuf.collector`); spill-matcher plugs in as the
+:class:`~repro.engine.spillpolicy.SpillPolicy`.
 """
 
 from __future__ import annotations
 
 import weakref
 from abc import ABC, abstractmethod
-from typing import Any, Callable
+from typing import Iterable
 
 from ..errors import SpillBufferError
 from ..io.blockdisk import LocalDisk
-from ..io.merger import MergeStats, merge_runs
+from ..io.merger import MergeStats, group_sorted, merge_runs
 from ..io.spillfile import SpillIndex, read_segment, write_spill
-from ..serde.writable import Writable
+from ..serde.writable import SerdePair, Writable
 from .api import HashPartitioner, Partitioner
-from .binarybuffer import RECORD_METADATA_BYTES, BinarySpillBuffer, oversized_record_message
+from .binarybuffer import (
+    RECORD_METADATA_BYTES,
+    BinarySpill,
+    BinarySpillBuffer,
+    oversized_record_message,
+)
 from .combiner import CombinerRunner
 from .costmodel import CostModel
 from .counters import Counter, Counters
-from .grouping import HashGrouping, SortGrouping, combine_runs
 from .instrumentation import Op, TaskInstruments
 from .pipeline import PipelineTimeline
 from .spillpolicy import SpillPolicy
@@ -67,17 +71,19 @@ class MapOutputCollector(ABC):
 #: spaces.
 _PARTITION_MEMO_MAX = 1 << 16
 
+_COMBINE_OP = Op.COMBINE
+
+Runs = list[list[SerdePair]]
+
 
 class StandardCollector(MapOutputCollector):
     """Hadoop's store-sort-combine-spill-merge dataflow, instrumented.
 
-    With the default :class:`~repro.engine.grouping.SortGrouping`,
     :meth:`collect` appends serialized records straight to their
     partition's run in the spill buffer (:mod:`repro.engine.binarybuffer`),
-    each run ordered at spill time by one stable sort; EMIT and the
-    ``MAP_OUTPUT_*`` counters are settled once per spill.  *grouping*
-    builds the other strategy, bound once and dispatched to once per
-    spill.
+    each run ordered at spill time by one stable sort and combined per
+    sorted key group; EMIT and the ``MAP_OUTPUT_*`` counters are settled
+    once per spill.
     """
 
     def __init__(
@@ -96,7 +102,6 @@ class StandardCollector(MapOutputCollector):
         exact_comparisons: bool = False,
         sort_factor: int = 10,
         codec=None,
-        grouping: Callable[["StandardCollector"], SortGrouping | HashGrouping] = SortGrouping,
     ) -> None:
         if num_partitions <= 0:
             raise ValueError(f"num_partitions must be positive, got {num_partitions}")
@@ -139,8 +144,6 @@ class StandardCollector(MapOutputCollector):
             {} if type(self.partitioner) is HashPartitioner else None
         )
         self._flushed = False
-        # A weak back-reference: no cycle keeps a finished collector alive.
-        self.grouping = grouping(weakref.proxy(self))
 
     def collect(self, key: Writable, value: Writable) -> None:
         """Serialize, partition and buffer one record, in one frame.
@@ -246,15 +249,15 @@ class StandardCollector(MapOutputCollector):
             self._uncounted_records = self._uncounted_bytes = 0
 
     def _spill(self) -> None:
-        """One spill cycle, inline: the grouping drains, :meth:`_consume`
+        """One spill cycle, inline: the buffer drains, :meth:`_consume`
         writes the spill, a deferring front stage settles, and
         :meth:`_observe` feeds the policy."""
         self._settle_emit()
-        drained = self.grouping.drain()
-        if drained is None:
+        buffer = self.buffer
+        if buffer.is_empty:
             return
-        spill, size_bytes = drained
-        consume_work = self._consume(spill)
+        size_bytes = buffer.occupancy_bytes  # before the drain resets it
+        consume_work = self._consume(buffer.drain())
         # T_p: map-thread work since the previous spill, once a front
         # stage that defers its charges (the frequency buffer) settled.
         if self.settle_front_stage is not None:
@@ -262,11 +265,20 @@ class StandardCollector(MapOutputCollector):
         mark, self._produce_mark = self._produce_mark, self.instruments.map_thread_work
         self._observe(self._produce_mark - mark, consume_work, size_bytes)
 
-    def _consume(self, spill: Any) -> float:
-        """Group + write one drained spill: the modelled support thread's
-        job for one cycle; returns its consume work ``T_c``."""
-        partitions, consume_work = self.grouping.runs(spill)
+    def _consume(self, spill: BinarySpill) -> float:
+        """Sort, combine and write one drained spill: the modelled
+        support thread's job for one cycle; returns its consume work
+        ``T_c``."""
         model, instruments, counters = self.cost_model, self.instruments, self.counters
+        sort_stats = spill.sort_stats(self.exact_comparisons)
+        consume_work = instruments.charge_support_thread(
+            Op.SORT,
+            model.sort_comparison * sort_stats.comparisons
+            + model.sort_byte_move * sort_stats.bytes_moved,
+        )
+        partitions = spill.sorted_runs(self.num_partitions)
+        if self.combiner_runner is not None:
+            partitions, consume_work = combine_runs(self, partitions, consume_work)
         path = f"{self.task_id}.spill{len(self.spill_indices)}"
         index = write_spill(self.disk, path, partitions, codec=self.codec)
         spill_io_work = model.spill_write_byte * index.total_bytes
@@ -360,3 +372,51 @@ class StandardCollector(MapOutputCollector):
         self.counters.incr(Counter.MERGED_RECORDS, stats.records_in)
         return final
 
+
+def combine_runs(
+    collector: StandardCollector, runs: Iterable[list[SerdePair]], tally: float = 0.0
+) -> tuple[Runs, float]:
+    """Combine every equal-key group of the key-sorted *runs* (the
+    per-spill combine and the end-of-map merge): returns the combined
+    runs and *tally* advanced by each group's COMBINE charge.
+
+    A proven fold (:attr:`CombinerRunner.fold`) never calls the runner:
+    groups fold on raw ints, charged the generic path's per-group
+    amounts in the same order, the ``COMBINE_*`` counters set once."""
+    runner = collector.combiner_runner
+    overhead = collector.cost_model.combine_record_overhead
+    ledger = collector.instruments.ledger
+    combined: Runs = []
+    if runner.fold is None:
+        for run in runs:
+            out: list[SerdePair] = []
+            for key_bytes, values in group_sorted(run):
+                out.extend(runner.combine_serialized(key_bytes, values))
+                amount = runner.last_work + overhead * len(values)
+                ledger.charge(_COMBINE_OP, amount)
+                tally += amount
+            combined.append(out)
+        return combined, tally
+
+    fold_values = runner.fold_values
+    combine_record = runner.user_costs.combine_record
+    work = ledger.work
+    charged = work.get(_COMBINE_OP, 0.0)
+    in_records = out_records = 0
+    for run in runs:
+        out = []
+        append = out.append
+        for key_bytes, values in group_sorted(run):
+            count = len(values)
+            in_records += count
+            append((key_bytes, values[0] if count == 1 else fold_values(values)))
+            amount = combine_record * count + overhead * count
+            charged += amount
+            tally += amount
+        out_records += len(out)
+        combined.append(out)
+    if charged:
+        work[_COMBINE_OP] = charged
+    runner.counters.incr(Counter.COMBINE_INPUT_RECORDS, in_records)
+    runner.counters.incr(Counter.COMBINE_OUTPUT_RECORDS, out_records)
+    return combined, tally

@@ -7,10 +7,9 @@ user-code cost to the ``COMBINE`` ledger op and updating counters.
 
 The runner is the only map-side caller of the user's ``combine()``:
 per-spill combining, the end-of-map merge and the node-combine stage
-go through :meth:`CombinerRunner.combine_serialized`; the fold table
-behind the frequency buffer and hash grouping
-(:mod:`repro.engine.foldtable`) through :meth:`CombinerRunner.call_combine`
-and counts for itself.
+go through :meth:`CombinerRunner.combine_serialized`; the frequency
+buffer's fold table (:mod:`repro.engine.foldtable`) through
+:meth:`CombinerRunner.call_combine` and counts for itself.
 
 Where the combiner's source *proves* that ``combine()`` is ``emit(key,
 W(sum|min|max(v.value for v in values)))`` over an exact-int ``W``

@@ -1,17 +1,12 @@
-"""The one map-side table of pending values per serialized key.
+"""The frequency buffer's map-side table of pending values per
+serialized key.
 
-The paper's frequent-key hash buffer (§III-A) and its §VII hash
-grouping are one structure — Skywriting's ``PartialHashOutputCollector``:
-a bytes-keyed table of pending values, combined once a key holds
-*combine_at* values and flushed at a byte budget.  Two parameters set
-it up for either site:
-
-* *admission* — ``keys=`` admits only that frozen set (the frequency
-  buffer probes ``slots.get``); without it every key gets a slot on
-  first sight (:meth:`FoldTable.slot`: hash grouping);
-* *budget* — ``budget_bytes=`` evicts the fullest keys' aggregates (ties
-  broken by key bytes) until the table fits; without it nothing is
-  evicted and the caller spills the whole table at its capacity.
+The paper's frequent-key hash buffer (§III-A), shaped as Skywriting's
+``PartialHashOutputCollector``: a bytes-keyed table of pending values
+for a frozen set of admitted keys (the caller probes ``slots.get``),
+combined once a key holds *combine_at* values, and bounded by
+*budget_bytes*: an insert over budget evicts the fullest keys'
+aggregates (ties broken by key bytes) until the table fits.
 
 A slot holds value bytes.  When the combiner's source proves an int
 ``sum``/``min``/``max`` (:attr:`CombinerRunner.fold`) it holds the
@@ -56,20 +51,20 @@ def _fullness(slot: Slot) -> tuple[int, bytes]:
 
 
 class FoldTable:
-    """Pending values per key, combined at *combine_at* and bounded by
-    *budget_bytes* (see the module docstring)."""
+    """Pending values per admitted key, combined at *combine_at* and
+    bounded by *budget_bytes* (see the module docstring)."""
 
     def __init__(
         self,
         runner: CombinerRunner | None,
         combine_at: int,
         *,
-        keys: Iterable[bytes] | None = None,
-        budget_bytes: int | None = None,
+        keys: Iterable[bytes],
+        budget_bytes: int,
     ) -> None:
         if combine_at < 2:
             raise ValueError(f"combine_at must be at least 2, got {combine_at}")
-        if budget_bytes is not None and budget_bytes <= 0:
+        if budget_bytes <= 0:
             raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
         self.runner = runner
         #: The proven fold (``"sum"|"min"|"max"``): slots hold ints.
@@ -77,17 +72,9 @@ class FoldTable:
         self._op = FOLD_OPS[self.fold] if self.fold is not None else None
         # Without a combiner values only accumulate until they leave.
         self._combine_at = combine_at if runner is not None else sys.maxsize
-        self.budget_bytes = budget_bytes if budget_bytes is not None else sys.maxsize
-        self._open = keys is None
-        self.slots: dict[bytes, Slot] = {} if keys is None else {kb: Slot(kb) for kb in keys}
+        self.budget_bytes = budget_bytes
+        self.slots: dict[bytes, Slot] = {kb: Slot(kb) for kb in keys}
         self.occupancy_bytes = 0
-
-    def slot(self, key_bytes: bytes) -> Slot:
-        """*key_bytes*' slot, opened on first sight."""
-        slot = self.slots.get(key_bytes)
-        if slot is None:
-            slot = self.slots[key_bytes] = Slot(key_bytes)
-        return slot
 
     def add(self, slot: Slot, item: bytes | int, size: int) -> Outcome | None:
         """Hold one more value of *slot*'s key: *item* is its bytes, or
@@ -176,7 +163,5 @@ class FoldTable:
             if slot.count:
                 aggregates.extend((key_bytes, value) for value in self._held_bytes(slot))
             slot.held, slot.count, slot.bytes, slot.keyed = None, 0, 0, False
-        if self._open:
-            self.slots = {}
         self.occupancy_bytes = 0
         return aggregates, outcomes

@@ -25,7 +25,6 @@ from ..serde.writable import Writable
 from .collector import MapOutputCollector, StandardCollector
 from .combiner import CombinerRunner
 from .counters import Counters
-from .grouping import HashGrouping, SortGrouping
 from .instrumentation import Ledger, TaskInstruments
 from .job import JobSpec
 from .maptask import MapTaskResult
@@ -170,7 +169,6 @@ def build_collector(
         exact_comparisons=conf.get_bool(Keys.EXACT_COMPARISON_COUNTING),
         sort_factor=conf.get_positive_int(Keys.SORT_FACTOR),
         codec=codec,
-        grouping=HashGrouping if conf.get_str(Keys.GROUPING) == "hash" else SortGrouping,
     )
     if not freqbuf_enabled:
         return standard

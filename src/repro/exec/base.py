@@ -72,7 +72,6 @@ def check_choices(job: JobSpec) -> None:
             raise ConfigError(f"{key} is not a configuration key of this engine")
 
     choices = {
-        Keys.GROUPING: ("sort", "hash"),
         Keys.SHUFFLE_MODE: ("mem", "net"),
         Keys.SPILL_COMPRESSION: codec_names(),
     }

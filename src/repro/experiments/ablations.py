@@ -1,20 +1,17 @@
 """Ablations — the design decisions behind the reproduced results.
 
-Not paper figures: six checks that the substrate's choices are not
+Not paper figures: five checks that the substrate's choices are not
 what makes the shapes come out.
 
 * **Cost model.**  Every reproduced result rests on the work-unit cost
   model (DESIGN.md §5).  Each constant family is perturbed by ±50 % and
-  WordCount Combined vs Baseline (pipeline elapsed) re-measured: the
-  headline direction must survive every perturbation.
+  WordCount Combined vs Baseline (whole-job modelled time) re-measured:
+  the headline direction must survive every perturbation.
 * **Frequency-buffering parameters.**  WordCount framework work over
   the frequent-set size k, the sampling fraction s and per-node
   sharing: more coverage (bigger k) removes more work, an oversized s
   forfeits the optimization window, and sharing the frequent set
   beats re-profiling in every task.  Predictors are Figure 7's.
-* **Post-map grouping** (§II-A / §VII).  Sort vs hash grouping, total
-  work: hashing wins where combining shrinks data (WordCount) and is
-  roughly a wash where it cannot (AccessLogJoin has no combiner).
 * **Spill/shuffle compression** (§VII).  On InvertedIndex, the most
   storage-intensive app, zlib cuts spilled and shuffled bytes at a
   smaller premium in total work (which charges the codec's CPU).
@@ -72,14 +69,23 @@ def _ratio(name: str, expected: str, value: float, predicate) -> Claim:
     return check(EXPERIMENT, name, expected, value, predicate, "{:.3f}")
 
 
+def _job_time(result) -> float:
+    """Whole-job modelled time: every map task's pipelined window and
+    serial merge tail, plus every reduce task.  The pipeline window
+    alone leaves out the merge and shuffle/reduce work that a spill
+    policy or a cost constant can move."""
+    return sum(r.duration_work for r in result.map_results) + sum(
+        r.duration_work for r in result.reduce_results
+    )
+
+
 def _costmodel() -> tuple[str, list[Claim]]:
     def elapsed_under(model) -> dict[str, float]:
         out = {}
         for config in ("baseline", "combined"):
             app = build_engine_app("wordcount", config, scale=0.05)
             app.job.cost_model = model
-            result = run_engine_job(app)
-            out[config] = sum(p.elapsed for p in result.pipeline_results())
+            out[config] = _job_time(run_engine_job(app))
         return out
 
     models = [
@@ -98,14 +104,15 @@ def _costmodel() -> tuple[str, list[Claim]]:
     worst = min(rows, key=lambda r: r[2])
     table = render_table(
         "Ablation: cost-model perturbations (WordCount, combined vs baseline)",
-        ["perturbation", "baseline elapsed", "combined saving %"],
+        ["perturbation", "baseline job time", "combined saving %"],
         rows, "{:.4g}",
     )
     return table, [
         check(
             EXPERIMENT, "cost model: combined wins under every ±50% constant",
             "min combined saving > 0", worst[2], lambda v: v > 0.0,
-            "{:.1f}%", note=f"min at {worst[0]}",
+            "{:.1f}%",
+            note=f"min at {worst[0]}; net_byte: no network on one host",
         ),
     ]
 
@@ -142,33 +149,6 @@ def _freqbuf() -> tuple[str, list[Claim]]:
                sharing[True] / sharing[False], lambda v: v <= 1.01),
         _ratio("freqbuf: best k / baseline work", "< 1",
                min(k.values()) / base, lambda v: v < 1.0),
-    ]
-
-
-def _grouping() -> tuple[str, list[Claim]]:
-    def total_work(app_name: str, grouping: str) -> float:
-        app = build_engine_app(
-            app_name, "baseline", scale=0.05, extra_conf={Keys.GROUPING: grouping}
-        )
-        return run_engine_job(app).ledger.total()
-
-    data = {
-        name: {g: total_work(name, g) for g in ("sort", "hash")}
-        for name in ("wordcount", "invertedindex", "accesslogjoin")
-    }
-    table = render_table(
-        "Ablation: sort vs hash post-map grouping (total work)",
-        ["app", "sort grouping", "hash grouping", "hash saving %"],
-        [[name, w["sort"], w["hash"], 100 * (1 - w["hash"] / w["sort"])]
-         for name, w in data.items()],
-        "{:.4g}",
-    )
-    wc, join = data["wordcount"], data["accesslogjoin"]
-    return table, [
-        _ratio("grouping: WordCount hash / sort work", "< 0.9",
-               wc["hash"] / wc["sort"], lambda v: v < 0.9),
-        _ratio("grouping: AccessLogJoin hash / sort work", "< 1.3",
-               join["hash"] / join["sort"], lambda v: v < 1.3),
     ]
 
 
@@ -257,16 +237,12 @@ def _spillpolicy() -> tuple[str, list[Claim]]:
             extra[Keys.SPILL_PERCENT] = static_percent
         app = build_engine_app("wordcount", config, scale=0.06, extra_conf=extra)
         result = run_engine_job(app)
-        # Whole-job modelled time: the pipelined map window plus the
-        # serial merge tail of every map task, plus the downstream
-        # shuffle/reduce work.  Judging policies on the pipeline window
-        # alone would reward degenerate micro-spills that dump their
-        # cost into merge and shuffle — the trade-off §IV-A warns about.
-        map_time = sum(r.duration_work for r in result.map_results)
-        reduce_time = sum(r.duration_work for r in result.reduce_results)
+        # Judged on the whole job: the pipeline window alone would
+        # reward degenerate micro-spills that dump their cost into merge
+        # and shuffle — the trade-off §IV-A warns about.
         idle = aggregate_idle(result.pipeline_results())
         return {
-            "elapsed": map_time + reduce_time,
+            "elapsed": _job_time(result),
             "slower_wait": idle.slower_thread_block_wait,
         }
 
@@ -294,8 +270,7 @@ def _spillpolicy() -> tuple[str, list[Claim]]:
 def run() -> AblationResult:
     tables: list[str] = []
     claims: list[Claim] = []
-    for ablation in (_costmodel, _freqbuf, _grouping, _compression,
-                     _speculation, _spillpolicy):
+    for ablation in (_costmodel, _freqbuf, _compression, _speculation, _spillpolicy):
         table, found = ablation()
         tables.append(table)
         claims.extend(found)

@@ -50,17 +50,15 @@ class Site:
     def __init__(self, keys=("hot", "warm"), budget=4096, limit=4, combiner=LoopSumCombiner,
                  value_cls=VIntWritable):
         runner = runner_for(combiner(), value_cls) if combiner else None
-        admitted = None if keys is None else [Text(k).to_bytes() for k in keys]
+        admitted = [Text(k).to_bytes() for k in keys]
         self.table = FoldTable(runner, limit, keys=admitted, budget_bytes=budget)
-        self.admitted = admitted is not None
         self.value_cls = value_cls
         self.tallies = Tallies()
         self.overflowed = []  # what left the table, in order
 
     def add(self, key, number):
         key_bytes, value = Text(key).to_bytes(), self.value_cls(number)
-        slots = self.table.slots
-        slot = slots[key_bytes] if self.admitted else self.table.slot(key_bytes)
+        slot = self.table.slots[key_bytes]
         size = value.serialized_size()
         self.tallies.hits += 1
         self.tallies.hit_bytes += len(key_bytes) + size
@@ -178,21 +176,6 @@ class TestInsertAndCombine:
         with pytest.raises(UserCodeError, match="combine"):
             site.add("hot", 1)
 
-    def test_open_admission_hands_back_rekeyed_output_and_drain_empties(self):
-        # Hash grouping's table: every key admitted, no budget, combined
-        # at 16 — the re-keyed aggregate is the caller's to re-collect.
-        table = FoldTable(runner_for(RekeyingCombiner()), 16)
-        hot = Text("hot").to_bytes()
-        outcomes = [table.add(table.slot(hot), VIntWritable(1).to_bytes(), 1) for _ in range(16)]
-        assert outcomes[:15] == [None] * 15
-        left, combined = outcomes[15]
-        assert (decoded(left), combined) == ([("hot!", 16)], [(16, 1)])
-        assert table.occupancy_bytes == len(hot)  # the key stays, its values left
-        table.add(table.slot(Text("cold").to_bytes()), VIntWritable(5).to_bytes(), 1)
-        aggregates, outcomes = table.drain()
-        assert (decoded(aggregates), outcomes) == ([("cold", 5)], [])
-        assert (table.slots, table.occupancy_bytes) == ({}, 0)
-
 
 class TestOverflow:
     def test_overflow_when_budget_exceeded(self):
@@ -281,7 +264,9 @@ class TestOverflow:
 
 # From "fits everything" down to a one-byte table that overflows on
 # every insert.
-BUDGETS = [None, 1 << 20, 256, 64, 16, 1]
+BUDGETS = [1 << 20, 256, 64, 16, 1]
+#: "k3" is drawn too, and never admitted.
+ADMITTED = ("k0", "k1", "k2")
 
 
 @settings(max_examples=60, deadline=None)
@@ -290,25 +275,24 @@ BUDGETS = [None, 1 << 20, 256, 64, 16, 1]
     value_cls=st.sampled_from([VIntWritable, IntWritable, LongWritable]),
     combine_at=st.sampled_from([2, 3, 8, 16]),
     budget=st.sampled_from(BUDGETS),
-    admitted=st.sampled_from([None, ("k0", "k1", "k2")]),
     inserts=st.lists(
         st.tuples(st.sampled_from(["k0", "k1", "k2", "k3"]), st.integers(-(10**6), 10**6)),
         max_size=60,
     ),
 )
-def test_generic_and_proven_folds_agree(agg, value_cls, combine_at, budget, admitted, inserts):
+def test_generic_and_proven_folds_agree(agg, value_cls, combine_at, budget, inserts):
     """The proven fold is unobservable at the table: the same records
     leave, in the same order, with the same tallies, as when the user's
     combine() runs on value bytes."""
     template = COMBINERS[agg, value_cls]
     sites = [
-        Site(keys=admitted, budget=budget, limit=combine_at, value_cls=value_cls,
+        Site(keys=ADMITTED, budget=budget, limit=combine_at, value_cls=value_cls,
              combiner=combiner)
         for combiner in (template, lambda: HiddenCombiner(template()))
     ]
     assert [site.table.fold for site in sites] == [agg, None]
     for key, number in inserts:
-        if admitted is None or key in admitted:
+        if key in ADMITTED:
             for site in sites:
                 site.add(key, number)
             assert len({site.table.occupancy_bytes for site in sites}) == 1

@@ -45,18 +45,11 @@ class TestControlLaw:
 
 class TestRateEstimator:
     def test_last_observation_mode(self):
-        est = RateEstimator(smoothing=1.0)
+        est = RateEstimator()
         est.observe(RateObservation(10.0, 20.0, 100))
         est.observe(RateObservation(30.0, 40.0, 100))
         assert est.produce_time == 30.0
         assert est.consume_time == 40.0
-
-    def test_smoothing(self):
-        est = RateEstimator(smoothing=0.5)
-        est.observe(RateObservation(10.0, 10.0, 100))
-        est.observe(RateObservation(20.0, 30.0, 100))
-        assert est.produce_time == pytest.approx(15.0)
-        assert est.consume_time == pytest.approx(20.0)
 
     def test_ratio(self):
         est = RateEstimator()

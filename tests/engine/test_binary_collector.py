@@ -15,9 +15,6 @@ two references replace it:
   invertedindex's and wordpostag's combiners are folds the matcher
   cannot prove (generic combine path); wordcount's is a proven int sum
   (folded on raw ints); accesslogjoin and distributedsort have none.
-  Four hash-grouping cases (captured on ``4a12723``, before hash
-  grouping and the live support thread became strategies of the one
-  collector) pin the same quantities for ``repro.engine.grouping=hash``.
 * at collector level, plain Python: ``sorted()`` and a dict for the
   segments, a ten-line occupancy model for the spill boundaries.
 
@@ -40,7 +37,6 @@ from repro.engine.collector import StandardCollector
 from repro.engine.combiner import CombinerRunner
 from repro.engine.costmodel import DEFAULT_COST_MODEL, UserCodeCosts
 from repro.engine.counters import Counter, Counters
-from repro.engine.grouping import SortGrouping
 from repro.engine.instrumentation import Ledger, TaskInstruments
 from repro.engine.runner import LocalJobRunner
 from repro.engine.spillpolicy import StaticSpillPolicy
@@ -63,7 +59,6 @@ def make_collector(
     combiner: bool = True,
     spill_percent: float = 0.8,
     exact: bool = False,
-    grouping=SortGrouping,
 ):
     counters = Counters()
     instruments = TaskInstruments(Ledger())
@@ -84,7 +79,6 @@ def make_collector(
         counters=counters,
         combiner_runner=runner,
         exact_comparisons=exact,
-        grouping=grouping,
     )
     return collector, counters, instruments
 
@@ -179,9 +173,9 @@ class TestOversizedRecord:
     """A single record that can never fit the packed ("binary") buffer
     fails fast and identifies itself before any useless spill."""
 
-    @pytest.mark.parametrize("grouping", (SortGrouping,), ids=("binary",))
-    def test_oversized_record_identified(self, grouping):
-        collector, counters, _ = make_collector(capacity=256, combiner=False, grouping=grouping)
+    @pytest.mark.parametrize("buffer", ("binary",))
+    def test_oversized_record_identified(self, buffer):
+        collector, counters, _ = make_collector(capacity=256, combiner=False)
         collector.collect(Text("small"), VIntWritable(1))
         with pytest.raises(SpillBufferError) as excinfo:
             collector.collect(Text("K" * 300), VIntWritable(1))
@@ -193,12 +187,12 @@ class TestOversizedRecord:
         # Failed before spilling the records already buffered.
         assert counters.get(Counter.SPILLS) == 0
 
-    @pytest.mark.parametrize("grouping", (SortGrouping,), ids=("binary",))
-    def test_record_over_threshold_spills_cleanly(self, grouping):
+    @pytest.mark.parametrize("buffer", ("binary",))
+    def test_record_over_threshold_spills_cleanly(self, buffer):
         """Larger than the spill threshold but within capacity: the
         record lands in its own clean single-record spill, no error."""
         collector, counters, _ = make_collector(
-            capacity=512, combiner=False, spill_percent=0.5, grouping=grouping
+            capacity=512, combiner=False, spill_percent=0.5
         )
         big = "B" * 400  # > 0.5 * 512 threshold, < 512 capacity
         collector.collect(Text(big), VIntWritable(1))
@@ -232,12 +226,6 @@ CASES["wordcount/zlib+freqbuf"] = (
     "wordcount", "baseline", {Keys.SPILL_COMPRESSION: "zlib", Keys.FREQBUF_ENABLED: True}
 )
 CASES["wordcount/exact"] = ("wordcount", "baseline", {Keys.EXACT_COMPARISON_COUNTING: True})
-HASH_APPS = ("wordcount", "invertedindex", "accesslogjoin")
-for app in HASH_APPS:
-    CASES[f"{app}/hash"] = (app, "baseline", {Keys.GROUPING: "hash"})
-CASES["wordcount/hash+freqbuf"] = (
-    "wordcount", "baseline", {Keys.GROUPING: "hash", Keys.FREQBUF_ENABLED: True}
-)
 
 
 def snapshot(case: str, **conf) -> dict:
@@ -281,13 +269,6 @@ class TestJobLevelByteIdentity:
 
     def test_exact_comparison_counting_identical(self, golden):
         assert snapshot("wordcount/exact") == golden["wordcount/exact"]
-
-    @pytest.mark.parametrize(
-        "case", [f"{app}/hash" for app in HASH_APPS] + ["wordcount/hash+freqbuf"]
-    )
-    def test_hash_grouping_identical(self, golden, case):
-        assert golden[case]["counters"]["spills"] > 1, case
-        assert snapshot(case) == golden[case], case
 
     def test_identical_cluster_backend(self, golden):
         # The daemons are distinct hosts, so SHUFFLE also charges the

@@ -3,7 +3,7 @@ engine must compute exactly the word counts a naive loop computes.
 
 This is the strongest correctness statement in the suite: it quantifies
 over input content, split geometry, buffer size, reducer count, both
-optimizations, grouping mode, and compression at once.
+optimizations, and compression at once.
 """
 
 from collections import Counter as PyCounter
@@ -27,12 +27,10 @@ lines = st.lists(words, min_size=0, max_size=12).map(" ".join)
     reducers=st.integers(min_value=1, max_value=4),
     freqbuf=st.booleans(),
     spillmatcher=st.booleans(),
-    grouping=st.sampled_from(["sort", "hash"]),
     compression=st.sampled_from(["identity", "zlib"]),
 )
 def test_wordcount_always_exact(
-    text_lines, num_splits, buffer_bytes, reducers, freqbuf, spillmatcher,
-    grouping, compression,
+    text_lines, num_splits, buffer_bytes, reducers, freqbuf, spillmatcher, compression,
 ):
     data = ("\n".join(text_lines) + "\n").encode()
     truth = PyCounter(w for line in text_lines for w in line.split())
@@ -42,7 +40,6 @@ def test_wordcount_always_exact(
     conf = {
         Keys.SPILL_BUFFER_BYTES: buffer_bytes,
         Keys.NUM_REDUCERS: reducers,
-        Keys.GROUPING: grouping,
         Keys.SPILL_COMPRESSION: compression,
         Keys.SPILLMATCHER_ENABLED: spillmatcher,
     }

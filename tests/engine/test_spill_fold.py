@@ -2,10 +2,10 @@
 
 Where a combiner's source proves ``emit(key, W(sum|min|max(...)))`` the
 ``CombinerRunner`` folds raw ints instead of round-tripping writables
-through ``combine()`` — inside ``combine_serialized`` (hash grouping)
-and, without calling the runner at all, in the one bulk loop over
-sorted runs (``grouping.combine_runs``) that both the per-spill combine
-and every end-of-map merge pass run.  Neither may be observable: the same
+through ``combine()`` — inside ``combine_serialized`` and, without
+calling the runner at all, in the one bulk loop over sorted runs
+(``collector.combine_runs``) that both the per-spill combine and every
+end-of-map merge pass run.  Neither may be observable: the same
 combiner behind a delegating proxy (which hides the source, as
 ``bench/tracing.py::_TracedCombiner`` does) takes the generic path and
 must produce the same output, counters and ledger, floats included.
@@ -107,17 +107,15 @@ def assert_same_run(proven, generic) -> None:
     buffer_bytes=st.sampled_from([512, 2048, 1 << 16]),  # ~14 spills a task .. one
     sort_factor=st.sampled_from([2, 10]),  # 2: multi-pass merges
     codec=st.sampled_from(["identity", "zlib"]),
-    grouping=st.sampled_from(["sort", "hash"]),
     spill_matcher=st.booleans(),
 )
 def test_proven_fold_is_unobservable(
-    agg, value_cls, scale, buffer_bytes, sort_factor, codec, grouping, spill_matcher
+    agg, value_cls, scale, buffer_bytes, sort_factor, codec, spill_matcher
 ):
     proven_job = make_job(agg, value_cls, scale, {
         Keys.SPILL_BUFFER_BYTES: buffer_bytes,
         Keys.SORT_FACTOR: sort_factor,
         Keys.SPILL_COMPRESSION: codec,
-        Keys.GROUPING: grouping,
         Keys.SPILLMATCHER_ENABLED: spill_matcher,
     })
     proven, generic = proven_and_generic(proven_job)

@@ -175,7 +175,7 @@ def test_opaque_errors_become_task_attributed_failures(plan_log, tiny_text) -> N
 
 
 @pytest.mark.parametrize("backend", ("serial", "cluster"))
-@pytest.mark.parametrize("key", (Keys.GROUPING, Keys.SHUFFLE_MODE, Keys.SPILL_COMPRESSION))
+@pytest.mark.parametrize("key", (Keys.SHUFFLE_MODE, Keys.SPILL_COMPRESSION))
 def test_unknown_choice_is_refused_at_submit(key: str, backend: str, tiny_text) -> None:
     """One check at the top of the plan: the same ConfigError, naming the
     key, on every backend, and no task attempted."""
@@ -190,7 +190,7 @@ def test_unknown_choice_is_refused_at_submit(key: str, backend: str, tiny_text) 
 def test_unknown_repro_key_is_refused_at_submit(backend: str, tiny_text) -> None:
     """A retired key and a typo both fail at submit, naming the key, on
     every backend; keys outside ``repro.`` belong to the application."""
-    for key in ("repro.lint.opt.mode", "repro.freqbuf.enable"):
+    for key in ("repro.lint.opt.mode", "repro.engine.grouping", "repro.freqbuf.enable"):
         job = make_wordcount_job(tiny_text, {Keys.EXEC_BACKEND: backend, key: True})
         runner = LocalJobRunner()
         with pytest.raises(ConfigError, match=f"^{key} is not a configuration key"):

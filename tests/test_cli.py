@@ -83,7 +83,7 @@ class TestRun:
     def test_run_combined_hash_compressed(self, capsys):
         code = main([
             "run", "wordcount", "--config", "combined", "--scale", "0.02",
-            "--grouping", "hash", "--compression", "zlib",
+            "--compression", "zlib",
         ])
         assert code == 0
         assert "wordcount" in capsys.readouterr().out

@@ -24,6 +24,8 @@ combines accumulate as integers and are *settled* — counters and the
 ``HASHBUF``/``COMBINE`` ledger charges, the same totals a per-record
 charge would reach — at flush and before every spill reads the
 map-thread produce work, so the spill-matcher sees the same ``T_p``.
+A hit the table may defer (:meth:`FoldTable.safe_inserts`) is only its
+int appended to the slot; the table catches up at each settlement.
 
 Per Section III-B the discovered frequent-key set is shared across the
 map tasks of one node through *shared_state*: the first task profiles,
@@ -41,7 +43,7 @@ from ...config import Keys
 from ...engine.collector import MapOutputCollector, StandardCollector
 from ...engine.combiner import CombinerRunner
 from ...engine.counters import Counter, Counters
-from ...engine.foldtable import Combined, FoldTable
+from ...engine.foldtable import Combined, FoldTable, Slot
 from ...engine.instrumentation import Op, TaskInstruments
 from ...engine.job import JobSpec
 from ...io.spillfile import SpillIndex
@@ -125,6 +127,9 @@ class FrequencyBufferingCollector(MapOutputCollector):
         self._preprofiler: PreProfiler | None = None
         self._table: FoldTable | None = None
         self._folds = False  # slots hold the proven fold's ints
+        # Hits that may still be deferred, and the count at the last
+        # catch-up: the difference is pending in the table's slots.
+        self._safe_hits = self._safe_hits_granted = 0
         self._tallies = Tallies()
         self._misses = 0
         self.alpha: float | None = None
@@ -198,18 +203,11 @@ class FrequencyBufferingCollector(MapOutputCollector):
             if slot is None:
                 self._misses += 1
                 self.inner.collect_serialized(key_bytes, value.to_bytes())
-                return
-            if self._folds:
-                item, size = value.value, value.serialized_size()  # type: ignore[attr-defined]
+            elif self._safe_hits:
+                self._safe_hits -= 1
+                slot.pending.append(value.value)  # type: ignore[attr-defined]
             else:
-                item = value.to_bytes()
-                size = len(item)
-            tallies = self._tallies
-            tallies.hits += 1
-            tallies.hit_bytes += len(key_bytes) + size
-            outcome = table.add(slot, item, size)
-            if outcome is not None:
-                self._forward(*outcome)
+                self._insert(table, slot, key_bytes, value)
             return
 
         # Profiling stages: standard dataflow + frequency observation.
@@ -226,8 +224,42 @@ class FrequencyBufferingCollector(MapOutputCollector):
             self.counters.incr(Counter.FREQBUF_PROFILED_RECORDS)
         self.inner.collect(key, value)
 
+    def _insert(self, table: FoldTable, slot: Slot, key_bytes: bytes, value: Writable) -> None:
+        """A hit with no deferral left: catch up and defer again if the
+        table now has room, else insert exactly."""
+        if self._folds:
+            self._catch_up()
+            self._safe_hits = self._safe_hits_granted = table.safe_inserts()
+            if self._safe_hits:
+                self._safe_hits -= 1
+                slot.pending.append(value.value)  # type: ignore[attr-defined]
+                return
+            item, size = value.value, value.serialized_size()  # type: ignore[attr-defined]
+        else:
+            item = value.to_bytes()
+            size = len(item)
+        tallies = self._tallies
+        tallies.hits += 1
+        tallies.hit_bytes += len(key_bytes) + size
+        outcome = table.add(slot, item, size)
+        if outcome is not None:
+            self._forward(*outcome)
+
+    def _catch_up(self) -> None:
+        """Insert the deferred hits and tally them with their combines."""
+        if self._safe_hits != self._safe_hits_granted:
+            self._safe_hits_granted = self._safe_hits
+            hits, hit_bytes, combines = self._table.catch_up()  # type: ignore[union-attr]
+            tallies = self._tallies
+            tallies.hits += hits
+            tallies.hit_bytes += hit_bytes
+            tallies.combines += combines
+            tallies.combine_in += combines * VALUES_PER_KEY_LIMIT
+            tallies.combine_out += combines
+
     def flush(self) -> SpillIndex:
         if self._table is not None:
+            self._catch_up()
             aggregates, outcomes = self._table.drain()
             for rekeyed, combined in outcomes:
                 self._forward(rekeyed, combined, eager=False)
@@ -255,6 +287,7 @@ class FrequencyBufferingCollector(MapOutputCollector):
         and the user combine() bodies (both run on the map thread), and
         the hits' map-output accounting (misses are counted as output by
         the standard path)."""
+        self._catch_up()
         tallies, self._tallies = self._tallies, Tallies()
         misses, self._misses = self._misses, 0
         model = self.inner.cost_model

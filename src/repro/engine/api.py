@@ -91,10 +91,9 @@ class HashPartitioner(Partitioner):
             raise ValueError(f"num_partitions must be positive, got {num_partitions}")
         if num_partitions == 1:
             return 0
-        h = self._FNV_OFFSET
+        h, prime, mask = self._FNV_OFFSET, self._FNV_PRIME, self._MASK
         for byte in key_bytes:
-            h ^= byte
-            h = (h * self._FNV_PRIME) & self._MASK
+            h = ((h ^ byte) * prime) & mask
         return h % num_partitions
 
 

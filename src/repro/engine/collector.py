@@ -140,7 +140,9 @@ class StandardCollector(MapOutputCollector):
         # most expensive per-record step — and a pure function of the
         # key, so a memo changes nothing.  A custom Partitioner is user
         # code and owns its own (key, n) -> partition semantics.
-        self._partition_memo: dict[bytes, int] | None = (
+        # ``build_collector`` swaps in the node's memo, shared by the
+        # job's map tasks on that node.
+        self.partition_memo: dict[bytes, int] | None = (
             {} if type(self.partitioner) is HashPartitioner else None
         )
         self._flushed = False
@@ -159,7 +161,7 @@ class StandardCollector(MapOutputCollector):
         model = self.cost_model
         self.instruments.map_thread_work += model.serialize_byte * payload + model.collect_record
 
-        memo = self._partition_memo
+        memo = self.partition_memo
         if memo is None:
             partition = self.partitioner.partition(key_bytes, self.num_partitions)
         else:
@@ -207,7 +209,7 @@ class StandardCollector(MapOutputCollector):
         model = self.cost_model
         self.instruments.map_thread_work += model.serialize_byte * payload + model.collect_record
 
-        memo = self._partition_memo
+        memo = self.partition_memo
         if memo is None:
             partition = self.partitioner.partition(key_bytes, self.num_partitions)
         else:

@@ -82,7 +82,7 @@ class CombinerRunner:
 
             # The builtin over a whole group: over exact ints, what the
             # pairwise FOLD_OPS loop computes.
-            self._aggregate = FOLD_AGGS[self.fold]
+            self.aggregate = FOLD_AGGS[self.fold]
 
     def combine_serialized(self, key_bytes: bytes, value_bytes_list: list[bytes]) -> list[SerdePair]:
         """Run ``combine()`` on one serialized group; returns serialized output.
@@ -120,7 +120,7 @@ class CombinerRunner:
         if len(value_bytes_list) == 1:
             # W(fold([v])) is W(v): the bytes in hand, already canonical.
             return value_bytes_list[0]
-        total = self._aggregate(int_values(self.value_cls, value_bytes_list))
+        total = self.aggregate(int_values(self.value_cls, value_bytes_list))
         return wrap_folded(self.value_cls, total).to_bytes()
 
     last_work: float = 0.0

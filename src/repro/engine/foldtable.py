@@ -17,6 +17,15 @@ would have built it; every other combine goes through
 The table never charges and never calls back into a collector: an
 insert and a drain *return* what left the table and what each combine
 did, and the caller forwards and accounts them in its own order.
+
+A proven fold over :class:`~repro.serde.numeric.VIntWritable` values
+(any int is a valid one, so no fold of them can fail) may also *defer*
+its inserts: the caller appends a hit's int to its slot's ``pending``
+while :meth:`FoldTable.safe_inserts` says no insert can reach the
+budget, and :meth:`FoldTable.catch_up` later leaves every slot as
+those one-at-a-time inserts would have — with no eviction in between,
+a slot that received ``n`` values since it was empty has combined
+``(n - 1) // (combine_at - 1)`` times.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import sys
 from typing import Iterable
 
+from ..serde.numeric import VINT_MAX_SIZE, VIntWritable, vint_size, vint_sizes
 from ..serde.writable import SerdePair
 from .combiner import FOLD_OPS, CombinerRunner, wrap_folded
 
@@ -36,7 +46,7 @@ Outcome = tuple[list[SerdePair], Combined]
 class Slot:
     """One key's pending values."""
 
-    __slots__ = ("key_bytes", "held", "count", "bytes", "keyed")
+    __slots__ = ("key_bytes", "held", "count", "bytes", "keyed", "pending")
 
     def __init__(self, key_bytes: bytes) -> None:
         self.key_bytes = key_bytes
@@ -44,6 +54,7 @@ class Slot:
         self.count = 0  # values held
         self.bytes = 0  # their serialized size
         self.keyed = False  # key bytes counted in the table's occupancy yet?
+        self.pending: list[int] = []  # deferred inserts (FoldTable.catch_up)
 
 
 def _fullness(slot: Slot) -> tuple[int, bytes]:
@@ -75,6 +86,16 @@ class FoldTable:
         self.budget_bytes = budget_bytes
         self.slots: dict[bytes, Slot] = {kb: Slot(kb) for kb in keys}
         self.occupancy_bytes = 0
+        # Deferred inserts: the most one insert can grow the table (its
+        # key's bytes and the longest vint; a fold's combine never grows
+        # a slot), and whether every slot at its fullest fits.
+        self._growth = 0
+        if self.fold is not None and runner.value_cls is VIntWritable:
+            self._growth = max(map(len, self.slots), default=0) + VINT_MAX_SIZE
+            self._never_full = (
+                sum(map(len, self.slots)) + len(self.slots) * combine_at * VINT_MAX_SIZE
+                <= budget_bytes
+            )
 
     def add(self, slot: Slot, item: bytes | int, size: int) -> Outcome | None:
         """Hold one more value of *slot*'s key: *item* is its bytes, or
@@ -99,6 +120,56 @@ class FoldTable:
         if slot.count >= self._combine_at or self.occupancy_bytes > self.budget_bytes:
             return self._compact(slot)
         return None
+
+    def safe_inserts(self) -> int:
+        """How many inserts may be deferred to :meth:`catch_up` before one
+        could cross the budget (``sys.maxsize`` when none ever can; 0
+        when this table does not defer).  Read right after a catch-up."""
+        if not self._growth:
+            return 0
+        if self._never_full:
+            return sys.maxsize
+        return max(0, self.budget_bytes - self.occupancy_bytes) // self._growth
+
+    def catch_up(self) -> tuple[int, int, int]:
+        """Insert every slot's ``pending`` ints as :meth:`add` would have,
+        one at a time, none crossing the budget (:meth:`safe_inserts`).
+
+        Returns ``(values, their key + value bytes, combines)``; each
+        combine took ``combine_at`` values in and one record out."""
+        values = in_bytes = combines = 0
+        per_combine = self._combine_at - 1  # values an emptied-to-one slot takes
+        for slot in self.slots.values():
+            pending = slot.pending
+            if not pending:
+                continue
+            slot.pending = []
+            n, size = len(pending), vint_sizes(pending)
+            values += n
+            in_bytes += n * len(slot.key_bytes) + size
+            if not slot.keyed:
+                slot.keyed = True
+                self.occupancy_bytes += len(slot.key_bytes)
+            first = per_combine + 1 - slot.count  # values up to the next combine
+            if n < first:
+                slot.held = self._fold(slot.held, pending)
+                slot.count += n
+                held_bytes = slot.bytes + size
+            else:
+                last = first + (n - first) // per_combine * per_combine
+                combines += 1 + (n - first) // per_combine
+                # The last combine left W(total) as the slot's one value.
+                total, tail = self._fold(slot.held, pending[:last]), pending[last:]
+                slot.held = self._fold(total, tail) if tail else total
+                slot.count = 1 + len(tail)
+                held_bytes = vint_size(total) + vint_sizes(tail)
+            self.occupancy_bytes += held_bytes - slot.bytes
+            slot.bytes = held_bytes
+        return values, in_bytes, combines
+
+    def _fold(self, held: int | None, values: list[int]) -> int:
+        total = self.runner.aggregate(values)
+        return total if held is None else self._op(held, total)
 
     def _compact(self, slot: Slot) -> Outcome:
         """Combine *slot* at its value limit, then evict aggregates until

@@ -103,6 +103,10 @@ class JobResult:
         return self.ledger.total()
 
 
+#: *shared_state*'s key of the node's key -> partition memo.
+SHARED_PARTITION_MEMO = "collector.partition_memo"
+
+
 def build_spill_policy(conf: JobConf) -> SpillPolicy:
     """Static Hadoop policy, or the paper's adaptive spill-matcher."""
     if conf.get_bool(Keys.SPILLMATCHER_ENABLED):
@@ -122,11 +126,11 @@ def build_collector(
 ) -> MapOutputCollector:
     """Assemble the collector stack for one map task.
 
-    *shared_state* is a per-node scratch dict; the frequency-buffering
-    collector uses it to share the discovered frequent-key set across
-    tasks on the same node (Section III-B: "our system finds the top-k
-    frequent-key set just once for all the tasks that run on a single
-    node").
+    *shared_state* is a per-node scratch dict for one run of the job:
+    it shares the standard collector's partition memo and the
+    discovered frequent-key set across tasks on the same node (Section
+    III-B: "our system finds the top-k frequent-key set just once for
+    all the tasks that run on a single node").
     """
     conf = job.conf
     freqbuf_enabled = conf.get_bool(Keys.FREQBUF_ENABLED)
@@ -170,6 +174,10 @@ def build_collector(
         sort_factor=conf.get_positive_int(Keys.SORT_FACTOR),
         codec=codec,
     )
+    if standard.partition_memo is not None and shared_state is not None:
+        standard.partition_memo = shared_state.setdefault(
+            SHARED_PARTITION_MEMO, standard.partition_memo
+        )
     if not freqbuf_enabled:
         return standard
 

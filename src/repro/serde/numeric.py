@@ -234,6 +234,19 @@ class VIntWritable(Writable):
 
 #: Every one-byte vint encoding (no continuation bit) -> its value.
 _ONE_BYTE_VINTS = {bytes((byte,)): (byte >> 1) ^ -(byte & 1) for byte in range(0x80)}
+#: The value of every one-byte vint -> 1, its size.
+_ONE_BYTE_VINT_SIZES = dict.fromkeys(_ONE_BYTE_VINTS.values(), 1)
+#: The most bytes one vint takes: 64 zig-zag bits, 7 a byte.
+VINT_MAX_SIZE = 10
+
+
+def vint_sizes(values: list[int]) -> int:
+    """``sum(map(vint_size, values))``: a list of one-byte values (text
+    counters) is summed by table lookups."""
+    try:
+        return sum(map(_ONE_BYTE_VINT_SIZES.__getitem__, values))
+    except KeyError:
+        return sum(map(vint_size, values))
 
 
 def int_values(value_cls: type, values: list[bytes]) -> list[int]:

@@ -1,7 +1,9 @@
 """Tests for the one map-side fold table and its two folds."""
 
+import sys
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import Keys
@@ -15,7 +17,7 @@ from repro.engine.instrumentation import Ledger, TaskInstruments
 from repro.engine.runner import build_collector
 from repro.errors import UserCodeError
 from repro.io.blockdisk import LocalDisk
-from repro.serde.numeric import IntWritable, LongWritable, VIntWritable
+from repro.serde.numeric import VINT_MAX_SIZE, IntWritable, LongWritable, VIntWritable
 from repro.serde.text import Text
 from tests.conftest import SumCombiner as TemplateSumCombiner
 from tests.conftest import make_wordcount_job
@@ -50,15 +52,27 @@ class Site:
     def __init__(self, keys=("hot", "warm"), budget=4096, limit=4, combiner=LoopSumCombiner,
                  value_cls=VIntWritable):
         runner = runner_for(combiner(), value_cls) if combiner else None
+        self.limit = limit
         admitted = [Text(k).to_bytes() for k in keys]
         self.table = FoldTable(runner, limit, keys=admitted, budget_bytes=budget)
         self.value_cls = value_cls
         self.tallies = Tallies()
         self.overflowed = []  # what left the table, in order
 
+    #: Defer hits while the table allows (the frequency buffer's hit path).
+    defers = False
+    safe_hits = 0
+
     def add(self, key, number):
         key_bytes, value = Text(key).to_bytes(), self.value_cls(number)
         slot = self.table.slots[key_bytes]
+        if self.defers and not self.safe_hits:
+            self.catch_up()
+            self.safe_hits = self.table.safe_inserts()
+        if self.safe_hits:
+            self.safe_hits -= 1
+            slot.pending.append(number)
+            return
         size = value.serialized_size()
         self.tallies.hits += 1
         self.tallies.hit_bytes += len(key_bytes) + size
@@ -69,7 +83,14 @@ class Site:
             self.overflowed.extend(left)
             self.tallies.publish(len(left), combined)
 
+    def catch_up(self):
+        hits, hit_bytes, combines = self.table.catch_up()
+        self.tallies.hits += hits
+        self.tallies.hit_bytes += hit_bytes
+        self.tallies.publish(0, [(self.limit, 1)] * combines)
+
     def drain(self):
+        self.catch_up()
         aggregates, outcomes = self.table.drain()
         for rekeyed, combined in outcomes:
             self.overflowed.extend(rekeyed)
@@ -77,6 +98,7 @@ class Site:
         return aggregates
 
     def take_tallies(self):
+        self.catch_up()
         taken, self.tallies = self.tallies, Tallies()
         return taken
 
@@ -255,6 +277,20 @@ class TestOverflow:
         assert (tallies.combine_in, tallies.combine_out, tallies.evictions) == (2, 1, 1)
         assert site.drain() == []
 
+    def test_safe_inserts_bound_what_a_deferred_hit_can_add(self):
+        # Only a proven fold of vints defers.  It may defer forever when
+        # every slot at its fullest (combine_at ten-byte vints) fits the
+        # budget, else for the headroom over the longest key plus vint.
+        keys = [Text(k).to_bytes() for k in ("k0", "k1", "longer")]
+        fullest = sum(map(len, keys)) + len(keys) * 4 * VINT_MAX_SIZE
+        proven = runner_for(TemplateSumCombiner())
+        assert FoldTable(proven, 4, keys=keys, budget_bytes=fullest).safe_inserts() == sys.maxsize
+        table = FoldTable(proven, 4, keys=keys, budget_bytes=fullest - 1)
+        assert table.safe_inserts() == (fullest - 1) // (len(Text("longer").to_bytes()) + 10)
+        for runner in (runner_for(LoopSumCombiner()),
+                       runner_for(COMBINERS["sum", IntWritable](), IntWritable)):
+            assert FoldTable(runner, 4, keys=keys, budget_bytes=1 << 20).safe_inserts() == 0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FoldTable(None, 8, keys=set(), budget_bytes=0)
@@ -298,3 +334,36 @@ def test_generic_and_proven_folds_agree(agg, value_cls, combine_at, budget, inse
             assert len({site.table.occupancy_bytes for site in sites}) == 1
     proven, generic = ((site.drain(), site.overflowed, site.take_tallies()) for site in sites)
     assert proven == generic
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    agg=st.sampled_from(["sum", "min", "max"]),
+    combine_at=st.sampled_from([2, 3, 8, 16]),
+    budget=st.sampled_from(BUDGETS + [160, 120]),
+    catch_up_every=st.sampled_from([1, 7, 1000]),  # settlements
+    inserts=st.lists(
+        st.tuples(st.sampled_from(ADMITTED), st.integers(-(2**40), 2**40) | st.integers(-70, 70)),
+        max_size=80,
+    ),
+)
+# The last combine's W(40) is one byte; the slot's running total, 70, two.
+@example("sum", 8, 1 << 20, 1000, [("k0", 5)] * 8 + [("k0", 30)])
+def test_deferred_inserts_catch_up_to_the_exact_ones(agg, combine_at, budget, catch_up_every,
+                                                     inserts):
+    """A vint fold's deferred hits, caught up at any points, leave the
+    same records, in the same order, with the same tallies and the same
+    occupancy as one exact insert per hit."""
+    sites = [
+        Site(keys=ADMITTED, budget=budget, limit=combine_at, combiner=COMBINERS[agg, VIntWritable])
+        for _ in range(2)
+    ]
+    sites[0].defers = True
+    for done, (key, number) in enumerate(inserts, 1):
+        for site in sites:
+            site.add(key, number)
+        if done % catch_up_every == 0 or done == len(inserts):
+            sites[0].catch_up()
+            assert sites[0].table.occupancy_bytes == sites[1].table.occupancy_bytes
+    deferred, exact = ((site.drain(), site.overflowed, site.take_tallies()) for site in sites)
+    assert deferred == exact

@@ -13,6 +13,7 @@ from repro.core.freqbuf.collector import (
     Tallies,
 )
 from repro.engine.counters import Counter
+from repro.engine.foldtable import FoldTable
 from repro.engine.instrumentation import Op
 from repro.engine.runner import LocalJobRunner, build_collector
 from repro.exec import base
@@ -184,6 +185,32 @@ class TestSettlement:
             job.user_costs.combine_record * combined
             + job.cost_model.combine_record_overhead * (combined - in_table)
         )
+
+    def test_hits_fold_without_an_exact_insert_at_bench_scale(self, monkeypatch):
+        # wordcount Combined as the benchmark's wc-optimized runs it: the
+        # table can never fill, so no hit takes the exact insert
+        # (FoldTable.add), and the deferred hits are folded in only at
+        # settlements — at most one a spill and one a task's flush.
+        calls = {"add": 0, "catch_up": 0}
+        add, catch_up = FoldTable.add, FoldTable.catch_up
+
+        def counting(name, method):
+            def spy(*args):
+                calls[name] += 1
+                return method(*args)
+
+            return spy
+
+        monkeypatch.setattr(FoldTable, "add", counting("add", add))
+        monkeypatch.setattr(FoldTable, "catch_up", counting("catch_up", catch_up))
+        app = build_app("wordcount", "combined", scale=0.25, num_splits=8,
+                        extra_conf={Keys.NODE_COMBINE: True})
+        result = LocalJobRunner().run(app.job)
+        counters = result.counters
+        assert counters.get(Counter.FREQBUF_HITS) > 40_000
+        assert counters.get(Counter.FREQBUF_EVICTIONS) == 0
+        assert calls["add"] == 0
+        assert 0 < calls["catch_up"] <= counters.get(Counter.SPILLS) + len(result.map_results)
 
 
 class TestStageMachine:

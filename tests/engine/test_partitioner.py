@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.config import Keys
 from repro.engine.api import HashPartitioner
+from repro.engine.job import JobSpec
+from repro.engine.runner import JobResult, LocalJobRunner
+from repro.experiments.common import build_app
 
 
 class TestHashPartitioner:
@@ -20,6 +24,19 @@ class TestHashPartitioner:
 
     def test_single_partition(self):
         assert HashPartitioner().partition(b"anything", 1) == 0
+
+    @pytest.mark.parametrize(
+        "key, digest",
+        [
+            (b"", 0xCBF29CE484222325),
+            (b"a", 0xAF63DC4C8601EC8C),
+            (b"foobar", 0x85944171F73967E8),
+        ],
+    )
+    def test_fnv1a_64_known_answers(self, key, digest):
+        # The published FNV-1a-64 vectors: with 2**64 partitions the
+        # partition is the hash itself.
+        assert HashPartitioner().partition(key, 1 << 64) == digest
 
     def test_invalid_partitions(self):
         with pytest.raises(ValueError):
@@ -39,3 +56,52 @@ class TestHashPartitioner:
 @given(st.binary(max_size=64), st.integers(min_value=1, max_value=64))
 def test_partition_in_range_property(key, n):
     assert 0 <= HashPartitioner().partition(key, n) < n
+
+
+
+def wordcount_combined(backend: str = "serial") -> JobSpec:
+    conf = {Keys.EXEC_BACKEND: backend, Keys.EXEC_WORKERS: 2}
+    return build_app("wordcount", "combined", scale=0.02, num_splits=4, extra_conf=conf).job
+
+
+def hashed_keys(monkeypatch, job: JobSpec) -> tuple[list[bytes], JobResult]:
+    """The keys ``HashPartitioner.partition`` hashed while *job* ran."""
+    keys: list[bytes] = []
+    partition = HashPartitioner.partition
+
+    def spy(self, key_bytes, num_partitions):
+        keys.append(key_bytes)
+        return partition(self, key_bytes, num_partitions)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(HashPartitioner, "partition", spy)
+        result = LocalJobRunner().run(job)
+    return keys, result
+
+
+class TestPartitionMemoScope:
+    """The stock partitioner's memo lives in the per-node state of one
+    run of a job: on ``serial`` each distinct key is hashed once per
+    job, not once per map task, and never carried into the next run."""
+
+    def test_serial_hashes_each_distinct_key_once_a_run(self, monkeypatch):
+        job = wordcount_combined()
+        for _ in range(2):  # the second run of the same JobSpec starts cold
+            keys, result = hashed_keys(monkeypatch, job)
+            # Every word reaches the spill path (a frequent one at the
+            # drain), so each output key is hashed exactly once.
+            assert len(keys) == len(set(keys)) == result.output_records
+
+    def test_thread_tasks_each_keep_their_own_memo(self, monkeypatch):
+        # The thread backend passes no per-node state: a key emitted by
+        # several map tasks is hashed by each of them.
+        keys, result = hashed_keys(monkeypatch, wordcount_combined("thread"))
+        assert len(set(keys)) == result.output_records < len(keys)
+
+    @pytest.mark.parametrize("backend", ("thread", "cluster"))
+    def test_parallel_backends_give_the_serial_digest(self, backend):
+        digests = {
+            name: LocalJobRunner().run(wordcount_combined(name)).output_digest()
+            for name in (backend, "serial")
+        }
+        assert digests[backend] == digests["serial"]

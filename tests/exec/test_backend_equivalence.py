@@ -42,6 +42,9 @@ def run_backend(app_name: str, backend: str, freqbuf: bool) -> JobResult:
         extra_conf={
             Keys.EXEC_BACKEND: backend,
             Keys.EXEC_WORKERS: 4,
+            # Only serial shares per-node state: thread and cluster
+            # tasks each get a fresh dict and all profile, so serial
+            # must too for counters and ledger to be comparable.
             Keys.FREQBUF_SHARE_ACROSS_TASKS: False,
             # Small buffer so every app actually spills more than once.
             Keys.SPILL_BUFFER_BYTES: 16 * 1024,

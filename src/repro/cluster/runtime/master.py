@@ -73,6 +73,9 @@ from .workerd import workerd_main
 #: re-checks sweeps, timeouts, dispatch, and speculation.
 _TICK_SECONDS = 0.02
 
+#: Startup deadline for the first worker daemon to HELLO.
+REGISTER_TIMEOUT_SECONDS = 15.0
+
 
 @dataclass
 class Assignment:
@@ -106,7 +109,6 @@ class Master:
         self.policy = SpeculationPolicy.from_conf(conf)
         self._max_attempts = conf.get_positive_int(Keys.TASK_MAX_ATTEMPTS)
         self._task_timeout = conf.get_float(Keys.TASK_TIMEOUT)
-        self._register_timeout = conf.get_float(Keys.CLUSTER_REGISTER_TIMEOUT)
         self._net_shuffle = conf.get_str(Keys.SHUFFLE_MODE) == "net"
 
         self._queue: queue.Queue = queue.Queue()
@@ -158,11 +160,11 @@ class Master:
         ).start()
         for index, host in enumerate(self.hosts):
             self._spawn(f"w{index:02d}", host)
-        deadline = time.monotonic() + self._register_timeout
+        deadline = time.monotonic() + REGISTER_TIMEOUT_SECONDS
         while not self.membership.alive():
             if time.monotonic() > deadline:
                 raise ExecBackendError(
-                    f"no cluster worker registered within {self._register_timeout}s "
+                    f"no cluster worker registered within {REGISTER_TIMEOUT_SECONDS}s "
                     f"(spawned {len(self._processes)})"
                 )
             self._drain_events()

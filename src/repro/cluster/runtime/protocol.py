@@ -1,8 +1,8 @@
 """The master/worker wire protocol: framed pickles over localhost TCP.
 
-Same framing discipline as the shuffle wire format
-(:mod:`repro.shuffle.wire`), with its own magic so a worker that dials
-the wrong port fails loudly instead of confusing a shuffle server::
+The shuffle wire format's framing (:mod:`repro.shuffle.wire`), with its
+own magic so a worker that dials the wrong port fails loudly instead of
+confusing a shuffle server::
 
     +-------+--------+-----------------+---------------------+
     | magic | opcode | payload length  | payload             |
@@ -49,9 +49,9 @@ import socket
 from typing import Any
 
 from ...errors import ExecBackendError
+from ...shuffle import wire
 
 MAGIC = b"RC"
-HEADER_LEN = len(MAGIC) + 1 + 4
 
 OP_HELLO = 0x01
 OP_PING = 0x02
@@ -71,45 +71,20 @@ OP_NAMES = {
     OP_BYE: "BYE",
 }
 
-#: Task payloads carry pickled map results (spill indexes + disk
-#: handles, not data); anything past this is a bug, not a big job.
-MAX_FRAME_BYTES = 1 << 30
 
-
-class ProtocolError(ExecBackendError):
-    """A malformed or unexpected frame on a master/worker channel."""
-
-
-def read_exact(sock: socket.socket, length: int) -> bytes:
-    chunks: list[bytes] = []
-    remaining = length
-    while remaining > 0:
-        chunk = sock.recv(min(remaining, 1 << 16))
-        if not chunk:
-            raise ConnectionError(
-                f"channel closed {remaining} bytes short of a {length}-byte read"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+class ProtocolError(ExecBackendError, ConnectionError):
+    """A malformed, unexpected or cut-short frame on a master/worker
+    channel.  It is a :class:`ConnectionError` too: every reader of a
+    channel treats a frame it cannot use as the peer gone."""
 
 
 def send_msg(sock: socket.socket, opcode: int, obj: Any = None) -> None:
     payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"refusing to send a {len(payload)}-byte frame")
-    sock.sendall(MAGIC + bytes((opcode,)) + len(payload).to_bytes(4, "big") + payload)
+    wire.send_frame(sock, opcode, payload, MAGIC, ProtocolError)
 
 
 def recv_msg(sock: socket.socket) -> tuple[int, Any]:
-    header = read_exact(sock, HEADER_LEN)
-    if header[: len(MAGIC)] != MAGIC:
-        raise ProtocolError(f"bad frame magic {header[: len(MAGIC)]!r}")
-    opcode = header[len(MAGIC)]
-    length = int.from_bytes(header[len(MAGIC) + 1 :], "big")
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame declares absurd length {length}")
-    payload = read_exact(sock, length)
+    opcode, payload = wire.recv_frame(sock, MAGIC, ProtocolError)
     try:
         return opcode, pickle.loads(payload)
     except Exception as exc:  # noqa: BLE001 - unpickling fails arbitrarily

@@ -47,7 +47,6 @@ class Keys:
     SHUFFLE_FETCH_ATTEMPTS = "repro.shuffle.fetch.max.attempts"  # per segment
     SHUFFLE_BACKOFF_BASE = "repro.shuffle.backoff.base.seconds"
     SHUFFLE_BACKOFF_MAX = "repro.shuffle.backoff.max.seconds"
-    SHUFFLE_TIMEOUT = "repro.shuffle.timeout.seconds"  # connect/read timeout
     # --- in-node combining before shuffle (arXiv 1511.04861) ---
     NODE_COMBINE = "repro.shuffle.node.combine"  # fold map outputs per node pre-fetch
     NODE_COMBINE_BUFFER_BYTES = "repro.shuffle.node.combine.buffer.bytes"  # hash cap
@@ -73,7 +72,6 @@ class Keys:
 
     # --- cluster runtime (repro.cluster.runtime) ---
     CLUSTER_HEARTBEAT_INTERVAL = "repro.cluster.heartbeat.interval.seconds"
-    CLUSTER_REGISTER_TIMEOUT = "repro.cluster.register.timeout.seconds"
     CLUSTER_SPECULATION = "repro.cluster.speculation.enabled"
     CLUSTER_SPEC_QUORUM = "repro.cluster.speculation.quorum.fraction"
     CLUSTER_SPEC_SLOWDOWN = "repro.cluster.speculation.slowdown.threshold"
@@ -100,7 +98,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.SHUFFLE_FETCH_ATTEMPTS: 4,
     Keys.SHUFFLE_BACKOFF_BASE: 0.02,
     Keys.SHUFFLE_BACKOFF_MAX: 0.25,
-    Keys.SHUFFLE_TIMEOUT: 10.0,
     Keys.FAULTS_SPEC: "",
     Keys.FAULTS_SEED: 1234,
     Keys.FAULTS_DELAY: 0.05,
@@ -114,7 +111,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.TASK_TIMEOUT: 0.0,  # Hadoop's mapred.task.timeout, scaled; 0 disables
     Keys.DFS_REPLICATION: 3,
     Keys.CLUSTER_HEARTBEAT_INTERVAL: 0.1,
-    Keys.CLUSTER_REGISTER_TIMEOUT: 15.0,
     Keys.CLUSTER_SPECULATION: True,
     Keys.CLUSTER_SPEC_QUORUM: 0.5,  # phase progress before speculating
     Keys.CLUSTER_SPEC_SLOWDOWN: 1.5,  # x median duration = straggler

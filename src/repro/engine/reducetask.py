@@ -1,7 +1,10 @@
 """Reduce task execution: shuffle-fetch, merge, group, reduce, output.
 
 A :class:`ReduceTaskRunner` fetches and merges one partition of every
-map output, groups the merged run by key (or by ``group_key_fn``'s
+map output — it picks the segment source, direct reads (``mem``) or a
+:class:`~repro.shuffle.fetcher.FetcherPool` over TCP (``net``), for the
+one :class:`~repro.engine.shuffle.ShuffleService`, which prices both
+alike — groups the merged run by key (or by ``group_key_fn``'s
 prefix, for secondary sort), runs the user's ``reduce()`` per group and
 writes the output pairs, serialized once, as the partition's part file:
 one framed record stream (:mod:`repro.io.records`, Hadoop's
@@ -148,30 +151,21 @@ class ReduceTaskRunner:
         from ..config import Keys
         from ..io.blockdisk import LocalDisk
 
+        pool = None
         if job.conf.get_str(Keys.SHUFFLE_MODE) == "net":
-            # Real sockets: fetch from the per-node shuffle servers and
-            # charge Op.SHUFFLE from measured bytes and wall time.
-            from ..shuffle.service import NetShuffleService
+            # Real sockets: fetch from the per-node shuffle servers.
+            from ..shuffle.fetcher import FetcherPool
 
-            shuffle = NetShuffleService(
-                model,
-                instruments,
-                counters,
-                conf=job.conf,
-                reduce_host=self.host,
-                memory_budget_bytes=job.conf.get_positive_int(Keys.REDUCE_MEMORY_BYTES),
-                staging_disk=LocalDisk(f"{self.task_id}.disk"),
-            )
-        else:
-            shuffle = ShuffleService(
-                model,
-                instruments,
-                counters,
-                self.host,
-                memory_budget_bytes=job.conf.get_positive_int(Keys.REDUCE_MEMORY_BYTES),
-                staging_disk=LocalDisk(f"{self.task_id}.disk"),
-            )
-        merged = shuffle.fetch_and_merge(self.map_results, self.partition)
+            pool = FetcherPool.for_partition(self.map_results, self.partition, job.conf)
+        shuffle = ShuffleService(
+            model,
+            instruments,
+            counters,
+            self.host,
+            memory_budget_bytes=job.conf.get_positive_int(Keys.REDUCE_MEMORY_BYTES),
+            staging_disk=LocalDisk(f"{self.task_id}.disk"),
+        )
+        merged = shuffle.fetch_and_merge(self.map_results, self.partition, pool)
 
         reducer = job.reducer_factory()
         key_cls = job.map_output_key_cls

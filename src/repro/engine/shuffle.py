@@ -5,11 +5,17 @@ cost: "No user code is involved; any time spent in shuffle is pure
 overhead imposed by the MapReduce abstraction."  We charge every byte
 fetched at the network rate (refined by the cluster simulator's
 topology for same-host fetches) plus the reduce-side merge work.
+
+One :class:`ShuffleService` serves both shuffle modes: segments come
+from direct in-process reads (``mem``) or from a
+:class:`~repro.shuffle.fetcher.FetcherPool` over real TCP (``net``),
+and both are priced by the same rule, so a job's ledger does not
+depend on the transport.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..io.blockdisk import LocalDisk
 from ..io.merger import MergeStats, merge_runs
@@ -21,34 +27,8 @@ from .counters import Counter, Counters
 from .instrumentation import Op, TaskInstruments
 from .maptask import MapTaskResult
 
-
-@dataclass
-class ShuffleFetch:
-    """One reducer's fetch of one map task's segment."""
-
-    map_task_id: str
-    map_host: str | None
-    length: int
-    local: bool
-
-
-@dataclass
-class FetchedSegment:
-    """One acquired partition segment, however it travelled.
-
-    ``payload`` is the decompressed record-frame bytes; ``stored_length``
-    is what the wire (or the modelled wire) carried.  Network fetches
-    additionally report measured wall time, retry counts, and the idle
-    time lost to backoff + failed attempts, so the service can charge
-    :data:`~repro.engine.instrumentation.Op.SHUFFLE` from measurements.
-    """
-
-    payload: bytes
-    stored_length: int
-    local: bool
-    seconds: float | None = None  # measured wall time of the winning attempt
-    retries: int = 0
-    wait_seconds: float = 0.0  # backoff sleeps + failed-attempt durations
+if TYPE_CHECKING:
+    from ..shuffle.fetcher import FetcherPool, FetchResult
 
 
 class ShuffleService:
@@ -78,48 +58,50 @@ class ShuffleService:
         self.reduce_host = reduce_host
         self.memory_budget_bytes = memory_budget_bytes
         self.staging_disk = staging_disk
-        self.fetches: list[ShuffleFetch] = []
         self.bytes_fetched = 0
         self.remote_bytes_fetched = 0
-        self.disk_merge_passes = 0
         self.fetch_retries = 0
         self.fetch_wait_seconds = 0.0
 
     def fetch_and_merge(
-        self, map_results: list[MapTaskResult], partition: int
+        self,
+        map_results: list[MapTaskResult],
+        partition: int,
+        pool: "FetcherPool | None" = None,
     ) -> list[SerdePair]:
-        """Fetch this partition's segment from every map output and k-way
-        merge them into a single sorted record run.
+        """Fetch this partition's segment from every map output, in map
+        order, and k-way merge them into a single sorted record run.
 
-        Segment *acquisition* is a template hook (:meth:`_fetch_segment` /
-        :meth:`_charge_fetch`): this base class reads map outputs directly
-        and charges the cost model's network rate, while
-        :class:`~repro.shuffle.service.NetShuffleService` pulls segments
-        over real sockets and charges measured bytes and wall time.  The
-        MergeManager-style budgeted merge below is shared by both.
+        Segments are read directly from the map outputs, or, given a
+        *pool*, fetched over TCP from the shuffle servers (the pool is
+        closed on every exit).  Either way the modelled wire carries the
+        *stored* (possibly compressed) bytes of every cross-host segment
+        and the reduce side pays decompression CPU to recover records.
         """
         model = self.cost_model
         runs: list[list[SerdePair]] = []
         staged: list[SpillIndex] = []
         in_memory_bytes = 0
-        self._prepare(map_results, partition)
         try:
+            if pool is not None:
+                pool.start()
             for result in map_results:
-                segment = self._fetch_segment(result, partition)
-                self.fetches.append(
-                    ShuffleFetch(
-                        result.task_id, result.host, segment.stored_length,
-                        segment.local,
+                index = result.output_index
+                if pool is None:
+                    payload = segment_payload(result.disk, index, partition)
+                    stored = index.entry(partition).length
+                else:
+                    payload, stored = self._record_fetch(pool.next_result())
+                self.bytes_fetched += stored
+                if not self._is_local(result):
+                    self.remote_bytes_fetched += stored
+                    self.instruments.charge(Op.SHUFFLE, model.net_byte * stored)
+                if index.codec is not None:
+                    self.instruments.charge(
+                        Op.SHUFFLE, model.decompress_byte * len(payload)
                     )
-                )
-                self.bytes_fetched += segment.stored_length
-                if not segment.local:
-                    self.remote_bytes_fetched += segment.stored_length
-                self.fetch_retries += segment.retries
-                self.fetch_wait_seconds += segment.wait_seconds
-                self._charge_fetch(result, segment)
-                runs.append(decode_records(segment.payload))
-                in_memory_bytes += len(segment.payload)
+                runs.append(decode_records(payload))
+                in_memory_bytes += len(payload)
 
                 if (
                     self.memory_budget_bytes is not None
@@ -131,7 +113,8 @@ class ShuffleService:
                     runs = []
                     in_memory_bytes = 0
         finally:
-            self._finish()
+            if pool is not None:
+                pool.close()
 
         self.counters.incr(Counter.SHUFFLE_BYTES, self.bytes_fetched)
 
@@ -151,15 +134,6 @@ class ShuffleService:
         )
         return merged
 
-    # ------------------------------------------------------------------
-    # segment-acquisition hooks (overridden by the network shuffle)
-    # ------------------------------------------------------------------
-    def _prepare(self, map_results: list[MapTaskResult], partition: int) -> None:
-        """Called once before any segment is acquired."""
-
-    def _finish(self) -> None:
-        """Called once after the last segment (even on failure)."""
-
     def _is_local(self, result: MapTaskResult) -> bool:
         return (
             self.reduce_host is not None
@@ -167,25 +141,22 @@ class ShuffleService:
             and result.host == self.reduce_host
         )
 
-    def _fetch_segment(self, result: MapTaskResult, partition: int) -> FetchedSegment:
-        """Acquire one map output's segment by direct in-process read."""
-        entry = result.output_index.entry(partition)
-        payload = segment_payload(result.disk, result.output_index, partition)
-        return FetchedSegment(
-            payload=payload, stored_length=entry.length, local=self._is_local(result)
-        )
-
-    def _charge_fetch(self, result: MapTaskResult, segment: FetchedSegment) -> None:
-        """Charge the modelled transfer: the wire carries the *stored*
-        (possibly compressed) bytes, and the reduce side pays
-        decompression CPU to recover records."""
-        model = self.cost_model
-        if not segment.local:
-            self.instruments.charge(Op.SHUFFLE, model.net_byte * segment.stored_length)
-        if result.output_index.codec is not None:
-            self.instruments.charge(
-                Op.SHUFFLE, model.decompress_byte * len(segment.payload)
-            )
+    def _record_fetch(self, fetched: "FetchResult") -> tuple[bytes, int]:
+        """Keep a network fetch's measurements next to the model, not in
+        it: seconds, bytes and wait go to the ledger's samples, attempts
+        and backoff to the counters.  Returns the payload and the stored
+        length."""
+        ledger = self.instruments.ledger
+        ledger.add_sample("shuffle.fetch_seconds", fetched.seconds)
+        ledger.add_sample("shuffle.fetch_bytes", float(fetched.stored_length))
+        if fetched.wait_seconds:
+            ledger.add_sample("shuffle.wait_seconds", fetched.wait_seconds)
+        self.fetch_retries += fetched.retries
+        self.fetch_wait_seconds += fetched.wait_seconds
+        self.counters.incr(Counter.SHUFFLE_FETCHES)
+        self.counters.incr(Counter.SHUFFLE_FETCH_RETRIES, fetched.retries)
+        self.counters.incr(Counter.SHUFFLE_BACKOFF_MS, int(fetched.wait_seconds * 1000))
+        return fetched.payload, fetched.stored_length
 
     def _stage_to_disk(
         self, runs: list[list[SerdePair]], partition: int, pass_index: int
@@ -207,5 +178,4 @@ class ShuffleService:
             + model.merge_comparison * stats.comparisons
             + model.spill_write_byte * index.total_bytes,
         )
-        self.disk_merge_passes += 1
         return index

@@ -328,13 +328,9 @@ def start_shuffle_server(job: JobSpec, host: str):
     ``finally``)."""
     if job.conf.get_str(Keys.SHUFFLE_MODE) != "net":
         return None
-    from ..faults.shuffle import FaultPlan as ShuffleFaultPlan
     from ..shuffle.server import ShuffleServer
 
-    # One --fault spec drives every site's injection with one seed: the
-    # server's plan is the unified plan's `shuffle.*` rule, if any.
-    plan = ShuffleFaultPlan.from_unified(fault_plan_for(job))
-    return ShuffleServer(host, fault_plan=plan).start()
+    return ShuffleServer(host).start()
 
 
 def job_splits(job: JobSpec) -> list[FileSplit]:

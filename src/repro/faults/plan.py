@@ -23,8 +23,10 @@ worker    ``kill``                    a worker process dies abruptly
                                       executor's task timeout reaps it
           ``stall``                   a worker pauses ``delay_seconds`` then
                                       continues (a straggler, not a failure)
-shuffle   ``refuse`` ``drop``         the PR-2 shuffle server faults; the
-          ``truncate`` ``delay``      reduce-side fetcher retry loop recovers
+shuffle   ``refuse`` ``drop``         a shuffle server refuses, drops, cuts
+          ``truncate`` ``delay``      short or delays a selected segment
+                                      fetch; the reduce-side fetcher's retry
+                                      loop recovers
 master    ``heartbeat_drop``          the cluster master silently discards a
                                       selected worker's pings; membership marks
                                       the worker dead and its attempts are

@@ -4,6 +4,7 @@ An executor *installs* the job's :class:`~repro.faults.plan.FaultPlan`
 before it starts running tasks; fault points sprinkled through the
 framework (:func:`corrupt_spill_read` in :mod:`repro.io.spillfile`,
 :func:`corrupt_dfs_read` in :mod:`repro.dfs.datanode`,
+:func:`shuffle_fault` in :mod:`repro.shuffle.server`,
 :func:`worker_fault` in the task-attempt loop) consult the installed
 injector and stay zero-cost no-ops when nothing is installed.  The
 cluster backend relies on ``fork`` inheritance: the plan is installed
@@ -203,6 +204,25 @@ def corrupt_dfs_read(block_token: str, payload: bytes) -> bytes:
             injector.record(rule)
             return _flip(payload)
     return payload
+
+
+def shuffle_fault(task_id: str, partition: int) -> str | None:
+    """Shuffle-site faults, fired by a shuffle server for each ``GET``
+    of a selected (map task, partition) segment, first ``attempts``
+    requests only, so the fetcher's bounded retries converge.  Returns
+    the kind the server applies — ``refuse``, ``drop`` or ``truncate``
+    — or ``None``; ``delay`` pauses ``delay_seconds`` here and is
+    returned too, for the server's tally."""
+    injector = active_injector()
+    if injector is None:
+        return None
+    for rule in injector.plan.rules_for("shuffle"):
+        if injector.armed_counted(rule, f"{task_id}:{partition}"):
+            injector.record(rule)
+            if rule.kind == "delay":
+                time.sleep(injector.plan.delay_seconds)
+            return rule.kind
+    return None
 
 
 def worker_fault(task_id: str, attempt: int) -> None:

@@ -18,11 +18,13 @@ flaky).  Exhausting the attempt budget raises a clean
 failure; nothing hangs, because every socket operation carries a
 timeout.
 
-Timing is measured, not modelled: every result reports the winning
-attempt's wall time (connect -> bytes decoded) and the wait lost to
-failed attempts + backoff, which :class:`~repro.shuffle.service.
-NetShuffleService` charges to ``Op.SHUFFLE`` and surfaces in the idle
-report.
+Every result reports the winning attempt's measured wall time
+(connect -> bytes decoded) and the wait lost to failed attempts +
+backoff.  The engine's :class:`~repro.engine.shuffle.ShuffleService`
+keeps them next to the cost model — the ledger's
+``shuffle.fetch_seconds`` / ``fetch_bytes`` / ``wait_seconds`` samples
+and the fetch counters the idle report reads — and prices the segments
+as it prices direct reads.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ from ..errors import ShuffleError, ShuffleTransportError
 from ..io.compression import decode_segment
 from . import wire
 
+#: Connect and per-socket-operation timeout of one fetch attempt.
+FETCH_TIMEOUT_SECONDS = 10.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -46,7 +51,7 @@ class RetryPolicy:
     max_attempts: int = 4
     backoff_base_seconds: float = 0.02
     backoff_max_seconds: float = 0.25
-    timeout_seconds: float = 10.0
+    timeout_seconds: float = FETCH_TIMEOUT_SECONDS
 
     @classmethod
     def from_conf(cls, conf: JobConf) -> "RetryPolicy":
@@ -54,7 +59,6 @@ class RetryPolicy:
             max_attempts=conf.get_positive_int(Keys.SHUFFLE_FETCH_ATTEMPTS),
             backoff_base_seconds=conf.get_float(Keys.SHUFFLE_BACKOFF_BASE),
             backoff_max_seconds=conf.get_float(Keys.SHUFFLE_BACKOFF_MAX),
-            timeout_seconds=conf.get_float(Keys.SHUFFLE_TIMEOUT),
         )
 
     def backoff(self, task_id: str, partition: int, attempt: int) -> float:
@@ -189,6 +193,25 @@ class FetcherPool:
         self._futures: list[Future] = []
         self._submitted = 0
         self._consumed = 0
+
+    @classmethod
+    def for_partition(cls, map_results: list, partition: int, conf: JobConf) -> "FetcherPool":
+        """The (unstarted) pool that fetches *partition* of every map
+        output in *map_results*, in their order."""
+        plan: list[FetchPlanEntry] = []
+        for result in map_results:
+            if result.serve_address is None:
+                raise ShuffleError(
+                    f"map output {result.task_id!r} was never registered with "
+                    "a shuffle server; the executor must start one when "
+                    f"{Keys.SHUFFLE_MODE} = net"
+                )
+            plan.append(FetchPlanEntry(result.serve_address, result.task_id, partition))
+        return cls(
+            plan,
+            fetchers=conf.get_positive_int(Keys.SHUFFLE_FETCHERS),
+            policy=RetryPolicy.from_conf(conf),
+        )
 
     def start(self) -> "FetcherPool":
         self._pool = ThreadPoolExecutor(

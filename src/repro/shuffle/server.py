@@ -11,10 +11,11 @@ maps it ran with the server it runs itself, which opens the spill files
 when segments are requested.
 
 Every ``GET`` response carries the spill index entry's CRC so the
-fetcher can validate the bytes it actually received.  A configured
-:class:`~repro.faults.shuffle.FaultPlan` is applied between lookup and
-response, deterministically refusing / dropping / truncating / delaying
-the selected fraction of fetches.
+fetcher can validate the bytes it actually received.  Between lookup
+and response the server consults the
+:func:`~repro.faults.runtime.shuffle_fault` point, so an installed
+``shuffle.*`` fault rule deterministically refuses / drops / truncates
+/ delays the selected fraction of fetches.
 
 The server is plain ``socket`` + thread-per-connection: connections are
 one-request-one-response and segment counts are small (maps x reduces),
@@ -26,13 +27,12 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
 from dataclasses import dataclass, field
 
 from ..errors import DiskError, SerdeError, ShuffleError
 from ..io.blockdisk import LocalDisk
 from ..io.spillfile import SpillIndex, segment_bytes
-from ..faults.shuffle import FaultPlan
+from ..faults.runtime import shuffle_fault
 from . import wire
 
 
@@ -59,12 +59,10 @@ class ShuffleServer:
     def __init__(
         self,
         host_label: str = "localhost",
-        fault_plan: FaultPlan | None = None,
         bind_host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
         self.host_label = host_label
-        self.fault_plan = fault_plan or FaultPlan()
         self.bind_host = bind_host
         #: Requested listen port (0 = ephemeral).  A clean ``stop()``
         #: releases it, so a successor server can bind the same port —
@@ -77,7 +75,6 @@ class ShuffleServer:
         self._handlers: list[threading.Thread] = []
         self._stopping = threading.Event()
         self._port = -1
-        self._fault_attempts: dict[tuple[str, int], int] = {}
         # --- stats (guarded by _lock) ---
         self._bytes_served = 0
         self._requests_served = 0
@@ -221,7 +218,10 @@ class ShuffleServer:
             return
         disk, index = entry
 
-        fault = self._next_fault(task_id, partition)
+        fault = shuffle_fault(task_id, partition)
+        if fault is not None:
+            with self._lock:
+                self._faults[fault] = self._faults.get(fault, 0) + 1
         if fault == "refuse":
             wire.send_json(conn, wire.OP_ERR, {
                 "code": "BUSY",
@@ -240,8 +240,6 @@ class ShuffleServer:
                 self._errors += 1
             return
 
-        if fault == "delay":
-            time.sleep(self.fault_plan.delay_seconds)
         header = {
             "length": segment.length,
             "raw_length": segment.raw_length,
@@ -259,22 +257,6 @@ class ShuffleServer:
         with self._lock:
             self._requests_served += 1
             self._bytes_served += len(body)
-
-    def _next_fault(self, task_id: str, partition: int) -> str | None:
-        """The fault to apply to this request, or None.  Only the first
-        ``plan.attempts`` requests for a selected (task, partition) are
-        faulted, so bounded retries deterministically converge."""
-        plan = self.fault_plan
-        if not plan.selects(task_id, partition):
-            return None
-        key = (task_id, partition)
-        with self._lock:
-            seen = self._fault_attempts.get(key, 0) + 1
-            self._fault_attempts[key] = seen
-            if seen > plan.attempts:
-                return None
-            self._faults[plan.kind] = self._faults.get(plan.kind, 0) + 1
-        return plan.kind
 
     def __repr__(self) -> str:
         return f"ShuffleServer({self.host_label!r}, port={self._port})"

@@ -8,7 +8,9 @@ Every message is one frame::
     +-------+--------+-----------------+---------------------+
 
 ``magic`` is ``b"RS"`` (Repro Shuffle, protocol version folded into the
-opcode space).  Control payloads are UTF-8 JSON; the ``DATA`` payload is
+opcode space); the cluster runtime's master/worker protocol
+(:mod:`repro.cluster.runtime.protocol`) sends the same frames under
+``b"RC"``.  Control payloads are UTF-8 JSON; the ``DATA`` payload is
 a 4-byte big-endian JSON-header length, the JSON segment header
 (``length`` / ``raw_length`` / ``records`` / ``crc`` / ``codec``), and
 then the stored segment bytes exactly as they sit in the spill file.
@@ -50,14 +52,16 @@ OP_NAMES = {
 MAX_FRAME_BYTES = 1 << 30
 
 
-def read_exact(sock: socket.socket, length: int) -> bytes:
-    """Read exactly *length* bytes or raise on a mid-stream EOF."""
+def read_exact(
+    sock: socket.socket, length: int, error: type[Exception] = ShuffleTransportError
+) -> bytes:
+    """Read exactly *length* bytes or raise *error* on a mid-stream EOF."""
     chunks: list[bytes] = []
     remaining = length
     while remaining > 0:
         chunk = sock.recv(min(remaining, 1 << 16))
         if not chunk:
-            raise ShuffleTransportError(
+            raise error(
                 f"connection closed {remaining} bytes short of a "
                 f"{length}-byte read"
             )
@@ -66,23 +70,35 @@ def read_exact(sock: socket.socket, length: int) -> bytes:
     return b"".join(chunks)
 
 
-def send_frame(sock: socket.socket, opcode: int, payload: bytes = b"") -> None:
+def send_frame(
+    sock: socket.socket,
+    opcode: int,
+    payload: bytes = b"",
+    magic: bytes = MAGIC,
+    error: type[Exception] = ShuffleTransportError,
+) -> None:
+    """Send one frame; *magic* and *error* let the cluster runtime's
+    protocol share the framing under its own magic and error class."""
     if len(payload) > MAX_FRAME_BYTES:
-        raise ShuffleTransportError(
-            f"refusing to send a {len(payload)}-byte frame"
-        )
-    sock.sendall(MAGIC + bytes((opcode,)) + len(payload).to_bytes(4, "big") + payload)
+        raise error(f"refusing to send a {len(payload)}-byte frame")
+    sock.sendall(magic + bytes((opcode,)) + len(payload).to_bytes(4, "big") + payload)
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
-    header = read_exact(sock, HEADER_LEN)
-    if header[: len(MAGIC)] != MAGIC:
-        raise ShuffleTransportError(f"bad frame magic {header[:len(MAGIC)]!r}")
-    opcode = header[len(MAGIC)]
-    length = int.from_bytes(header[len(MAGIC) + 1 :], "big")
+def recv_frame(
+    sock: socket.socket,
+    magic: bytes = MAGIC,
+    error: type[Exception] = ShuffleTransportError,
+) -> tuple[int, bytes]:
+    """Receive one frame as ``(opcode, payload)``; a wrong magic, an
+    absurd length or a mid-frame EOF raises *error*."""
+    header = read_exact(sock, HEADER_LEN, error)
+    if header[: len(magic)] != magic:
+        raise error(f"bad frame magic {header[:len(magic)]!r}")
+    opcode = header[len(magic)]
+    length = int.from_bytes(header[len(magic) + 1 :], "big")
     if length > MAX_FRAME_BYTES:
-        raise ShuffleTransportError(f"frame declares absurd length {length}")
-    return opcode, read_exact(sock, length)
+        raise error(f"frame declares absurd length {length}")
+    return opcode, read_exact(sock, length, error)
 
 
 def send_json(sock: socket.socket, opcode: int, obj: dict) -> None:

@@ -190,7 +190,13 @@ def test_unknown_choice_is_refused_at_submit(key: str, backend: str, tiny_text) 
 def test_unknown_repro_key_is_refused_at_submit(backend: str, tiny_text) -> None:
     """A retired key and a typo both fail at submit, naming the key, on
     every backend; keys outside ``repro.`` belong to the application."""
-    for key in ("repro.lint.opt.mode", "repro.engine.grouping", "repro.freqbuf.enable"):
+    retired = (
+        "repro.lint.opt.mode",
+        "repro.engine.grouping",
+        "repro.shuffle.timeout.seconds",
+        "repro.cluster.register.timeout.seconds",
+    )
+    for key in (*retired, "repro.freqbuf.enable"):
         job = make_wordcount_job(tiny_text, {Keys.EXEC_BACKEND: backend, key: True})
         runner = LocalJobRunner()
         with pytest.raises(ConfigError, match=f"^{key} is not a configuration key"):

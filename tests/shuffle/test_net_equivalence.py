@@ -2,10 +2,11 @@
 
 The transport is the only thing ``--shuffle net`` changes: segments
 arrive over localhost TCP instead of direct disk reads, but the fetch
-plan order, the budgeted merge, and the reduce logic are shared, so for
-every paper application — with and without frequency buffering — the
-reduce output must match ``--shuffle mem`` byte for byte on every
-backend.
+plan order, the pricing, the budgeted merge, and the reduce logic are
+shared, so for every paper application — with and without frequency
+buffering — the reduce output must match ``--shuffle mem`` byte for
+byte on every backend, and the ledger must match wherever task
+placement is fixed.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import Keys
+from repro.engine.costmodel import DEFAULT_COST_MODEL
 from repro.engine.counters import Counter
 from repro.engine.instrumentation import Op
 from repro.engine.runner import JobResult, LocalJobRunner
@@ -69,8 +71,10 @@ def test_net_matches_mem_on_parallel_backends(backend: str) -> None:
 
 def test_cluster_backend_charges_measured_shuffle() -> None:
     """WordCount on the cluster backend with ``--shuffle net`` fetches
-    every segment over a real socket, charging ``Op.SHUFFLE`` from
-    measured wall time rather than the cost model."""
+    every segment over a real socket and charges what it measured to
+    the ledger's samples, not to ``Op.SHUFFLE``: the modelled charge is
+    mem mode's, whose only placement-dependent part is ``net_byte`` per
+    stored byte of a segment that crossed daemons."""
     result = run_app("wordcount", "net", freqbuf=False, backend="cluster")
     maps = len(result.map_results)
     reduces = len(result.reduce_results)
@@ -80,27 +84,69 @@ def test_cluster_backend_charges_measured_shuffle() -> None:
     assert result.counters.get(Counter.SHUFFLE_FETCHES) == maps * reduces
     assert result.counters.get(Counter.SHUFFLE_FETCH_RETRIES) == 0
 
-    # The acquisition charge is measured seconds, not modelled cost
-    # units.  Op.SHUFFLE also carries the merge/staging costs, which are
-    # identical in both modes (same payloads, same merge), so the net-
-    # vs-mem delta is exactly the measured fetch time: a serial mem run
-    # is one simulated host, so its acquisition charge is zero (every
-    # segment is host-local; the cluster's daemons are distinct hosts).
     seconds = result.ledger.get_samples("shuffle.fetch_seconds")
     sizes = result.ledger.get_samples("shuffle.fetch_bytes")
     assert len(seconds) == len(sizes) == maps * reduces
     assert all(s > 0 for s in seconds)
+
+    # A serial mem run is one simulated host: no segment crosses a host,
+    # so the cluster's Op.SHUFFLE exceeds it by the modelled wire alone.
     mem = run_app("wordcount", "mem", freqbuf=False)
     assert mem.ledger.get_samples("shuffle.fetch_seconds") == []
+    remote = sum(task.remote_shuffle_bytes for task in result.reduce_results)
+    assert remote > 0
     assert result.ledger.get(Op.SHUFFLE) - mem.ledger.get(Op.SHUFFLE) == pytest.approx(
-        sum(seconds)
+        DEFAULT_COST_MODEL.net_byte * remote
     )
 
     # The servers saw exactly the bytes the fetchers measured.
     assert result.shuffle_hosts, "cluster backend must snapshot its servers"
     served = sum(h.bytes_served for h in result.shuffle_hosts)
-    assert served == int(sum(sizes))
+    assert served == int(sum(sizes)) == result.counters.get(Counter.SHUFFLE_BYTES)
     assert all(h.total_faults == 0 for h in result.shuffle_hosts)
+
+
+#: Transport-independence cases: a combiner job, an unproven combiner
+#: over zlib-compressed spills, and a combiner-less sort whose reduce
+#: merge stages to disk (256 bytes of reduce memory).
+LEDGER_CASES = {
+    "wordcount": ("wordcount", {}),
+    "invertedindex-zlib": ("invertedindex", {Keys.SPILL_COMPRESSION: "zlib"}),
+    "distributedsort-staged": ("distributedsort", {Keys.REDUCE_MEMORY_BYTES: 256}),
+}
+#: What only a network fetch counts.
+NET_ONLY_COUNTERS = {
+    Counter.SHUFFLE_FETCHES.value,
+    Counter.SHUFFLE_FETCH_RETRIES.value,
+    Counter.SHUFFLE_BACKOFF_MS.value,
+}
+
+
+@pytest.mark.parametrize("case", LEDGER_CASES)
+def test_ledger_is_transport_independent(case: str) -> None:
+    """On a backend whose placement is fixed, ``--shuffle net`` prices
+    the shuffle as ``mem`` does: digest, counters (less the fetch
+    counters) and every ``Op`` of the ledger are ``==``."""
+    app_name, conf = LEDGER_CASES[case]
+
+    def run(mode: str) -> JobResult:
+        app = build_app(
+            app_name, "baseline", scale=0.02, num_splits=3,
+            extra_conf={Keys.SHUFFLE_MODE: mode, Keys.NUM_REDUCERS: 2, **conf},
+        )
+        return LocalJobRunner().run(app.job)
+
+    def counters(result: JobResult) -> dict:
+        return {
+            name: value for name, value in result.counters.as_dict().items()
+            if name not in NET_ONLY_COUNTERS
+        }
+
+    mem, net = run("mem"), run("net")
+    assert net.counters.get(Counter.SHUFFLE_FETCHES) == 3 * 2
+    assert net.output_digest() == mem.output_digest()
+    assert counters(net) == counters(mem)
+    assert net.ledger.work == mem.ledger.work
 
 
 def test_mem_mode_runs_no_servers() -> None:

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from repro.config import JobConf, Keys
+from repro.engine.costmodel import DEFAULT_COST_MODEL
+from repro.engine.counters import Counters
+from repro.engine.instrumentation import Ledger, TaskInstruments
+from repro.engine.shuffle import ShuffleService
 from repro.errors import ShuffleError
 from repro.exec.diskio import FileDisk
 from repro.io.blockdisk import LocalDisk
@@ -154,3 +160,30 @@ def test_handler_threads_are_pruned_as_they_finish(server):
     while server.snapshot().requests_served < fetches and time.monotonic() < deadline:
         time.sleep(0.01)
     assert server.snapshot().requests_served == fetches
+
+
+def test_shuffle_service_closes_its_pool_on_every_exit(server, monkeypatch):
+    """``fetch_and_merge`` shuts its fetcher pool down after the last
+    segment and when a fetch fails, so no fetcher thread outlives it."""
+    disk = LocalDisk("m0.disk")
+    index = write_spill(disk, "m0.out", PARTITIONS)
+    server.register("job.m0000", index, disk)
+    closed = []
+    close = FetcherPool.close
+    monkeypatch.setattr(FetcherPool, "close", lambda pool: closed.append(close(pool)))
+    conf = JobConf({Keys.SHUFFLE_FETCH_ATTEMPTS: 1})
+
+    def merge(*task_ids: str):
+        outputs = [
+            SimpleNamespace(task_id=task_id, serve_address=server.address,
+                            output_index=index, disk=disk, host="node-a")
+            for task_id in task_ids
+        ]
+        service = ShuffleService(DEFAULT_COST_MODEL, TaskInstruments(Ledger()), Counters())
+        return service.fetch_and_merge(outputs, 0, FetcherPool.for_partition(outputs, 0, conf))
+
+    assert merge("job.m0000", "job.m0000") == sorted(PARTITIONS[0] * 2)
+    assert len(closed) == 1
+    with pytest.raises(ShuffleError, match="failed after 1 attempts"):
+        merge("job.m0000", "job.m9999")  # never registered
+    assert len(closed) == 2

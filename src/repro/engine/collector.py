@@ -12,8 +12,8 @@ Every spill runs through the one inline cycle *drain -> consume ->
 settle -> observe* here, with the two threads of Hadoop's spill
 pipeline modelled in work units
 (:class:`~repro.engine.pipeline.PipelineTimeline`); the per-spill
-combine and every end-of-map merge pass share :func:`combine_runs`.
-Frequency buffering wraps this class
+combine and every end-of-map merge pass share :func:`combine_runs`
+(a proven int fold: one pass a run).  Frequency buffering wraps this class
 (:mod:`repro.core.freqbuf.collector`); spill-matcher plugs in as the
 :class:`~repro.engine.spillpolicy.SpillPolicy`.
 """
@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import weakref
 from abc import ABC, abstractmethod
+from itertools import chain
 from typing import Iterable
 
 from ..errors import SpillBufferError
 from ..io.blockdisk import LocalDisk
 from ..io.merger import MergeStats, group_sorted, merge_runs
 from ..io.spillfile import SpillIndex, read_segment, write_spill
+from ..serde.numeric import int_reader
 from ..serde.writable import SerdePair, Writable
 from .api import HashPartitioner, Partitioner
 from .binarybuffer import (
@@ -36,7 +38,7 @@ from .binarybuffer import (
     BinarySpillBuffer,
     oversized_record_message,
 )
-from .combiner import CombinerRunner
+from .combiner import END_OF_RUN, FOLD_OPS, CombinerRunner, wrap_folded
 from .costmodel import CostModel
 from .counters import Counter, Counters
 from .instrumentation import Op, TaskInstruments
@@ -383,8 +385,9 @@ def combine_runs(
     runs and *tally* advanced by each group's COMBINE charge.
 
     A proven fold (:attr:`CombinerRunner.fold`) never calls the runner:
-    groups fold on raw ints, charged the generic path's per-group
-    amounts in the same order, the ``COMBINE_*`` counters set once."""
+    each run folds in one pass that never decodes a one-value group,
+    every group is charged the generic path's amount in the same order,
+    and the ``COMBINE_*`` counters are set once."""
     runner = collector.combiner_runner
     overhead = collector.cost_model.combine_record_overhead
     ledger = collector.instruments.ledger
@@ -400,7 +403,9 @@ def combine_runs(
             combined.append(out)
         return combined, tally
 
-    fold_values = runner.fold_values
+    value_cls = runner.value_cls
+    read = int_reader(value_cls)
+    op = None if runner.fold == "sum" else FOLD_OPS[runner.fold]
     combine_record = runner.user_costs.combine_record
     work = ledger.work
     charged = work.get(_COMBINE_OP, 0.0)
@@ -408,13 +413,21 @@ def combine_runs(
     for run in runs:
         out = []
         append = out.append
-        for key_bytes, values in group_sorted(run):
-            count = len(values)
-            in_records += count
-            append((key_bytes, values[0] if count == 1 else fold_values(values)))
-            amount = combine_record * count + overhead * count
-            charged += amount
-            tally += amount
+        key, count = None, 0
+        for next_key, value in chain(run, ((END_OF_RUN, b""),)):
+            if next_key == key:
+                total = read(first) if count == 1 else total
+                number = read(value)
+                total = total + number if op is None else op(total, number)
+                count += 1
+                continue
+            if count:
+                append((key, first if count == 1 else wrap_folded(value_cls, total).to_bytes()))
+                amount = combine_record * count + overhead * count
+                charged += amount
+                tally += amount
+            key, first, count = next_key, value, 1
+        in_records += len(run)
         out_records += len(out)
         combined.append(out)
     if charged:

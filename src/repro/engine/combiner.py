@@ -13,11 +13,11 @@ buffer's fold table (:mod:`repro.engine.foldtable`) through
 
 Where the combiner's source *proves* that ``combine()`` is ``emit(key,
 W(sum|min|max(v.value for v in values)))`` over an exact-int ``W``
-(:func:`proven_fold`), the round trip is skipped: the runner folds raw
-ints — a one-value group's bytes are already what ``combine()`` would
-emit, a larger group is decoded in bulk (:func:`int_values`), folded by
-the builtin ``sum``/``min``/``max`` and encoded once — and
-accounts the ``combine()`` call that did not run exactly as if it had.
+(:func:`proven_fold`), the round trip is skipped: raw ints are folded —
+a one-value group's bytes are already what ``combine()`` would emit, a
+larger group's values are each decoded once (by ``collector.combine_runs``
+in one pass over a sorted run) and ``W(total)`` encoded once — and the
+``combine()`` call that did not run is accounted exactly as if it had.
 Whether a runner folds is never a setting: an unproven combiner (or one
 behind a proxy that hides its source) takes the generic path, which is
 therefore the differential oracle of the fold.
@@ -59,6 +59,10 @@ def wrap_folded(value_cls: type, total: int) -> Writable:
         raise UserCodeError("combine", str(exc)) from exc
 
 
+#: Equal to no key: closing a one-pass fold's run, it ends the last group.
+END_OF_RUN = object()
+
+
 class CombinerRunner:
     """Applies a user combiner to serialized equal-key groups."""
 
@@ -89,10 +93,13 @@ class CombinerRunner:
 
         The caller charges :attr:`last_work` to the ledger's COMBINE op.
         """
-        if self.fold is not None:
-            out = [(key_bytes, self.fold_values(value_bytes_list))]
-        else:
+        if self.fold is None:
             out = self.call_combine(key_bytes, value_bytes_list)
+        elif len(value_bytes_list) == 1:  # W(fold([v])) is W(v): the bytes in hand
+            out = [(key_bytes, value_bytes_list[0])]
+        else:
+            total = self.aggregate(int_values(self.value_cls, value_bytes_list))
+            out = [(key_bytes, wrap_folded(self.value_cls, total).to_bytes())]
         self.counters.incr(Counter.COMBINE_INPUT_RECORDS, len(value_bytes_list))
         self.counters.incr(Counter.COMBINE_OUTPUT_RECORDS, len(out))
         self.last_work = self.user_costs.combine_record * len(value_bytes_list)
@@ -114,13 +121,5 @@ class CombinerRunner:
         except Exception as exc:  # noqa: BLE001 - user code boundary
             raise UserCodeError("combine", str(exc)) from exc
         return out
-
-    def fold_values(self, value_bytes_list: list[bytes]) -> bytes:
-        """The value bytes the proven ``combine()`` would emit for a group."""
-        if len(value_bytes_list) == 1:
-            # W(fold([v])) is W(v): the bytes in hand, already canonical.
-            return value_bytes_list[0]
-        total = self.aggregate(int_values(self.value_cls, value_bytes_list))
-        return wrap_folded(self.value_cls, total).to_bytes()
 
     last_work: float = 0.0

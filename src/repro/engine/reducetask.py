@@ -19,8 +19,8 @@ loop skips the call and the writable round trip:
   that frames the merged key and value bytes as they are, counted as
   ``len(key) + len(value)`` output bytes per the Writable contract;
 * ``emit(key, W(sum|min|max(v.value for v in values)))`` over an
-  exact-int value class decodes each value once, applies the same
-  builtin aggregate and frames ``W(total).to_bytes()`` once per group —
+  exact-int value class folds the merged run in one pass, decoding each
+  value once, and frames ``W(total).to_bytes()`` once per group —
   a ``W`` that refuses the total fails as ``UserCodeError("reduce")``,
   as the ``reduce()`` that would have built it.
 
@@ -40,12 +40,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 from ..errors import UserCodeError
 from ..io.merger import group_sorted, group_sorted_by
 from ..io.records import append_record, decode_records
-from ..serde.numeric import int_values
+from ..serde.numeric import int_reader
 from ..serde.writable import Writable, class_from_ref, class_ref
+from .combiner import END_OF_RUN, FOLD_OPS
 from .counters import Counter, Counters
 from .instrumentation import Ledger, Op, TaskInstruments
 from .job import JobSpec
@@ -195,15 +197,15 @@ class ReduceTaskRunner:
             raise UserCodeError("reduce", f"setup failed: {exc}") from exc
 
         if job.group_key_fn is not None:
-            # Secondary sort: batch reduce() calls by the grouping prefix,
-            # keeping values in full-key order within the group (and
-            # handing reduce() the group's first full key).
-            groups = (
-                (first_key, [vb for _, vb in pairs])
+            # Secondary sort: group by the grouping prefix, values in
+            # full-key order, every record re-keyed by its group's first
+            # full key (the key reduce() is handed).
+            merged = (
+                (first_key, value)
                 for first_key, pairs in group_sorted_by(merged, job.group_key_fn)
+                for _, value in pairs
             )
-        else:
-            groups = group_sorted(merged)
+        groups = group_sorted(merged)
 
         proof = proven_reduce(reducer, value_cls)
         if proof is None:
@@ -218,7 +220,7 @@ class ReduceTaskRunner:
             output_records = input_records
         else:
             input_groups, input_records, output_bytes = self._fold(
-                groups, part, proof, key_cls.from_bytes, value_cls
+                merged, part, proof, key_cls.from_bytes, value_cls
             )
             classes.append((0, key_cls, proof.wrapper))
             output_records = input_groups
@@ -326,37 +328,41 @@ class ReduceTaskRunner:
         _settle(work, shuffle_work, reduce_work)
         return input_groups, input_records, output_bytes
 
-    def _fold(self, groups, part, proof, key_from_bytes, value_cls):
-        """A proven ``emit(key, W(agg(v.value for v in values)))``: the
-        same builtin aggregate over the same ints (decoded in bulk by
-        :func:`~repro.serde.numeric.int_values`), and ``W`` built and
-        serialized once per group, failing as the ``reduce()`` that
-        would have built it."""
+    def _fold(self, records, part, proof, key_from_bytes, value_cls):
+        """A proven ``emit(key, W(agg(v.value for v in values)))`` in one
+        pass over the key-sorted *records*: per group each value decoded
+        once, the key checked, and ``W(total)`` built and serialized,
+        failing as the ``reduce()`` that would have built it."""
         serialize_byte = self.job.cost_model.serialize_byte
         reduce_record = self.job.user_costs.reduce_record
         work = self.instruments.ledger.work
         shuffle_work = work.get(Op.SHUFFLE, 0.0)
         reduce_work = work.get(Op.REDUCE, 0.0)
-        agg, wrapper = proof.aggregate, proof.wrapper
+        read, wrapper = int_reader(value_cls), proof.wrapper
+        op = None if proof.agg == "sum" else FOLD_OPS[proof.agg]
         input_groups = input_records = output_bytes = 0
-        for key_bytes, value_bytes_list in groups:
-            count = len(value_bytes_list)
-            if count == 1:
-                group_payload = len(key_bytes) + len(value_bytes_list[0])
-            else:
-                group_payload = len(key_bytes) + sum(map(len, value_bytes_list))
-            numbers = int_values(value_cls, value_bytes_list)
-            shuffle_work += serialize_byte * group_payload
-            key_from_bytes(key_bytes)
-            input_groups += 1
-            input_records += count
-            try:
-                value_bytes = wrapper(agg(numbers)).to_bytes()
-            except Exception as exc:  # noqa: BLE001 - stands in for user reduce()
-                raise UserCodeError("reduce", str(exc)) from exc
-            append_record(part, key_bytes, value_bytes)
-            output_bytes += len(key_bytes) + len(value_bytes)
-            reduce_work += reduce_record * count
+        key, count = None, 0
+        # A group's first value (the closer's too) decodes after the last group.
+        for next_key, value in chain(records, ((END_OF_RUN, value_cls().to_bytes()),)):
+            if next_key == key:
+                number = read(value)
+                total = total + number if op is None else op(total, number)
+                count += 1
+                size += len(value)
+                continue
+            if count:
+                shuffle_work += serialize_byte * (len(key) + size)
+                key_from_bytes(key)
+                input_groups += 1
+                input_records += count
+                try:
+                    value_bytes = wrapper(total).to_bytes()
+                except Exception as exc:  # noqa: BLE001 - stands in for user reduce()
+                    raise UserCodeError("reduce", str(exc)) from exc
+                append_record(part, key, value_bytes)
+                output_bytes += len(key) + len(value_bytes)
+                reduce_work += reduce_record * count
+            key, total, count, size = next_key, read(value), 1, len(value)
         _settle(work, shuffle_work, reduce_work)
         return input_groups, input_records, output_bytes
 

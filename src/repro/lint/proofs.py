@@ -216,11 +216,6 @@ class ReducerProof:
     def identity(self) -> bool:
         return self.agg == IDENTITY
 
-    @property
-    def aggregate(self):
-        """The builtin ``sum``/``min``/``max`` the fold applies."""
-        return FOLD_AGGS[self.agg]
-
 
 def _is_identity(func: ast.FunctionDef) -> bool:
     """``for v in values: emit(key, v)`` and nothing else."""

@@ -9,7 +9,7 @@ same trade Hadoop's ``VIntWritable`` makes.
 from __future__ import annotations
 
 import struct
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 from ..errors import SerdeError
 from .writable import Writable, register_writable
@@ -232,8 +232,14 @@ class VIntWritable(Writable):
         return f"VIntWritable({self._value})"
 
 
-#: Every one-byte vint encoding (no continuation bit) -> its value.
-_ONE_BYTE_VINTS = {bytes((byte,)): (byte >> 1) ^ -(byte & 1) for byte in range(0x80)}
+class _VIntTable(dict):
+    """One-byte vint encodings -> values; a miss runs ``from_bytes``."""
+
+    def __missing__(self, data: bytes) -> int:
+        return VIntWritable.from_bytes(data).value
+
+
+_ONE_BYTE_VINTS = _VIntTable({bytes((b,)): (b >> 1) ^ -(b & 1) for b in range(0x80)})
 #: The value of every one-byte vint -> 1, its size.
 _ONE_BYTE_VINT_SIZES = dict.fromkeys(_ONE_BYTE_VINTS.values(), 1)
 #: The most bytes one vint takes: 64 zig-zag bits, 7 a byte.
@@ -249,16 +255,20 @@ def vint_sizes(values: list[int]) -> int:
         return sum(map(vint_size, values))
 
 
-def int_values(value_cls: type, values: list[bytes]) -> list[int]:
-    """``[value_cls.from_bytes(v).value for v in values]``, decoded in
-    bulk: a :class:`VIntWritable` list whose encodings are all one byte
-    (text counters) is one table lookup per value.  Anything else, a
-    miss included, decodes through ``from_bytes`` — so every error is
-    the one it raises."""
+def int_reader(value_cls: type) -> Callable[[bytes], int]:
+    """``lambda data: value_cls.from_bytes(data).value`` for ``bytes``;
+    a one-byte :class:`VIntWritable` (a text counter) from a table."""
     if value_cls is VIntWritable:
-        try:
-            return list(map(_ONE_BYTE_VINTS.__getitem__, values))
-        except (KeyError, TypeError):  # a longer or unhashable encoding
-            pass
+        return _ONE_BYTE_VINTS.__getitem__
     decode = value_cls.from_bytes
-    return [decode(value).value for value in values]
+    return lambda data: decode(data).value
+
+
+def int_values(value_cls: type, values: list[bytes]) -> list[int]:
+    """``[value_cls.from_bytes(v).value for v in values]``: only a value
+    off :func:`int_reader`'s table runs ``from_bytes`` (and raises its
+    error, for the first bad value)."""
+    try:
+        return list(map(int_reader(value_cls), values))
+    except TypeError:  # an unhashable (bytearray) vint encoding
+        return [value_cls.from_bytes(value).value for value in values]

@@ -23,8 +23,9 @@ The hash stage shares frequency buffering's two folds: generically a
 slot collects a key's serialized values for ``combine()`` to fold at
 flush; when ``combine()`` is a proven int ``sum``/``min``/``max``
 (:func:`repro.engine.combiner.proven_fold`) a slot is ``[count,
-running total]`` — decoded once in, encoded once out, and the
-``combine()`` that did not run charged exactly as if it had.
+running total]`` — decoded once in (a writable only off the one-byte
+vint table), encoded once out, and the ``combine()`` that did not run
+charged exactly as if it had.
 
 Correctness gating mirrors frequency buffering: the stage only folds
 with a combiner the static analyzer verified *fold-like*

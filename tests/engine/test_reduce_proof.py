@@ -23,15 +23,20 @@ from repro.apps.extras import IdentityReducer
 from repro.config import JobConf, Keys
 from repro.engine.api import FnReducer, HashPartitioner, Mapper, Reducer
 from repro.engine.costmodel import DEFAULT_COST_MODEL, UserCodeCosts
+from repro.engine.counters import Counters
 from repro.engine.inputformat import TextInput
+from repro.engine.instrumentation import Ledger, TaskInstruments
 from repro.engine.job import JobSpec
-from repro.engine.reducetask import proven_reduce
+from repro.engine.reducetask import ReduceTaskRunner, proven_reduce
 from repro.engine.runner import LocalJobRunner
-from repro.errors import JobFailedError, UserCodeError
+from repro.errors import JobFailedError, SerdeError, UserCodeError
+from repro.io.merger import group_sorted
+from repro.io.records import append_record
 from repro.lint.proofs import reducer_proof
 from repro.serde.numeric import FloatWritable, IntWritable, LongWritable, VIntWritable
 from repro.serde.text import Text
 from tests.engine.test_secondary_sort import PrefixPartitioner, group_prefix
+from tests.serde.test_int_values import malformed, valid
 
 
 class NumberMapper(Mapper):
@@ -131,7 +136,7 @@ def make_job(records, proof, value_cls, scale, reducers, grouped, shuffle) -> Jo
     data = "".join(
         f"g{group}|k{sub} {number}\n" if grouped else f"k{group}.{sub} {number}\n"
         for group, sub, number in records
-    ).encode()
+    ).encode() or b"\n"  # no records: one blank line, so every reduce run is empty
     return JobSpec(
         name="reduceproof",
         input_format=TextInput(data, split_size=len(data) // 3 + 1),
@@ -171,16 +176,18 @@ def accounting(result, shuffle: str) -> list:
     ]
 
 
+RECORD = st.tuples(
+    st.integers(0, 5),  # group: few groups, so some partitions are empty
+    st.integers(0, 3),
+    st.integers(-11, 11),
+)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    records=st.lists(
-        st.tuples(
-            st.integers(0, 5),  # group: few groups, so some partitions are empty
-            st.integers(0, 3),
-            st.integers(-11, 11),
-        ),
-        min_size=1,
-        max_size=60,
+    records=st.one_of(
+        st.lists(RECORD, max_size=60),
+        st.lists(RECORD, max_size=24, unique_by=lambda record: record[:2]),  # one-value groups
     ),
     proof=st.sampled_from(["identity", "sum", "min", "max"]),
     value_cls=st.sampled_from([VIntWritable, IntWritable, LongWritable]),
@@ -323,3 +330,78 @@ def test_the_fold_proof_names_the_wrapper_and_is_cached():
     assert reducer_proof(IdentityReducer, Text).identity
     info = reducer_proof.cache_info()
     assert (info.misses, info.hits) == (2, 2)
+
+
+# ----------------------------------------------------------------------
+# the one-pass fold over the merged run, against the generic loop
+# ----------------------------------------------------------------------
+
+#: Valid Text keys, and keys that are not UTF-8 sorted between them.
+BAD_KEY = b"k0\xff"
+KEYS = sorted([Text(f"k{index}").to_bytes() for index in range(4)] + [BAD_KEY, b"k2\xfe"])
+
+
+def loop_outcome(agg, value_cls, records, proven: bool):
+    """The part file, counts and ledger of one loop over *records*, or
+    its error."""
+    job = make_job([], agg, value_cls, 1, 1, False, "mem")
+    runner = ReduceTaskRunner(job, 0, [], "r", TaskInstruments(Ledger()), Counters())
+    part = bytearray()
+
+    def emit(key, value):
+        append_record(part, key.to_bytes(), value.to_bytes())
+
+    try:
+        if proven:
+            proof = reducer_proof(REDUCERS[agg, value_cls], value_cls)
+            counts = runner._fold(records, part, proof, Text.from_bytes, value_cls)[:2]
+        else:
+            reduce = REDUCERS[agg, value_cls]().reduce
+            counts = runner._call_reduce(
+                group_sorted(records), reduce, emit, Text.from_bytes, value_cls.from_bytes
+            )
+    except Exception as exc:  # noqa: BLE001 - the outcome under test
+        return type(exc), str(exc)
+    return bytes(part), counts, runner.instruments.ledger.as_dict()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    agg=st.sampled_from(["sum", "min", "max"]),
+    value_cls=st.sampled_from([VIntWritable, IntWritable, LongWritable]),
+)
+def test_the_fold_loop_is_the_generic_loop(data, agg, value_cls):
+    """Output, counts and ledger, or the error — a malformed value
+    before its group's malformed key, the first bad group first.  The
+    draws include the empty run and runs of one-value groups only."""
+    values = st.one_of(valid(value_cls), valid(value_cls), malformed(value_cls))
+    groups = st.one_of(
+        st.dictionaries(st.sampled_from(KEYS), st.lists(values, min_size=1, max_size=4)),
+        st.dictionaries(st.sampled_from(KEYS), st.lists(values, min_size=1, max_size=1)),
+    )
+    records = [(key, value) for key, group in sorted(data.draw(groups).items()) for value in group]
+    proven = loop_outcome(agg, value_cls, records, proven=True)
+    assert proven == loop_outcome(agg, value_cls, records, proven=False)
+
+
+@pytest.mark.parametrize("value_cls", [VIntWritable, IntWritable])
+def test_the_fold_loop_decodes_values_before_the_key(value_cls):
+    """Within a group a bad value raises before a bad key, and a bad key
+    before the next group's first value is decoded."""
+    good, bad = value_cls(4).to_bytes(), b"\x81\x81\x81"
+    with pytest.raises(SerdeError) as value_error:
+        value_cls.from_bytes(bad)
+    with pytest.raises(SerdeError) as key_error:
+        Text.from_bytes(BAD_KEY)
+    k0, k1 = Text("k0").to_bytes(), Text("k1").to_bytes()
+    for group in ([bad], [good, bad], [bad, good]):
+        records = [(k0, good)] + [(BAD_KEY, value) for value in group]
+        assert loop_outcome("sum", value_cls, records, proven=True) == (
+            SerdeError, str(value_error.value)
+        )
+    for group in ([good], [good, good]):
+        records = [(BAD_KEY, value) for value in group] + [(k1, bad)]
+        assert loop_outcome("max", value_cls, records, proven=True) == (
+            SerdeError, str(key_error.value)
+        )

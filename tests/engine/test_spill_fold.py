@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +23,15 @@ from hypothesis import strategies as st
 
 from repro.config import JobConf, Keys
 from repro.engine.api import Combiner, FnCombiner, Mapper
+from repro.engine.collector import combine_runs
 from repro.engine.combiner import CombinerRunner
 from repro.engine.costmodel import DEFAULT_COST_MODEL, UserCodeCosts
 from repro.engine.counters import Counter, Counters
 from repro.engine.inputformat import TextInput
+from repro.engine.instrumentation import Ledger
 from repro.engine.job import JobSpec
 from repro.engine.runner import LocalJobRunner
-from repro.errors import JobFailedError, UserCodeError
+from repro.errors import JobFailedError, SerdeError, UserCodeError
 from repro.serde.numeric import IntWritable, LongWritable, VIntWritable
 from repro.serde.text import Text
 from tests.core.test_freqbuf_frontstage import (
@@ -38,6 +41,7 @@ from tests.core.test_freqbuf_frontstage import (
     FoldReducer,
     HiddenCombiner,
 )
+from tests.serde.test_int_values import malformed, valid
 
 
 class ScaledNumberMapper(Mapper):
@@ -214,3 +218,93 @@ def test_a_folded_singleton_passes_its_bytes_through():
     assert runner.counters.as_dict() == {
         "combine_input_records": 1, "combine_output_records": 1,
     }
+
+
+# ----------------------------------------------------------------------
+# the one-pass fold over sorted runs, against the generic loop
+# ----------------------------------------------------------------------
+
+KEYS = [Text(f"k{index}").to_bytes() for index in range(6)]
+
+
+def runs_of(groups, value) -> st.SearchStrategy[list]:
+    """Key-sorted runs under some of the keys, each empty, of *groups*,
+    or of one-value groups only (one *value* each)."""
+
+    def run(group):
+        return st.dictionaries(st.sampled_from(KEYS), group).map(
+            lambda drawn: [(key, v) for key, values in sorted(drawn.items()) for v in values]
+        )
+
+    return st.lists(st.one_of(st.just([]), run(groups), run(value.map(lambda v: [v]))), max_size=4)
+
+
+def combine_outcome(combiner, value_cls, runs):
+    """What ``combine_runs`` returns and accounts for *runs*, or its error."""
+    runner = CombinerRunner(combiner, Text, value_cls, USER_COSTS, Counters())
+    collector = SimpleNamespace(
+        combiner_runner=runner, cost_model=COSTS, instruments=SimpleNamespace(ledger=Ledger())
+    )
+    try:
+        combined, tally = combine_runs(collector, runs, 0.3)
+    except Exception as exc:  # noqa: BLE001 - the outcome under test
+        return type(exc), str(exc)
+    return combined, tally, runner.counters.as_dict(), collector.instruments.ledger.as_dict()
+
+
+def proven_and_generic_outcomes(agg, value_cls, runs):
+    combiner = COMBINERS[agg, value_cls]()
+    return (
+        combine_outcome(combiner, value_cls, runs),
+        combine_outcome(HiddenCombiner(combiner), value_cls, runs),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), agg=st.sampled_from(sorted(AGGS)),
+       value_cls=st.sampled_from([VIntWritable, IntWritable, LongWritable]))
+def test_combine_runs_folds_like_the_generic_loop(data, agg, value_cls):
+    """Valid values: the same runs, tally, counters and ledger (an
+    ``IntWritable`` sum past 32 bits: the same error)."""
+    runs = runs_of(st.lists(valid(value_cls), min_size=1, max_size=5), valid(value_cls))
+    proven, generic = proven_and_generic_outcomes(agg, value_cls, data.draw(runs))
+    assert proven == generic
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), agg=st.sampled_from(sorted(AGGS)),
+       value_cls=st.sampled_from([VIntWritable, IntWritable, LongWritable]))
+def test_a_malformed_value_fails_the_fold_like_the_generic_loop(data, agg, value_cls):
+    """Malformed values only in groups of two or more (a one-value group
+    is never decoded by the fold): the same ``SerdeError``, for the
+    first bad value in run order."""
+    value = st.one_of(valid(value_cls), malformed(value_cls))
+    groups = st.one_of(
+        st.lists(valid(value_cls), min_size=1, max_size=1),
+        st.lists(value, min_size=2, max_size=5),
+    )
+    runs = runs_of(groups, valid(value_cls))
+    proven, generic = proven_and_generic_outcomes(agg, value_cls, data.draw(runs))
+    assert proven == generic
+
+
+def test_a_malformed_value_raises_in_the_group_the_generic_loop_does():
+    """Each bad ``IntWritable`` names its length, so the message tells
+    which group raised: the first with a bad value, not a later one."""
+    good = IntWritable(3).to_bytes()
+    run = [(KEYS[0], good), (KEYS[0], good), (KEYS[1], good), (KEYS[2], good),
+           (KEYS[2], b"\x00" * 5), (KEYS[3], b"\x00" * 7), (KEYS[3], good)]
+    proven, generic = proven_and_generic_outcomes("sum", IntWritable, [[], run])
+    assert proven == generic == (SerdeError, "IntWritable needs 4 bytes, got 5")
+
+
+def test_a_malformed_singleton_passes_through_the_fold():
+    """A one-value group's bytes are what ``combine()`` would emit, so
+    the fold keeps them undecoded, malformed or not."""
+    bad = b"\x81"
+    two = [(KEYS[1], VIntWritable(300).to_bytes()), (KEYS[1], VIntWritable(-2).to_bytes())]
+    [[(key, out), folded]] = proven_and_generic_outcomes(
+        "sum", VIntWritable, [[(KEYS[0], bad)] + two]
+    )[0][0]
+    assert (key, out) == (KEYS[0], bad) and out is bad
+    assert folded == (KEYS[1], VIntWritable(298).to_bytes())

@@ -18,10 +18,13 @@ output.  The contract under test:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.config import JobConf, Keys
 from repro.engine.api import Combiner
+from repro.engine.costmodel import DEFAULT_COST_MODEL, UserCodeCosts
 from repro.engine.counters import Counter
 from repro.engine.inputformat import TextInput
 from repro.engine.instrumentation import Op
@@ -29,10 +32,12 @@ from repro.engine.job import JobSpec
 from repro.engine.runner import JobResult, LocalJobRunner
 from repro.exec.base import apply_node_combine
 from repro.io.spillfile import read_segment
-from repro.serde.numeric import VIntWritable
+from repro.serde.numeric import IntWritable, LongWritable, VIntWritable
 from repro.serde.text import Text
 from repro.shuffle.nodecombine import NodeCombiner, node_combine_task_id
 from tests.conftest import SumReducer, TokenMapper, make_wordcount_job
+from tests.core.test_freqbuf_frontstage import AGGS, generic_twin
+from tests.core.test_freqbuf_frontstage import make_job as make_fold_job
 
 
 def run_wordcount(tiny_text, node_combine: bool, **conf) -> JobResult:
@@ -208,3 +213,45 @@ class TestGating:
         decisions = {(g.optimization, g.action) for g in result.lint_report.gating}
         assert ("node_combine", "kept") in decisions
         assert result.counters.get(Counter.NODE_COMBINE_IN_RECORDS) > 0
+
+
+# ----------------------------------------------------------------------
+# the proven fold against the generic one
+# ----------------------------------------------------------------------
+
+#: Non-integer costs, so a change in the order of the stage's float
+#: additions would show in the ledger.
+FOLD_COSTS = dataclasses.replace(
+    DEFAULT_COST_MODEL, combine_record_overhead=0.1, hash_record=0.3, sort_comparison=0.7
+)
+
+
+@pytest.mark.parametrize("value_cls", [VIntWritable, IntWritable, LongWritable])
+@pytest.mark.parametrize("agg", sorted(AGGS))
+@pytest.mark.parametrize("buffer_bytes", [48, 1 << 20])  # 48: a partial flush every few records
+def test_proven_node_fold_is_unobservable(agg, value_cls, buffer_bytes):
+    """Negative and multi-byte values (``scale`` 2**20) through the
+    stage with the proven fold and with the same combiner behind a
+    source-hiding proxy: the same output bytes, ``NODE_COMBINE_*``
+    counters and ledger."""
+    proven_job = dataclasses.replace(
+        make_fold_job(agg, value_cls, {
+            Keys.NODE_COMBINE: True,
+            Keys.NODE_COMBINE_BUFFER_BYTES: buffer_bytes,
+            Keys.SPILL_BUFFER_BYTES: 1024,
+        }, scale=1 << 20),
+        cost_model=FOLD_COSTS,
+        user_costs=UserCodeCosts(combine_record=0.7),
+    )
+    proven = LocalJobRunner().run(proven_job)
+    generic = LocalJobRunner().run(generic_twin(proven_job))
+
+    assert proven.counters.get(Counter.NODE_COMBINE_IN_RECORDS) > proven.counters.get(
+        Counter.NODE_COMBINE_OUT_RECORDS
+    )
+    if buffer_bytes < 64:
+        assert proven.counters.get(Counter.NODE_COMBINE_FLUSHES) > 2 * proven_job.num_reducers
+    assert proven.output_digest() == generic.output_digest()
+    assert proven.counters.as_dict() == generic.counters.as_dict()  # NODE_COMBINE_* included
+    assert proven.ledger.work == generic.ledger.work
+    assert proven.ledger.get(Op.NODE_COMBINE) > 0

@@ -25,8 +25,8 @@ from ..serde.writable import Writable
 from .base import AppJob, make_conf
 from .nlp.tokenizer import tokenize
 
-#: Module-level mutable state the mapper leaks into — racy under the
-#: thread backend, silently diverging under the cluster backend's fork.
+#: Module-level mutable state the mapper leaks into — silently diverging
+#: under the cluster backend's fork, and carried into a retried attempt.
 RECORDS_SEEN = 0
 
 

@@ -207,10 +207,9 @@ def cmd_list(_args: argparse.Namespace) -> int:
     print()
     print("execution backends (`repro run <app> --backend <name>`):")
     backend_blurbs = {
-        "serial": "in-order, in-thread reference backend",
-        "thread": "task attempts over a thread pool",
-        "cluster": "a master over forked worker daemons: crash recovery, "
-                   "heartbeats, locality, speculation",
+        "serial": "in-order, in-thread reference backend: one node",
+        "cluster": "a master over forked worker daemons, one node each: "
+                   "crash recovery, heartbeats, locality, speculation",
     }
     for name in backend_names():
         print(f"  {name:15s} {backend_blurbs.get(name, '')}")
@@ -240,8 +239,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     run_parser.add_argument(
         "--workers", type=int, default=0,
-        help="worker count for parallel backends: threads, or the "
-             "cluster backend's worker daemons (0 = one per CPU)",
+        help="the cluster backend's worker daemons, one node each "
+             "(0 = one per CPU; serial ignores it)",
     )
     run_parser.add_argument(
         "--shuffle", choices=("mem", "net"), default="mem",

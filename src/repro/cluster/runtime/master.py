@@ -30,7 +30,8 @@ Each ~20 ms tick the loop:
    (``SPECULATIVE_LAUNCHES`` / ``SPECULATIVE_WINS``).
 
 Dead workers are replaced with fresh daemons under the same host label,
-so locality hints and DFS local reads stay valid for the replacement.
+so locality hints and DFS local reads stay valid for the replacement; a
+replacement is a new node, so its per-node state starts empty.
 """
 
 from __future__ import annotations

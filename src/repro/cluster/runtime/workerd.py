@@ -14,7 +14,8 @@ configured worker (plus replacements).  Startup order matters:
 3. start this node's :class:`~repro.shuffle.server.ShuffleServer` (net
    mode) and point the inherited worker context at it, so
    :func:`~repro.exec.workers.task_entry` registers map output with
-   *this worker's* server and reducers anywhere fetch it over TCP;
+   *this worker's* server and reducers anywhere fetch it over TCP, and
+   give the context this node's empty per-node state;
 4. HELLO on the long-lived task channel, then serve TASK frames until
    BYE/EOF, with a daemon ping thread heartbeating the master from the
    side — a worker stuck in a long task attempt still proves liveness,
@@ -111,9 +112,11 @@ def workerd_main(
     dfs_stats = _materialize_input(ctx, host)
     server = start_shuffle_server(ctx.job, host)
     # This daemon's private context view (fork CoW): the shared map/reduce
-    # entry points now attribute work to this node and register map
-    # output with this node's shuffle server.
+    # entry points now attribute work to this node, share this node's
+    # state across its map tasks (a replacement daemon starts empty) and
+    # register map output with this node's shuffle server.
     ctx.host = host
+    ctx.shared_state = {}
     ctx.shuffle_server = server
 
     conn = connect(master_address)

@@ -38,7 +38,7 @@ class Keys:
     SPILLMATCHER_ENABLED = "repro.spillmatcher.enabled"
 
     # --- execution backend (repro.exec) ---
-    EXEC_BACKEND = "repro.exec.backend"  # serial | thread | cluster
+    EXEC_BACKEND = "repro.exec.backend"  # serial | cluster
     EXEC_WORKERS = "repro.exec.workers"  # worker count (0 = one per CPU)
 
     # --- network shuffle (repro.shuffle) ---

@@ -103,7 +103,7 @@ class FrequencyBufferingCollector(MapOutputCollector):
         instruments: TaskInstruments,
         counters: Counters,
         combiner_runner: CombinerRunner | None,
-        shared_state: dict[str, Any] | None = None,
+        shared_state: dict[str, Any],
         share_across_tasks: bool = True,
     ) -> None:
         if k <= 0:
@@ -118,7 +118,7 @@ class FrequencyBufferingCollector(MapOutputCollector):
         self.instruments = instruments
         self.counters = counters
         self.combiner_runner = combiner_runner
-        self.shared_state = shared_state if shared_state is not None else {}
+        self.shared_state = shared_state
         self.share_across_tasks = share_across_tasks
 
         self._input_fraction = 0.0
@@ -160,7 +160,7 @@ class FrequencyBufferingCollector(MapOutputCollector):
         instruments: TaskInstruments,
         counters: Counters,
         combiner_runner: CombinerRunner | None,
-        shared_state: dict[str, Any] | None = None,
+        shared_state: dict[str, Any],
     ) -> "FrequencyBufferingCollector":
         conf = job.conf
         return cls(

@@ -122,7 +122,7 @@ def build_collector(
     disk: LocalDisk,
     instruments: TaskInstruments,
     counters: Counters,
-    shared_state: dict | None = None,
+    shared_state: dict,
 ) -> MapOutputCollector:
     """Assemble the collector stack for one map task.
 
@@ -174,7 +174,7 @@ def build_collector(
         sort_factor=conf.get_positive_int(Keys.SORT_FACTOR),
         codec=codec,
     )
-    if standard.partition_memo is not None and shared_state is not None:
+    if standard.partition_memo is not None:
         standard.partition_memo = shared_state.setdefault(
             SHARED_PARTITION_MEMO, standard.partition_memo
         )
@@ -198,12 +198,12 @@ class LocalJobRunner:
     """Runs jobs in-process on a configurable execution backend.
 
     The default (``serial``) backend is the original single-node
-    reference loop; ``thread`` and ``cluster`` backends parallelize task
-    attempts (:mod:`repro.exec`).  Which backend runs is taken from the
-    job's own configuration (``repro.exec.backend`` /
-    ``repro.exec.workers``), so applications and experiments opt in
-    without code changes — the same property the paper's optimizations
-    have.
+    reference loop; the ``cluster`` backend runs task attempts in
+    forked worker daemons, one node each (:mod:`repro.exec`).  Which
+    backend runs is taken from the job's own configuration
+    (``repro.exec.backend`` / ``repro.exec.workers``), so applications
+    and experiments opt in without code changes — the same property the
+    paper's optimizations have.
 
     The cluster simulator (:class:`~repro.cluster.jobtracker.
     ClusterJobRunner`) runs the same job plan over one more transport,

@@ -5,8 +5,6 @@ The engine's task machinery is execution-agnostic; this package decides
 
 ``serial``
     The original in-order, in-thread loop — the reference backend.
-``thread``
-    Map/reduce tasks over a thread pool (GIL-bound for CPU work).
 ``cluster``
     A master scheduling over forked worker daemons that register and
     heartbeat over localhost TCP, spill to real temp disk, and survive
@@ -36,7 +34,6 @@ from .base import Executor
 #: ``name -> module:class`` for every backend; resolved on first use.
 _LAZY_BACKENDS: dict[str, str] = {
     "serial": "repro.exec.serial:SerialExecutor",
-    "thread": "repro.exec.threaded:ThreadExecutor",
     "cluster": "repro.cluster.runtime.master:ClusterExecutor",
 }
 
@@ -64,8 +61,7 @@ def _resolve(backend: str) -> type[Executor]:
 def create_executor(
     backend: str, workers: int = 0, host: str = "localhost"
 ) -> Executor:
-    """Instantiate the named backend
-    (``serial`` | ``thread`` | ``cluster``)."""
+    """Instantiate the named backend (``serial`` | ``cluster``)."""
     return _resolve(backend)(workers=workers, host=host)
 
 

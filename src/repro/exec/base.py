@@ -8,13 +8,19 @@ assembles the :class:`~repro.engine.runner.JobResult`.  A backend is a
 *task transport* — three methods (:meth:`~Executor.open`,
 :meth:`~Executor.run_tasks`, :meth:`~Executor.close`) that decide only
 *where* task attempts run: the calling thread
-(:mod:`repro.exec.serial`), a thread pool (:mod:`repro.exec.threaded`),
-forked worker daemons under a master
+(:mod:`repro.exec.serial`), forked worker daemons under a master
 (:mod:`repro.cluster.runtime.master`), or the modelled slots of the
 cluster simulator (:mod:`repro.cluster.jobtracker`).  The attempt loop
 (Hadoop's retry-on-user-failure semantics) and the lost-attempt rule
 live here as plain functions every transport calls, in-process or
 inside a worker.
+
+Every transport follows one per-node rule: the map tasks one node runs
+in one run of a job share one *shared_state* dict (the frozen
+frequent-key set and the partition memo).  The serial backend is one
+node; each cluster daemon is one node, and a replacement daemon is a
+new one that starts empty; the simulator keeps one dict per modelled
+host.
 
 Per-task ledgers and counters merge into the job totals in task order,
 so a job's summed :class:`~repro.engine.instrumentation.Ledger` is
@@ -119,7 +125,7 @@ def run_with_retries(
     splits: list[FileSplit],
     fetch_results: list[MapTaskResult] | None,
     host: str,
-    shared_state: dict | None = None,
+    shared_state: dict,
     disk_factory: Callable[[str], LocalDisk] | None = None,
     attempts_out: dict[str, int] | None = None,
 ) -> tuple:
@@ -128,12 +134,14 @@ def run_with_retries(
     Each attempt gets a fresh mapper/reducer, disk, collector, ledger,
     and counter set; a :data:`TRANSIENT_TASK_ERRORS` exception burns the
     attempt and retries, any other exception propagates immediately.
-    A map task reads ``splits[task.payload]``; a reduce task fetches
-    partition ``task.payload`` from *fetch_results*.  Returns the
-    ``(task_id, attempts, result, None)`` outcome, *attempts* being the
-    cumulative number consumed.  *attempts_out*, when given, is kept
-    current attempt-by-attempt so callers observe the count even when
-    the task ultimately fails the job.  ``task.attempt_offset`` is the
+    A map task reads ``splits[task.payload]`` and shares *shared_state*,
+    its node's per-node dict, with the node's other map tasks; a reduce
+    task fetches partition ``task.payload`` from *fetch_results*.
+    Returns the ``(task_id, attempts, result, None)`` outcome,
+    *attempts* being the cumulative number consumed.  *attempts_out*,
+    when given, is kept current attempt-by-attempt so callers observe
+    the count even when the task ultimately fails the job.
+    ``task.attempt_offset`` is the
     number of attempts already consumed elsewhere (a crashed worker's
     lost attempts, counted by the scheduler), so a rescheduled task
     keeps one cumulative attempt budget.
@@ -152,8 +160,9 @@ def run_with_retries(
                 disk = disk_factory(task_id)
             else:
                 disk = LocalDisk(f"{task_id}.disk")
-            state = shared_state if shared_state is not None else {}
-            collector = build_collector(job, task_id, disk, instruments, counters, state)
+            collector = build_collector(
+                job, task_id, disk, instruments, counters, shared_state
+            )
             runner = MapTaskRunner(
                 job, splits[task.payload], task_id, disk, collector,
                 instruments, counters, host,
@@ -376,7 +385,7 @@ class Executor(ABC):
     # the transport: where task attempts run
     # ------------------------------------------------------------------
     def open(self, job: JobSpec) -> None:
-        """Bring up whatever runs this job's tasks (thread pool, daemons)."""
+        """Bring up whatever runs this job's tasks (per-node state, daemons)."""
 
     @abstractmethod
     def run_tasks(

@@ -2,11 +2,11 @@
 
 This is the engine's original execution loop behind the
 :class:`~repro.exec.base.Executor` transport interface.  It is the
-reference the parallel backends are tested against — results must be
+reference the cluster backend is tested against — results must be
 bit-for-bit identical to what :class:`~repro.engine.runner.LocalJobRunner`
-produced before backends existed, including the per-node *shared_state*
-dict the frequency-buffering collector uses to share its frequent-key
-set across the tasks of one node.
+produced before backends existed.  The whole run is one node: every
+map task shares one *shared_state* dict (the frequent-key set and the
+partition memo).
 """
 
 from __future__ import annotations

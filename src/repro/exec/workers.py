@@ -63,6 +63,10 @@ class WorkerContext:
     #: net`` (set by the daemon after fork): map tasks register their
     #: finished output with it in-process and reducers fetch from it.
     shuffle_server: "ShuffleServer | None" = None
+    #: This daemon's per-node state (set to ``{}`` by the daemon after
+    #: fork): a daemon is one node, so every map task it runs shares
+    #: one frozen frequent-key set and one partition memo.
+    shared_state: dict | None = None
 
 
 # Contexts are registered by id, not held in a single slot: concurrent
@@ -125,6 +129,7 @@ def task_entry(task: Task, fetch_results: list | None, ctx_id: int) -> tuple:
             splits,
             fetch_results,
             ctx.host,
+            shared_state=ctx.shared_state,
             disk_factory=disk_factory,
             attempts_out=attempts_seen,
         )

@@ -92,6 +92,9 @@ class FaultInjector:
 # ----------------------------------------------------------------------
 _LOCK = threading.Lock()
 _STACK: list[FaultInjector] = []
+#: Thread-local, not a module value: the shuffle server's handler
+#: threads read segments through the same disk fault point while a
+#: serial task runs, and must stay outside that task's scope.
 _TLS = threading.local()
 _IN_WORKER_PROCESS = False
 

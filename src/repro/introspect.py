@@ -13,12 +13,14 @@ inside the interpreter itself; observed failure modes (CPython 3.11):
   by the fingerprint fallback and surfaced as a spurious job-id change
   (the digest degrades to name-only for that one run).
 
-Thread-backend tasks take fold proofs on worker threads, so
-every source-introspection entry point funnels through one process-wide
-lock.  ``linecache``'s module-level cache, which ``inspect`` reads and
-mutates with no locking of its own, is covered by the same lock for the
-same reason.  Introspection is rare (once per job build / lint pass)
-and brief, so serializing it costs nothing measurable.
+:class:`~repro.engine.runner.LocalJobRunner` may be driven from several
+caller threads at once (each building, linting and proving its own
+job), so every source-introspection entry point funnels through one
+process-wide lock.  ``linecache``'s module-level cache, which
+``inspect`` reads and mutates with no locking of its own, is covered by
+the same lock for the same reason.  Introspection is rare (once per job
+build / lint pass) and brief, so serializing it costs nothing
+measurable.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The engine's optimizations are only sound under properties of *user*
 code that nothing used to check: frequency-buffering assumes the
 combiner is an associative, commutative, key-preserving fold (the
-engine may apply it zero, one, or many times per key); the thread and
-cluster backends assume ``map()``/``reduce()`` are pure and
+engine may apply it zero, one, or many times per key); task retries
+and the cluster backend assume ``map()``/``reduce()`` are pure and
 deterministic; the cluster backend's fork+pickle result path assumes
 emitted values are picklable; the declared map-output writable classes
 must match what the job actually emits.  Jahani & Cafarella's Manimal
@@ -17,9 +17,10 @@ package does the same for ``repro``:
   :class:`~repro.lint.findings.LintReport` of
   :class:`~repro.lint.findings.Finding` rows with real ``file:line``
   anchors;
-* :func:`analyze_engine` self-lints the engine classes that are shared
-  between the map and support threads against their documented
-  thread contracts (:mod:`repro.lint.rules.concurrency`);
+* :func:`analyze_engine` self-lints the engine classes that several
+  threads touch at once (the cluster master's ``Membership``) against
+  their documented thread contracts
+  (:mod:`repro.lint.rules.concurrency`);
 * :func:`gate_job` applies the Manimal-style verdict at submit time:
   when the combiner-algebra rule cannot verify fold-like-ness, a job
   that asked for frequency-buffering runs with it forced off, and the

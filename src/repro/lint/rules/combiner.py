@@ -29,7 +29,7 @@ conditions:
 
 ``combiner-stateful`` (error)
     State on ``self`` carried across ``combine()`` calls breaks
-    re-application and thread-backend safety both.
+    re-application.
 """
 
 from __future__ import annotations

@@ -1,15 +1,16 @@
 """Purity and determinism of the per-record user methods.
 
-The thread backend runs task attempts concurrently in one process; the
-net shuffle's equivalence guarantee and task-retry correctness both
-assume a retried or re-run ``map()``/``reduce()``/``combine()``
-produces byte-identical output.  Checked properties:
+The cluster backend runs task attempts in daemons forked from the
+master; the net shuffle's equivalence guarantee and task-retry
+correctness both assume a retried or re-run
+``map()``/``reduce()``/``combine()`` produces byte-identical output.
+Checked properties:
 
 ``purity-global-write`` (error)
-    Mutating module-level state from a per-record method: racy under
-    the thread backend, silently diverges under the cluster backend
-    (each forked daemon mutates its own copy), and breaks retry
-    determinism.
+    Mutating module-level state from a per-record method: silently
+    diverges under the cluster backend (each forked daemon mutates its
+    own copy) and breaks retry determinism (a retried attempt starts
+    from what the failed one left behind).
 
 ``purity-nondeterministic`` (error)
     Wall-clock (``time.time`` & friends, ``datetime.now``) or unseeded
@@ -89,7 +90,7 @@ class PurityRule(Rule):
                     source.file,
                     node,
                     f"{where} declares global {', '.join(node.names)}: "
-                    "module state mutated per record is racy and "
+                    "module state mutated per record is fork-divergent and "
                     "retry-unsafe",
                 )
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
@@ -114,8 +115,8 @@ class PurityRule(Rule):
                                 source.file,
                                 node,
                                 f"{where} writes into module-level "
-                                f"{name!r}: racy under the thread backend, "
-                                "lost under the cluster backend's fork",
+                                f"{name!r}: lost under the cluster backend's "
+                                "fork, and a retried attempt sees it",
                             )
             elif isinstance(node, ast.Call):
                 yield from self._check_call(node, where, locals_, source)
@@ -163,7 +164,7 @@ class PurityRule(Rule):
                 source.file,
                 node,
                 f"{where} calls {base}.{attr}(): mutating module-level "
-                "state per record is racy and retry-unsafe",
+                "state per record is fork-divergent and retry-unsafe",
             )
 
     @staticmethod

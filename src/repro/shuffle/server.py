@@ -4,7 +4,7 @@ One :class:`ShuffleServer` plays the role of Hadoop's per-TaskTracker
 ``MapOutputServlet``: it owns the map outputs of one simulated host and
 serves their partition segments to reducers over localhost TCP.  Map
 outputs reach it by in-process registration
-(:meth:`ShuffleServer.register`): the serial/thread backends register
+(:meth:`ShuffleServer.register`): the serial backend registers
 in-memory ``LocalDisk`` outputs with the driver's server, and each
 cluster worker daemon registers the ``FileDisk``-backed outputs of the
 maps it ran with the server it runs itself, which opens the spill files

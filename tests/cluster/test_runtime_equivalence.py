@@ -31,7 +31,6 @@ def run_backend(app_name: str, backend: str, shuffle: str = "mem") -> JobResult:
             Keys.EXEC_BACKEND: backend,
             Keys.EXEC_WORKERS: 3,
             Keys.SHUFFLE_MODE: shuffle,
-            Keys.FREQBUF_SHARE_ACROSS_TASKS: False,
             Keys.SPILL_BUFFER_BYTES: 16 * 1024,
         },
     )

@@ -25,10 +25,9 @@ from repro.serde.text import Text
 LEAK_CHECKED = tuple(
     f"tests/{suite}/" for suite in ("exec", "cluster", "faults")
 )
-#: Threads a finished job must not leave running: thread-backend workers
-#: (``<job>.exec_N``), the master's accept loop, daemon heartbeats, and
-#: shuffle-server accept loops.
-LEAKY_THREADS = ("*.exec*", "cluster-master-accept", "heartbeat-*", "shuffle-server*")
+#: Threads a finished job must not leave running: the master's accept
+#: loop, daemon heartbeats, and shuffle-server accept loops.
+LEAKY_THREADS = ("cluster-master-accept", "heartbeat-*", "shuffle-server*")
 #: Temp trees the cluster backend spills into.
 LEAKY_TREES = ("repro-cluster-*",)
 #: The temp dir other processes share; the session's own root is below it.

@@ -62,7 +62,7 @@ class TestSemanticConfItems:
         job = make_wordcount_job(
             TEXT,
             conf_overrides={
-                Keys.EXEC_BACKEND: "thread",
+                Keys.EXEC_BACKEND: "cluster",
                 Keys.SHUFFLE_MODE: "net",
                 Keys.NUM_REDUCERS: 3,
             },
@@ -90,9 +90,9 @@ class TestOutputDigest:
 
     def test_same_bytes_across_backends(self):
         serial = self.run("serial")
-        threaded = self.run("thread")
-        assert serial.output_digest() == threaded.output_digest()
-        assert serial.job_id == threaded.job_id
+        cluster = self.run("cluster")
+        assert serial.output_digest() == cluster.output_digest()
+        assert serial.job_id == cluster.job_id
 
     def test_different_input_different_digest(self):
         assert (

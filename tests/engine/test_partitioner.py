@@ -81,8 +81,9 @@ def hashed_keys(monkeypatch, job: JobSpec) -> tuple[list[bytes], JobResult]:
 
 class TestPartitionMemoScope:
     """The stock partitioner's memo lives in the per-node state of one
-    run of a job: on ``serial`` each distinct key is hashed once per
-    job, not once per map task, and never carried into the next run."""
+    run of a job: on ``serial`` (one node) each distinct key is hashed
+    once per job, not once per map task, and never carried into the next
+    run; each cluster daemon is a node with its own memo."""
 
     def test_serial_hashes_each_distinct_key_once_a_run(self, monkeypatch):
         job = wordcount_combined()
@@ -92,13 +93,7 @@ class TestPartitionMemoScope:
             # drain), so each output key is hashed exactly once.
             assert len(keys) == len(set(keys)) == result.output_records
 
-    def test_thread_tasks_each_keep_their_own_memo(self, monkeypatch):
-        # The thread backend passes no per-node state: a key emitted by
-        # several map tasks is hashed by each of them.
-        keys, result = hashed_keys(monkeypatch, wordcount_combined("thread"))
-        assert len(set(keys)) == result.output_records < len(keys)
-
-    @pytest.mark.parametrize("backend", ("thread", "cluster"))
+    @pytest.mark.parametrize("backend", ("cluster",))
     def test_parallel_backends_give_the_serial_digest(self, backend):
         digests = {
             name: LocalJobRunner().run(wordcount_combined(name)).output_digest()

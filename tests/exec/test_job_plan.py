@@ -25,7 +25,7 @@ from repro.serde.text import Text
 
 from ..conftest import make_wordcount_job
 
-ALL_BACKENDS = ("serial", "thread", "cluster")
+ALL_BACKENDS = ("serial", "cluster")
 
 
 class RecordingExecutor(Executor):
@@ -41,6 +41,7 @@ class RecordingExecutor(Executor):
 
     def open(self, job) -> None:
         self.log.append("open")
+        self.shared_state: dict = {}  # one node, as on serial
 
     def run_tasks(self, tasks, fetch_results):
         fetched = None if fetch_results is None else [r.task_id for r in fetch_results]
@@ -52,7 +53,7 @@ class RecordingExecutor(Executor):
                 outcomes.append(
                     run_with_retries(
                         self.job, task, self.splits, fetch_results, self.host,
-                        attempts_out=attempts,
+                        shared_state=self.shared_state, attempts_out=attempts,
                     )
                 )
             except ReproError as exc:

@@ -1,10 +1,13 @@
 """Chaos matrix: fault kind × exec backend × shuffle mode.
 
-Every applicable cell must survive its injected faults and reproduce
+Every cell that can fire must survive its injected faults and reproduce
 the fault-free output byte for byte — composition of the recovery
-layers (task retry, pool rescheduling, shuffle fetch retry) is exactly
-what single-site tests can't cover.  All cells share one seed, so a
-red cell reproduces locally with the same command every time.
+layers (task retry, worker rescheduling, shuffle fetch retry) is exactly
+what single-site tests can't cover.  Only cells that can fire are
+enumerated: ``worker.*`` rules arm only inside real worker processes
+(the cluster backend's daemons), and ``shuffle.*`` rules only in the
+network shuffle server.  All cells share one seed, so a red cell
+reproduces locally with the same command every time.
 """
 
 from __future__ import annotations
@@ -28,10 +31,15 @@ FAULT_MATRIX = {
     "shuffle-truncate": ("shuffle.truncate:0.5:1", False, True),
     "combined": ("worker.kill:0.4;disk.corrupt:0.5", True, False),
 }
-#: Only the cluster backend runs task attempts in real OS processes,
-#: where worker.kill/hang/stall rules can actually fire.
-BACKENDS = ("thread", "cluster")
-SHUFFLE_MODES = ("mem", "net")
+#: Every (kind, backend, shuffle mode) cell that can fire: ``serial``
+#: takes the in-process kinds, ``cluster`` every kind.
+CELLS = [
+    pytest.param(kind, backend, mode, id=f"{kind}-{backend}-{mode}")
+    for kind, (_spec, needs_process, needs_net) in FAULT_MATRIX.items()
+    for backend in ("serial", "cluster")
+    for mode in ("mem", "net")
+    if not (needs_process and backend == "serial") and not (needs_net and mode == "mem")
+]
 
 
 def run_cell(data: bytes, backend: str, shuffle_mode: str, spec: str = "") -> JobResult:
@@ -52,18 +60,11 @@ def output_bytes(result: JobResult) -> list[tuple[bytes, bytes]]:
 
 
 @pytest.mark.chaos
-@pytest.mark.parametrize("shuffle_mode", SHUFFLE_MODES)
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("kind", FAULT_MATRIX)
+@pytest.mark.parametrize(("kind", "backend", "shuffle_mode"), CELLS)
 def test_matrix_cell_recovers_byte_identical(
     kind: str, backend: str, shuffle_mode: str, tiny_text
 ) -> None:
     spec, needs_process, needs_net = FAULT_MATRIX[kind]
-    if needs_process and backend != "cluster":
-        pytest.skip("worker faults only fire inside real worker processes")
-    if needs_net and shuffle_mode != "net":
-        pytest.skip("shuffle faults only fire in the network shuffle server")
-
     clean = run_cell(tiny_text, backend, shuffle_mode)
     faulty = run_cell(tiny_text, backend, shuffle_mode, spec)
     assert output_bytes(faulty) == output_bytes(clean), (kind, backend, shuffle_mode)
@@ -79,7 +80,7 @@ def test_matrix_cell_recovers_byte_identical(
 
 @pytest.mark.chaos
 def test_unified_shuffle_rule_drives_the_shuffle_server(tiny_text) -> None:
-    """A ``shuffle.*`` rule in the unified plan must reach the shuffle
-    server's legacy injection hooks (not just the new fault points)."""
-    result = run_cell(tiny_text, "thread", "net", "shuffle.refuse:0.5:1")
+    """A ``shuffle.*`` rule in the unified plan reaches a serial run's
+    in-process shuffle server, whose fetches then retry."""
+    result = run_cell(tiny_text, "serial", "net", "shuffle.refuse:0.5:1")
     assert result.counters.get(Counter.SHUFFLE_FETCH_RETRIES) > 0

@@ -2,7 +2,10 @@
 
 Every backend must survive an attempt-bounded disk fault plan and
 produce output byte-identical to a fault-free run, with the retries
-showing up in TASK_REEXECUTIONS.
+showing up in TASK_REEXECUTIONS.  The serial net-shuffle case is the
+one where the shuffle server's handler threads read segments through
+the disk fault point while a task runs: those reads stay outside the
+task's (thread-local) fault scope.
 """
 
 from __future__ import annotations
@@ -16,11 +19,23 @@ from repro.errors import JobFailedError
 
 from ..conftest import make_wordcount_job
 
-BACKENDS = ("serial", "thread", "cluster")
+#: (backend, shuffle mode) cells, by id; the cluster's net cells run in
+#: the chaos matrix.
+CASES = (
+    pytest.param("serial", "mem", id="serial"),
+    pytest.param("serial", "net", id="serial-net", marks=pytest.mark.network),
+    pytest.param("cluster", "mem", id="cluster"),
+)
 
 
-def run_wordcount(data: bytes, backend: str, fault_conf: dict | None = None) -> JobResult:
-    conf: dict = {Keys.EXEC_BACKEND: backend, Keys.EXEC_WORKERS: 3}
+def run_wordcount(
+    data: bytes, backend: str, fault_conf: dict | None = None, shuffle_mode: str = "mem"
+) -> JobResult:
+    conf: dict = {
+        Keys.EXEC_BACKEND: backend,
+        Keys.EXEC_WORKERS: 3,
+        Keys.SHUFFLE_MODE: shuffle_mode,
+    }
     if fault_conf:
         conf.update(fault_conf)
     job = make_wordcount_job(data, conf_overrides=conf, num_splits=3)
@@ -31,15 +46,16 @@ def output_bytes(result: JobResult) -> list[tuple[bytes, bytes]]:
     return [(k.to_bytes(), v.to_bytes()) for k, v in result.output_pairs()]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(("backend", "shuffle_mode"), CASES)
 def test_corrupt_spill_reads_are_retried_to_identical_output(
-    backend: str, tiny_text
+    backend: str, shuffle_mode: str, tiny_text
 ) -> None:
-    clean = run_wordcount(tiny_text, backend)
+    clean = run_wordcount(tiny_text, backend, shuffle_mode=shuffle_mode)
     faulty = run_wordcount(
         tiny_text,
         backend,
-        {Keys.FAULTS_SPEC: "disk.corrupt:1.0:1", Keys.FAULTS_SEED: 1234},
+        shuffle_mode=shuffle_mode,
+        fault_conf={Keys.FAULTS_SPEC: "disk.corrupt:1.0:1", Keys.FAULTS_SEED: 1234},
     )
     assert output_bytes(faulty) == output_bytes(clean)
     assert faulty.counters.get(Counter.TASK_REEXECUTIONS) > 0
@@ -47,15 +63,16 @@ def test_corrupt_spill_reads_are_retried_to_identical_output(
     assert all(a <= 2 for a in faulty.task_attempts.values())
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(("backend", "shuffle_mode"), CASES)
 def test_torn_spill_writes_are_retried_to_identical_output(
-    backend: str, tiny_text
+    backend: str, shuffle_mode: str, tiny_text
 ) -> None:
-    clean = run_wordcount(tiny_text, backend)
+    clean = run_wordcount(tiny_text, backend, shuffle_mode=shuffle_mode)
     faulty = run_wordcount(
         tiny_text,
         backend,
-        {Keys.FAULTS_SPEC: "disk.torn:1.0:1", Keys.FAULTS_SEED: 1234},
+        shuffle_mode=shuffle_mode,
+        fault_conf={Keys.FAULTS_SPEC: "disk.torn:1.0:1", Keys.FAULTS_SEED: 1234},
     )
     assert output_bytes(faulty) == output_bytes(clean)
     assert faulty.counters.get(Counter.TASK_REEXECUTIONS) > 0

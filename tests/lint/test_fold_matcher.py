@@ -153,8 +153,8 @@ def test_the_matcher_and_a_default_run_leave_the_pipeline_analysis_unloaded():
         "assert not loaded, loaded",
         "result = LocalJobRunner().run(build_app('wordcount', 'baseline', scale=0.02).job)",
         "assert result.counters.as_dict()['combine_input_records'] > 0",
-        # Backends register by dotted name: a serial run loads neither
-        # the thread pool's nor the process pool's machinery.
+        # Backends register by dotted name: a serial mem-shuffle run
+        # loads neither the fetcher's pool nor the cluster's forking.
         "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]",
         "assert not loaded, loaded",
     ])

@@ -37,7 +37,6 @@ def run_app(
             Keys.EXEC_BACKEND: backend,
             Keys.EXEC_WORKERS: 4,
             Keys.SHUFFLE_MODE: shuffle,
-            Keys.FREQBUF_SHARE_ACROSS_TASKS: False,
             # Small buffer so every app actually spills more than once.
             Keys.SPILL_BUFFER_BYTES: 16 * 1024,
         },
@@ -62,7 +61,7 @@ def test_net_matches_mem_byte_for_byte(app_name: str, freqbuf: bool) -> None:
         assert net.counters.get(counter) == mem.counters.get(counter)
 
 
-@pytest.mark.parametrize("backend", ("thread", "cluster"))
+@pytest.mark.parametrize("backend", ("cluster",))
 def test_net_matches_mem_on_parallel_backends(backend: str) -> None:
     mem = run_app("wordcount", "mem", freqbuf=False, backend=backend)
     net = run_app("wordcount", "net", freqbuf=False, backend=backend)

@@ -112,11 +112,8 @@ class TestBoundedness:
         ) == roomy.counters.get(Counter.NODE_COMBINE_OUT_RECORDS)
 
 
-BACKENDS = ("serial", "thread")
-
-
 class TestEndToEndIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ("serial",))
     def test_output_identical_with_and_without(self, tiny_text, backend):
         conf = {Keys.EXEC_BACKEND: backend, Keys.EXEC_WORKERS: 3}
         off = run_wordcount(tiny_text, node_combine=False, **conf)
